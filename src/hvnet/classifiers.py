@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 CLASSIFIER_KINDS = ("rls", "centroid")
+# Rows scored per matrix product in predict_batch.
+PREDICT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -174,11 +176,19 @@ def predict(w: ClassifierMatrix, h) -> int:
 
 
 def predict_batch(w: ClassifierMatrix, H) -> NDArray[np.int64]:
-    H = np.asarray(H, dtype=np.float64)
+    H = np.asarray(H)
     if H.ndim != 2 or H.shape[1] != w.dim:
         raise DimensionError(f"activations shape {H.shape} does not match dim {w.dim}")
-    # argmax picks the first maximum, i.e. the lowest class index on ties.
-    return np.argmax(H @ w.weights.T, axis=1).astype(np.int64) + 1
+    # Score PREDICT_BLOCK rows at a time: each block's float64 copy stays in
+    # cache, and with a few classes and up to about a thousand dims the
+    # product stays on the calling thread, so OpenBLAS does not wake its
+    # thread pool (which then busy-waits) for every shard.  argmax picks the
+    # first maximum, i.e. the lowest class index on ties.
+    out = np.empty(H.shape[0], dtype=np.int64)
+    for start in range(0, H.shape[0], PREDICT_BLOCK):
+        block = np.asarray(H[start:start + PREDICT_BLOCK], dtype=np.float64)
+        out[start:start + PREDICT_BLOCK] = np.argmax(block @ w.weights.T, axis=1)
+    return out + 1
 
 
 def evaluate(w: ClassifierMatrix, H, labels) -> float:

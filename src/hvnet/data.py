@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -109,11 +110,16 @@ def load_csv(path, label_column=-1, header: bool = False, name: str | None = Non
                 raw_labels.append(cell.strip())
                 continue
             try:
-                vals.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ParseError(
                     f"{path}: non-numeric feature cell {cell!r} at row {r + 1}, column {c + 1}"
                 ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: non-finite feature cell {cell!r} at row {r + 1}, column {c + 1}"
+                )
+            vals.append(value)
         features.append(vals)
 
     try:
@@ -137,8 +143,10 @@ def normalize(ds: Dataset, train_indices=None) -> Dataset:
 
     Rows outside the training range (possible for test data) are clamped.
     Constant features map to 0.5.  Idempotent: normalizing twice with the
-    same training rows changes nothing.
+    same training rows changes nothing.  Non-finite samples are rejected.
     """
+    if not np.all(np.isfinite(ds.samples)):
+        raise InvalidDatasetError(f"dataset {ds.name!r} holds a non-finite (NaN or inf) sample")
     rows = np.arange(ds.n_samples) if train_indices is None else np.asarray(train_indices)
     mins = ds.samples[rows].min(axis=0)
     maxs = ds.samples[rows].max(axis=0)

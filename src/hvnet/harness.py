@@ -15,6 +15,7 @@ import json
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .hdc import SeedSpec
-from .network import ExperimentVersion, ModelParams, run_version
+from .network import ExperimentVersion, ModelParams, SharedPass, run_version
 
 __all__ = [
     "DEFAULT_DIM_GRID",
@@ -187,6 +188,11 @@ class ResultRecord:
             wall_time_s=float(d.get("wall_time_s", 0.0)),
         )
 
+    @property
+    def label(self) -> str:
+        """The :func:`version_label` of the version this record summarizes."""
+        return version_label(ExperimentVersion(self.version, self.compressed))
+
 
 def version_label(version: ExperimentVersion) -> str:
     if version.kind == "distributed" and version.compression:
@@ -299,80 +305,86 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
     else:
         raise InvalidParameterError(f"unknown split_mode {config.split_mode!r}")
 
-    records = []
-    for version in config.versions:
-        counts = (1,) if version.kind == "centralized" else tuple(config.agent_counts)
-        for n_agents in counts:
-            started = time.perf_counter()
-            per_seed = []
-            per_agent_sum = None
-            payload = 0
-            for i in range(config.n_seeds):
-                seed = base.child("seed", i)
+    # One (version, agent count) cell per record.  runs[c][i] holds cell c's
+    # result for each fold of seed i; every cell of a (seed, fold) reuses
+    # that piece's SharedPass, visited by agent count so that it trains each
+    # set of local models once and holds one agent count's sets at a time.
+    cells = [
+        (version, n_agents)
+        for version in config.versions
+        for n_agents in ((1,) if version.kind == "centralized" else config.agent_counts)
+    ]
+    by_agent_count = sorted(range(len(cells)), key=lambda c: cells[c][1])
+    runs = [[[] for _ in range(config.n_seeds)] for _ in cells]
+    elapsed = [0.0] * len(cells)
+    for i in range(config.n_seeds):
+        seed = base.child("seed", i)
+        for f, (ds, train_idx, test_idx) in enumerate(pieces):
+            piece_seed = seed if len(pieces) == 1 else seed.child("fold", f)
+            shared = SharedPass(ds, train_idx, test_idx, params, piece_seed)
+            for c in by_agent_count:
+                version, n_agents = cells[c]
+                started = time.perf_counter()
                 try:
-                    fold_means = []
-                    fold_agents = None
-                    for f, (ds, train_idx, test_idx) in enumerate(pieces):
-                        res = run_version(
-                            ds, train_idx, test_idx, version, params, n_agents,
-                            seed if len(pieces) == 1 else seed.child("fold", f),
-                            eval_on_full_test=config.eval_on_full_test,
-                        )
-                        fold_means.append(res.mean_accuracy)
-                        fold_agents = (
-                            res.per_agent_accuracy
-                            if fold_agents is None
-                            else fold_agents + res.per_agent_accuracy
-                        )
-                        payload = res.payload_values_per_producer
-                    per_seed.append(float(np.mean(fold_means)))
-                    agents = fold_agents / len(pieces)
-                    per_agent_sum = agents if per_agent_sum is None else per_agent_sum + agents
+                    runs[c][i].append(run_version(
+                        ds, train_idx, test_idx, version, params, n_agents, piece_seed,
+                        eval_on_full_test=config.eval_on_full_test, shared=shared,
+                    ))
                 except Exception as exc:
                     raise SuiteError(
                         f"suite aborted: seed index {i} failed for "
                         f"version={version_label(version)} n_agents={n_agents}: {exc}"
                     ) from exc
-            per_agent_mean = per_agent_sum / config.n_seeds
-            hash_payload = {
-                "dataset": raw.name,
-                "version": version_label(version),
-                "classifier": version.classifier_kind,
-                "compressed": version.compression,
-                "n_agents": n_agents,
-                "dim": config.dim,
-                "lam": config.lam,
-                "kappa": config.kappa,
-                "n_seeds": config.n_seeds,
-                "master_seed": config.master_seed,
-                "split_mode": config.split_mode,
-                "train_fraction": config.train_fraction,
-                "k_folds": config.k_folds,
-                "stratified": config.stratified,
-                "eval_on_full_test": config.eval_on_full_test,
-            }
-            records.append(
-                ResultRecord(
-                    dataset=raw.name,
-                    version=version.kind,
-                    classifier=version.classifier_kind,
-                    compressed=version.compression,
-                    n_agents=n_agents,
-                    dim=config.dim,
-                    lam=config.lam,
-                    kappa=config.kappa,
-                    n_seeds=config.n_seeds,
-                    master_seed=config.master_seed,
-                    per_seed_mean=tuple(per_seed),
-                    mean_accuracy=float(np.mean(per_seed)),
-                    std_accuracy=float(np.std(per_seed)),
-                    per_agent_mean=tuple(float(x) for x in per_agent_mean),
-                    payload_values_per_producer=payload,
-                    payload_bytes_per_producer=8 * payload,
-                    config_hash=_config_hash(hash_payload),
-                    wall_time_s=time.perf_counter() - started,
-                )
+                elapsed[c] += time.perf_counter() - started
+
+    records = []
+    for c, (version, n_agents) in enumerate(cells):
+        # Sums run in seed and fold order, one term at a time.
+        per_seed = [float(np.mean([r.mean_accuracy for r in folds])) for folds in runs[c]]
+        per_agent_mean = reduce(np.add, [
+            reduce(np.add, [r.per_agent_accuracy for r in folds]) / len(pieces)
+            for folds in runs[c]
+        ]) / config.n_seeds
+        payload = runs[c][-1][-1].payload_values_per_producer
+        hash_payload = {
+            "dataset": raw.name,
+            "version": version_label(version),
+            "classifier": version.classifier_kind,
+            "compressed": version.compression,
+            "n_agents": n_agents,
+            "dim": config.dim,
+            "lam": config.lam,
+            "kappa": config.kappa,
+            "n_seeds": config.n_seeds,
+            "master_seed": config.master_seed,
+            "split_mode": config.split_mode,
+            "train_fraction": config.train_fraction,
+            "k_folds": config.k_folds,
+            "stratified": config.stratified,
+            "eval_on_full_test": config.eval_on_full_test,
+        }
+        records.append(
+            ResultRecord(
+                dataset=raw.name,
+                version=version.kind,
+                classifier=version.classifier_kind,
+                compressed=version.compression,
+                n_agents=n_agents,
+                dim=config.dim,
+                lam=config.lam,
+                kappa=config.kappa,
+                n_seeds=config.n_seeds,
+                master_seed=config.master_seed,
+                per_seed_mean=tuple(per_seed),
+                mean_accuracy=float(np.mean(per_seed)),
+                std_accuracy=float(np.std(per_seed)),
+                per_agent_mean=tuple(float(x) for x in per_agent_mean),
+                payload_values_per_producer=payload,
+                payload_bytes_per_producer=8 * payload,
+                config_hash=_config_hash(hash_payload),
+                wall_time_s=elapsed[c],
             )
+        )
     return records
 
 
@@ -470,8 +482,7 @@ def format_table(records) -> str:
     central = {r.classifier: r for r in records if r.version == "centralized"}
     rows: dict[tuple[str, str], dict[int, float]] = {}
     for r in _sorted_records(records):
-        label = "distributed+compressed" if r.compressed else r.version
-        rows.setdefault((r.classifier, label), {})[r.n_agents] = r.mean_accuracy
+        rows.setdefault((r.classifier, r.label), {})[r.n_agents] = r.mean_accuracy
     for (classifier, label), cells in rows.items():
         if label != "centralized" and 1 in counts and 1 not in cells and classifier in central:
             cells[1] = central[classifier].mean_accuracy
@@ -522,12 +533,9 @@ def scatter_export(records, version_a: str, version_b: str, out=None):
     agent count.  Datasets present under only one version are excluded
     with a warning, so exports stay symmetric-complete.
     """
-    def label_of(r: ResultRecord) -> str:
-        return "distributed+compressed" if r.compressed else r.version
-
     sides = {version_a: {}, version_b: {}}
     for r in records:
-        label = label_of(r)
+        label = r.label
         if label in sides:
             key = (r.dataset, r.classifier) if label == "centralized" else (
                 r.dataset, r.classifier, r.n_agents

@@ -4,7 +4,15 @@ Agents never see each other's samples; the only things crossing agent
 boundaries are classifier matrices (or their compressed hypervectors),
 so the exchange payload size is independent of shard sizes.  Aggregation
 is a single round: every agent sums the classifiers of its neighbors and
-itself, in sorted-agent-id order so the result is exactly order-free.
+itself.  Agents with the same neighborhood get the same sum, so each
+distinct neighborhood is summed once, as a sequential axis-0 reduction
+over its members in sorted-agent-id order.  That order is part of the
+byte-identity contract: the result is order-free in the agent ids, and
+it is not a BLAS product, which would round differently.
+
+All model versions of one seed share the projection, the encodings, the
+shard partitions and the local classifiers; a :class:`SharedPass` computes
+each of them once and :func:`run_version` reuses them.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ __all__ = [
     "ExperimentVersion",
     "ModelParams",
     "RunResult",
+    "SharedPass",
     "exchange_and_aggregate",
     "partition",
     "run_version",
@@ -186,7 +195,8 @@ def exchange_and_aggregate(
     reproduces the centralized centroid classifier exactly.  Compressed
     classifiers are packed once per producer; every consumer regenerates the
     producer's keys from its agent id and decompresses the reconstruction,
-    which is then aggregated as-is.
+    which is then aggregated as-is.  Agents sharing a neighborhood share one
+    aggregated classifier.
     """
     if len(classifiers) != network.n_agents:
         raise ProtocolError("need exactly one classifier per agent")
@@ -194,43 +204,123 @@ def exchange_and_aggregate(
 
     if compression:
         payload_per = dim
-        reconstructed = []
+        received = []
         for s in range(network.n_agents):
             keys = generate_keys(network.agent_ids[s], n_classes, dim)
             packed = compress(classifiers[s], keys)
             # Deterministic, so one reconstruction stands in for every consumer's.
-            reconstructed.append(decompress(packed, keys, kind=kind))
-        aggregated = []
-        for p in range(network.n_agents):
-            members = network.neighborhood(p)
-            weights = np.zeros((n_classes, dim))
-            for s in members:
-                weights += reconstructed[s].weights
-            aggregated.append(ClassifierMatrix(weights=weights, kind=kind))
-        return aggregated, ExchangeStats(payload_per, payload_per * network.n_agents)
+            received.append(decompress(packed, keys, kind=kind))
+    else:
+        payload_per = n_classes * dim
+        received = classifiers
 
-    payload_per = n_classes * dim
-    stats = ExchangeStats(payload_per, payload_per * network.n_agents)
-    if kind == "centroid":
-        for c in classifiers:
+    if kind == "centroid" and not compression:
+        for c in received:
             if c.class_sums is None or c.class_counts is None:
                 raise ProtocolError("centroid exchange requires class sums and counts")
-        aggregated = []
-        for p in range(network.n_agents):
-            members = network.neighborhood(p)
-            sums = sum(classifiers[s].class_sums for s in members)
-            counts = sum(classifiers[s].class_counts for s in members)
-            aggregated.append(finalize_centroids(sums, counts))
-        return aggregated, stats
+        sums = np.stack([c.class_sums for c in received])
+        counts = np.stack([c.class_counts for c in received])
 
+        def combine(members):
+            return finalize_centroids(_ordered_sum(sums, members), _ordered_sum(counts, members))
+    else:
+        weights = np.stack([c.weights for c in received])
+
+        def combine(members):
+            return ClassifierMatrix(weights=_ordered_sum(weights, members), kind=kind)
+
+    by_neighborhood: dict[tuple[int, ...], ClassifierMatrix] = {}
     aggregated = []
     for p in range(network.n_agents):
-        members = network.neighborhood(p)
-        weights = np.zeros((n_classes, dim))
-        for s in members:
-            weights += classifiers[s].weights
-        aggregated.append(ClassifierMatrix(weights=weights, kind=kind))
-    return aggregated, stats
+        members = tuple(network.neighborhood(p))
+        if members not in by_neighborhood:
+            by_neighborhood[members] = combine(members)
+        aggregated.append(by_neighborhood[members])
+    return aggregated, ExchangeStats(payload_per, payload_per * network.n_agents)
+
+
+def _ordered_sum(stack: np.ndarray, members: tuple[int, ...]) -> np.ndarray:
+    """0 + stack[m0] + stack[m1] + ..., added one member at a time in the given order.
+
+    A reduction over the outermost axis adds whole slices in sequence, so the
+    result is bit-identical to a Python loop of ``+=`` from zero.  A
+    neighborhood of every agent, in stack order, is summed without a copy.
+    """
+    rows = list(members)
+    return (stack if rows == list(range(len(stack))) else stack[rows]).sum(axis=0, initial=0)
+
+
+class SharedPass:
+    """The work every model version of one (seed, fold) has in common, done once.
+
+    Draws the projection and encodes the train and test rows on first use,
+    partitions the shards once per agent count, and trains the local
+    classifiers once per (classifier kind, agent count).  Everything is
+    derived from the constructor's arguments exactly as :func:`run_version`
+    derives it, so a realization given this pass returns what a standalone
+    one would.  A pass lives as long as its caller keeps it; nothing is
+    cached at module level.  Local classifiers are kept for one agent count
+    at a time, which bounds memory by the largest network, so a caller that
+    visits agent counts in turn (as ``run_suite`` does) trains each set once.
+    """
+
+    def __init__(self, ds: Dataset, train_idx, test_idx, params: ModelParams, seed: SeedSpec):
+        self.ds = ds
+        self.train_idx = np.asarray(train_idx)
+        self.test_idx = np.asarray(test_idx)
+        self.params = params
+        self.seed = seed
+        self._encoded: tuple[np.ndarray, np.ndarray] | None = None
+        self._shards: dict[int, tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]] = {}
+        self._locals: dict[tuple[str, int], list[ClassifierMatrix]] = {}
+
+    def serves(self, ds: Dataset, train_idx, test_idx, params: ModelParams, seed: SeedSpec) -> bool:
+        return (
+            ds is self.ds
+            and params == self.params
+            and seed == self.seed
+            and np.array_equal(train_idx, self.train_idx)
+            and np.array_equal(test_idx, self.test_idx)
+        )
+
+    def encoded(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden activations of the train and the test rows."""
+        if self._encoded is None:
+            ds, params = self.ds, self.params
+            proj = init_projection(ds.n_features, params.dim, self.seed.child("projection"))
+            self._encoded = (
+                encode_batch(ds.samples[self.train_idx], proj, params.kappa),
+                encode_batch(ds.samples[self.test_idx], proj, params.kappa),
+            )
+        return self._encoded
+
+    def shards(self, n_agents: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Train and test row shards, positions into the index sets, one per agent."""
+        if n_agents not in self._shards:
+            self._shards[n_agents] = (
+                partition(self.train_idx.size, n_agents, self.seed.child("train_partition")).shards,
+                partition(self.test_idx.size, n_agents, self.seed.child("test_partition")).shards,
+            )
+        return self._shards[n_agents]
+
+    def fit(self, classifier_kind: str, rows) -> ClassifierMatrix:
+        """Train one classifier on the given train rows."""
+        H_train = self.encoded()[0]
+        y_train = self.ds.labels[self.train_idx]
+        n_classes = self.ds.n_classes
+        if classifier_kind == "centroid":
+            return train_centroids(H_train[rows], y_train[rows], n_classes)
+        return train_rls(H_train[rows], one_hot(y_train[rows], n_classes), self.params.lam)
+
+    def local_models(self, classifier_kind: str, n_agents: int) -> list[ClassifierMatrix]:
+        """One classifier per agent, each trained on that agent's train shard."""
+        key = (classifier_kind, n_agents)
+        if key not in self._locals:
+            if any(n != n_agents for _, n in self._locals):
+                self._locals.clear()
+            train_shards = self.shards(n_agents)[0]
+            self._locals[key] = [self.fit(classifier_kind, rows) for rows in train_shards]
+        return self._locals[key]
 
 
 def run_version(
@@ -243,37 +333,34 @@ def run_version(
     seed: SeedSpec,
     network: AgentNetwork | None = None,
     eval_on_full_test: bool = False,
+    *,
+    shared: SharedPass | None = None,
 ) -> RunResult:
     """Run one seeded realization of a model version and report per-agent accuracy.
 
     All randomness (projection, shard partitions) derives from ``seed``.
     Local and distributed versions evaluate each agent on its own test
     shard unless ``eval_on_full_test`` is set; the centralized version
-    always uses the full test set.
+    always uses the full test set.  ``shared``, built from the same
+    arguments, lets several versions reuse one encoding and one set of
+    local classifiers; the result is the same with or without it.
     """
-    train_idx = np.asarray(train_idx)
-    test_idx = np.asarray(test_idx)
-    if train_idx.size < 1 or test_idx.size < 1:
+    if shared is None:
+        shared = SharedPass(ds, train_idx, test_idx, params, seed)
+    elif not shared.serves(ds, train_idx, test_idx, params, seed):
+        raise InvalidParameterError("shared pass was built for other data, params or seed")
+    if shared.train_idx.size < 1 or shared.test_idx.size < 1:
         raise InvalidParameterError("train and test index sets must be non-empty")
-    proj = init_projection(ds.n_features, params.dim, seed.child("projection"))
-    H_train = encode_batch(ds.samples[train_idx], proj, params.kappa)
-    H_test = encode_batch(ds.samples[test_idx], proj, params.kappa)
-    y_train = ds.labels[train_idx]
-    y_test = ds.labels[test_idx]
-
-    def fit(rows) -> ClassifierMatrix:
-        if version.classifier_kind == "centroid":
-            return train_centroids(H_train[rows], y_train[rows], ds.n_classes)
-        return train_rls(H_train[rows], one_hot(y_train[rows], ds.n_classes), params.lam)
+    H_test = shared.encoded()[1]
+    y_test = ds.labels[shared.test_idx]
 
     if version.kind == "centralized":
-        model = fit(np.arange(train_idx.size))
+        model = shared.fit(version.classifier_kind, np.arange(shared.train_idx.size))
         acc = evaluate(model, H_test, y_test)
         return RunResult(version, 1, np.asarray([acc]), 0)
 
-    train_shards = partition(train_idx.size, n_agents, seed.child("train_partition")).shards
-    test_shards = partition(test_idx.size, n_agents, seed.child("test_partition")).shards
-    locals_ = [fit(shard) for shard in train_shards]
+    test_shards = shared.shards(n_agents)[1]
+    locals_ = shared.local_models(version.classifier_kind, n_agents)
 
     if version.kind == "local":
         models = locals_

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hvnet.classifiers import (
+    PREDICT_BLOCK,
     evaluate,
     finalize_centroids,
     one_hot,
@@ -268,3 +269,16 @@ def test_predict_batch_agrees_with_predict():
     np.testing.assert_array_equal(
         predict_batch(model, H), [predict(model, h) for h in H]
     )
+
+
+def test_predict_batch_across_row_blocks():
+    # Integer activations spanning several scoring blocks, with all-zero rows
+    # (a three-way tie, won by class 1) on both sides of each block boundary.
+    rng = SeedSpec(30).rng()
+    model = train_rls(rng.standard_normal((40, 9)), one_hot(rng.integers(1, 4, 40), 3), 0.5)
+    H = rng.integers(-7, 8, size=(2 * PREDICT_BLOCK + 7, 9))
+    H[[0, PREDICT_BLOCK - 1, PREDICT_BLOCK, 2 * PREDICT_BLOCK, -1]] = 0
+    got = predict_batch(model, H)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, [predict(model, h) for h in H])
+    assert got[PREDICT_BLOCK - 1] == got[PREDICT_BLOCK] == got[-1] == 1

@@ -70,6 +70,13 @@ def test_load_csv_non_numeric_cell_reports_position(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_load_csv_non_finite_cell_reports_position(tmp_path, cell):
+    path = write(tmp_path, "nonfinite.csv", f"1.0,2.0,a\n3.0,{cell},b\n")
+    with pytest.raises(ParseError, match="row 2, column 2"):
+        load_csv(path)
+
+
 def test_load_csv_single_class_rejected(tmp_path):
     path = write(tmp_path, "one.csv", "1,a\n2,a\n")
     with pytest.raises(InvalidDatasetError):
@@ -96,6 +103,15 @@ def test_normalize_clamps_rows_outside_training_range():
     ds = Dataset(samples=samples, labels=np.array([1, 2, 1]), n_classes=2)
     out = normalize(ds, train_indices=[0, 1])  # range [2, 6]; row 2 is out of range
     np.testing.assert_allclose(out.samples[:, 0], [0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalize_rejects_non_finite_sample(bad):
+    samples = np.array([[2.0], [6.0], [bad]])
+    ds = Dataset(samples=samples, labels=np.array([1, 2, 1]), n_classes=2)
+    # Row 2 is outside the training rows, and is still rejected.
+    with pytest.raises(InvalidDatasetError, match="non-finite"):
+        normalize(ds, train_indices=[0, 1])
 
 
 def test_normalize_idempotent():

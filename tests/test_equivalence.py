@@ -1,0 +1,310 @@
+"""The grouped exchange and the shared per-seed pass against their naive forms.
+
+The grouped exchange must equal a per-agent, sorted-order, sequential ``+=``
+reference bit for bit, and a realization that reuses a SharedPass must
+return exactly what a standalone one does.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hvnet.network
+from hvnet.classifiers import ClassifierMatrix, finalize_centroids
+from hvnet.compression import compress, decompress, generate_keys
+from hvnet.data import SplitSpec, split, synth_blobs
+from hvnet.errors import InvalidParameterError, SuiteError
+from hvnet.harness import ExperimentConfig, run_suite
+from hvnet.hdc import SeedSpec
+from hvnet.network import (
+    AgentNetwork,
+    ExperimentVersion,
+    ModelParams,
+    SharedPass,
+    exchange_and_aggregate,
+    run_version,
+)
+
+# ------------------------------------------------------- grouped exchange
+
+
+@st.composite
+def networks(draw, max_agents=12):
+    """Random symmetric networks: isolated agents, partial and full connectivity."""
+    n = draw(st.integers(1, max_agents))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    omega = (upper | upper.T).astype(np.int64)
+    ids = tuple(int(i) for i in rng.choice(1000, size=n, replace=False))
+    return AgentNetwork(omega=omega, agent_ids=ids), rng
+
+
+def wide_range_weights(rng, shape):
+    """Floats spanning many magnitudes, so the order of a sum changes its rounding."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+
+
+def naive_neighborhood(network, p):
+    members = set(np.flatnonzero(network.omega[p]).tolist()) | {p}
+    return sorted(members, key=lambda s: network.agent_ids[s])
+
+
+def naive_sum(arrays, members):
+    acc = np.zeros_like(arrays[0])
+    for s in members:
+        acc += arrays[s]
+    return acc
+
+
+def assert_same_classifiers(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.kind == w.kind
+        assert np.array_equal(g.weights, w.weights)
+        for attr in ("class_sums", "class_counts"):
+            a, b = getattr(g, attr), getattr(w, attr)
+            assert (a is None) == (b is None)
+            assert a is None or (np.array_equal(a, b) and a.dtype == b.dtype)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.integers(2, 4), st.integers(1, 6))
+def test_grouped_rls_exchange_equals_sequential_reference(net_rng, n_classes, dim):
+    net, rng = net_rng
+    weights = [wide_range_weights(rng, (n_classes, dim)) for _ in range(net.n_agents)]
+    classifiers = [ClassifierMatrix(weights=w, kind="rls") for w in weights]
+    got, stats = exchange_and_aggregate(net, classifiers, compression=False)
+    want = [
+        ClassifierMatrix(weights=naive_sum(weights, naive_neighborhood(net, p)), kind="rls")
+        for p in range(net.n_agents)
+    ]
+    assert_same_classifiers(got, want)
+    assert stats.payload_values_per_producer == n_classes * dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.integers(2, 4), st.integers(1, 6))
+def test_grouped_centroid_exchange_equals_sequential_reference(net_rng, n_classes, dim):
+    net, rng = net_rng
+    sums = [rng.integers(-50, 50, size=(n_classes, dim)) for _ in range(net.n_agents)]
+    counts = [rng.integers(0, 20, size=n_classes) for _ in range(net.n_agents)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        classifiers = [finalize_centroids(s, c) for s, c in zip(sums, counts)]
+        got, _ = exchange_and_aggregate(net, classifiers, compression=False)
+        want = []
+        for p in range(net.n_agents):
+            members = naive_neighborhood(net, p)
+            want.append(finalize_centroids(naive_sum(sums, members), naive_sum(counts, members)))
+    assert_same_classifiers(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(networks(max_agents=8), st.integers(2, 3), st.sampled_from(["rls", "centroid"]))
+def test_grouped_compressed_exchange_equals_sequential_reference(net_rng, n_classes, kind):
+    net, rng = net_rng
+    dim = 32
+    classifiers = [
+        ClassifierMatrix(weights=wide_range_weights(rng, (n_classes, dim)), kind=kind)
+        for _ in range(net.n_agents)
+    ]
+    received = []
+    for s, c in enumerate(classifiers):
+        keys = generate_keys(net.agent_ids[s], n_classes, dim)
+        received.append(decompress(compress(c, keys), keys, kind=kind).weights)
+    got, stats = exchange_and_aggregate(net, classifiers, compression=True)
+    want = [
+        ClassifierMatrix(weights=naive_sum(received, naive_neighborhood(net, p)), kind=kind)
+        for p in range(net.n_agents)
+    ]
+    assert_same_classifiers(got, want)
+    assert stats.payload_values_per_producer == dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(), st.booleans())
+def test_aggregation_invariant_under_agent_permutation(net_rng, compression):
+    net, rng = net_rng
+    n = net.n_agents
+    classifiers = [
+        ClassifierMatrix(weights=wide_range_weights(rng, (3, 16)), kind="rls") for _ in range(n)
+    ]
+    perm = rng.permutation(n)
+    shuffled = AgentNetwork(
+        omega=net.omega[np.ix_(perm, perm)], agent_ids=tuple(net.agent_ids[i] for i in perm)
+    )
+    got, _ = exchange_and_aggregate(shuffled, [classifiers[i] for i in perm], compression)
+    want, _ = exchange_and_aggregate(net, classifiers, compression)
+    assert_same_classifiers(got, [want[i] for i in perm])
+
+
+def test_fully_connected_network_sums_once():
+    rng = np.random.default_rng(0)
+    n = 60
+    weights = [wide_range_weights(rng, (4, 10)) for _ in range(n)]
+    net = AgentNetwork.fully_connected(n)
+    got, _ = exchange_and_aggregate(net, [ClassifierMatrix(w, "rls") for w in weights], False)
+    assert all(g is got[0] for g in got)
+    assert np.array_equal(got[0].weights, naive_sum(weights, range(n)))
+
+
+# ------------------------------------------------------- shared per-seed pass
+
+
+@pytest.fixture(scope="module")
+def blobs():
+    ds = synth_blobs(3, 6, 400, 2.0, SeedSpec(0).child("synth"))
+    train_idx, test_idx = split(ds, SplitSpec(seed=SeedSpec(1)))
+    return ds, train_idx, test_idx
+
+
+PARAMS = ModelParams(dim=80, kappa=7, lam=1.0)
+
+ALL_VERSIONS = [
+    ExperimentVersion(kind, compression=compression, classifier_kind=classifier)
+    for classifier in ("rls", "centroid")
+    for kind, compression in (
+        ("centralized", False), ("local", False), ("distributed", False), ("distributed", True)
+    )
+]
+
+
+def ring(n):
+    omega = np.zeros((n, n), dtype=np.int64)
+    for p in range(n):
+        omega[p, (p + 1) % n] = omega[(p + 1) % n, p] = 1
+    np.fill_diagonal(omega, 0)
+    return AgentNetwork(omega=omega, agent_ids=tuple(range(n)))
+
+
+@pytest.mark.parametrize("eval_on_full_test", [False, True])
+@pytest.mark.parametrize("topology", ["full", "ring"])
+def test_shared_pass_matches_standalone_runs(blobs, eval_on_full_test, topology):
+    ds, train_idx, test_idx = blobs
+    seed = SeedSpec(30)
+    shared = SharedPass(ds, train_idx, test_idx, PARAMS, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n_agents in (1, 4, 9):
+            network = ring(n_agents) if topology == "ring" else None
+            for version in ALL_VERSIONS:
+                args = (ds, train_idx, test_idx, version, PARAMS, n_agents, seed, network,
+                        eval_on_full_test)
+                reused = run_version(*args, shared=shared)
+                alone = run_version(*args)
+                assert np.array_equal(reused.per_agent_accuracy, alone.per_agent_accuracy)
+                assert reused.n_agents == alone.n_agents
+                assert reused.payload_values_per_producer == alone.payload_values_per_producer
+
+
+def test_shared_pass_fits_each_local_model_set_once(blobs):
+    ds, train_idx, test_idx = blobs
+    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(31))
+    first = shared.local_models("rls", 4)
+    assert shared.local_models("rls", 4) is first
+    assert shared.local_models("centroid", 4) is not first
+    assert shared.encoded() is shared.encoded()
+
+
+def test_shared_pass_rejects_other_inputs(blobs):
+    ds, train_idx, test_idx = blobs
+    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(32))
+    version = ExperimentVersion("local")
+    for args in (
+        (ds, train_idx, test_idx, version, PARAMS, 4, SeedSpec(33)),
+        (ds, train_idx, test_idx, version, ModelParams(dim=40, kappa=7, lam=1.0), 4,
+         SeedSpec(32)),
+        (ds, train_idx[1:], test_idx, version, PARAMS, 4, SeedSpec(32)),
+    ):
+        with pytest.raises(InvalidParameterError, match="shared pass"):
+            run_version(*args, shared=shared)
+
+
+SMALL_SUITE = ExperimentConfig(
+    dataset="synth:classes=3,features=5,samples=300,sep=3.0,seed=1",
+    versions=(
+        ExperimentVersion("local"),
+        ExperimentVersion("distributed", classifier_kind="centroid"),
+    ),
+    agent_counts=(4, 8),
+    dim=60,
+    n_seeds=3,
+    master_seed=5,
+)
+
+
+def test_failure_in_shared_pass_names_seed_version_and_agents(monkeypatch):
+    encode = hvnet.network.encode_batch
+    calls = []
+
+    def failing_on_third_call(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:  # the train encoding of seed index 1
+            raise RuntimeError("encoder failed")
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(hvnet.network, "encode_batch", failing_on_third_call)
+    with pytest.raises(SuiteError, match="seed index 1 failed for version=local n_agents=4"):
+        run_suite(SMALL_SUITE)
+
+
+def test_repeated_suites_warn_alike():
+    # No process-wide cache: every call redoes, and re-warns, the same work.
+    config = ExperimentConfig(
+        dataset="synth:classes=6,features=4,samples=200,sep=2.0,seed=4",
+        versions=(ExperimentVersion("local", classifier_kind="centroid"),),
+        agent_counts=(30,),
+        dim=60,
+        n_seeds=2,
+    )
+    counts = []
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_suite(config)
+        counts.append(len(caught))
+    assert counts[0] > 0 and counts[0] == counts[1]
+
+
+def test_empty_fold_is_reported_as_suite_error():
+    # Three samples in four folds leave one fold empty.
+    config = ExperimentConfig(
+        dataset="synth:classes=3,features=2,samples=3,sep=2.0,seed=1",
+        versions=(ExperimentVersion("centralized"),),
+        dim=50,
+        n_seeds=1,
+        split_mode="kfold",
+        k_folds=4,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(SuiteError, match="seed index 0 failed .* must be non-empty"):
+            run_suite(config)
+
+
+def test_run_suite_trains_each_local_model_set_once(monkeypatch):
+    train = hvnet.network.train_rls
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(hvnet.network, "train_rls", counting)
+    config = ExperimentConfig(
+        dataset="synth:classes=3,features=5,samples=300,sep=3.0,seed=1",
+        versions=(
+            ExperimentVersion("local"),
+            ExperimentVersion("distributed"),
+            ExperimentVersion("distributed", compression=True),
+        ),
+        agent_counts=(3, 2),
+        dim=60,
+        n_seeds=2,
+    )
+    run_suite(config)
+    assert len(calls) == 2 * (3 + 2)  # per seed: one model per agent of each count
