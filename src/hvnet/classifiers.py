@@ -168,11 +168,10 @@ def train_centroids(H, labels, n_classes: int) -> ClassifierMatrix:
 
 def predict(w: ClassifierMatrix, h) -> int:
     """Winner-takes-all class for one activation; ties go to the lowest class index."""
-    h = np.asarray(h, dtype=np.float64)
+    h = np.asarray(h)
     if h.ndim != 1 or h.shape[0] != w.dim:
         raise DimensionError(f"activation length {h.shape} does not match dim {w.dim}")
-    scores = w.weights @ h
-    return int(np.argmax(scores)) + 1
+    return int(predict_batch(w, h[None, :])[0])
 
 
 def predict_batch(w: ClassifierMatrix, H) -> NDArray[np.int64]:

@@ -20,9 +20,9 @@ from .harness import (
     scatter_export,
 )
 from .hdc import SeedSpec
-from .network import ExperimentVersion
+from .network import VERSION_KINDS, ExperimentVersion
 
-VERSION_CHOICES = ("centralized", "local", "distributed")
+VERSION_CHOICES = VERSION_KINDS
 
 
 def _load_dataset(dataset: str, manifest: str | None):

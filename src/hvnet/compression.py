@@ -116,10 +116,8 @@ def compress(w_out: ClassifierMatrix, keys: KeySet) -> CompressedClassifier:
             f"classifier is {w_out.n_classes}x{w_out.dim}, "
             f"keys are {keys.n_classes}x{keys.dim}"
         )
-    bound = [circ_convolve(keys.keys[i], w_out.weights[i]) for i in range(keys.n_classes)]
-    return CompressedClassifier(
-        w=superpose(bound), agent_id=keys.agent_id, n_classes=keys.n_classes
-    )
+    w = superpose(circ_convolve(keys.keys, w_out.weights))
+    return CompressedClassifier(w=w, agent_id=keys.agent_id, n_classes=keys.n_classes)
 
 
 def decompress(c: CompressedClassifier, keys: KeySet, kind: str = "rls") -> ClassifierMatrix:
@@ -131,10 +129,7 @@ def decompress(c: CompressedClassifier, keys: KeySet, kind: str = "rls") -> Clas
     """
     if c.n_classes != keys.n_classes or c.dim != keys.dim:
         raise DimensionError("compressed payload and key set disagree on shape")
-    rows = np.stack(
-        [circ_convolve(c.w, inverse(keys.keys[i], keys.mode)) for i in range(keys.n_classes)]
-    )
-    return ClassifierMatrix(weights=rows, kind=kind)
+    return ClassifierMatrix(weights=circ_convolve(c.w, inverse(keys.keys, keys.mode)), kind=kind)
 
 
 def compression_fidelity(w_out: ClassifierMatrix, keys: KeySet) -> NDArray[np.float64]:
@@ -177,6 +172,8 @@ def from_bytes(buf: bytes) -> tuple[CompressedClassifier, str]:
         raise WireFormatError(f"unsupported version {version}")
     if mode_code not in _CODE_MODES:
         raise WireFormatError(f"unknown inverse mode code {mode_code}")
+    if dim < 1 or n_classes < 1:
+        raise WireFormatError(f"header has dim={dim}, n_classes={n_classes}; both must be >= 1")
     expected = _HEADER.size + 8 * dim
     if len(buf) != expected:
         raise WireFormatError(f"expected {expected} bytes, got {len(buf)}")

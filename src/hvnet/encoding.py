@@ -58,7 +58,8 @@ def init_projection(n_features: int, dim: int, seed: SeedSpec) -> InputProjectio
 
 
 def _prefix_lengths(values: np.ndarray, dim: int) -> np.ndarray:
-    if np.any(values < 0.0) or np.any(values > 1.0):
+    # Written so that NaN, for which every comparison is False, fails too.
+    if not np.all((values >= 0.0) & (values <= 1.0)):
         raise InvalidParameterError("feature values must lie in [0, 1]; normalize first")
     # Quantize to dim+1 levels, rounding half up so encodings are platform-independent.
     return np.floor(values * dim + 0.5).astype(np.int64)
@@ -79,13 +80,7 @@ def encode_sums(x, proj: InputProjection) -> NDArray[np.int64]:
         raise DimensionError(
             f"sample has {x.shape} features, projection expects {proj.n_features}"
         )
-    counts = _prefix_lengths(x, proj.dim)
-    idx = np.arange(proj.dim)
-    acc = np.zeros(proj.dim, dtype=np.int64)
-    for j in range(proj.n_features):
-        col = proj.columns[:, j]
-        acc += np.where(idx < counts[j], col, -col)
-    return acc
+    return encode_batch_sums(x[None, :], proj)[0]
 
 
 def encode_sample(x, proj: InputProjection, kappa: int) -> NDArray[np.int64]:
@@ -112,6 +107,4 @@ def encode_batch_sums(X, proj: InputProjection) -> NDArray[np.int64]:
 
 def encode_batch(X, proj: InputProjection, kappa: int) -> NDArray[np.int64]:
     """Encode a whole (n_samples, n_features) matrix; rows are hidden activations."""
-    if not isinstance(kappa, (int, np.integer)) or isinstance(kappa, bool) or kappa < 1:
-        raise InvalidParameterError(f"kappa must be an integer >= 1, got {kappa!r}")
-    return np.clip(encode_batch_sums(X, proj), -kappa, kappa)
+    return clip(encode_batch_sums(X, proj), kappa)

@@ -14,7 +14,7 @@ import io
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from pathlib import Path
 
@@ -34,10 +34,11 @@ from .encoding import encode_batch_sums, init_projection
 from .errors import (
     InvalidParameterError,
     PairingError,
+    ParseError,
     SuiteError,
     UndefinedCorrelationError,
 )
-from .hdc import SeedSpec
+from .hdc import SeedSpec, clip
 from .network import ExperimentVersion, ModelParams, SharedPass, run_version
 
 __all__ = [
@@ -142,56 +143,44 @@ class ResultRecord:
     wall_time_s: float = field(default=0.0, compare=False)
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "dataset": self.dataset,
-            "version": self.version,
-            "classifier": self.classifier,
-            "compressed": self.compressed,
-            "n_agents": self.n_agents,
-            "dim": self.dim,
-            "lam": self.lam,
-            "kappa": self.kappa,
-            "n_seeds": self.n_seeds,
-            "master_seed": self.master_seed,
-            "per_seed_mean": list(self.per_seed_mean),
-            "mean_accuracy": self.mean_accuracy,
-            "std_accuracy": self.std_accuracy,
-            "per_agent_mean": list(self.per_agent_mean),
-            "payload_values_per_producer": self.payload_values_per_producer,
-            "payload_bytes_per_producer": self.payload_bytes_per_producer,
-            "config_hash": self.config_hash,
-        }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
+        """Fields in declaration order, which is the CSV column order; tuples become lists."""
+        out = {}
+        for f in fields(self):
+            if include_timing or f.name != "wall_time_s":
+                value = getattr(self, f.name)
+                out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultRecord":
-        return cls(
-            dataset=d["dataset"],
-            version=d["version"],
-            classifier=d["classifier"],
-            compressed=bool(d["compressed"]),
-            n_agents=int(d["n_agents"]),
-            dim=int(d["dim"]),
-            lam=float(d["lam"]),
-            kappa=int(d["kappa"]),
-            n_seeds=int(d["n_seeds"]),
-            master_seed=int(d["master_seed"]),
-            per_seed_mean=tuple(float(x) for x in d["per_seed_mean"]),
-            mean_accuracy=float(d["mean_accuracy"]),
-            std_accuracy=float(d["std_accuracy"]),
-            per_agent_mean=tuple(float(x) for x in d["per_agent_mean"]),
-            payload_values_per_producer=int(d["payload_values_per_producer"]),
-            payload_bytes_per_producer=int(d["payload_bytes_per_producer"]),
-            config_hash=d["config_hash"],
-            wall_time_s=float(d.get("wall_time_s", 0.0)),
-        )
+        """Inverse of :meth:`to_dict`; ``wall_time_s`` may be absent, no other field may."""
+        values = {}
+        for f in fields(cls):
+            if f.name not in d:
+                if f.name == "wall_time_s":
+                    continue
+                raise ParseError(f"record lacks field {f.name!r}")
+            try:
+                values[f.name] = _FIELD_DECODERS[f.type](d[f.name])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"record field {f.name!r}: {exc}") from exc
+        return cls(**values)
 
     @property
     def label(self) -> str:
         """The :func:`version_label` of the version this record summarizes."""
         return version_label(ExperimentVersion(self.version, self.compressed))
+
+
+# Field annotation (a string under postponed evaluation) -> JSON value decoder.
+# Every annotation of ResultRecord must be listed.
+_FIELD_DECODERS = {
+    "str": lambda v: v,
+    "bool": bool,
+    "int": int,
+    "float": float,
+    "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
+}
 
 
 def version_label(version: ExperimentVersion) -> str:
@@ -240,8 +229,8 @@ def grid_search(
         sums_train = encode_batch_sums(X_train, proj)
         sums_val = encode_batch_sums(X_val, proj)
         for kappa in sorted(grid.kappa_values):
-            H = np.clip(sums_train, -kappa, kappa)
-            H_val = np.clip(sums_val, -kappa, kappa)
+            H = clip(sums_train, kappa)
+            H_val = clip(sums_val, kappa)
             use_gram = H.shape[0] >= dim
             if use_gram:
                 Hf = H.astype(np.float64)
@@ -512,6 +501,11 @@ def report(records, fmt: str = "jsonl", out=None, include_timing: bool = False):
         text = format_table(records)
     else:
         raise InvalidParameterError(f"unknown report format {fmt!r}")
+    return _write_or_return(text, out)
+
+
+def _write_or_return(text: str, out):
+    """Return ``text`` when ``out`` is None; otherwise write it there and return the path."""
     if out is None:
         return text
     out = Path(out)
@@ -569,10 +563,4 @@ def scatter_export(records, version_a: str, version_b: str, out=None):
                 f"{rb.dataset},{rb.classifier},{rb.n_agents},"
                 f"{ra.mean_accuracy!r},{rb.mean_accuracy!r}"
             )
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        return text
-    out = Path(out)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return out
+    return _write_or_return("\n".join(lines) + "\n", out)

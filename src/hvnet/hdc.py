@@ -79,16 +79,24 @@ def _as_vector(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _as_rows(v, name: str = "vector") -> np.ndarray:
+    """A non-empty array whose last axis holds the hypervector components."""
+    arr = np.asarray(v)
+    if arr.ndim < 1 or arr.size < 1:
+        raise DimensionError(f"{name} must be a non-empty array, got shape {arr.shape}")
+    return arr
+
+
 def _check_same_length(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape[0] != y.shape[0]:
-        raise DimensionError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
+    if x.shape[-1] != y.shape[-1]:
+        raise DimensionError(f"length mismatch: {x.shape[-1]} vs {y.shape[-1]}")
 
 
 def clip(v, kappa: int) -> np.ndarray:
-    """Saturate every component to the range [-kappa, kappa]."""
+    """Saturate every component of a vector or a stack of vectors to [-kappa, kappa]."""
     if not isinstance(kappa, (int, np.integer)) or isinstance(kappa, bool) or kappa < 1:
         raise InvalidParameterError(f"kappa must be an integer >= 1, got {kappa!r}")
-    return np.clip(_as_vector(v), -kappa, kappa)
+    return np.clip(_as_rows(v), -kappa, kappa)
 
 
 def bind_elementwise(x, y) -> np.ndarray:
@@ -117,34 +125,35 @@ def superpose(vs) -> np.ndarray:
 def circ_convolve(x, y) -> NDArray[np.float64]:
     """Circular convolution z, with z_j = sum_k y_k * x_{(j-k) mod D}.
 
-    Uses an FFT fast path; agrees with the direct double sum to better
-    than 1e-9 absolute for D up to a few thousand in double precision.
+    Row-wise along the last axis, broadcasting leading axes; each row is
+    bit-identical to convolving that pair alone.  Uses an FFT fast path;
+    agrees with the direct double sum to better than 1e-9 absolute for D
+    up to a few thousand in double precision.
     """
-    x = _as_vector(x, "x").astype(np.float64)
-    y = _as_vector(y, "y").astype(np.float64)
+    x = _as_rows(x, "x").astype(np.float64)
+    y = _as_rows(y, "y").astype(np.float64)
     _check_same_length(x, y)
-    d = x.shape[0]
-    return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(y), n=d)
+    return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(y), n=x.shape[-1])
 
 
 def inverse(k, mode: str = "exact") -> NDArray[np.float64]:
-    """Convolutive inverse of a key hypervector.
+    """Convolutive inverse of a key hypervector, or of each key in a stack (last axis).
 
     ``involution`` reverses indices cyclically (output_j = k_{(-j) mod D});
     it is only an approximate inverse.  ``exact`` inverts the spectrum, so
     circ_convolve(k, inverse(k)) is the unit impulse up to roundoff; it
-    requires every spectral component of k to be nonzero.
+    requires every spectral component of every key to be nonzero.
     """
-    k = _as_vector(k, "k").astype(np.float64)
+    k = _as_rows(k, "k").astype(np.float64)
     if mode == "involution":
-        return np.roll(k[::-1], 1)
+        return np.roll(k[..., ::-1], 1, axis=-1)
     if mode == "exact":
         spectrum = np.fft.rfft(k)
         if np.min(np.abs(spectrum)) <= SPECTRUM_EPS:
             raise SingularKeyError(
                 "key has a near-zero spectral component; no exact inverse exists"
             )
-        return np.fft.irfft(1.0 / spectrum, n=k.shape[0])
+        return np.fft.irfft(1.0 / spectrum, n=k.shape[-1])
     raise InvalidParameterError(f"mode must be one of {INVERSE_MODES}, got {mode!r}")
 
 

@@ -169,7 +169,11 @@ def train_local(
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] < 1:
         raise InvalidParameterError("shard must be non-empty")
-    H = encode_batch(X, proj, kappa)
+    return _fit(classifier_kind, encode_batch(X, proj, kappa), y, n_classes, lam)
+
+
+def _fit(classifier_kind: str, H, y, n_classes: int, lam: float) -> ClassifierMatrix:
+    """Train one classifier of the given kind on hidden activations and 1-based labels."""
     if classifier_kind == "centroid":
         return train_centroids(H, y, n_classes)
     return train_rls(H, one_hot(y, n_classes), lam)
@@ -305,12 +309,9 @@ class SharedPass:
 
     def fit(self, classifier_kind: str, rows) -> ClassifierMatrix:
         """Train one classifier on the given train rows."""
-        H_train = self.encoded()[0]
-        y_train = self.ds.labels[self.train_idx]
-        n_classes = self.ds.n_classes
-        if classifier_kind == "centroid":
-            return train_centroids(H_train[rows], y_train[rows], n_classes)
-        return train_rls(H_train[rows], one_hot(y_train[rows], n_classes), self.params.lam)
+        H_train, y_train = self.encoded()[0], self.ds.labels[self.train_idx]
+        n_classes, lam = self.ds.n_classes, self.params.lam
+        return _fit(classifier_kind, H_train[rows], y_train[rows], n_classes, lam)
 
     def local_models(self, classifier_kind: str, n_agents: int) -> list[ClassifierMatrix]:
         """One classifier per agent, each trained on that agent's train shard."""

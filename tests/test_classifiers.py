@@ -262,13 +262,18 @@ def test_evaluate_empty_rejected():
         evaluate(model, np.zeros((0, 2)), [])
 
 
+def reference_predict(model, h) -> int:
+    """Winner-takes-all from the definition: argmax(weights @ h) + 1."""
+    return int(np.argmax(model.weights @ np.asarray(h, dtype=np.float64))) + 1
+
+
 def test_predict_batch_agrees_with_predict():
     rng = SeedSpec(29).rng()
     model = train_rls(rng.standard_normal((25, 6)), one_hot(rng.integers(1, 3, 25), 2), 0.2)
     H = rng.standard_normal((12, 6))
-    np.testing.assert_array_equal(
-        predict_batch(model, H), [predict(model, h) for h in H]
-    )
+    expected = [reference_predict(model, h) for h in H]
+    np.testing.assert_array_equal(predict_batch(model, H), expected)
+    assert [predict(model, h) for h in H] == expected
 
 
 def test_predict_batch_across_row_blocks():
@@ -280,5 +285,5 @@ def test_predict_batch_across_row_blocks():
     H[[0, PREDICT_BLOCK - 1, PREDICT_BLOCK, 2 * PREDICT_BLOCK, -1]] = 0
     got = predict_batch(model, H)
     assert got.dtype == np.int64
-    np.testing.assert_array_equal(got, [predict(model, h) for h in H])
+    np.testing.assert_array_equal(got, [reference_predict(model, h) for h in H])
     assert got[PREDICT_BLOCK - 1] == got[PREDICT_BLOCK] == got[-1] == 1

@@ -76,6 +76,14 @@ def test_grid_restricted_search(runner, tmp_path):
     assert best["dim"] in (40, 80) and best["lambda"] == 1.0 and best["kappa"] == 3
 
 
+def test_grid_rejects_invalid_kappa(runner):
+    result = runner.invoke(main, [
+        "grid", "--dataset", SYNTH, "--dim", "40", "--lambda", "1.0", "--kappa", "0",
+    ])
+    assert result.exit_code != 0
+    assert "kappa must be an integer >= 1, got 0" in result.output
+
+
 def test_report_renders_table_and_scatter(runner, tmp_path):
     out = tmp_path / "records.jsonl"
     ran = runner.invoke(main, [

@@ -1,7 +1,11 @@
 """Key generation, pack/unpack round trips, crosstalk statistics, wire format."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvnet.classifiers import ClassifierMatrix
 from hvnet.compression import (
@@ -17,7 +21,7 @@ from hvnet.compression import (
     to_bytes,
 )
 from hvnet.errors import DimensionError, InvalidParameterError, WireFormatError
-from hvnet.hdc import SeedSpec, cosine
+from hvnet.hdc import SeedSpec, circ_convolve, cosine, inverse, superpose
 
 
 def unit_rows(n_classes, dim, seed):
@@ -154,6 +158,21 @@ def test_crosstalk_is_zero_mean_across_key_sets():
     assert float(np.max(np.abs(mean_error))) < 3.0 / np.sqrt(trials)
 
 
+@pytest.mark.parametrize("mode", ["exact", "involution"])
+@pytest.mark.parametrize("n_classes, dim", [(1, 64), (2, 150), (3, 777), (10, 1500)])
+def test_pack_unpack_match_per_row_loop(mode, n_classes, dim):
+    # The row-batched FFTs must give exactly what one FFT per class row gives.
+    w = matrix(unit_rows(n_classes, dim, 46))
+    keys = generate_keys(9, n_classes, dim, mode=mode)
+    packed = compress(w, keys)
+    expected = superpose(
+        [circ_convolve(keys.keys[i], w.weights[i]) for i in range(n_classes)]
+    )
+    assert np.array_equal(packed.w, expected)
+    rows = [circ_convolve(packed.w, inverse(keys.keys[i], mode)) for i in range(n_classes)]
+    assert np.array_equal(decompress(packed, keys).weights, np.stack(rows))
+
+
 # ---------------------------------------------------------------- fidelity
 
 
@@ -230,3 +249,45 @@ def test_wire_file_round_trip(tmp_path):
     assert mode == "exact"
     assert restored.w.tobytes() == packed.w.tobytes()
     assert (restored.agent_id, restored.n_classes) == (5, 3)
+
+
+# Independent statement of the 23-byte HRRC header:
+# magic, version, agent id, n_classes, dim, inverse mode code.
+HRRC_HEADER = struct.Struct("<4sHQIIB")
+
+
+@pytest.mark.parametrize("n_classes, dim", [(0, 4), (2, 0), (0, 0)])
+def test_wire_rejects_zero_classes_or_dim(n_classes, dim):
+    buf = HRRC_HEADER.pack(b"HRRC", 1, 0, n_classes, dim, 0) + b"\x00" * (8 * dim)
+    with pytest.raises(WireFormatError):
+        from_bytes(buf)
+
+
+@given(st.binary(max_size=80))
+@settings(deadline=None, max_examples=200)
+def test_wire_arbitrary_bytes_raise_only_wire_format_error(tail):
+    for buf in (tail, b"HRRC" + struct.pack("<H", 1) + tail):
+        try:
+            restored, mode = from_bytes(buf)
+        except WireFormatError:
+            continue
+        assert mode in ("exact", "involution")
+        assert restored.n_classes >= 1 and restored.dim >= 1
+        assert len(buf) == HRRC_HEADER.size + 8 * restored.dim
+
+
+@given(
+    st.integers(0, 2**64 - 1), st.integers(0, 3), st.integers(0, 3),
+    st.integers(0, 3), st.integers(-1, 1),
+)
+@settings(deadline=None, max_examples=200)
+def test_wire_header_fields_accepted_only_when_valid(agent_id, n_classes, dim, code, extra):
+    buf = HRRC_HEADER.pack(b"HRRC", 1, agent_id, n_classes, dim, code) + b"\x00" * (8 * dim)
+    buf = buf[:len(buf) + extra] if extra < 0 else buf + b"\x00" * extra
+    if n_classes >= 1 and dim >= 1 and code in (0, 1) and extra == 0:
+        restored, mode = from_bytes(buf)
+        assert (restored.agent_id, restored.n_classes, restored.dim) == (agent_id, n_classes, dim)
+        assert mode == ("exact", "involution")[code]
+    else:
+        with pytest.raises(WireFormatError):
+            from_bytes(buf)

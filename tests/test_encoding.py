@@ -121,16 +121,31 @@ def test_encode_dimension_mismatch():
 
 
 def test_encode_batch_matches_per_sample():
+    # Reference from the definition, not from the batch kernel that the
+    # single-sample functions wrap: sum_j columns[:, j] * thermometer(x_j), clipped.
     proj = init_projection(5, 64, SeedSpec(10))
     X = SeedSpec(11).rng().uniform(size=(20, 5))
     batch = encode_batch(X, proj, kappa=3)
-    for i in range(20):
-        np.testing.assert_array_equal(batch[i], encode_sample(X[i], proj, kappa=3))
     raw = encode_batch_sums(X, proj)
-    np.testing.assert_array_equal(np.clip(raw, -3, 3), batch)
+    for i in range(20):
+        sums = np.zeros(proj.dim, dtype=np.int64)
+        for j in range(proj.n_features):
+            sums += proj.columns[:, j] * thermometer_encode(X[i, j], proj.dim)
+        np.testing.assert_array_equal(raw[i], sums)
+        np.testing.assert_array_equal(batch[i], np.clip(sums, -3, 3))
+        np.testing.assert_array_equal(encode_sample(X[i], proj, kappa=3), batch[i])
 
 
 def test_encode_batch_rejects_bad_kappa():
     proj = init_projection(2, 8, SeedSpec(12))
     with pytest.raises(InvalidParameterError):
         encode_batch(np.zeros((3, 2)), proj, kappa=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_rejects_non_finite_values(bad):
+    proj = init_projection(2, 8, SeedSpec(13))
+    with pytest.raises(InvalidParameterError):
+        encode_batch(np.array([[0.5, 0.5], [bad, 0.5]]), proj, kappa=1)
+    with pytest.raises(InvalidParameterError):
+        encode_sample(np.array([0.5, bad]), proj, kappa=1)

@@ -11,6 +11,7 @@ from hvnet.data import synth_blobs
 from hvnet.errors import (
     InvalidParameterError,
     PairingError,
+    ParseError,
     SuiteError,
     UndefinedCorrelationError,
 )
@@ -101,6 +102,14 @@ def test_grid_search_tie_prefers_smaller():
     ds = synth_blobs(2, 4, 200, 12.0, SeedSpec(2))
     grid = GridSpec(dim_values=(80, 40), lambda_values=(2.0, 1.0), kappa_values=(7, 3))
     assert grid_search(ds, grid, SeedSpec(3)) == (40, 1.0, 3)
+
+
+@pytest.mark.parametrize("kappa", [0, -2, 1.5])
+def test_grid_search_rejects_invalid_kappa(kappa):
+    ds = synth_blobs(2, 4, 120, 3.0, SeedSpec(0))
+    grid = GridSpec(dim_values=(40,), lambda_values=(0.5,), kappa_values=(3, kappa))
+    with pytest.raises(InvalidParameterError, match="kappa"):
+        grid_search(ds, grid, SeedSpec(1))
 
 
 # ---------------------------------------------------------------- pearson
@@ -322,3 +331,31 @@ def test_serialized_records_omit_timing_by_default():
     rec = fake_record()
     assert "wall_time_s" not in rec.to_dict()
     assert "wall_time_s" in rec.to_dict(include_timing=True)
+
+
+def test_record_from_dict_names_a_missing_field():
+    d = fake_record().to_dict()
+    del d["kappa"]
+    with pytest.raises(ParseError, match="'kappa'"):
+        ResultRecord.from_dict(d)
+    with pytest.raises(ParseError, match="'n_agents'"):
+        ResultRecord.from_dict({**fake_record().to_dict(), "n_agents": "ten"})
+
+
+def test_record_csv_round_trip_keeps_header_order():
+    rec = fake_record(compressed=True, lam=0.25)
+    text = records_to_csv([rec], include_timing=True)
+    assert text.splitlines()[0].split(",") == [
+        "dataset", "version", "classifier", "compressed", "n_agents", "dim", "lam",
+        "kappa", "n_seeds", "master_seed", "per_seed_mean", "mean_accuracy",
+        "std_accuracy", "per_agent_mean", "payload_values_per_producer",
+        "payload_bytes_per_producer", "config_hash", "wall_time_s",
+    ]
+    (row,) = csv.DictReader(io.StringIO(text))
+    # Lists are JSON cells and booleans are true/false; from_dict parses the rest.
+    for key, value in row.items():
+        if value.startswith("["):
+            row[key] = json.loads(value)
+        elif value in ("true", "false"):
+            row[key] = value == "true"
+    assert ResultRecord.from_dict(row) == rec
