@@ -8,6 +8,7 @@ from pathlib import Path
 
 import click
 
+from .classifiers import CLASSIFIER_KINDS
 from .data import load_manifest, resolve_dataset
 from .errors import HvnetError
 from .harness import (
@@ -75,7 +76,7 @@ def grid_cmd(dataset, manifest, seed, dims, lams, kappas, train_fraction, out):
 @click.option("--version", "versions", type=click.Choice(VERSION_CHOICES),
               multiple=True, required=True, help="Model version (repeatable).")
 @click.option("--compress", is_flag=True, help="Also run distributed with compression.")
-@click.option("--classifier", type=click.Choice(("rls", "centroid")), default="rls",
+@click.option("--classifier", type=click.Choice(CLASSIFIER_KINDS), default="rls",
               show_default=True)
 @click.option("--agents", "agent_counts", type=int, multiple=True, default=(10,),
               show_default=True, help="Agent count N (repeatable).")

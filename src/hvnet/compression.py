@@ -23,7 +23,7 @@ from .errors import (
     KeyCorrelationWarning,
     WireFormatError,
 )
-from .hdc import INVERSE_MODES, SeedSpec, circ_convolve, cosine, inverse, random_gaussian_key, superpose
+from .hdc import INVERSE_MODES, SeedSpec, circ_convolve, inverse, random_gaussian_key, superpose
 
 __all__ = [
     "CompressedClassifier",
@@ -143,14 +143,11 @@ def compression_fidelity(w_out: ClassifierMatrix, keys: KeySet) -> NDArray[np.fl
     as ``dim`` grows, because small spectral components of a Gaussian key
     amplify the crosstalk.
     """
-    recon = decompress(compress(w_out, keys), keys, kind=w_out.kind)
-    out = np.zeros(w_out.n_classes)
-    for i in range(w_out.n_classes):
-        orig = w_out.weights[i]
-        if np.linalg.norm(orig) == 0.0 or np.linalg.norm(recon.weights[i]) == 0.0:
-            continue
-        out[i] = cosine(orig, recon.weights[i])
-    return out
+    orig = w_out.weights.astype(np.float64)
+    recon = decompress(compress(w_out, keys), keys, kind=w_out.kind).weights
+    norms = np.linalg.norm(orig, axis=1) * np.linalg.norm(recon, axis=1)
+    dots = np.einsum("ij,ij->i", orig, recon)
+    return np.divide(dots, norms, out=np.zeros_like(norms), where=norms != 0.0)
 
 
 def to_bytes(c: CompressedClassifier, mode: str = "exact") -> bytes:

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionError, InvalidParameterError
-from .hdc import SeedSpec, clip, random_bipolar
+from .hdc import SeedSpec, check_kappa, clip, random_bipolar
 
 __all__ = [
     "InputProjection",
@@ -85,6 +85,7 @@ def encode_sums(x, proj: InputProjection) -> NDArray[np.int64]:
 
 def encode_sample(x, proj: InputProjection, kappa: int) -> NDArray[np.int64]:
     """Hidden activation of one sample: clipped sum of bound thermometer codes."""
+    check_kappa(kappa)
     return clip(encode_sums(x, proj), kappa)
 
 
@@ -107,4 +108,5 @@ def encode_batch_sums(X, proj: InputProjection) -> NDArray[np.int64]:
 
 def encode_batch(X, proj: InputProjection, kappa: int) -> NDArray[np.int64]:
     """Encode a whole (n_samples, n_features) matrix; rows are hidden activations."""
+    check_kappa(kappa)
     return clip(encode_batch_sums(X, proj), kappa)

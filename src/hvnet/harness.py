@@ -38,7 +38,7 @@ from .errors import (
     SuiteError,
     UndefinedCorrelationError,
 )
-from .hdc import SeedSpec, clip
+from .hdc import SeedSpec, check_kappa, clip
 from .network import ExperimentVersion, ModelParams, SharedPass, run_version
 
 __all__ = [
@@ -172,14 +172,27 @@ class ResultRecord:
         return version_label(ExperimentVersion(self.version, self.compressed))
 
 
+def _decoder(convert, *accepted):
+    """Apply ``convert`` to a value of an accepted type; a bool is accepted only if listed."""
+    def decode(value):
+        if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+            names = " or ".join(t.__name__ for t in accepted)
+            raise TypeError(f"expected {names}, got {value!r}")
+        return convert(value)
+    return decode
+
+
+_to_float = _decoder(float, int, float, str)
+
 # Field annotation (a string under postponed evaluation) -> JSON value decoder.
-# Every annotation of ResultRecord must be listed.
+# Every annotation of ResultRecord must be listed.  Numbers may be strings,
+# because CSV cells are.
 _FIELD_DECODERS = {
-    "str": lambda v: v,
-    "bool": bool,
-    "int": int,
-    "float": float,
-    "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
+    "str": _decoder(str, str),
+    "bool": _decoder(bool, bool),
+    "int": _decoder(int, int, str),
+    "float": _to_float,
+    "tuple[float, ...]": _decoder(lambda v: tuple(map(_to_float, v)), list, tuple),
 }
 
 
@@ -212,6 +225,8 @@ def grid_search(
     The selected triple is meant to be reused for both classifier kinds
     and every version.
     """
+    for kappa in grid.kappa_values:
+        check_kappa(kappa)
     spec = SplitSpec(
         mode="holdout", fraction=train_fraction, stratified=stratified,
         seed=seed.child("grid_split"),
@@ -250,49 +265,36 @@ def grid_search(
     return best
 
 
-def _resolve(config: ExperimentConfig, dataset: Dataset | None):
-    manifest = load_manifest(config.manifest) if config.manifest else None
-    if dataset is None:
-        dataset = resolve_dataset(config.dataset, manifest)
-    split_file = None
-    if manifest and config.dataset in manifest:
-        split_file = manifest[config.dataset].get("split_file")
-    return dataset, split_file
-
-
 def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[ResultRecord]:
     """Run every (version, agent count) of the config over its seeds.
 
     All randomness derives from (master_seed, seed index); one failing
     seed aborts the whole suite so averages are never silently partial.
     """
-    raw, split_file = _resolve(config, dataset)
+    manifest = load_manifest(config.manifest) if config.manifest else {}
+    raw = resolve_dataset(config.dataset, manifest) if dataset is None else dataset
+    split_file = manifest.get(config.dataset, {}).get("split_file")
     base = SeedSpec(config.master_seed)
     params = ModelParams(dim=config.dim, kappa=config.kappa, lam=config.lam)
 
+    # Every split protocol becomes (train, test) index pairs, one per fold.
     if split_file is not None:
         # Predefined splits from the manifest override the seeded protocol.
-        train_idx, test_idx = load_split_file(split_file, raw.n_samples)
-        pieces = [(normalize(raw, train_idx), train_idx, test_idx)]
-    elif config.split_mode == "holdout":
+        pairs = [load_split_file(split_file, raw.n_samples)]
+    else:
         spec = SplitSpec(
-            mode="holdout", fraction=config.train_fraction,
+            mode=config.split_mode, fraction=config.train_fraction, k=config.k_folds,
             stratified=config.stratified, seed=base.child("split"),
         )
-        train_idx, test_idx = split(raw, spec)
-        pieces = [(normalize(raw, train_idx), train_idx, test_idx)]
-    elif config.split_mode == "kfold":
-        spec = SplitSpec(
-            mode="kfold", k=config.k_folds, stratified=config.stratified,
-            seed=base.child("split"),
-        )
-        folds = split(raw, spec)
-        pieces = []
-        for f in range(len(folds)):
-            train_idx = np.sort(np.concatenate([folds[g] for g in range(len(folds)) if g != f]))
-            pieces.append((normalize(raw, train_idx), train_idx, folds[f]))
-    else:
-        raise InvalidParameterError(f"unknown split_mode {config.split_mode!r}")
+        if spec.mode == "holdout":
+            pairs = [split(raw, spec)]
+        else:
+            folds = split(raw, spec)
+            pairs = [
+                (np.sort(np.concatenate(folds[:f] + folds[f + 1:])), folds[f])
+                for f in range(len(folds))
+            ]
+    pieces = [(normalize(raw, train_idx), train_idx, test_idx) for train_idx, test_idx in pairs]
 
     # One (version, agent count) cell per record.  runs[c][i] holds cell c's
     # result for each fold of seed i; every cell of a (seed, fold) reuses
@@ -316,8 +318,7 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
                 started = time.perf_counter()
                 try:
                     runs[c][i].append(run_version(
-                        ds, train_idx, test_idx, version, params, n_agents, piece_seed,
-                        eval_on_full_test=config.eval_on_full_test, shared=shared,
+                        shared, version, n_agents, eval_on_full_test=config.eval_on_full_test
                     ))
                 except Exception as exc:
                     raise SuiteError(

@@ -25,6 +25,7 @@ from .errors import (
 __all__ = [
     "SeedSpec",
     "bind_elementwise",
+    "check_kappa",
     "circ_convolve",
     "clip",
     "cosine",
@@ -92,10 +93,15 @@ def _check_same_length(x: np.ndarray, y: np.ndarray) -> None:
         raise DimensionError(f"length mismatch: {x.shape[-1]} vs {y.shape[-1]}")
 
 
-def clip(v, kappa: int) -> np.ndarray:
-    """Saturate every component of a vector or a stack of vectors to [-kappa, kappa]."""
+def check_kappa(kappa) -> None:
+    """Raise unless ``kappa`` is a clipping threshold: an integer >= 1."""
     if not isinstance(kappa, (int, np.integer)) or isinstance(kappa, bool) or kappa < 1:
         raise InvalidParameterError(f"kappa must be an integer >= 1, got {kappa!r}")
+
+
+def clip(v, kappa: int) -> np.ndarray:
+    """Saturate every component of a vector or a stack of vectors to [-kappa, kappa]."""
+    check_kappa(kappa)
     return np.clip(_as_rows(v), -kappa, kappa)
 
 

@@ -11,8 +11,9 @@ byte-identity contract: the result is order-free in the agent ids, and
 it is not a BLAS product, which would round differently.
 
 All model versions of one seed share the projection, the encodings, the
-shard partitions and the local classifiers; a :class:`SharedPass` computes
-each of them once and :func:`run_version` reuses them.
+shard partitions and the local classifiers.  A :class:`SharedPass` holds the
+inputs of one (seed, fold) and computes each of them once; every
+realization, run by :func:`run_version`, reads them from a pass.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import (
+    CLASSIFIER_KINDS,
     ClassifierMatrix,
     evaluate,
     finalize_centroids,
@@ -38,7 +40,6 @@ from .hdc import SeedSpec
 __all__ = [
     "AgentNetwork",
     "DataPartition",
-    "ExchangeStats",
     "ExperimentVersion",
     "ModelParams",
     "RunResult",
@@ -93,7 +94,6 @@ class AgentNetwork:
 @dataclass(frozen=True)
 class DataPartition:
     shards: tuple[np.ndarray, ...]
-    seed: SeedSpec
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,8 @@ class ExperimentVersion:
             raise InvalidParameterError(f"kind must be one of {VERSION_KINDS}")
         if self.compression and self.kind != "distributed":
             raise InvalidParameterError("compression applies to the distributed version only")
-        if self.classifier_kind not in ("rls", "centroid"):
-            raise InvalidParameterError("classifier_kind must be rls or centroid")
+        if self.classifier_kind not in CLASSIFIER_KINDS:
+            raise InvalidParameterError(f"classifier_kind must be one of {CLASSIFIER_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -119,20 +119,7 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class ExchangeStats:
-    """Float64 payload accounting for one exchange round, per producing agent."""
-
-    payload_values_per_producer: int
-    total_payload_values: int
-
-    @property
-    def payload_bytes_per_producer(self) -> int:
-        return 8 * self.payload_values_per_producer
-
-
-@dataclass(frozen=True)
 class RunResult:
-    version: ExperimentVersion
     n_agents: int
     per_agent_accuracy: np.ndarray
     payload_values_per_producer: int
@@ -140,10 +127,6 @@ class RunResult:
     @property
     def mean_accuracy(self) -> float:
         return float(np.mean(self.per_agent_accuracy))
-
-    @property
-    def std_accuracy(self) -> float:
-        return float(np.std(self.per_agent_accuracy))
 
 
 def partition(n_samples: int, n_agents: int, seed: SeedSpec) -> DataPartition:
@@ -155,7 +138,7 @@ def partition(n_samples: int, n_agents: int, seed: SeedSpec) -> DataPartition:
             f"{n_samples} samples cannot give {n_agents} non-empty shards"
         )
     perm = seed.rng().permutation(n_samples)
-    return DataPartition(shards=tuple(np.array_split(perm, n_agents)), seed=seed)
+    return DataPartition(shards=tuple(np.array_split(perm, n_agents)))
 
 
 def train_local(
@@ -191,8 +174,11 @@ def _check_consistent(classifiers: list[ClassifierMatrix]) -> tuple[str, int, in
 
 def exchange_and_aggregate(
     network: AgentNetwork, classifiers: list[ClassifierMatrix], compression: bool
-) -> tuple[list[ClassifierMatrix], ExchangeStats]:
+) -> tuple[list[ClassifierMatrix], int]:
     """One-shot exchange: each agent sums the classifiers of its neighborhood.
+
+    Returns the aggregated classifier of every agent and the number of
+    float64 values each agent sends.
 
     Uncompressed centroids travel as raw per-class sums and counts, and each
     agent normalizes after aggregation; over a fully connected network this
@@ -240,7 +226,7 @@ def exchange_and_aggregate(
         if members not in by_neighborhood:
             by_neighborhood[members] = combine(members)
         aggregated.append(by_neighborhood[members])
-    return aggregated, ExchangeStats(payload_per, payload_per * network.n_agents)
+    return aggregated, payload_per
 
 
 def _ordered_sum(stack: np.ndarray, members: tuple[int, ...]) -> np.ndarray:
@@ -255,17 +241,17 @@ def _ordered_sum(stack: np.ndarray, members: tuple[int, ...]) -> np.ndarray:
 
 
 class SharedPass:
-    """The work every model version of one (seed, fold) has in common, done once.
+    """The inputs of one (seed, fold) and the work its model versions share, done once.
 
-    Draws the projection and encodes the train and test rows on first use,
+    Holds the dataset, the train and test indices, the model parameters and
+    the seed that every realization of :func:`run_version` reads.  Draws
+    the projection and encodes the train and test rows on first use,
     partitions the shards once per agent count, and trains the local
-    classifiers once per (classifier kind, agent count).  Everything is
-    derived from the constructor's arguments exactly as :func:`run_version`
-    derives it, so a realization given this pass returns what a standalone
-    one would.  A pass lives as long as its caller keeps it; nothing is
-    cached at module level.  Local classifiers are kept for one agent count
-    at a time, which bounds memory by the largest network, so a caller that
-    visits agent counts in turn (as ``run_suite`` does) trains each set once.
+    classifiers once per (classifier kind, agent count).  A pass lives as
+    long as its caller keeps it; nothing is cached at module level.  Local
+    classifiers are kept for one agent count at a time, which bounds memory
+    by the largest network, so a caller that visits agent counts in turn
+    (as ``run_suite`` does) trains each set once.
     """
 
     def __init__(self, ds: Dataset, train_idx, test_idx, params: ModelParams, seed: SeedSpec):
@@ -277,15 +263,6 @@ class SharedPass:
         self._encoded: tuple[np.ndarray, np.ndarray] | None = None
         self._shards: dict[int, tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]] = {}
         self._locals: dict[tuple[str, int], list[ClassifierMatrix]] = {}
-
-    def serves(self, ds: Dataset, train_idx, test_idx, params: ModelParams, seed: SeedSpec) -> bool:
-        return (
-            ds is self.ds
-            and params == self.params
-            and seed == self.seed
-            and np.array_equal(train_idx, self.train_idx)
-            and np.array_equal(test_idx, self.test_idx)
-        )
 
     def encoded(self) -> tuple[np.ndarray, np.ndarray]:
         """Hidden activations of the train and the test rows."""
@@ -325,40 +302,29 @@ class SharedPass:
 
 
 def run_version(
-    ds: Dataset,
-    train_idx,
-    test_idx,
+    shared: SharedPass,
     version: ExperimentVersion,
-    params: ModelParams,
     n_agents: int,
-    seed: SeedSpec,
     network: AgentNetwork | None = None,
     eval_on_full_test: bool = False,
-    *,
-    shared: SharedPass | None = None,
 ) -> RunResult:
     """Run one seeded realization of a model version and report per-agent accuracy.
 
-    All randomness (projection, shard partitions) derives from ``seed``.
+    The dataset, index sets, parameters and seed come from ``shared``, and
+    all randomness (projection, shard partitions) derives from its seed.
     Local and distributed versions evaluate each agent on its own test
     shard unless ``eval_on_full_test`` is set; the centralized version
-    always uses the full test set.  ``shared``, built from the same
-    arguments, lets several versions reuse one encoding and one set of
-    local classifiers; the result is the same with or without it.
+    always uses the full test set.
     """
-    if shared is None:
-        shared = SharedPass(ds, train_idx, test_idx, params, seed)
-    elif not shared.serves(ds, train_idx, test_idx, params, seed):
-        raise InvalidParameterError("shared pass was built for other data, params or seed")
     if shared.train_idx.size < 1 or shared.test_idx.size < 1:
         raise InvalidParameterError("train and test index sets must be non-empty")
     H_test = shared.encoded()[1]
-    y_test = ds.labels[shared.test_idx]
+    y_test = shared.ds.labels[shared.test_idx]
 
     if version.kind == "centralized":
         model = shared.fit(version.classifier_kind, np.arange(shared.train_idx.size))
         acc = evaluate(model, H_test, y_test)
-        return RunResult(version, 1, np.asarray([acc]), 0)
+        return RunResult(1, np.asarray([acc]), 0)
 
     test_shards = shared.shards(n_agents)[1]
     locals_ = shared.local_models(version.classifier_kind, n_agents)
@@ -370,8 +336,7 @@ def run_version(
         net = network if network is not None else AgentNetwork.fully_connected(n_agents)
         if net.n_agents != n_agents:
             raise InvalidParameterError("network size must match n_agents")
-        models, stats = exchange_and_aggregate(net, locals_, version.compression)
-        payload_per = stats.payload_values_per_producer
+        models, payload_per = exchange_and_aggregate(net, locals_, version.compression)
 
     accs = []
     for p in range(n_agents):
@@ -380,4 +345,4 @@ def run_version(
         else:
             rows = test_shards[p]
             accs.append(evaluate(models[p], H_test[rows], y_test[rows]))
-    return RunResult(version, n_agents, np.asarray(accs), payload_per)
+    return RunResult(n_agents, np.asarray(accs), payload_per)

@@ -190,6 +190,20 @@ def test_fidelity_zero_row_reports_zero():
     assert fid[0] != 0.0
 
 
+@pytest.mark.parametrize("n_classes, zero_rows", [(1, []), (1, [0]), (3, [1]), (10, [0, 9])])
+def test_fidelity_matches_per_row_cosines(n_classes, zero_rows):
+    rows = unit_rows(n_classes, 200, 48) * np.arange(1, n_classes + 1)[:, None]
+    rows[zero_rows] = 0.0
+    w = matrix(rows)
+    keys = generate_keys(5, n_classes, 200)
+    recon = decompress(compress(w, keys), keys).weights
+    want = [
+        cosine(rows[i], recon[i]) if rows[i].any() and recon[i].any() else 0.0
+        for i in range(n_classes)
+    ]
+    np.testing.assert_allclose(compression_fidelity(w, keys), want, rtol=1e-12, atol=0)
+
+
 def test_fidelity_decreases_with_class_count():
     # More superposed pairs -> more crosstalk per reconstructed row.
     fids = [mean_fidelity(512, n_classes, trials=8, seed0=100 * n_classes)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hvnet.encoding
 from hvnet.encoding import (
     InputProjection,
     encode_batch,
@@ -136,10 +137,16 @@ def test_encode_batch_matches_per_sample():
         np.testing.assert_array_equal(encode_sample(X[i], proj, kappa=3), batch[i])
 
 
-def test_encode_batch_rejects_bad_kappa():
+def test_encode_batch_rejects_bad_kappa(monkeypatch):
+    # kappa is checked before anything is encoded.
+    encoded = []
+    monkeypatch.setattr(hvnet.encoding, "encode_batch_sums", lambda *a: encoded.append(a))
     proj = init_projection(2, 8, SeedSpec(12))
     with pytest.raises(InvalidParameterError):
         encode_batch(np.zeros((3, 2)), proj, kappa=0)
+    with pytest.raises(InvalidParameterError):
+        encode_sample(np.zeros(2), proj, kappa=0)
+    assert encoded == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

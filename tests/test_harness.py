@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import hvnet.harness
 from hvnet.data import synth_blobs
 from hvnet.errors import (
     InvalidParameterError,
@@ -105,11 +106,15 @@ def test_grid_search_tie_prefers_smaller():
 
 
 @pytest.mark.parametrize("kappa", [0, -2, 1.5])
-def test_grid_search_rejects_invalid_kappa(kappa):
+def test_grid_search_rejects_invalid_kappa(kappa, monkeypatch):
+    # Every grid kappa is checked before anything is encoded.
+    encoded = []
+    monkeypatch.setattr(hvnet.harness, "encode_batch_sums", lambda *a: encoded.append(a))
     ds = synth_blobs(2, 4, 120, 3.0, SeedSpec(0))
     grid = GridSpec(dim_values=(40,), lambda_values=(0.5,), kappa_values=(3, kappa))
     with pytest.raises(InvalidParameterError, match="kappa"):
         grid_search(ds, grid, SeedSpec(1))
+    assert encoded == []
 
 
 # ---------------------------------------------------------------- pearson
@@ -211,6 +216,31 @@ def test_run_suite_kfold_mode_runs():
                        versions=(ExperimentVersion("centralized"),))
     (rec,) = run_suite(cfg)
     assert rec.n_seeds == 1 and 0.0 <= rec.mean_accuracy <= 1.0
+
+
+def test_run_suite_rejects_unknown_split_mode():
+    with pytest.raises(InvalidParameterError, match="split mode 'loo'"):
+        run_suite(small_config(split_mode="loo"))
+
+
+@pytest.mark.parametrize("split_mode, n_folds", [("holdout", 1), ("kfold", 3)])
+def test_run_suite_runs_each_realization_once(monkeypatch, split_mode, n_folds):
+    # One run_version call per (cell, seed, fold): the unit a per-realization
+    # trace of run_version relies on.
+    run_version = hvnet.harness.run_version
+    calls = []
+
+    def counting(shared, version, n_agents, **kwargs):
+        calls.append((shared.seed, version, n_agents))
+        return run_version(shared, version, n_agents, **kwargs)
+
+    monkeypatch.setattr(hvnet.harness, "run_version", counting)
+    cfg = small_config(split_mode=split_mode, k_folds=3, agent_counts=(4, 2))
+    run_suite(cfg)
+    cells = [(v, n) for v in cfg.versions for n in ((1,) if v.kind == "centralized" else (4, 2))]
+    assert len(calls) == len(cells) * cfg.n_seeds * n_folds
+    assert len(set(calls)) == len(calls)
+    assert {(v, n) for _, v, n in calls} == set(cells)
 
 
 def test_run_suite_failure_identifies_seed():
@@ -340,6 +370,18 @@ def test_record_from_dict_names_a_missing_field():
         ResultRecord.from_dict(d)
     with pytest.raises(ParseError, match="'n_agents'"):
         ResultRecord.from_dict({**fake_record().to_dict(), "n_agents": "ten"})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("compressed", "false"), ("compressed", 1),
+    ("n_agents", 1.7), ("n_agents", True), ("n_agents", "2.5"),
+    ("lam", True), ("lam", None), ("lam", "x"),
+    ("dataset", None), ("config_hash", 7),
+    ("per_seed_mean", "0.7"), ("per_seed_mean", [0.7, False]),
+])
+def test_record_from_dict_rejects_wrong_json_types(name, value):
+    with pytest.raises(ParseError, match=f"'{name}'"):
+        ResultRecord.from_dict({**fake_record().to_dict(), name: value})
 
 
 def test_record_csv_round_trip_keeps_header_order():

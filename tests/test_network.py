@@ -16,6 +16,7 @@ from hvnet.network import (
     AgentNetwork,
     ExperimentVersion,
     ModelParams,
+    SharedPass,
     exchange_and_aggregate,
     partition,
     run_version,
@@ -146,9 +147,9 @@ def _local_models(ds, train_idx, kind, n_agents, seed):
 def test_exchange_single_agent_is_identity(blobs):
     ds, train_idx, _ = blobs
     _, _, models = _local_models(ds, train_idx, "rls", 1, SeedSpec(10))
-    agg, stats = exchange_and_aggregate(AgentNetwork.fully_connected(1), models, False)
+    agg, payload = exchange_and_aggregate(AgentNetwork.fully_connected(1), models, False)
     np.testing.assert_array_equal(agg[0].weights, models[0].weights)
-    assert stats.payload_values_per_producer == 3 * PARAMS.dim
+    assert payload == 3 * PARAMS.dim
 
 
 def test_exchange_identical_models_scale_only(blobs):
@@ -198,10 +199,10 @@ def test_exchange_payload_independent_of_shard_size(blobs):
         ds.samples[train_idx], ds.labels[train_idx], "rls", proj,
         PARAMS.kappa, PARAMS.lam, ds.n_classes,
     )
-    _, stats = exchange_and_aggregate(AgentNetwork.fully_connected(2), [small, big], False)
-    assert stats.payload_values_per_producer == ds.n_classes * PARAMS.dim
-    _, stats_c = exchange_and_aggregate(AgentNetwork.fully_connected(2), [small, big], True)
-    assert stats_c.payload_values_per_producer == PARAMS.dim
+    _, payload = exchange_and_aggregate(AgentNetwork.fully_connected(2), [small, big], False)
+    assert payload == ds.n_classes * PARAMS.dim
+    _, payload_c = exchange_and_aggregate(AgentNetwork.fully_connected(2), [small, big], True)
+    assert payload_c == PARAMS.dim
 
 
 def test_exchange_compression_ratio_is_class_count(blobs):
@@ -209,7 +210,7 @@ def test_exchange_compression_ratio_is_class_count(blobs):
     _, _, models = _local_models(ds, train_idx, "rls", 4, SeedSpec(15))
     _, raw = exchange_and_aggregate(AgentNetwork.fully_connected(4), models, False)
     _, packed = exchange_and_aggregate(AgentNetwork.fully_connected(4), models, True)
-    assert raw.payload_values_per_producer == ds.n_classes * packed.payload_values_per_producer
+    assert raw == ds.n_classes * packed
 
 
 def test_exchange_respects_topology(blobs):
@@ -243,28 +244,19 @@ def test_exchange_rejects_inconsistent_shapes(blobs):
 
 def test_centralized_equals_local_single_agent(blobs):
     ds, train_idx, test_idx = blobs
-    seed = SeedSpec(19)
-    central = run_version(
-        ds, train_idx, test_idx, ExperimentVersion("centralized"), PARAMS, 1, seed
-    )
-    local = run_version(
-        ds, train_idx, test_idx, ExperimentVersion("local"), PARAMS, 1, seed,
-        eval_on_full_test=True,
-    )
+    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(19))
+    central = run_version(shared, ExperimentVersion("centralized"), 1)
+    local = run_version(shared, ExperimentVersion("local"), 1, eval_on_full_test=True)
     assert central.mean_accuracy == local.mean_accuracy
     assert central.payload_values_per_producer == 0
 
 
 def test_distributed_centroid_predicts_like_centralized(blobs):
     ds, train_idx, test_idx = blobs
-    seed = SeedSpec(20)
-    central = run_version(
-        ds, train_idx, test_idx,
-        ExperimentVersion("centralized", classifier_kind="centroid"), PARAMS, 1, seed,
-    )
+    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(20))
+    central = run_version(shared, ExperimentVersion("centralized", classifier_kind="centroid"), 1)
     dist = run_version(
-        ds, train_idx, test_idx,
-        ExperimentVersion("distributed", classifier_kind="centroid"), PARAMS, 10, seed,
+        shared, ExperimentVersion("distributed", classifier_kind="centroid"), 10,
         eval_on_full_test=True,
     )
     np.testing.assert_allclose(dist.per_agent_accuracy, central.mean_accuracy, atol=0)
@@ -273,8 +265,8 @@ def test_distributed_centroid_predicts_like_centralized(blobs):
 def test_run_version_deterministic(blobs):
     ds, train_idx, test_idx = blobs
     version = ExperimentVersion("distributed", compression=True)
-    a = run_version(ds, train_idx, test_idx, version, PARAMS, 5, SeedSpec(21))
-    b = run_version(ds, train_idx, test_idx, version, PARAMS, 5, SeedSpec(21))
+    a = run_version(SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(21)), version, 5)
+    b = run_version(SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(21)), version, 5)
     np.testing.assert_array_equal(a.per_agent_accuracy, b.per_agent_accuracy)
     assert a.payload_values_per_producer == PARAMS.dim
 
@@ -283,7 +275,8 @@ def test_run_version_rejects_undersized_data(blobs):
     ds, train_idx, test_idx = blobs
     with pytest.raises(InsufficientDataError):
         run_version(
-            ds, train_idx[:3], test_idx, ExperimentVersion("local"), PARAMS, 5, SeedSpec(22)
+            SharedPass(ds, train_idx[:3], test_idx, PARAMS, SeedSpec(22)),
+            ExperimentVersion("local"), 5,
         )
 
 
