@@ -22,7 +22,6 @@ from .hdc import SeedSpec
 __all__ = [
     "Dataset",
     "SplitSpec",
-    "filter_min_train",
     "load_csv",
     "load_manifest",
     "load_split_file",
@@ -207,15 +206,6 @@ def split(ds: Dataset, spec: SplitSpec):
     return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
 
 
-def filter_min_train(datasets, train_sizes, threshold: int = 1000) -> list[Dataset]:
-    """Keep datasets whose training partition has strictly more than ``threshold`` samples."""
-    datasets = list(datasets)
-    train_sizes = list(train_sizes)
-    if len(datasets) != len(train_sizes):
-        raise InvalidParameterError("datasets and train_sizes must align")
-    return [ds for ds, n in zip(datasets, train_sizes) if n > threshold]
-
-
 def synth_blobs(
     n_classes: int, n_features: int, n_samples: int, separation: float, seed: SeedSpec
 ) -> Dataset:
@@ -269,22 +259,29 @@ def load_manifest(path) -> dict:
 
 
 def load_split_file(path, n_samples: int):
-    """Read predefined train/test indices from JSON: {"train": [...], "test": [...]}."""
+    """Read predefined train/test indices from JSON: {"train": [...], "test": [...]}.
+
+    Each list must be a non-empty flat list of distinct integer indices in
+    ``0..n_samples-1``, and no index may be in both lists.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    try:
-        train_idx = np.asarray(payload["train"], dtype=np.int64)
-        test_idx = np.asarray(payload["test"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError):
-        raise InvalidParameterError(
-            f"split file {path} must hold integer 'train' and 'test' index lists"
-        ) from None
-    merged = np.concatenate([train_idx, test_idx])
-    if merged.size == 0 or merged.min() < 0 or merged.max() >= n_samples:
-        raise InvalidParameterError(f"split file {path} indexes outside 0..{n_samples - 1}")
-    if len(np.intersect1d(train_idx, test_idx)):
+    lists = []
+    for name in ("train", "test"):
+        values = payload.get(name) if isinstance(payload, dict) else None
+        # type() rather than isinstance(): a bool is not an index.
+        if not isinstance(values, list) or not values or any(type(v) is not int for v in values):
+            raise InvalidParameterError(
+                f"split file {path} must hold a non-empty flat list of integer {name!r} indices"
+            )
+        if not all(0 <= v < n_samples for v in values):
+            raise InvalidParameterError(f"split file {path} indexes outside 0..{n_samples - 1}")
+        if len(set(values)) != len(values):
+            raise InvalidParameterError(f"split file {path} repeats an index in {name!r}")
+        lists.append(values)
+    if set(lists[0]).intersection(lists[1]):
         raise InvalidParameterError(f"split file {path} has overlapping train/test indices")
-    return train_idx, test_idx
+    return tuple(np.asarray(values, dtype=np.int64) for values in lists)
 
 
 _SYNTH_KEYS = {"classes": 3, "features": 10, "samples": 3000, "sep": 3.0, "seed": 0}

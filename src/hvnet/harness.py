@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, fields
@@ -39,7 +40,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .hdc import SeedSpec, check_kappa, clip
-from .network import ExperimentVersion, ModelParams, SharedPass, run_version
+from .network import VERSION_KINDS, ExperimentVersion, ModelParams, SharedPass, run_version
 
 __all__ = [
     "DEFAULT_DIM_GRID",
@@ -64,6 +65,11 @@ __all__ = [
 DEFAULT_DIM_GRID = tuple(range(50, 1501, 50))  # 30 values
 DEFAULT_LAMBDA_GRID = tuple(float(2.0**e) for e in range(-10, 6))  # 16 values
 DEFAULT_KAPPA_GRID = (1, 3, 7, 15)
+
+# Config fields a record carries, and the split settings only its config_hash carries.
+_RECORD_CONFIG_FIELDS = ("dim", "lam", "kappa", "n_seeds", "master_seed")
+_SPLIT_FIELDS = ("split_mode", "train_fraction", "k_folds", "stratified", "eval_on_full_test")
+_VERSION_LABELS = VERSION_KINDS + ("distributed+compressed",)  # every version_label value
 
 _GRID_RANGES = {
     "dim": (DEFAULT_DIM_GRID[0], DEFAULT_DIM_GRID[-1]),
@@ -336,45 +342,23 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
             for folds in runs[c]
         ]) / config.n_seeds
         payload = runs[c][-1][-1].payload_values_per_producer
-        hash_payload = {
-            "dataset": raw.name,
-            "version": version_label(version),
-            "classifier": version.classifier_kind,
-            "compressed": version.compression,
-            "n_agents": n_agents,
-            "dim": config.dim,
-            "lam": config.lam,
-            "kappa": config.kappa,
-            "n_seeds": config.n_seeds,
-            "master_seed": config.master_seed,
-            "split_mode": config.split_mode,
-            "train_fraction": config.train_fraction,
-            "k_folds": config.k_folds,
-            "stratified": config.stratified,
-            "eval_on_full_test": config.eval_on_full_test,
-        }
-        records.append(
-            ResultRecord(
-                dataset=raw.name,
-                version=version.kind,
-                classifier=version.classifier_kind,
-                compressed=version.compression,
-                n_agents=n_agents,
-                dim=config.dim,
-                lam=config.lam,
-                kappa=config.kappa,
-                n_seeds=config.n_seeds,
-                master_seed=config.master_seed,
-                per_seed_mean=tuple(per_seed),
-                mean_accuracy=float(np.mean(per_seed)),
-                std_accuracy=float(np.std(per_seed)),
-                per_agent_mean=tuple(float(x) for x in per_agent_mean),
-                payload_values_per_producer=payload,
-                payload_bytes_per_producer=8 * payload,
-                config_hash=_config_hash(hash_payload),
-                wall_time_s=elapsed[c],
-            )
+        identity = dict(
+            dataset=raw.name, version=version.kind, classifier=version.classifier_kind,
+            compressed=version.compression, n_agents=n_agents,
+            **{name: getattr(config, name) for name in _RECORD_CONFIG_FIELDS},
         )
+        hashed = {name: getattr(config, name) for name in _SPLIT_FIELDS}
+        records.append(ResultRecord(
+            **identity,
+            per_seed_mean=tuple(per_seed),
+            mean_accuracy=float(np.mean(per_seed)),
+            std_accuracy=float(np.std(per_seed)),
+            per_agent_mean=tuple(float(x) for x in per_agent_mean),
+            payload_values_per_producer=payload,
+            payload_bytes_per_producer=8 * payload,
+            config_hash=_config_hash({**identity, **hashed, "version": version_label(version)}),
+            wall_time_s=elapsed[c],
+        ))
     return records
 
 
@@ -393,6 +377,26 @@ def pearson(xs, ys) -> float:
     return float(np.sum(dx * dy) / (sx * sy))
 
 
+def _cells(records, label: str) -> dict[tuple[str, str, int], ResultRecord]:
+    """Index one :func:`version_label`'s records by (dataset, classifier, agent count).
+
+    A centralized record sits at N=1 and is the counterpart of every agent
+    count: look it up under ``key[:2] + (1,)``.  A cell holds one record.
+    """
+    if label not in _VERSION_LABELS:
+        raise InvalidParameterError(
+            f"unknown version label {label!r}; expected one of {_VERSION_LABELS}"
+        )
+    cells = {}
+    for r in records:
+        if r.label == label:
+            key = (r.dataset, r.classifier, 1 if label == "centralized" else r.n_agents)
+            if key in cells:
+                raise PairingError(f"two {label} records for {key}")
+            cells[key] = r
+    return cells
+
+
 def relative_improvement(records, compressed: bool = False) -> dict[int, float]:
     """Percent improvement of the distributed over the local version, per agent count.
 
@@ -400,22 +404,13 @@ def relative_improvement(records, compressed: bool = False) -> dict[int, float]:
     compression flavor) sharing the same dataset, classifier and agent
     count; records must cover exactly one such pairing per count.
     """
-    local = {}
-    dist = {}
-    for r in records:
-        key = (r.dataset, r.classifier, r.n_agents)
-        if r.version == "local":
-            if key in local:
-                raise PairingError(f"duplicate local record for {key}")
-            local[key] = r
-        elif r.version == "distributed" and r.compressed == compressed:
-            if key in dist:
-                raise PairingError(f"duplicate distributed record for {key}")
-            dist[key] = r
+    records = list(records)
+    local = _cells(records, "local")
+    dist = _cells(records, "distributed+compressed" if compressed else "distributed")
     if not local or set(local) != set(dist):
         missing = set(local).symmetric_difference(dist)
         raise PairingError(f"unmatched local/distributed records: {sorted(missing)}")
-    groups = {(d, c) for d, c, _ in local}
+    groups = {key[:2] for key in local}
     if len(groups) != 1:
         raise PairingError(f"records span multiple dataset/classifier groups: {sorted(groups)}")
     return {
@@ -440,49 +435,46 @@ def records_to_csv(records, include_timing: bool = False) -> str:
     rows = [r.to_dict(include_timing) for r in _sorted_records(records)]
     if not rows:
         raise InvalidParameterError("no records to report")
-    header = list(rows[0].keys())
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        cells = []
-        for key in header:
-            value = row[key]
-            if isinstance(value, list):
-                cells.append(_canonical_json(value))
-            elif isinstance(value, bool):
-                cells.append("true" if value else "false")
-            else:
-                cells.append(str(value))
-        writer.writerow(cells)
+    writer.writerow(rows[0].keys())
+    for row in rows:  # lists and booleans as JSON, the rest as str
+        writer.writerow(
+            _canonical_json(v) if isinstance(v, (list, bool)) else str(v) for v in row.values()
+        )
     return buffer.getvalue()
 
 
 def format_table(records) -> str:
     """Text table: one row per (classifier, version), one column per agent count.
 
-    When a local or distributed row has no record at one agent, a
-    centralized record of the same classifier fills that column (the two
-    coincide by definition for a single agent).
+    Each cell is the mean accuracy over the datasets that have a record
+    for it, which over a benchmark collection is the paper's table.  A
+    dataset's centralized record also fills the N=1 column of every local
+    or distributed row of its classifier that has no N=1 record for that
+    dataset (the two coincide by definition for a single agent).
     """
     records = list(records)
     if not records:
         raise InvalidParameterError("no records to report")
-    counts = sorted({r.n_agents for r in records})
-    central = {r.classifier: r for r in records if r.version == "centralized"}
-    rows: dict[tuple[str, str], dict[int, float]] = {}
-    for r in _sorted_records(records):
-        rows.setdefault((r.classifier, r.label), {})[r.n_agents] = r.mean_accuracy
-    for (classifier, label), cells in rows.items():
-        if label != "centralized" and 1 in counts and 1 not in cells and classifier in central:
-            cells[1] = central[classifier].mean_accuracy
+    # rows[(classifier, label)][n_agents][dataset] -> mean accuracy
+    rows = {}
+    for label in _VERSION_LABELS:
+        for (dataset, classifier, n), r in _cells(records, label).items():
+            rows.setdefault((classifier, label), {}).setdefault(n, {})[dataset] = r.mean_accuracy
+    for (dataset, classifier, _), r in _cells(records, "centralized").items():
+        for (row_classifier, _), row in rows.items():
+            if row_classifier == classifier:
+                row.setdefault(1, {}).setdefault(dataset, r.mean_accuracy)
+    counts = sorted({n for row in rows.values() for n in row})
     widths = max(len(f"{c}/{l}") for c, l in rows)
     header = " " * widths + " | " + " | ".join(f"N={n:<6d}" for n in counts)
     lines = [header, "-" * len(header)]
-    for (classifier, label), cells in sorted(rows.items()):
+    for (classifier, label), row in sorted(rows.items()):
         name = f"{classifier}/{label}".ljust(widths)
         cols = " | ".join(
-            f"{cells[n]:.4f}  " if n in cells else " " * 8 for n in counts
+            f"{math.fsum(row[n].values()) / len(row[n]):.4f}  " if n in row else " " * 8
+            for n in counts
         )
         lines.append(f"{name} | {cols}")
     return "\n".join(lines) + "\n"
@@ -523,45 +515,28 @@ def records_from_jsonl(path) -> list[ResultRecord]:
 def scatter_export(records, version_a: str, version_b: str, out=None):
     """Plot-ready pairing of per-dataset accuracy under two versions.
 
-    Version names use :func:`version_label` values.  Pairs on (dataset,
+    Version names are :func:`version_label` values: ``centralized``,
+    ``local``, ``distributed`` and ``distributed+compressed``; any other
+    name raises :class:`InvalidParameterError`.  Pairs on (dataset,
     classifier, agent count), except that a centralized side matches any
-    agent count.  Datasets present under only one version are excluded
-    with a warning, so exports stay symmetric-complete.
+    agent count, so each line is a record of the non-centralized side.
+    Records without a counterpart are excluded with a warning, so exports
+    stay symmetric-complete.
     """
-    sides = {version_a: {}, version_b: {}}
-    for r in records:
-        label = r.label
-        if label in sides:
-            key = (r.dataset, r.classifier) if label == "centralized" else (
-                r.dataset, r.classifier, r.n_agents
-            )
-            sides[label][key] = r
-
+    records = list(records)
+    sides = {version_a: _cells(records, version_a), version_b: _cells(records, version_b)}
+    swap = version_a == "centralized" != version_b  # walk the side with agent counts
+    walked, other = (version_b, version_a) if swap else (version_a, version_b)
     lines = ["dataset,classifier,n_agents,acc_a,acc_b"]
-    for key in sorted(sides[version_a], key=str):
-        ra = sides[version_a][key]
-        if version_b == "centralized":
-            other = sides[version_b].get((ra.dataset, ra.classifier))
-        elif version_a == "centralized":
-            continue  # handled from the richer side below
-        else:
-            other = sides[version_b].get(key)
-        if other is None:
-            warnings.warn(f"dataset {ra.dataset!r} missing under {version_b!r}; excluded")
+    for key in sorted(sides[walked], key=str):
+        r = sides[walked][key]
+        match = sides[other].get(key[:2] + (1,) if other == "centralized" else key)
+        if match is None:
+            warnings.warn(f"dataset {r.dataset!r} missing under {other!r}; excluded")
             continue
+        ra, rb = (match, r) if swap else (r, match)
         lines.append(
-            f"{ra.dataset},{ra.classifier},{ra.n_agents},"
-            f"{ra.mean_accuracy!r},{other.mean_accuracy!r}"
+            f"{r.dataset},{r.classifier},{r.n_agents},"
+            f"{ra.mean_accuracy!r},{rb.mean_accuracy!r}"
         )
-    if version_a == "centralized":
-        for key in sorted(sides[version_b], key=str):
-            rb = sides[version_b][key]
-            ra = sides[version_a].get((rb.dataset, rb.classifier))
-            if ra is None:
-                warnings.warn(f"dataset {rb.dataset!r} missing under {version_a!r}; excluded")
-                continue
-            lines.append(
-                f"{rb.dataset},{rb.classifier},{rb.n_agents},"
-                f"{ra.mean_accuracy!r},{rb.mean_accuracy!r}"
-            )
     return _write_or_return("\n".join(lines) + "\n", out)

@@ -99,6 +99,18 @@ def test_report_renders_table_and_scatter(runner, tmp_path):
     assert scatter.output.splitlines()[0] == "dataset,classifier,n_agents,acc_a,acc_b"
 
 
+def test_report_rejects_unknown_scatter_label(runner, tmp_path):
+    out = tmp_path / "records.jsonl"
+    ran = runner.invoke(main, [
+        "run", "--dataset", SYNTH, "--version", "centralized", "--seeds", "1",
+        "--dim", "40", "--kappa", "3", "--allow-off-grid", "--out", str(out),
+    ])
+    assert ran.exit_code == 0
+    result = runner.invoke(main, ["report", str(out), "--scatter", "locl:centralized"])
+    assert result.exit_code == 1
+    assert "unknown version label 'locl'" in result.output
+
+
 def test_report_missing_file(runner, tmp_path):
     result = runner.invoke(main, ["report", str(tmp_path / "absent.jsonl")])
     assert result.exit_code != 0

@@ -9,9 +9,9 @@ from hvnet.classifiers import evaluate, one_hot, train_rls
 from hvnet.data import (
     Dataset,
     SplitSpec,
-    filter_min_train,
     load_csv,
     load_manifest,
+    load_split_file,
     normalize,
     resolve_dataset,
     split,
@@ -174,19 +174,6 @@ def test_split_spec_validation():
         SplitSpec(mode="bootstrap")
 
 
-# --------------------------------------------------------- filter_min_train
-
-
-def test_filter_min_train_strict_threshold():
-    ds = synth_blobs(2, 2, 10, 1.0, SeedSpec(6))
-    kept = filter_min_train([ds, ds, ds], [1001, 1000, 999])
-    assert len(kept) == 1
-
-
-def test_filter_min_train_empty():
-    assert filter_min_train([], []) == []
-
-
 # --------------------------------------------------------------- synth_blobs
 
 
@@ -257,8 +244,6 @@ def test_resolve_unknown_dataset():
 
 
 def test_split_file_round_trip(tmp_path):
-    from hvnet.data import load_split_file
-
     write(tmp_path, "splits.json", '{"train": [0, 2, 4], "test": [1, 3]}')
     train_idx, test_idx = load_split_file(tmp_path / "splits.json", 5)
     np.testing.assert_array_equal(train_idx, [0, 2, 4])
@@ -268,6 +253,23 @@ def test_split_file_round_trip(tmp_path):
     write(tmp_path, "overlap.json", '{"train": [0, 1], "test": [1, 2]}')
     with pytest.raises(InvalidParameterError):
         load_split_file(tmp_path / "overlap.json", 5)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"train": [], "test": [1, 2]}, "non-empty flat list of integer 'train'"),
+    ({"train": [0, 1], "test": []}, "non-empty flat list of integer 'test'"),
+    ({"train": [0, 1]}, "non-empty flat list of integer 'test'"),
+    ({"train": [[0, 1], [2, 3]], "test": [4]}, "non-empty flat list of integer 'train'"),
+    ({"train": [0, 1.5], "test": [2]}, "non-empty flat list of integer 'train'"),
+    ({"train": [0, True], "test": [2]}, "non-empty flat list of integer 'train'"),
+    ({"train": [0, 2, 0], "test": [1]}, "repeats an index in 'train'"),
+    ({"train": [0, 1], "test": [3, 3]}, "repeats an index in 'test'"),
+])
+def test_split_file_rejects_malformed_index_lists(tmp_path, payload, message):
+    path = write(tmp_path, "splits.json", json.dumps(payload))
+    with pytest.raises(InvalidParameterError, match=message) as excinfo:
+        load_split_file(path, 5)
+    assert str(path) in str(excinfo.value)
 
 
 def test_manifest_split_file_overrides_protocol(tmp_path):

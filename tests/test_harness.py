@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +351,202 @@ def test_scatter_pairs_and_warns_on_missing():
     lines = text.strip().splitlines()
     assert lines[0] == "dataset,classifier,n_agents,acc_a,acc_b"
     assert len(lines) == 2 and lines[1].startswith("a,rls,10,0.6,0.8")
+
+
+def test_table_averages_each_cell_over_datasets():
+    records = [
+        fake_record(dataset="a", version="centralized", n_agents=1, mean_accuracy=0.8),
+        fake_record(dataset="a", version="local", mean_accuracy=0.9),
+        fake_record(dataset="b", version="centralized", n_agents=1, mean_accuracy=0.6),
+        fake_record(dataset="b", version="local", mean_accuracy=0.1),
+        fake_record(dataset="c", version="centralized", n_agents=1, mean_accuracy=0.4),
+        fake_record(dataset="c", version="centralized", classifier="centroid", n_agents=1),
+    ]
+    rows = {
+        line.split("|")[0].strip(): [cell.strip() for cell in line.split("|")[1:]]
+        for line in format_table(records).splitlines()[2:]
+    }
+    assert set(rows) == {"rls/centralized", "rls/local", "centroid/centralized"}
+    assert rows["rls/centralized"] == ["0.6000", ""]
+    # Every centralized record fills N=1 of the local row, as in c8's table.
+    assert rows["rls/local"] == ["0.6000", "0.5000"]
+
+
+def test_scatter_centralized_against_itself_emits_each_dataset_once():
+    records = [
+        fake_record(dataset="a", version="centralized", n_agents=1, mean_accuracy=0.8),
+        fake_record(dataset="b", version="centralized", n_agents=1, mean_accuracy=0.6),
+    ]
+    text = scatter_export(records, "centralized", "centralized")
+    assert text.splitlines()[1:] == ["a,rls,1,0.8,0.8", "b,rls,1,0.6,0.6"]
+
+
+def test_scatter_rejects_unknown_label():
+    with pytest.raises(InvalidParameterError, match="unknown version label 'locl'"):
+        scatter_export([fake_record()], "locl", "centralized")
+
+
+@pytest.mark.parametrize("render", [
+    format_table,
+    lambda records: scatter_export(records, "local", "distributed"),
+    relative_improvement,
+], ids=["table", "scatter", "relative_improvement"])
+def test_reports_reject_two_records_in_one_cell(render):
+    records = [
+        fake_record(version="local", mean_accuracy=0.7),
+        fake_record(version="local", mean_accuracy=0.6),
+        fake_record(version="distributed", mean_accuracy=0.8),
+    ]
+    with pytest.raises(PairingError, match="two local records"):
+        render(records)
+
+
+# ---------------------------------------------- report output of an earlier commit
+
+# Rendered from ``pinned_records`` by the reports before they shared one cell
+# index, so the current reports are checked against that behaviour rather
+# than against themselves.
+PINNED_TABLE = (
+    "                           | N=1      | N=5      | N=10     | N=50    ",
+    "----------------------------------------------------------------------",
+    "centroid/local             |          | 0.7633   | 0.7267   | 0.5467  ",
+    "rls/centralized            | 0.7100   |          |          |         ",
+    "rls/distributed            | 0.7100   | 0.6867   | 0.7567   | 0.7400  ",
+    "rls/distributed+compressed | 0.7100   | 0.3533   | 0.5300   | 0.4900  ",
+    "rls/local                  | 0.7100   | 0.5267   | 0.5967   | 0.5633  ",
+)
+PINNED_SCATTER = {  # lines after the header, then the warnings
+    "centralized:local": (
+        (
+            "synth-L3-K5-M600-s2,rls,10,0.71,0.5966666666666667",
+            "synth-L3-K5-M600-s2,rls,5,0.71,0.5266666666666667",
+            "synth-L3-K5-M600-s2,rls,50,0.71,0.5633333333333332",
+        ),
+        ["dataset 'synth-L3-K5-M600-s2' missing under 'centralized'; excluded"] * 3,
+    ),
+    "centralized:distributed": (
+        (
+            "synth-L3-K5-M600-s2,rls,10,0.71,0.7566666666666667",
+            "synth-L3-K5-M600-s2,rls,5,0.71,0.6866666666666668",
+            "synth-L3-K5-M600-s2,rls,50,0.71,0.74",
+        ),
+        [],
+    ),
+    "centralized:distributed+compressed": (
+        (
+            "synth-L3-K5-M600-s2,rls,10,0.71,0.5299999999999999",
+            "synth-L3-K5-M600-s2,rls,5,0.71,0.35333333333333333",
+            "synth-L3-K5-M600-s2,rls,50,0.71,0.49",
+        ),
+        [],
+    ),
+    "local:centralized": (
+        (
+            "synth-L3-K5-M600-s2,rls,10,0.5966666666666667,0.71",
+            "synth-L3-K5-M600-s2,rls,5,0.5266666666666667,0.71",
+            "synth-L3-K5-M600-s2,rls,50,0.5633333333333332,0.71",
+        ),
+        ["dataset 'synth-L3-K5-M600-s2' missing under 'centralized'; excluded"] * 3,
+    ),
+    "local:distributed": (
+        (
+            "synth-L3-K5-M600-s2,rls,10,0.5966666666666667,0.7566666666666667",
+            "synth-L3-K5-M600-s2,rls,5,0.5266666666666667,0.6866666666666668",
+            "synth-L3-K5-M600-s2,rls,50,0.5633333333333332,0.74",
+        ),
+        ["dataset 'synth-L3-K5-M600-s2' missing under 'distributed'; excluded"] * 3,
+    ),
+    "local:distributed+compressed": (
+        (
+            "synth-L3-K5-M600-s2,rls,10,0.5966666666666667,0.5299999999999999",
+            "synth-L3-K5-M600-s2,rls,5,0.5266666666666667,0.35333333333333333",
+            "synth-L3-K5-M600-s2,rls,50,0.5633333333333332,0.49",
+        ),
+        ["dataset 'synth-L3-K5-M600-s2' missing under 'distributed+compressed'; excluded"] * 3,
+    ),
+    "distributed:centralized": (
+        (
+            "synth-L3-K5-M600-s2,rls,10,0.7566666666666667,0.71",
+            "synth-L3-K5-M600-s2,rls,5,0.6866666666666668,0.71",
+            "synth-L3-K5-M600-s2,rls,50,0.74,0.71",
+        ),
+        [],
+    ),
+    "distributed:local": (
+        (
+            "synth-L3-K5-M600-s2,rls,10,0.7566666666666667,0.5966666666666667",
+            "synth-L3-K5-M600-s2,rls,5,0.6866666666666668,0.5266666666666667",
+            "synth-L3-K5-M600-s2,rls,50,0.74,0.5633333333333332",
+        ),
+        [],
+    ),
+    "distributed:distributed+compressed": (
+        (
+            "synth-L3-K5-M600-s2,rls,10,0.7566666666666667,0.5299999999999999",
+            "synth-L3-K5-M600-s2,rls,5,0.6866666666666668,0.35333333333333333",
+            "synth-L3-K5-M600-s2,rls,50,0.74,0.49",
+        ),
+        [],
+    ),
+    "distributed+compressed:centralized": (
+        (
+            "synth-L3-K5-M600-s2,rls,10,0.5299999999999999,0.71",
+            "synth-L3-K5-M600-s2,rls,5,0.35333333333333333,0.71",
+            "synth-L3-K5-M600-s2,rls,50,0.49,0.71",
+        ),
+        [],
+    ),
+    "distributed+compressed:local": (
+        (
+            "synth-L3-K5-M600-s2,rls,10,0.5299999999999999,0.5966666666666667",
+            "synth-L3-K5-M600-s2,rls,5,0.35333333333333333,0.5266666666666667",
+            "synth-L3-K5-M600-s2,rls,50,0.49,0.5633333333333332",
+        ),
+        [],
+    ),
+    "distributed+compressed:distributed": (
+        (
+            "synth-L3-K5-M600-s2,rls,10,0.5299999999999999,0.7566666666666667",
+            "synth-L3-K5-M600-s2,rls,5,0.35333333333333333,0.6866666666666668",
+            "synth-L3-K5-M600-s2,rls,50,0.49,0.74",
+        ),
+        [],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_records():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some N=50 centroid shards miss a class
+        return run_suite(ExperimentConfig(
+            dataset="synth:classes=3,features=5,samples=600,sep=2.0,seed=3",
+            versions=(
+                ExperimentVersion("centralized"),
+                ExperimentVersion("local"),
+                ExperimentVersion("distributed"),
+                ExperimentVersion("distributed", compression=True),
+                ExperimentVersion("local", classifier_kind="centroid"),
+            ),
+            agent_counts=(5, 10, 50),
+            dim=100,
+            n_seeds=1,
+            master_seed=11,
+        ))
+
+
+def test_table_matches_pinned_output(pinned_records):
+    assert format_table(pinned_records) == "\n".join(PINNED_TABLE) + "\n"
+
+
+@pytest.mark.parametrize("pair", sorted(PINNED_SCATTER))
+def test_scatter_matches_pinned_output(pinned_records, pair):
+    lines, expected_warnings = PINNED_SCATTER[pair]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        text = scatter_export(pinned_records, *pair.split(":"))
+    assert text == "\n".join(("dataset,classifier,n_agents,acc_a,acc_b",) + lines) + "\n"
+    assert [str(w.message) for w in caught] == expected_warnings
 
 
 def test_record_dict_round_trip():
