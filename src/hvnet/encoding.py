@@ -3,7 +3,10 @@
 A feature value in [0, 1] becomes a bipolar thermometer code, is bound to
 a fixed random bipolar column, and the per-feature results are summed and
 clipped.  All outputs are integer vectors, which downstream code relies on
-for exact aggregation.
+for exact aggregation.  They are narrow: sums are int16 (int32 beyond
+32767 features, since |sum| <= n_features), and clipped activations take
+the narrowest signed type that holds +kappa (int8 for kappa <= 127), so
+consumers widen before any arithmetic that could overflow.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .errors import DimensionError, InvalidParameterError
@@ -65,15 +69,23 @@ def _prefix_lengths(values: np.ndarray, dim: int) -> np.ndarray:
     return np.floor(values * dim + 0.5).astype(np.int64)
 
 
+def _thermometer_codes(dim: int) -> NDArray[np.int8]:
+    """Read-only (dim + 1, dim) view whose row c is the code with c leading +1s.
+
+    Every row is a window of one length-2*dim buffer of +1s then -1s.
+    """
+    return sliding_window_view(np.repeat(np.array([1, -1], dtype=np.int8), dim), dim)[::-1]
+
+
 def thermometer_encode(value: float, dim: int) -> NDArray[np.int8]:
     """Monotone bipolar code: the first round(value*dim) entries are +1, the rest -1."""
     if dim < 1:
         raise InvalidParameterError(f"dim must be >= 1, got {dim}")
     n_plus = _prefix_lengths(np.asarray([value], dtype=np.float64), dim)[0]
-    return np.where(np.arange(dim) < n_plus, 1, -1).astype(np.int8)
+    return _thermometer_codes(dim)[n_plus].copy()
 
 
-def encode_sums(x, proj: InputProjection) -> NDArray[np.int64]:
+def encode_sums(x, proj: InputProjection) -> NDArray[np.signedinteger]:
     """Unclipped hidden activation: sum over features of (column * thermometer code)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != proj.n_features:
@@ -83,30 +95,35 @@ def encode_sums(x, proj: InputProjection) -> NDArray[np.int64]:
     return encode_batch_sums(x[None, :], proj)[0]
 
 
-def encode_sample(x, proj: InputProjection, kappa: int) -> NDArray[np.int64]:
+def encode_sample(x, proj: InputProjection, kappa: int) -> NDArray[np.signedinteger]:
     """Hidden activation of one sample: clipped sum of bound thermometer codes."""
     check_kappa(kappa)
     return clip(encode_sums(x, proj), kappa)
 
 
-def encode_batch_sums(X, proj: InputProjection) -> NDArray[np.int64]:
-    """Unclipped hidden activations for a whole (n_samples, n_features) matrix."""
+def encode_batch_sums(X, proj: InputProjection) -> NDArray[np.signedinteger]:
+    """Unclipped hidden activations for a whole (n_samples, n_features) matrix.
+
+    int16, or int32 when there are more than 32767 features.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != proj.n_features:
         raise DimensionError(
             f"batch has shape {X.shape}, projection expects {proj.n_features} features"
         )
     counts = _prefix_lengths(X.ravel(), proj.dim).reshape(X.shape)
-    idx = np.arange(proj.dim)
-    acc = np.zeros((X.shape[0], proj.dim), dtype=np.int64)
+    codes = _thermometer_codes(proj.dim)
+    # |sum| <= n_features, so int16 holds it up to 32767 features.
+    dtype = np.int16 if proj.n_features <= 32767 else np.int32
+    acc = np.zeros((X.shape[0], proj.dim), dtype=dtype)
     for j in range(proj.n_features):
-        col = proj.columns[:, j]
-        plus = idx[None, :] < counts[:, j][:, None]
-        acc += np.where(plus, col[None, :], -col[None, :])
+        bound = codes[counts[:, j]]  # (n_samples, dim) int8 copy
+        bound *= proj.columns[:, j]
+        acc += bound
     return acc
 
 
-def encode_batch(X, proj: InputProjection, kappa: int) -> NDArray[np.int64]:
+def encode_batch(X, proj: InputProjection, kappa: int) -> NDArray[np.signedinteger]:
     """Encode a whole (n_samples, n_features) matrix; rows are hidden activations."""
     check_kappa(kappa)
     return clip(encode_batch_sums(X, proj), kappa)

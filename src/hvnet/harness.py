@@ -159,7 +159,11 @@ class ResultRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultRecord":
-        """Inverse of :meth:`to_dict`; ``wall_time_s`` may be absent, no other field may."""
+        """Inverse of :meth:`to_dict`; ``wall_time_s`` may be absent, no other field may.
+
+        ``version``, ``compressed`` and ``classifier`` must form an
+        :class:`ExperimentVersion`.
+        """
         values = {}
         for f in fields(cls):
             if f.name not in d:
@@ -170,7 +174,15 @@ class ResultRecord:
                 values[f.name] = _FIELD_DECODERS[f.type](d[f.name])
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"record field {f.name!r}: {exc}") from exc
-        return cls(**values)
+        record = cls(**values)
+        try:
+            ExperimentVersion(record.version, record.compressed, record.classifier)
+        except InvalidParameterError as exc:
+            raise ParseError(
+                f"record has version={record.version!r}, compressed={record.compressed!r}, "
+                f"classifier={record.classifier!r}: {exc}"
+            ) from exc
+        return record
 
     @property
     def label(self) -> str:
@@ -528,7 +540,7 @@ def scatter_export(records, version_a: str, version_b: str, out=None):
     swap = version_a == "centralized" != version_b  # walk the side with agent counts
     walked, other = (version_b, version_a) if swap else (version_a, version_b)
     lines = ["dataset,classifier,n_agents,acc_a,acc_b"]
-    for key in sorted(sides[walked], key=str):
+    for key in sorted(sides[walked]):
         r = sides[walked][key]
         match = sides[other].get(key[:2] + (1,) if other == "centralized" else key)
         if match is None:

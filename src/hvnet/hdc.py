@@ -42,6 +42,7 @@ INVERSE_MODES = ("exact", "involution")
 SPECTRUM_EPS = 1e-12
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_INT64_MAX = 2**63 - 1
 
 
 def _tag_to_int(tag: str) -> int:
@@ -100,9 +101,19 @@ def check_kappa(kappa) -> None:
 
 
 def clip(v, kappa: int) -> np.ndarray:
-    """Saturate every component of a vector or a stack of vectors to [-kappa, kappa]."""
+    """Saturate every component of a vector or a stack of vectors to [-kappa, kappa].
+
+    Integer input comes back in the narrowest signed type that holds +kappa:
+    int8 for kappa <= 127, int16 up to 32767, int32 up to 2**31 - 1, else
+    int64.  Float input keeps its dtype.
+    """
     check_kappa(kappa)
-    return np.clip(_as_rows(v), -kappa, kappa)
+    v = _as_rows(v)
+    if not np.issubdtype(v.dtype, np.integer):
+        return np.clip(v, -kappa, kappa)
+    # -kappa - 1, not -kappa: int8 holds -128 but not +128.
+    dtype = np.min_scalar_type(-min(kappa, _INT64_MAX) - 1)
+    return np.clip(v, -kappa, kappa, out=np.empty(v.shape, dtype), casting="unsafe")
 
 
 def bind_elementwise(x, y) -> np.ndarray:

@@ -287,3 +287,25 @@ def test_predict_batch_across_row_blocks():
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, [reference_predict(model, h) for h in H])
     assert got[PREDICT_BLOCK - 1] == got[PREDICT_BLOCK] == got[-1] == 1
+
+
+@pytest.mark.parametrize("dim", [12, 400])  # primal and dual ridge solves
+def test_int8_activations_train_and_predict_like_int64(dim):
+    # 320 rows of +127 in class 1: summed in int8 (or int16) they would wrap.
+    rng = SeedSpec(30).rng()
+    H8 = np.concatenate([
+        np.full((320, dim), 127, dtype=np.int8),
+        rng.integers(-127, 128, size=(80, dim), dtype=np.int8),
+    ])
+    labels = np.concatenate([np.ones(320, dtype=np.int64), rng.integers(2, 4, size=80)])
+    H64 = H8.astype(np.int64)
+
+    c8, c64 = train_centroids(H8, labels, 3), train_centroids(H64, labels, 3)
+    assert np.all(c8.class_sums[0] == 320 * 127)
+    for name in ("class_sums", "class_counts", "weights"):
+        assert np.array_equal(getattr(c8, name), getattr(c64, name))
+
+    r8, r64 = train_rls(H8, one_hot(labels, 3), 0.5), train_rls(H64, one_hot(labels, 3), 0.5)
+    assert np.array_equal(r8.weights, r64.weights)
+    for model in (c64, r64):
+        assert np.array_equal(predict_batch(model, H8), predict_batch(model, H64))

@@ -16,7 +16,7 @@ from hvnet.encoding import (
     thermometer_encode,
 )
 from hvnet.errors import DimensionError, InvalidParameterError
-from hvnet.hdc import SeedSpec
+from hvnet.hdc import SeedSpec, clip
 
 
 def test_thermometer_endpoints():
@@ -156,3 +156,82 @@ def test_encode_rejects_non_finite_values(bad):
         encode_batch(np.array([[0.5, 0.5], [bad, 0.5]]), proj, kappa=1)
     with pytest.raises(InvalidParameterError):
         encode_sample(np.array([0.5, bad]), proj, kappa=1)
+
+
+# ------------------------------------------------ narrow kernel against int64
+
+
+def sums_from_definition(X, columns):
+    """int64 sum over j of columns[:, j] * thermometer(X[:, j]), written out from the definition."""
+    dim, n_features = columns.shape
+    out = np.zeros((X.shape[0], dim), dtype=np.int64)
+    for j in range(n_features):
+        n_plus = np.floor(X[:, j] * dim + 0.5)[:, None]
+        out += columns[:, j].astype(np.int64) * np.where(np.arange(dim) < n_plus, 1, -1)
+    return out
+
+
+@st.composite
+def batches(draw):
+    rows = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 40))
+    n_features = draw(st.integers(1, 8))
+    # 0, 1 and the exact half-levels (k + 0.5) / dim, where rounding decides.
+    levels = st.sampled_from([0.0, 1.0] + [(k + 0.5) / dim for k in range(dim)])
+    value = st.one_of(levels, st.floats(0, 1))
+    X = np.array(draw(st.lists(value, min_size=rows * n_features, max_size=rows * n_features)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=dim * n_features,
+                          max_size=dim * n_features))
+    columns = np.array(signs, dtype=np.int8).reshape(dim, n_features)
+    return X.reshape(rows, n_features), columns
+
+
+@given(batches())
+@settings(deadline=None, max_examples=150)
+def test_encode_batch_sums_equals_int64_definition(batch):
+    X, columns = batch
+    proj = InputProjection(columns=columns, seed=SeedSpec(0))
+    sums = encode_batch_sums(X, proj)
+    assert sums.dtype == np.int16
+    np.testing.assert_array_equal(sums, sums_from_definition(X, columns))
+
+
+def test_encode_batch_sums_widens_past_int16():
+    # 32768 features, all 1.0 in row 0, and every column +1 at position 0:
+    # that sum is +32768, which int16 cannot hold.
+    n_features, dim = 32768, 6
+    columns = np.ones((dim, n_features), dtype=np.int8)
+    columns[:, ::3] = -1
+    columns[0] = 1
+    X = SeedSpec(14).rng().uniform(size=(3, n_features))
+    X[0] = 1.0
+    proj = InputProjection(columns=columns, seed=SeedSpec(0))
+    sums = encode_batch_sums(X, proj)
+    assert sums.dtype == np.int32
+    assert sums[0, 0] == n_features
+    np.testing.assert_array_equal(sums, sums_from_definition(X, columns))
+
+
+@pytest.mark.parametrize("kappa, dtype", [
+    (1, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+])
+def test_clip_returns_narrowest_type_holding_kappa(kappa, dtype):
+    v = np.array([[kappa, -kappa, kappa + 1, -kappa - 1, 0]], dtype=np.int64)
+    out = clip(v, kappa)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, [[kappa, -kappa, kappa, -kappa, 0]])
+
+
+def test_clip_keeps_float_dtype():
+    out = clip(np.array([-2.5, 0.25, 2.5]), 1)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, [-1.0, 0.25, 1.0])
+
+
+def test_encode_batch_returns_int8_at_reference_kappa():
+    proj = init_projection(4, 32, SeedSpec(15))
+    X = SeedSpec(16).rng().uniform(size=(5, 4))
+    H = encode_batch(X, proj, kappa=7)
+    assert H.dtype == np.int8
+    np.testing.assert_array_equal(H, np.clip(sums_from_definition(X, proj.columns), -7, 7))
+    assert encode_sample(X[0], proj, kappa=7).dtype == np.int8

@@ -405,7 +405,8 @@ def test_reports_reject_two_records_in_one_cell(render):
 
 # Rendered from ``pinned_records`` by the reports before they shared one cell
 # index, so the current reports are checked against that behaviour rather
-# than against themselves.
+# than against themselves.  The one deliberate difference: scatter lines are
+# now ordered by agent count as a number (5, 10, 50), not as text.
 PINNED_TABLE = (
     "                           | N=1      | N=5      | N=10     | N=50    ",
     "----------------------------------------------------------------------",
@@ -418,96 +419,96 @@ PINNED_TABLE = (
 PINNED_SCATTER = {  # lines after the header, then the warnings
     "centralized:local": (
         (
-            "synth-L3-K5-M600-s2,rls,10,0.71,0.5966666666666667",
             "synth-L3-K5-M600-s2,rls,5,0.71,0.5266666666666667",
+            "synth-L3-K5-M600-s2,rls,10,0.71,0.5966666666666667",
             "synth-L3-K5-M600-s2,rls,50,0.71,0.5633333333333332",
         ),
         ["dataset 'synth-L3-K5-M600-s2' missing under 'centralized'; excluded"] * 3,
     ),
     "centralized:distributed": (
         (
-            "synth-L3-K5-M600-s2,rls,10,0.71,0.7566666666666667",
             "synth-L3-K5-M600-s2,rls,5,0.71,0.6866666666666668",
+            "synth-L3-K5-M600-s2,rls,10,0.71,0.7566666666666667",
             "synth-L3-K5-M600-s2,rls,50,0.71,0.74",
         ),
         [],
     ),
     "centralized:distributed+compressed": (
         (
-            "synth-L3-K5-M600-s2,rls,10,0.71,0.5299999999999999",
             "synth-L3-K5-M600-s2,rls,5,0.71,0.35333333333333333",
+            "synth-L3-K5-M600-s2,rls,10,0.71,0.5299999999999999",
             "synth-L3-K5-M600-s2,rls,50,0.71,0.49",
         ),
         [],
     ),
     "local:centralized": (
         (
-            "synth-L3-K5-M600-s2,rls,10,0.5966666666666667,0.71",
             "synth-L3-K5-M600-s2,rls,5,0.5266666666666667,0.71",
+            "synth-L3-K5-M600-s2,rls,10,0.5966666666666667,0.71",
             "synth-L3-K5-M600-s2,rls,50,0.5633333333333332,0.71",
         ),
         ["dataset 'synth-L3-K5-M600-s2' missing under 'centralized'; excluded"] * 3,
     ),
     "local:distributed": (
         (
-            "synth-L3-K5-M600-s2,rls,10,0.5966666666666667,0.7566666666666667",
             "synth-L3-K5-M600-s2,rls,5,0.5266666666666667,0.6866666666666668",
+            "synth-L3-K5-M600-s2,rls,10,0.5966666666666667,0.7566666666666667",
             "synth-L3-K5-M600-s2,rls,50,0.5633333333333332,0.74",
         ),
         ["dataset 'synth-L3-K5-M600-s2' missing under 'distributed'; excluded"] * 3,
     ),
     "local:distributed+compressed": (
         (
-            "synth-L3-K5-M600-s2,rls,10,0.5966666666666667,0.5299999999999999",
             "synth-L3-K5-M600-s2,rls,5,0.5266666666666667,0.35333333333333333",
+            "synth-L3-K5-M600-s2,rls,10,0.5966666666666667,0.5299999999999999",
             "synth-L3-K5-M600-s2,rls,50,0.5633333333333332,0.49",
         ),
         ["dataset 'synth-L3-K5-M600-s2' missing under 'distributed+compressed'; excluded"] * 3,
     ),
     "distributed:centralized": (
         (
-            "synth-L3-K5-M600-s2,rls,10,0.7566666666666667,0.71",
             "synth-L3-K5-M600-s2,rls,5,0.6866666666666668,0.71",
+            "synth-L3-K5-M600-s2,rls,10,0.7566666666666667,0.71",
             "synth-L3-K5-M600-s2,rls,50,0.74,0.71",
         ),
         [],
     ),
     "distributed:local": (
         (
-            "synth-L3-K5-M600-s2,rls,10,0.7566666666666667,0.5966666666666667",
             "synth-L3-K5-M600-s2,rls,5,0.6866666666666668,0.5266666666666667",
+            "synth-L3-K5-M600-s2,rls,10,0.7566666666666667,0.5966666666666667",
             "synth-L3-K5-M600-s2,rls,50,0.74,0.5633333333333332",
         ),
         [],
     ),
     "distributed:distributed+compressed": (
         (
-            "synth-L3-K5-M600-s2,rls,10,0.7566666666666667,0.5299999999999999",
             "synth-L3-K5-M600-s2,rls,5,0.6866666666666668,0.35333333333333333",
+            "synth-L3-K5-M600-s2,rls,10,0.7566666666666667,0.5299999999999999",
             "synth-L3-K5-M600-s2,rls,50,0.74,0.49",
         ),
         [],
     ),
     "distributed+compressed:centralized": (
         (
-            "synth-L3-K5-M600-s2,rls,10,0.5299999999999999,0.71",
             "synth-L3-K5-M600-s2,rls,5,0.35333333333333333,0.71",
+            "synth-L3-K5-M600-s2,rls,10,0.5299999999999999,0.71",
             "synth-L3-K5-M600-s2,rls,50,0.49,0.71",
         ),
         [],
     ),
     "distributed+compressed:local": (
         (
-            "synth-L3-K5-M600-s2,rls,10,0.5299999999999999,0.5966666666666667",
             "synth-L3-K5-M600-s2,rls,5,0.35333333333333333,0.5266666666666667",
+            "synth-L3-K5-M600-s2,rls,10,0.5299999999999999,0.5966666666666667",
             "synth-L3-K5-M600-s2,rls,50,0.49,0.5633333333333332",
         ),
         [],
     ),
     "distributed+compressed:distributed": (
         (
-            "synth-L3-K5-M600-s2,rls,10,0.5299999999999999,0.7566666666666667",
             "synth-L3-K5-M600-s2,rls,5,0.35333333333333333,0.6866666666666668",
+            "synth-L3-K5-M600-s2,rls,10,0.5299999999999999,0.7566666666666667",
             "synth-L3-K5-M600-s2,rls,50,0.49,0.74",
         ),
         [],
@@ -581,8 +582,18 @@ def test_record_from_dict_rejects_wrong_json_types(name, value):
         ResultRecord.from_dict({**fake_record().to_dict(), name: value})
 
 
+@pytest.mark.parametrize("overrides, reason", [
+    ({"version": "foo"}, r"version='foo'.*kind must be one of"),
+    ({"classifier": "svm"}, r"classifier='svm'.*classifier_kind must be one of"),
+    ({"version": "local", "compressed": True}, r"compressed=True.*distributed version only"),
+])
+def test_record_from_dict_rejects_invalid_version(overrides, reason):
+    with pytest.raises(ParseError, match=reason):
+        ResultRecord.from_dict({**fake_record().to_dict(), **overrides})
+
+
 def test_record_csv_round_trip_keeps_header_order():
-    rec = fake_record(compressed=True, lam=0.25)
+    rec = fake_record(version="distributed", compressed=True, lam=0.25)
     text = records_to_csv([rec], include_timing=True)
     assert text.splitlines()[0].split(",") == [
         "dataset", "version", "classifier", "compressed", "n_agents", "dim", "lam",
