@@ -7,23 +7,28 @@ matrix applied on the left of a hidden activation.  Class labels are
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy import linalg as sla
+from scipy.linalg import lapack
 
 from .errors import DimensionError, EmptyClassWarning, InvalidParameterError, SingularSystemError
 
 __all__ = [
     "ClassifierMatrix",
+    "check_lambda",
     "evaluate",
     "finalize_centroids",
     "one_hot",
     "predict",
     "predict_batch",
     "rls_from_gram",
+    "rls_sweep",
     "train_centroids",
     "train_rls",
 ]
@@ -77,6 +82,23 @@ def one_hot(labels, n_classes: int) -> NDArray[np.float64]:
     return out
 
 
+def check_lambda(lam) -> None:
+    """Raise unless ``lam`` is a ridge parameter: a finite real number >= 0."""
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 <= lam < math.inf:
+        raise InvalidParameterError(f"lambda must be a finite number >= 0, got {lam!r}")
+
+
+def _design(H, Y) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Activations and targets as float64 matrices with matching row counts."""
+    H = np.asarray(H, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if H.ndim != 2 or Y.ndim != 2:
+        raise DimensionError("H and Y must be 2-D matrices")
+    if H.shape[0] != Y.shape[0]:
+        raise DimensionError(f"row counts differ: H has {H.shape[0]}, Y has {Y.shape[0]}")
+    return H, Y
+
+
 def train_rls(H, Y, lam: float) -> ClassifierMatrix:
     """Ridge-regularized least-squares output weights in one analytic step.
 
@@ -85,14 +107,8 @@ def train_rls(H, Y, lam: float) -> ClassifierMatrix:
     units, the algebraically equivalent dual form H^T (H H^T + lam I)^-1 Y
     is used, which is much cheaper for small shards.
     """
-    H = np.asarray(H, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if H.ndim != 2 or Y.ndim != 2:
-        raise DimensionError("H and Y must be 2-D matrices")
-    if H.shape[0] != Y.shape[0]:
-        raise DimensionError(f"row counts differ: H has {H.shape[0]}, Y has {Y.shape[0]}")
-    if lam < 0:
-        raise InvalidParameterError(f"lambda must be >= 0, got {lam}")
+    H, Y = _design(H, Y)
+    check_lambda(lam)
     m, d = H.shape
     if lam > 0 and m < d:
         gram = H @ H.T
@@ -108,12 +124,12 @@ def train_rls(H, Y, lam: float) -> ClassifierMatrix:
 def rls_from_gram(gram, cross, lam: float) -> ClassifierMatrix:
     """Ridge solution from precomputed H^T H and H^T Y (both left intact).
 
-    Useful when sweeping lambda over a fixed design matrix.
+    One Cholesky factorization per call; to solve for many lambdas over one
+    design matrix, :func:`rls_sweep` reduces the Gram matrix once instead.
     """
     gram = np.array(gram, dtype=np.float64)
     cross = np.asarray(cross, dtype=np.float64)
-    if lam < 0:
-        raise InvalidParameterError(f"lambda must be >= 0, got {lam}")
+    check_lambda(lam)
     if lam > 0:
         gram[np.diag_indices_from(gram)] += lam
     try:
@@ -123,6 +139,83 @@ def rls_from_gram(gram, cross, lam: float) -> ClassifierMatrix:
             "normal equations are singular at lambda=0; use lambda > 0"
         ) from exc
     return ClassifierMatrix(weights=w.T, kind="rls")
+
+
+def rls_sweep(H, Y, lams) -> list[ClassifierMatrix]:
+    """The :func:`train_rls` solution for every lambda of ``lams``, in order.
+
+    The smaller Gram matrix -- H^T H, or H H^T when there are fewer rows
+    than columns and every lambda is positive, the choice ``train_rls``
+    makes -- is reduced once to Q T Q^T, T tridiagonal, by Householder
+    reflections (LAPACK dsytrd).  Each lambda then costs one linear-time
+    solve of (T + lam I) X = Q^T B (dptsv), and Q is applied to all the
+    solutions at once.  The weights agree with ``train_rls`` to rounding,
+    not bit for bit.
+    """
+    H, Y = _design(H, Y)
+    lams = list(lams)
+    if not lams:
+        raise InvalidParameterError("need at least one lambda")
+    for lam in lams:
+        check_lambda(lam)
+    m, d = H.shape
+    dual = m < d and min(lams) > 0
+    gram, rhs = (H @ H.T, Y) if dual else (H.T @ H, H.T @ Y)
+    n = gram.shape[0]
+    # The Gram matrix is symmetric, so its transpose is the Fortran-ordered
+    # copy LAPACK wants; the reduction may overwrite it.
+    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    reduced, diag, off, tau, info = lapack.dsytrd(
+        gram.T, lower=1, lwork=int(lwork), overwrite_a=1
+    )
+    _check_info("dsytrd", info)
+    rhs = _reflect(reduced, tau, rhs, "T")
+    solutions = np.hstack([_solve_tridiagonal(diag + lam, off, rhs, lam) for lam in lams])
+    solutions = _reflect(reduced, tau, solutions, "N")
+    if dual:
+        solutions = H.T @ solutions
+    return [
+        ClassifierMatrix(weights=w.T, kind="rls")
+        for w in np.split(solutions, len(lams), axis=1)
+    ]
+
+
+def _reflect(reduced, tau, B, trans: str) -> NDArray[np.float64]:
+    """Q B (``trans`` "N") or Q^T B ("T") for the Q of a lower dsytrd reduction.
+
+    Q = diag(1, Q') where Q' is stored like a QR factor in reduced[1:, :-1]
+    (the layout dormtr passes on to dormqr), so row 0 of B is left as it is.
+    """
+    out = np.array(B, dtype=np.float64, order="F")
+    if tau.size:
+        factor = reduced[1:, :-1]
+        _, work, info = lapack.dormqr("L", trans, factor, tau, out[1:], lwork=-1)
+        _check_info("dormqr", info)
+        out[1:], _, info = lapack.dormqr("L", trans, factor, tau, out[1:], lwork=int(work[0]))
+        _check_info("dormqr", info)
+    return out
+
+
+def _solve_tridiagonal(diag, off, rhs, lam: float) -> NDArray[np.float64]:
+    """X with T X = rhs for the symmetric positive-definite tridiagonal (diag, off)."""
+    if diag.size > 1:
+        _, _, x, info = lapack.dptsv(diag, off, rhs)
+    elif diag[0] > 0:
+        # dptsv rejects an empty off-diagonal; a 1 x 1 system is one division.
+        x, info = rhs / diag[0], 0
+    else:
+        x, info = None, 1
+    if info > 0:
+        raise SingularSystemError(
+            f"normal equations are singular at lambda={lam}; use lambda > 0"
+        )
+    _check_info("dptsv", info)
+    return x
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise RuntimeError(f"LAPACK {routine} rejected argument {-info}")
 
 
 def finalize_centroids(class_sums, class_counts) -> ClassifierMatrix:

@@ -21,7 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import evaluate, rls_from_gram, train_rls, one_hot
+# rls_from_gram and train_rls are not called here, but perfbench/tracer.py
+# wraps both names in this module, so they must stay importable from it.
+from .classifiers import check_lambda, evaluate, one_hot, rls_from_gram, rls_sweep, train_rls
 from .data import (
     Dataset,
     SplitSpec,
@@ -241,8 +243,15 @@ def grid_search(
     other; returns the (dim, lambda, kappa) with the best validation
     accuracy, ties resolved toward smaller dim, then lambda, then kappa.
     The selected triple is meant to be reused for both classifier kinds
-    and every version.
+    and every version.  Each (dim, kappa) pair solves for every lambda at
+    once with :func:`rls_sweep`.
     """
+    for axis, values in (("dim", grid.dim_values), ("lambda", grid.lambda_values),
+                         ("kappa", grid.kappa_values)):
+        if not values:
+            raise InvalidParameterError(f"the grid's {axis} axis is empty")
+    for lam in grid.lambda_values:
+        check_lambda(lam)
     for kappa in grid.kappa_values:
         check_kappa(kappa)
     spec = SplitSpec(
@@ -254,6 +263,7 @@ def grid_search(
     X_train, y_train = ds.samples[train_idx], ds.labels[train_idx]
     X_val, y_val = ds.samples[val_idx], ds.labels[val_idx]
     Y_train = one_hot(y_train, ds.n_classes)
+    lams = sorted(grid.lambda_values)
 
     best_acc = -1.0
     best: tuple[int, float, int] | None = None
@@ -262,18 +272,9 @@ def grid_search(
         sums_train = encode_batch_sums(X_train, proj)
         sums_val = encode_batch_sums(X_val, proj)
         for kappa in sorted(grid.kappa_values):
-            H = clip(sums_train, kappa)
             H_val = clip(sums_val, kappa)
-            use_gram = H.shape[0] >= dim
-            if use_gram:
-                Hf = H.astype(np.float64)
-                gram = Hf.T @ Hf
-                cross = Hf.T @ Y_train
-            for lam in sorted(grid.lambda_values):
-                if use_gram:
-                    model = rls_from_gram(gram, cross, lam)
-                else:
-                    model = train_rls(H, Y_train, lam)
+            models = rls_sweep(clip(sums_train, kappa), Y_train, lams)
+            for lam, model in zip(lams, models):
                 acc = evaluate(model, H_val, y_val)
                 triple = (dim, float(lam), int(kappa))
                 if acc > best_acc or (acc == best_acc and best is not None and triple < best):

@@ -1,7 +1,11 @@
 """Output-layer training: least squares against an elimination oracle, centroids, prediction."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvnet.classifiers import (
     PREDICT_BLOCK,
@@ -11,6 +15,7 @@ from hvnet.classifiers import (
     predict,
     predict_batch,
     rls_from_gram,
+    rls_sweep,
     train_centroids,
     train_rls,
 )
@@ -20,7 +25,8 @@ from hvnet.errors import (
     InvalidParameterError,
     SingularSystemError,
 )
-from hvnet.hdc import SeedSpec
+from hvnet.harness import DEFAULT_LAMBDA_GRID
+from hvnet.hdc import SeedSpec, clip
 
 
 def gauss_solve(A, B):
@@ -151,6 +157,80 @@ def test_rls_shrinks_with_lambda():
         for lam in (0.01, 0.1, 1.0, 10.0)
     ]
     assert all(a >= b for a, b in zip(norms, norms[1:]))
+
+
+@pytest.mark.parametrize("fit", [
+    lambda lam: train_rls(np.eye(2), np.eye(2), lam),
+    lambda lam: rls_from_gram(np.eye(2), np.eye(2), lam),
+    lambda lam: rls_sweep(np.eye(2), np.eye(2), [1.0, lam]),
+], ids=["train_rls", "rls_from_gram", "rls_sweep"])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -0.1, True, "1"])
+def test_ridge_fits_reject_invalid_lambda(fit, lam):
+    # NaN fails both lam < 0 and lam > 0, so without the check it would be
+    # solved as lambda = 0.
+    with pytest.raises(InvalidParameterError, match="lambda"):
+        fit(lam)
+
+
+def test_rls_sweep_rejects_empty_lambdas():
+    with pytest.raises(InvalidParameterError, match="lambda"):
+        rls_sweep(np.eye(2), np.eye(2), [])
+
+
+def assert_sweep_matches_train_rls(H, Y, lams):
+    models = rls_sweep(H, Y, lams)
+    assert len(models) == len(lams)
+    for lam, model in zip(lams, models):
+        ref = train_rls(H, Y, lam).weights
+        assert model.kind == "rls" and model.weights.shape == ref.shape
+        assert np.abs(model.weights - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kappa", [1, 7, 15])
+@pytest.mark.parametrize("rows, dim", [(120, 40), (40, 120), (60, 60)],
+                         ids=["primal", "dual", "square"])
+def test_rls_sweep_matches_train_rls(rows, dim, kappa):
+    rng = SeedSpec(25).rng()
+    H = clip(rng.integers(-20, 21, size=(rows, dim)), kappa)
+    assert H.dtype == np.int8
+    Y = one_hot(rng.integers(1, 4, size=rows), 3)
+    assert_sweep_matches_train_rls(H, Y, DEFAULT_LAMBDA_GRID)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    rows=st.integers(1, 10), dim=st.integers(1, 10), n_classes=st.integers(2, 4),
+    kappa=st.sampled_from([1, 7, 15]), seed=st.integers(0, 2**32 - 1),
+    lams=st.lists(st.sampled_from(DEFAULT_LAMBDA_GRID), min_size=1, max_size=5),
+)
+def test_rls_sweep_matches_train_rls_on_small_shapes(rows, dim, n_classes, kappa, seed, lams):
+    rng = np.random.default_rng(seed)
+    H = rng.integers(-kappa, kappa + 1, size=(rows, dim)).astype(np.int8)
+    Y = one_hot(rng.integers(1, n_classes + 1, size=rows), n_classes)
+    assert_sweep_matches_train_rls(H, Y, lams)
+
+
+@pytest.mark.parametrize("rows, dim", [(5, 1), (1, 6), (1, 1)], ids=["dim1", "one-row-dual", "1x1"])
+def test_rls_sweep_on_a_one_by_one_gram(rows, dim):
+    rng = SeedSpec(26).rng()
+    H = rng.integers(-7, 8, size=(rows, dim))
+    H[0, 0] = 3  # never all zero
+    Y = one_hot(np.arange(rows) % 2 + 1, 2)
+    assert_sweep_matches_train_rls(H, Y, [2.0**-10, 1.0, 32.0])
+
+
+def test_rls_sweep_at_lambda_zero_matches_train_rls():
+    rng = SeedSpec(27).rng()
+    H = rng.standard_normal((30, 6))
+    Y = one_hot(rng.integers(1, 3, size=30), 2)
+    assert_sweep_matches_train_rls(H, Y, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("rows, dim", [(4, 3), (4, 1)])
+def test_rls_sweep_singular_without_ridge(rows, dim):
+    # A zero lambda keeps the primal Gram matrix, here all zero.
+    with pytest.raises(SingularSystemError, match="lambda"):
+        rls_sweep(np.zeros((rows, dim)), one_hot([1, 2, 1, 2], 2), [1.0, 0.0])
 
 
 # ---------------------------------------------------------------- centroids

@@ -84,6 +84,16 @@ def test_grid_rejects_invalid_kappa(runner):
     assert "kappa must be an integer >= 1, got 0" in result.output
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_grid_rejects_non_finite_lambda(runner, lam):
+    # NaN would otherwise be solved as lambda = 0 and printed as invalid JSON.
+    result = runner.invoke(main, [
+        "grid", "--dataset", SYNTH, "--dim", "20", "--lambda", lam, "--kappa", "3",
+    ])
+    assert result.exit_code == 1
+    assert f"lambda must be a finite number >= 0, got {lam}" in result.output
+
+
 def test_report_renders_table_and_scatter(runner, tmp_path):
     out = tmp_path / "records.jsonl"
     ran = runner.invoke(main, [

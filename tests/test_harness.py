@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hvnet.harness
-from hvnet.data import synth_blobs
+from hvnet.data import resolve_dataset, synth_blobs
 from hvnet.errors import (
     InvalidParameterError,
     PairingError,
@@ -106,6 +106,24 @@ def test_grid_search_tie_prefers_smaller():
     assert grid_search(ds, grid, SeedSpec(3)) == (40, 1.0, 3)
 
 
+# Triples selected by the per-lambda Cholesky search that preceded the
+# one-tridiagonalisation sweep; the sweep must pick the same ones.  The primal
+# grid trains on 200 rows (dims below that), the dual one on 60 (dims above).
+PINNED_GRID_TRIPLES = [
+    ("synth:classes=3,features=6,samples=400,sep=1.0,seed=3", (30, 60),
+     [(60, 32.0, 7), (60, 32.0, 7), (30, 4.0, 3), (30, 2.0**-10, 7)]),
+    ("synth:classes=3,features=6,samples=120,sep=1.0,seed=4", (80, 160),
+     [(80, 0.25, 7), (80, 8.0, 1), (80, 2.0, 1), (80, 32.0, 1)]),
+]
+
+
+@pytest.mark.parametrize("dataset, dims, triples", PINNED_GRID_TRIPLES, ids=["primal", "dual"])
+def test_grid_search_selects_pinned_triples(dataset, dims, triples):
+    ds = resolve_dataset(dataset)
+    grid = GridSpec(dim_values=dims, kappa_values=(1, 3, 7))
+    assert [grid_search(ds, grid, SeedSpec(s)) for s in range(4)] == triples
+
+
 @pytest.mark.parametrize("kappa", [0, -2, 1.5])
 def test_grid_search_rejects_invalid_kappa(kappa, monkeypatch):
     # Every grid kappa is checked before anything is encoded.
@@ -116,6 +134,26 @@ def test_grid_search_rejects_invalid_kappa(kappa, monkeypatch):
     with pytest.raises(InvalidParameterError, match="kappa"):
         grid_search(ds, grid, SeedSpec(1))
     assert encoded == []
+
+
+@pytest.mark.parametrize("axes, message", [
+    ({"lambda_values": (0.5, float("nan"))}, "lambda must be"),
+    ({"lambda_values": (float("inf"),)}, "lambda must be"),
+    ({"lambda_values": (-1.0, 0.5)}, "lambda must be"),
+    ({"dim_values": ()}, "dim axis is empty"),
+    ({"lambda_values": ()}, "lambda axis is empty"),
+    ({"kappa_values": ()}, "kappa axis is empty"),
+])
+def test_grid_search_rejects_invalid_lambda_or_empty_axis(axes, message, monkeypatch):
+    # Checked before the data are split or encoded.
+    called = []
+    monkeypatch.setattr(hvnet.harness, "split", lambda *a: called.append(a))
+    monkeypatch.setattr(hvnet.harness, "encode_batch_sums", lambda *a: called.append(a))
+    ds = synth_blobs(2, 4, 120, 3.0, SeedSpec(0))
+    grid = GridSpec(**{"dim_values": (40,), "lambda_values": (0.5,), "kappa_values": (3,), **axes})
+    with pytest.raises(InvalidParameterError, match=message):
+        grid_search(ds, grid, SeedSpec(1))
+    assert called == []
 
 
 # ---------------------------------------------------------------- pearson
