@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 from scipy import linalg as sla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import DimensionError, EmptyClassWarning, InvalidParameterError, SingularSystemError
 
@@ -23,6 +23,7 @@ __all__ = [
     "ClassifierMatrix",
     "check_lambda",
     "evaluate",
+    "evaluate_many",
     "finalize_centroids",
     "one_hot",
     "predict",
@@ -151,6 +152,12 @@ def rls_sweep(H, Y, lams) -> list[ClassifierMatrix]:
     solve of (T + lam I) X = Q^T B (dptsv), and Q is applied to all the
     solutions at once.  The weights agree with ``train_rls`` to rounding,
     not bit for bit.
+
+    Every BLAS and LAPACK call here goes to scipy's BLAS.  numpy and scipy
+    each bundle an OpenBLAS with its own thread pool, and a pool that has
+    just finished keeps spinning on the cores the other one then needs.
+    With integer activations every Gram and cross-product entry is an
+    integer below 2**53, so these products are exact in any BLAS.
     """
     H, Y = _design(H, Y)
     lams = list(lams)
@@ -160,24 +167,25 @@ def rls_sweep(H, Y, lams) -> list[ClassifierMatrix]:
         check_lambda(lam)
     m, d = H.shape
     dual = m < d and min(lams) > 0
-    gram, rhs = (H @ H.T, Y) if dual else (H.T @ H, H.T @ Y)
-    n = gram.shape[0]
-    # The Gram matrix is symmetric, so its transpose is the Fortran-ordered
-    # copy LAPACK wants; the reduction may overwrite it.
-    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    # H.T is the Fortran-ordered view BLAS takes without a copy.  dsyrk fills
+    # only the lower triangle of the Gram matrix, which is all dsytrd reads.
+    gram = blas.dsyrk(1.0, H.T, trans=1 if dual else 0, lower=1)
+    rhs = Y if dual else blas.dgemm(1.0, H.T, Y)
+    lwork, _ = lapack.dsytrd_lwork(gram.shape[0], lower=1)
     reduced, diag, off, tau, info = lapack.dsytrd(
-        gram.T, lower=1, lwork=int(lwork), overwrite_a=1
+        gram, lower=1, lwork=int(lwork), overwrite_a=1
     )
     _check_info("dsytrd", info)
     rhs = _reflect(reduced, tau, rhs, "T")
     solutions = np.hstack([_solve_tridiagonal(diag + lam, off, rhs, lam) for lam in lams])
     solutions = _reflect(reduced, tau, solutions, "N")
     if dual:
-        solutions = H.T @ solutions
-    return [
-        ClassifierMatrix(weights=w.T, kind="rls")
-        for w in np.split(solutions, len(lams), axis=1)
-    ]
+        # (H^T S)^T = S^T H, the product numpy's row-major H.T @ S hands to
+        # its BLAS; in this form scipy's dgemm gives the same bits.
+        weights = blas.dgemm(1.0, solutions, H.T, trans_a=1, trans_b=1)
+    else:
+        weights = solutions.T
+    return [ClassifierMatrix(weights=w, kind="rls") for w in np.split(weights, len(lams))]
 
 
 def _reflect(reduced, tau, B, trans: str) -> NDArray[np.float64]:
@@ -283,12 +291,48 @@ def predict_batch(w: ClassifierMatrix, H) -> NDArray[np.int64]:
     return out + 1
 
 
-def evaluate(w: ClassifierMatrix, H, labels) -> float:
-    """Fraction of rows whose winner-takes-all prediction matches the label."""
+def _test_set(H, labels) -> tuple[np.ndarray, NDArray[np.int64]]:
+    """Activations and labels of a non-empty test set with matching row counts."""
     labels = np.asarray(labels, dtype=np.int64)
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] < 1:
         raise InvalidParameterError("test set must be non-empty")
     if labels.shape[0] != H.shape[0]:
         raise DimensionError("labels and activation rows must match")
+    return H, labels
+
+
+def evaluate(w: ClassifierMatrix, H, labels) -> float:
+    """Fraction of rows whose winner-takes-all prediction matches the label."""
+    H, labels = _test_set(H, labels)
     return float(np.mean(predict_batch(w, H) == labels))
+
+
+def evaluate_many(models, H, labels) -> list[float]:
+    """``[evaluate(w, H, labels) for w in models]`` for models of one shape.
+
+    Each PREDICT_BLOCK-row block is cast to float64 once and scored against
+    all the models' weights, stacked, in one dgemm of scipy's BLAS: the
+    library :func:`rls_sweep` solves in, so a grid step stays in one BLAS
+    thread pool.  Ties go to the lowest class and matches are counted
+    exactly, as in :func:`evaluate`.
+    """
+    models = list(models)
+    if not models:
+        raise InvalidParameterError("need at least one model")
+    n_classes, dim = models[0].weights.shape
+    if any(w.weights.shape != (n_classes, dim) for w in models):
+        raise DimensionError("models must share one weights shape")
+    H, labels = _test_set(H, labels)
+    if H.shape[1] != dim:
+        raise DimensionError(f"activations shape {H.shape} does not match dim {dim}")
+    # stacked.T is the Fortran-ordered view dgemm takes without a copy.
+    stacked = np.concatenate([w.weights for w in models]).astype(np.float64, copy=False)
+    correct = np.zeros(len(models), dtype=np.int64)
+    for start in range(0, H.shape[0], PREDICT_BLOCK):
+        block = np.asarray(H[start:start + PREDICT_BLOCK], dtype=np.float64)
+        # (stacked @ block.T).T: one row of (model, class) scores per sample.
+        scores = blas.dgemm(1.0, stacked.T, block.T, trans_a=1).T
+        winners = np.argmax(scores.reshape(len(block), len(models), n_classes), axis=2) + 1
+        correct += np.count_nonzero(winners == labels[start:start + len(block), None], axis=0)
+    return [float(c / H.shape[0]) for c in correct]

@@ -21,9 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-# rls_from_gram and train_rls are not called here, but perfbench/tracer.py
-# wraps both names in this module, so they must stay importable from it.
-from .classifiers import check_lambda, evaluate, one_hot, rls_from_gram, rls_sweep, train_rls
+# evaluate, rls_from_gram and train_rls are not called here, but
+# perfbench/tracer.py wraps these names in this module, so they must stay
+# importable from it.
+from .classifiers import (
+    check_lambda, evaluate, evaluate_many, one_hot, rls_from_gram, rls_sweep, train_rls,
+)
 from .data import (
     Dataset,
     SplitSpec,
@@ -41,7 +44,7 @@ from .errors import (
     SuiteError,
     UndefinedCorrelationError,
 )
-from .hdc import SeedSpec, check_kappa, clip
+from .hdc import SeedSpec, check_count, check_kappa, clip
 from .network import VERSION_KINDS, ExperimentVersion, ModelParams, SharedPass, run_version
 
 __all__ = [
@@ -95,8 +98,9 @@ class GridSpec:
 class ExperimentConfig:
     """One experiment suite: a dataset, model versions, agent counts, hyperparameters.
 
-    Fixed hyperparameters must lie inside the default search ranges unless
-    ``allow_off_grid`` is set.
+    Fixed hyperparameters must be valid (lambda finite and >= 0; kappa,
+    dim, n_seeds and every agent count integers >= 1) and, unless
+    ``allow_off_grid`` is set, lie inside the default search ranges.
     """
 
     dataset: str
@@ -116,6 +120,13 @@ class ExperimentConfig:
     allow_off_grid: bool = False
 
     def __post_init__(self):
+        check_lambda(self.lam)
+        for name in ("kappa", "dim", "n_seeds"):
+            check_count(name, getattr(self, name))
+        if not self.agent_counts:
+            raise InvalidParameterError("agent_counts must hold at least one agent count")
+        for n_agents in self.agent_counts:
+            check_count("agent count", n_agents)
         if self.allow_off_grid:
             return
         for name, value in (("dim", self.dim), ("lam", self.lam), ("kappa", self.kappa)):
@@ -244,7 +255,8 @@ def grid_search(
     accuracy, ties resolved toward smaller dim, then lambda, then kappa.
     The selected triple is meant to be reused for both classifier kinds
     and every version.  Each (dim, kappa) pair solves for every lambda at
-    once with :func:`rls_sweep`.
+    once with :func:`rls_sweep` and scores them all with
+    :func:`evaluate_many`.
     """
     for axis, values in (("dim", grid.dim_values), ("lambda", grid.lambda_values),
                          ("kappa", grid.kappa_values)):
@@ -272,10 +284,8 @@ def grid_search(
         sums_train = encode_batch_sums(X_train, proj)
         sums_val = encode_batch_sums(X_val, proj)
         for kappa in sorted(grid.kappa_values):
-            H_val = clip(sums_val, kappa)
             models = rls_sweep(clip(sums_train, kappa), Y_train, lams)
-            for lam, model in zip(lams, models):
-                acc = evaluate(model, H_val, y_val)
+            for lam, acc in zip(lams, evaluate_many(models, clip(sums_val, kappa), y_val)):
                 triple = (dim, float(lam), int(kappa))
                 if acc > best_acc or (acc == best_acc and best is not None and triple < best):
                     best_acc = acc

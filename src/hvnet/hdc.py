@@ -25,6 +25,7 @@ from .errors import (
 __all__ = [
     "SeedSpec",
     "bind_elementwise",
+    "check_count",
     "check_kappa",
     "circ_convolve",
     "clip",
@@ -94,10 +95,15 @@ def _check_same_length(x: np.ndarray, y: np.ndarray) -> None:
         raise DimensionError(f"length mismatch: {x.shape[-1]} vs {y.shape[-1]}")
 
 
+def check_count(name: str, value) -> None:
+    """Raise unless ``value`` is an integer >= 1."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def check_kappa(kappa) -> None:
     """Raise unless ``kappa`` is a clipping threshold: an integer >= 1."""
-    if not isinstance(kappa, (int, np.integer)) or isinstance(kappa, bool) or kappa < 1:
-        raise InvalidParameterError(f"kappa must be an integer >= 1, got {kappa!r}")
+    check_count("kappa", kappa)
 
 
 def clip(v, kappa: int) -> np.ndarray:

@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from hvnet.classifiers import (
     PREDICT_BLOCK,
+    ClassifierMatrix,
+    _reflect,
+    _solve_tridiagonal,
     evaluate,
+    evaluate_many,
     finalize_centroids,
     one_hot,
     predict,
@@ -233,6 +238,35 @@ def test_rls_sweep_singular_without_ridge(rows, dim):
         rls_sweep(np.zeros((rows, dim)), one_hot([1, 2, 1, 2], 2), [1.0, 0.0])
 
 
+def numpy_gram_sweep(H, Y, lams):
+    """rls_sweep's weights with the Gram and cross products taken in numpy."""
+    H = np.asarray(H, dtype=np.float64)
+    dual = H.shape[0] < H.shape[1] and min(lams) > 0
+    gram, rhs = (H @ H.T, Y) if dual else (H.T @ H, H.T @ Y)
+    lwork, _ = lapack.dsytrd_lwork(gram.shape[0], lower=1)
+    reduced, diag, off, tau, info = lapack.dsytrd(gram.T, lower=1, lwork=int(lwork))
+    assert info == 0
+    rhs = _reflect(reduced, tau, rhs, "T")
+    solutions = np.hstack([_solve_tridiagonal(diag + lam, off, rhs, lam) for lam in lams])
+    solutions = _reflect(reduced, tau, solutions, "N")
+    if dual:
+        solutions = H.T @ solutions
+    return [w.T for w in np.split(solutions, len(lams), axis=1)]
+
+
+@pytest.mark.parametrize("rows, dim", [(1500, 750), (500, 750)], ids=["primal", "dual"])
+def test_rls_sweep_equals_numpy_gram_path_bit_for_bit(rows, dim):
+    # Integer activations make every Gram and cross-product entry an exact
+    # integer, so moving those products to scipy's BLAS changes no bit; the
+    # dual's closing product is issued in the form numpy's H.T @ S takes.
+    rng = SeedSpec(28).rng()
+    H = clip(rng.integers(-40, 41, size=(rows, dim)), 15)
+    Y = one_hot(rng.integers(1, 4, size=rows), 3)
+    want = numpy_gram_sweep(H, Y, DEFAULT_LAMBDA_GRID)
+    got = rls_sweep(H, Y, DEFAULT_LAMBDA_GRID)
+    assert all(np.array_equal(m.weights, w) for m, w in zip(got, want, strict=True))
+
+
 # ---------------------------------------------------------------- centroids
 
 
@@ -389,3 +423,35 @@ def test_int8_activations_train_and_predict_like_int64(dim):
     assert np.array_equal(r8.weights, r64.weights)
     for model in (c64, r64):
         assert np.array_equal(predict_batch(model, H8), predict_batch(model, H64))
+
+
+def test_evaluate_many_breaks_ties_like_evaluate():
+    # Zero and repeated weight rows tie exactly on every sample, and all-zero
+    # activations tie under every model; the row count is not a multiple of
+    # PREDICT_BLOCK.
+    rng = SeedSpec(31).rng()
+    base = rng.standard_normal((3, 9))
+    models = [
+        ClassifierMatrix(weights=np.zeros((3, 9)), kind="rls"),
+        ClassifierMatrix(weights=base[[0, 0, 1]], kind="rls"),
+        ClassifierMatrix(weights=base[[1, 2, 2]], kind="rls"),
+        ClassifierMatrix(weights=base, kind="rls"),
+    ]
+    H = rng.integers(-7, 8, size=(2 * PREDICT_BLOCK + 7, 9)).astype(np.int8)
+    H[[0, PREDICT_BLOCK - 1, PREDICT_BLOCK, -1]] = 0
+    labels = rng.integers(1, 4, size=H.shape[0])
+    got = evaluate_many(models, H, labels)
+    assert got == [evaluate(m, H, labels) for m in models]
+    assert got[0] == np.mean(labels == 1)
+
+
+@pytest.mark.parametrize("models, H, labels, error", [
+    ([], np.zeros((2, 2)), [1, 2], InvalidParameterError),
+    ([np.eye(2), np.eye(3)[:2]], np.zeros((2, 2)), [1, 2], DimensionError),
+    ([np.eye(2)], np.zeros((2, 3)), [1, 2], DimensionError),
+    ([np.eye(2)], np.zeros((2, 2)), [1], DimensionError),
+    ([np.eye(2)], np.zeros((0, 2)), [], InvalidParameterError),
+], ids=["no-models", "two-shapes", "dim", "label-count", "empty-test-set"])
+def test_evaluate_many_rejects_mismatched_inputs(models, H, labels, error):
+    with pytest.raises(error):
+        evaluate_many([ClassifierMatrix(weights=w, kind="rls") for w in models], H, labels)

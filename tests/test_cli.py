@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import hvnet.network
 from hvnet.cli import main
 from hvnet.harness import records_from_jsonl
 
@@ -62,6 +63,24 @@ def test_run_unknown_dataset_fails_cleanly(runner):
     result = runner.invoke(main, ["run", "--dataset", "nope", "--version", "local"])
     assert result.exit_code != 0
     assert "nope" in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--seeds", "0"], "n_seeds must be an integer >= 1, got 0"),
+    (["--agents", "4", "--agents", "0"], "agent count must be an integer >= 1, got 0"),
+    (["--lambda", "nan"], "lambda must be a finite number >= 0, got nan"),
+    (["--lambda", "nan", "--allow-off-grid"], "lambda must be a finite number >= 0, got nan"),
+    (["--kappa", "0", "--allow-off-grid"], "kappa must be an integer >= 1, got 0"),
+    (["--dim", "0", "--allow-off-grid"], "dim must be an integer >= 1, got 0"),
+], ids=["seeds", "agents", "lambda", "lambda-off-grid", "kappa-off-grid", "dim-off-grid"])
+def test_run_rejects_invalid_config_before_encoding(runner, monkeypatch, args, message):
+    encoded = []
+    monkeypatch.setattr(hvnet.network, "encode_batch", lambda *a: encoded.append(a))
+    result = runner.invoke(main, ["run", "--dataset", SYNTH, "--version", "local", *args])
+    assert result.exit_code == 1
+    assert message in result.output
+    assert "allow_off_grid" not in result.output and "suite aborted" not in result.output
+    assert encoded == []
 
 
 def test_grid_restricted_search(runner, tmp_path):

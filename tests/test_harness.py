@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hvnet.harness
+from hvnet.classifiers import evaluate, evaluate_many
 from hvnet.data import resolve_dataset, synth_blobs
 from hvnet.errors import (
     InvalidParameterError,
@@ -93,6 +94,24 @@ def test_config_rejects_off_grid_hyperparameters():
     assert cfg.dim == 20
 
 
+@pytest.mark.parametrize("allow_off_grid", [False, True])
+@pytest.mark.parametrize("overrides, message", [
+    ({"lam": float("nan")}, "lambda must be a finite number >= 0, got nan"),
+    ({"lam": -1.0}, "lambda must be a finite number >= 0"),
+    ({"kappa": 0}, "kappa must be an integer >= 1, got 0"),
+    ({"kappa": 2.5}, "kappa must be an integer >= 1"),
+    ({"dim": 0}, "dim must be an integer >= 1, got 0"),
+    ({"dim": 60.0}, "dim must be an integer >= 1"),
+    ({"n_seeds": 0}, "n_seeds must be an integer >= 1, got 0"),
+    ({"agent_counts": ()}, "agent_counts must hold at least one"),
+    ({"agent_counts": (4, 0)}, "agent count must be an integer >= 1, got 0"),
+], ids=["lam-nan", "lam-negative", "kappa-zero", "kappa-float", "dim-zero", "dim-float",
+        "no-seeds", "no-agent-counts", "agent-count-zero"])
+def test_config_rejects_invalid_values_before_the_range_test(overrides, message, allow_off_grid):
+    with pytest.raises(InvalidParameterError, match=message):
+        small_config(allow_off_grid=allow_off_grid, **overrides)
+
+
 def test_grid_search_single_triple():
     ds = synth_blobs(2, 4, 120, 3.0, SeedSpec(0))
     grid = GridSpec(dim_values=(40,), lambda_values=(0.5,), kappa_values=(3,))
@@ -122,6 +141,23 @@ def test_grid_search_selects_pinned_triples(dataset, dims, triples):
     ds = resolve_dataset(dataset)
     grid = GridSpec(dim_values=dims, kappa_values=(1, 3, 7))
     assert [grid_search(ds, grid, SeedSpec(s)) for s in range(4)] == triples
+
+
+@pytest.mark.parametrize("dataset, dims, triples", PINNED_GRID_TRIPLES, ids=["primal", "dual"])
+def test_grid_scoring_equals_per_model_evaluate(dataset, dims, triples, monkeypatch):
+    scored = []
+
+    def checked(models, H, labels):
+        got = evaluate_many(models, H, labels)
+        assert got == [evaluate(m, H, labels) for m in models]
+        scored.append(len(models))
+        return got
+
+    monkeypatch.setattr(hvnet.harness, "evaluate_many", checked)
+    ds = resolve_dataset(dataset)
+    grid = GridSpec(dim_values=dims, kappa_values=(1, 3, 7))
+    assert [grid_search(ds, grid, SeedSpec(s)) for s in range(4)] == triples
+    assert scored == [len(DEFAULT_LAMBDA_GRID)] * (4 * len(dims) * 3)
 
 
 @pytest.mark.parametrize("kappa", [0, -2, 1.5])
