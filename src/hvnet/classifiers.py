@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 CLASSIFIER_KINDS = ("rls", "centroid")
-# Rows scored per matrix product in predict_batch.
+# Most rows scored per matrix product (see _winners).
 PREDICT_BLOCK = 128
 
 
@@ -57,8 +57,8 @@ class ClassifierMatrix:
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
             raise InvalidParameterError(f"kind must be one of {CLASSIFIER_KINDS}")
-        if self.weights.ndim != 2 or self.weights.shape[0] < 1:
-            raise DimensionError(f"weights must be 2-D, got shape {self.weights.shape}")
+        if self.weights.ndim != 2 or min(self.weights.shape) < 1:
+            raise DimensionError(f"weights must be 2-D, non-empty, got {self.weights.shape}")
 
     @property
     def n_classes(self) -> int:
@@ -276,63 +276,63 @@ def predict(w: ClassifierMatrix, h) -> int:
 
 
 def predict_batch(w: ClassifierMatrix, H) -> NDArray[np.int64]:
+    """Winner-takes-all class of every activation row; ties go to the lowest class index."""
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[1] != w.dim:
         raise DimensionError(f"activations shape {H.shape} does not match dim {w.dim}")
-    # Score PREDICT_BLOCK rows at a time: each block's float64 copy stays in
-    # cache, and with a few classes and up to about a thousand dims the
-    # product stays on the calling thread, so OpenBLAS does not wake its
-    # thread pool (which then busy-waits) for every shard.  argmax picks the
-    # first maximum, i.e. the lowest class index on ties.
-    out = np.empty(H.shape[0], dtype=np.int64)
-    for start in range(0, H.shape[0], PREDICT_BLOCK):
-        block = np.asarray(H[start:start + PREDICT_BLOCK], dtype=np.float64)
-        out[start:start + PREDICT_BLOCK] = np.argmax(block @ w.weights.T, axis=1)
-    return out + 1
+    return _winners([w], H)[0]
 
 
-def _test_set(H, labels) -> tuple[np.ndarray, NDArray[np.int64]]:
-    """Activations and labels of a non-empty test set with matching row counts."""
+def evaluate(w: ClassifierMatrix, H, labels) -> float:
+    """Fraction of rows whose winner-takes-all prediction matches the label."""
+    return evaluate_many([w], H, labels)[0]
+
+
+def evaluate_many(models, H, labels) -> list[float]:
+    """``[evaluate(w, H, labels) for w in models]`` for models of one shape, in one pass."""
+    models = list(models)
+    if not models:
+        raise InvalidParameterError("need at least one model")
+    shape = models[0].weights.shape
+    if any(w.weights.shape != shape for w in models):
+        raise DimensionError("models must share one weights shape")
     labels = np.asarray(labels, dtype=np.int64)
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] < 1:
         raise InvalidParameterError("test set must be non-empty")
     if labels.shape[0] != H.shape[0]:
         raise DimensionError("labels and activation rows must match")
-    return H, labels
-
-
-def evaluate(w: ClassifierMatrix, H, labels) -> float:
-    """Fraction of rows whose winner-takes-all prediction matches the label."""
-    H, labels = _test_set(H, labels)
-    return float(np.mean(predict_batch(w, H) == labels))
-
-
-def evaluate_many(models, H, labels) -> list[float]:
-    """``[evaluate(w, H, labels) for w in models]`` for models of one shape.
-
-    Each PREDICT_BLOCK-row block is cast to float64 once and scored against
-    all the models' weights, stacked, in one dgemm of scipy's BLAS: the
-    library :func:`rls_sweep` solves in, so a grid step stays in one BLAS
-    thread pool.  Ties go to the lowest class and matches are counted
-    exactly, as in :func:`evaluate`.
-    """
-    models = list(models)
-    if not models:
-        raise InvalidParameterError("need at least one model")
-    n_classes, dim = models[0].weights.shape
-    if any(w.weights.shape != (n_classes, dim) for w in models):
-        raise DimensionError("models must share one weights shape")
-    H, labels = _test_set(H, labels)
-    if H.shape[1] != dim:
-        raise DimensionError(f"activations shape {H.shape} does not match dim {dim}")
-    # stacked.T is the Fortran-ordered view dgemm takes without a copy.
-    stacked = np.concatenate([w.weights for w in models]).astype(np.float64, copy=False)
-    correct = np.zeros(len(models), dtype=np.int64)
-    for start in range(0, H.shape[0], PREDICT_BLOCK):
-        block = np.asarray(H[start:start + PREDICT_BLOCK], dtype=np.float64)
-        # (stacked @ block.T).T: one row of (model, class) scores per sample.
-        scores = blas.dgemm(1.0, stacked.T, block.T, trans_a=1).T
-        winners = np.argmax(scores.reshape(len(block), len(models), n_classes), axis=2) + 1
-        correct += np.count_nonzero(winners == labels[start:start + len(block), None], axis=0)
+    if H.shape[1] != shape[1]:
+        raise DimensionError(f"activations shape {H.shape} does not match dim {shape[1]}")
+    correct = np.count_nonzero(_winners(models, H) == labels, axis=1)
     return [float(c / H.shape[0]) for c in correct]
+
+
+def _winners(models, H) -> NDArray[np.int64]:
+    """1-based winner-takes-all classes, (n_models, n_rows), of models of one shape.
+
+    The one scoring loop.  Each block of rows is cast to float64 once and
+    scored against the models' stacked weights with scipy's dgemm, the BLAS
+    :func:`rls_sweep` uses, so a grid step stays in one thread pool.
+    OpenBLAS threads a product above 2**18 multiply-adds, and a threaded
+    product can round differently, so a prediction could depend on the
+    thread count.  A product therefore scores PREDICT_BLOCK rows (fewer for
+    a model wider than 2**18 / PREDICT_BLOCK weights) against as many whole
+    models as stay within 2**18.  argmax picks the first maximum, i.e. the
+    lowest class index on ties.
+    """
+    n_classes, dim = models[0].weights.shape
+    rows = min(PREDICT_BLOCK, max(1, 2**18 // (n_classes * dim)))
+    group = max(1, 2**18 // (rows * n_classes * dim))  # models per product
+    stacked = np.concatenate([w.weights for w in models]).astype(np.float64, copy=False)
+    out = np.empty((len(models), H.shape[0]), dtype=np.int64)
+    for start in range(0, H.shape[0], rows):
+        block = np.asarray(H[start:start + rows], dtype=np.float64)
+        for first in range(0, len(models), group):
+            # part.T is the Fortran-ordered view dgemm takes without a copy, and
+            # (part @ block.T).T has one row of (model, class) scores per sample.
+            part = stacked[first * n_classes:(first + group) * n_classes]
+            scores = blas.dgemm(1.0, part.T, block.T, trans_a=1).T
+            winners = np.argmax(scores.reshape(len(block), -1, n_classes), axis=2)
+            out[first:first + group, start:start + rows] = winners.T
+    return out + 1

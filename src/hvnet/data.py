@@ -173,35 +173,29 @@ def split(ds: Dataset, spec: SplitSpec):
         )
         stratified = False
     rng = spec.seed.child("split").rng()
+    # Each class is shuffled in turn; the unstratified split is one group of all rows.
+    groups = (
+        [np.flatnonzero(ds.labels == i) for i in range(1, ds.n_classes + 1)]
+        if stratified else [np.arange(ds.n_samples)]
+    )
+    groups = [idx[rng.permutation(idx.shape[0])] for idx in groups]
 
     if spec.mode == "holdout":
         train_parts, test_parts = [], []
-        if stratified:
-            for i in range(1, ds.n_classes + 1):
-                idx = np.flatnonzero(ds.labels == i)
-                idx = idx[rng.permutation(idx.shape[0])]
-                n_train = int(np.floor(spec.fraction * idx.shape[0] + 0.5))
-                n_train = min(max(n_train, 1), idx.shape[0] - 1)
-                train_parts.append(idx[:n_train])
-                test_parts.append(idx[n_train:])
-        else:
-            idx = rng.permutation(ds.n_samples)
-            n_train = int(np.floor(spec.fraction * ds.n_samples + 0.5))
-            n_train = min(max(n_train, 1), ds.n_samples - 1)
+        for idx in groups:
+            n_train = int(np.floor(spec.fraction * idx.shape[0] + 0.5))
+            n_train = min(max(n_train, 1), idx.shape[0] - 1)
             train_parts.append(idx[:n_train])
             test_parts.append(idx[n_train:])
         return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
 
     folds = [[] for _ in range(spec.k)]
     if stratified:
-        for i in range(1, ds.n_classes + 1):
-            idx = np.flatnonzero(ds.labels == i)
-            idx = idx[rng.permutation(idx.shape[0])]
+        for idx in groups:
             for pos, sample in enumerate(idx):
                 folds[pos % spec.k].append(sample)
     else:
-        idx = rng.permutation(ds.n_samples)
-        for f, part in enumerate(np.array_split(idx, spec.k)):
+        for f, part in enumerate(np.array_split(groups[0], spec.k)):
             folds[f].extend(part.tolist())
     return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
 

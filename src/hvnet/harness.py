@@ -38,6 +38,7 @@ from .data import (
 )
 from .encoding import encode_batch_sums, init_projection
 from .errors import (
+    InsufficientDataError,
     InvalidParameterError,
     PairingError,
     ParseError,
@@ -323,7 +324,6 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
                 (np.sort(np.concatenate(folds[:f] + folds[f + 1:])), folds[f])
                 for f in range(len(folds))
             ]
-    pieces = [(normalize(raw, train_idx), train_idx, test_idx) for train_idx, test_idx in pairs]
 
     # One (version, agent count) cell per record.  runs[c][i] holds cell c's
     # result for each fold of seed i; every cell of a (seed, fold) reuses
@@ -334,6 +334,15 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
         for version in config.versions
         for n_agents in ((1,) if version.kind == "centralized" else config.agent_counts)
     ]
+    # Reject an unshardable agent count before encoding; run_version rejects empty sets.
+    most_agents = max(n_agents for _, n_agents in cells)
+    fewest_rows = max(1, min(min(train.size, test.size) for train, test in pairs))
+    if most_agents > fewest_rows:
+        raise InsufficientDataError(
+            f"dataset {raw.name}: {most_agents} agents cannot each get a non-empty shard; "
+            f"the smallest train or test set of a fold has {fewest_rows} rows"
+        )
+    pieces = [(normalize(raw, train_idx), train_idx, test_idx) for train_idx, test_idx in pairs]
     by_agent_count = sorted(range(len(cells)), key=lambda c: cells[c][1])
     runs = [[[] for _ in range(config.n_seeds)] for _ in cells]
     elapsed = [0.0] * len(cells)

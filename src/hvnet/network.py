@@ -314,7 +314,7 @@ def run_version(
     all randomness (projection, shard partitions) derives from its seed.
     Local and distributed versions evaluate each agent on its own test
     shard unless ``eval_on_full_test`` is set; the centralized version
-    always uses the full test set.
+    always uses the full test set.  There, each distinct model is scored once.
     """
     if shared.train_idx.size < 1 or shared.test_idx.size < 1:
         raise InvalidParameterError("train and test index sets must be non-empty")
@@ -322,27 +322,23 @@ def run_version(
     y_test = shared.ds.labels[shared.test_idx]
 
     if version.kind == "centralized":
-        model = shared.fit(version.classifier_kind, np.arange(shared.train_idx.size))
-        acc = evaluate(model, H_test, y_test)
-        return RunResult(1, np.asarray([acc]), 0)
-
-    test_shards = shared.shards(n_agents)[1]
-    locals_ = shared.local_models(version.classifier_kind, n_agents)
-
-    if version.kind == "local":
-        models = locals_
-        payload_per = 0
+        models = [shared.fit(version.classifier_kind, np.arange(shared.train_idx.size))]
+        payload_per, eval_on_full_test = 0, True
     else:
-        net = network if network is not None else AgentNetwork.fully_connected(n_agents)
-        if net.n_agents != n_agents:
-            raise InvalidParameterError("network size must match n_agents")
-        models, payload_per = exchange_and_aggregate(net, locals_, version.compression)
+        models, payload_per = shared.local_models(version.classifier_kind, n_agents), 0
+        if version.kind == "distributed":
+            net = network if network is not None else AgentNetwork.fully_connected(n_agents)
+            if net.n_agents != n_agents:
+                raise InvalidParameterError("network size must match n_agents")
+            models, payload_per = exchange_and_aggregate(net, models, version.compression)
 
-    accs = []
-    for p in range(n_agents):
-        if eval_on_full_test:
-            accs.append(evaluate(models[p], H_test, y_test))
-        else:
-            rows = test_shards[p]
-            accs.append(evaluate(models[p], H_test[rows], y_test[rows]))
-    return RunResult(n_agents, np.asarray(accs), payload_per)
+    if eval_on_full_test:
+        distinct = {id(model): model for model in models}
+        accs = {key: evaluate(model, H_test, y_test) for key, model in distinct.items()}
+        per_agent = [accs[id(model)] for model in models]
+    else:
+        test_shards = shared.shards(n_agents)[1]
+        per_agent = [
+            evaluate(model, H_test[rows], y_test[rows]) for model, rows in zip(models, test_shards)
+        ]
+    return RunResult(len(models), np.asarray(per_agent), payload_per)

@@ -403,6 +403,43 @@ def test_predict_batch_across_row_blocks():
     assert got[PREDICT_BLOCK - 1] == got[PREDICT_BLOCK] == got[-1] == 1
 
 
+@pytest.mark.parametrize("n_models, dim", [(1, 30), (40, 30), (3, 600)])
+def test_every_scoring_wrapper_matches_the_reference(n_models, dim):
+    # Integer weights and activations make every score exact, so the repeated
+    # class row (classes 2 and 3) and the all-zero activation rows tie exactly,
+    # on both sides of each block boundary.  Forty 4 x 30 models take more
+    # than one product per block; a 4 x 600 model is wide enough that a block
+    # holds fewer than PREDICT_BLOCK rows.
+    rng = SeedSpec(32).rng()
+    block = min(PREDICT_BLOCK, 2**18 // (4 * dim))
+    assert (block < PREDICT_BLOCK) == (dim == 600)
+    models = [
+        ClassifierMatrix(
+            weights=rng.integers(-3, 4, size=(3, dim)).astype(np.float64)[[0, 1, 1, 2]],
+            kind="rls",
+        )
+        for _ in range(n_models)
+    ]
+    H = rng.integers(-7, 8, size=(2 * block + 7, dim)).astype(np.int8)
+    edges = [0, block - 1, block, 2 * block - 1, 2 * block, -1]
+    H[edges] = 0
+    labels = rng.integers(1, 5, size=H.shape[0])
+    expected = [np.argmax(H.astype(float) @ m.weights.T, axis=1) + 1 for m in models]
+    for model, want in zip(models, expected):
+        assert np.any(want == 2) and not np.any(want == 3) and np.all(want[edges] == 1)
+        got = predict_batch(model, H)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert evaluate(model, H, labels) == np.mean(want == labels)
+    assert evaluate_many(models, H, labels) == [np.mean(want == labels) for want in expected]
+
+
+def test_classifier_matrix_rejects_empty_weights():
+    for shape in [(0, 3), (3, 0), (3,)]:
+        with pytest.raises(DimensionError):
+            ClassifierMatrix(weights=np.zeros(shape), kind="rls")
+
+
 @pytest.mark.parametrize("dim", [12, 400])  # primal and dual ridge solves
 def test_int8_activations_train_and_predict_like_int64(dim):
     # 320 rows of +127 in class 1: summed in int8 (or int16) they would wrap.

@@ -1,6 +1,10 @@
 """Command-line interface behavior via the click test runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -81,6 +85,43 @@ def test_run_rejects_invalid_config_before_encoding(runner, monkeypatch, args, m
     assert message in result.output
     assert "allow_off_grid" not in result.output and "suite aborted" not in result.output
     assert encoded == []
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--agents", "1000"], "1000 agents cannot each get a non-empty shard; "
+     "the smallest train or test set of a fold has 80 rows"),
+    (["--agents", "10", "--agents", "50", "--kfold", "4"], "50 agents cannot each get a "
+     "non-empty shard; the smallest train or test set of a fold has 40 rows"),
+], ids=["holdout", "kfold"])
+def test_run_rejects_unshardable_agent_count_before_encoding(runner, monkeypatch, args, message):
+    def fail(*_):
+        raise AssertionError("encode_batch called")
+
+    monkeypatch.setattr(hvnet.network, "encode_batch", fail)
+    result = runner.invoke(main, ["run", "--dataset", SYNTH, "--version", "local", *args])
+    assert result.exit_code == 1
+    assert f"dataset synth-L2-K4-M160-s4: {message}" in result.output
+    assert "suite aborted" not in result.output
+
+
+def test_run_records_do_not_depend_on_blas_threads():
+    # Ten classes at dim 500 score 5,000 weights per row: a 128-row block
+    # would be above OpenBLAS's threading threshold, where one prediction of
+    # this run used to flip between one and two threads.
+    args = [
+        sys.executable, "-m", "hvnet.cli", "run",
+        "--dataset", "synth:classes=10,features=4,samples=4000,sep=3.0,seed=7",
+        "--version", "local", "--classifier", "centroid", "--agents", "100",
+        "--seeds", "2", "--seed", "2", "--full-test",
+    ]
+    src = str(Path(hvnet.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(args, env=env, capture_output=True, timeout=300, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_grid_restricted_search(runner, tmp_path):

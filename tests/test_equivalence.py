@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hvnet.network
-from hvnet.classifiers import ClassifierMatrix, finalize_centroids
+from hvnet.classifiers import ClassifierMatrix, evaluate, finalize_centroids
 from hvnet.compression import compress, decompress, generate_keys
 from hvnet.data import SplitSpec, split, synth_blobs
 from hvnet.errors import SuiteError
-from hvnet.harness import ExperimentConfig, run_suite
+from hvnet.harness import ExperimentConfig, run_suite, version_label
 from hvnet.hdc import SeedSpec
 from hvnet.network import (
     AgentNetwork,
@@ -198,6 +198,55 @@ def test_shared_pass_matches_standalone_runs(blobs, eval_on_full_test, topology)
                 assert np.array_equal(reused.per_agent_accuracy, alone.per_agent_accuracy)
                 assert reused.n_agents == alone.n_agents
                 assert reused.payload_values_per_producer == alone.payload_values_per_producer
+
+
+@pytest.mark.parametrize("eval_on_full_test", [False, True])
+@pytest.mark.parametrize("topology", ["full", "ring"])
+@pytest.mark.parametrize(
+    "version", ALL_VERSIONS, ids=lambda v: f"{version_label(v)}-{v.classifier_kind}"
+)
+def test_run_version_scores_like_a_per_agent_loop(blobs, version, topology, eval_on_full_test):
+    ds, train_idx, test_idx = blobs
+    n_agents = 5
+    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(32))
+    network = ring(n_agents) if topology == "ring" else AgentNetwork.fully_connected(n_agents)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = run_version(shared, version, n_agents, network, eval_on_full_test)
+        if version.kind == "centralized":
+            models, payload = [shared.fit(version.classifier_kind, np.arange(train_idx.size))], 0
+        else:
+            models, payload = shared.local_models(version.classifier_kind, n_agents), 0
+            if version.kind == "distributed":
+                models, payload = exchange_and_aggregate(network, models, version.compression)
+    H_test, y_test = shared.encoded()[1], ds.labels[test_idx]
+    if version.kind == "centralized" or eval_on_full_test:
+        rows = [np.arange(test_idx.size)] * len(models)
+    else:
+        rows = shared.shards(n_agents)[1]
+    want = [evaluate(models[p], H_test[rows[p]], y_test[rows[p]]) for p in range(len(models))]
+    assert got.n_agents == len(models)
+    assert np.array_equal(got.per_agent_accuracy, want)
+    assert got.payload_values_per_producer == payload
+
+
+@pytest.mark.parametrize("compression", [False, True])
+def test_full_test_scores_a_shared_aggregate_once(blobs, monkeypatch, compression):
+    ds, train_idx, test_idx = blobs
+    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(33))
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(hvnet.network, "evaluate", counting)
+    version = ExperimentVersion("distributed", compression=compression)
+    for n_agents in (1, 4, 9):
+        calls.clear()
+        result = run_version(shared, version, n_agents, eval_on_full_test=True)
+        assert len(calls) == 1
+        assert len(set(result.per_agent_accuracy)) == 1
 
 
 def test_shared_pass_fits_each_local_model_set_once(blobs):

@@ -319,12 +319,15 @@ def test_run_suite_runs_each_realization_once(monkeypatch, split_mode, n_folds):
 
 
 def test_run_suite_failure_identifies_seed():
-    # 4 agents cannot share 3 training samples: every seed fails immediately.
+    # At lambda = 0 a shard of one or two rows gives singular normal
+    # equations: every seed fails at its first fit.
     cfg = small_config(
         dataset="synth:classes=3,features=4,samples=7,sep=2.0,seed=2",
         versions=(ExperimentVersion("local"),),
-        agent_counts=(4,),
+        agent_counts=(2,),
+        lam=0.0,
         n_seeds=3,
+        allow_off_grid=True,
     )
     with pytest.raises(SuiteError, match="seed index 0"):
         run_suite(cfg)
