@@ -44,15 +44,14 @@ class ClassifierMatrix:
     """Trained output layer.
 
     ``weights`` is (n_classes, dim).  Centroid classifiers additionally
-    retain the unnormalized per-class activation sums and sample counts so
-    that distributed aggregation can reproduce centralized training
-    exactly; both are None for the least-squares kind.
+    retain the unnormalized per-class activation sums so that distributed
+    aggregation can reproduce centralized training exactly; they are None
+    for the least-squares kind.
     """
 
     weights: np.ndarray
     kind: str
     class_sums: np.ndarray | None = None
-    class_counts: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
@@ -112,12 +111,7 @@ def train_rls(H, Y, lam: float) -> ClassifierMatrix:
     check_lambda(lam)
     m, d = H.shape
     if lam > 0 and m < d:
-        gram = H @ H.T
-        gram[np.diag_indices_from(gram)] += lam
-        try:
-            w = H.T @ sla.cho_solve(sla.cho_factor(gram), Y)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError("dual normal equations are singular") from exc
+        w = H.T @ rls_from_gram(H @ H.T, Y, lam).weights.T
         return ClassifierMatrix(weights=w.T, kind="rls")
     return rls_from_gram(H.T @ H, H.T @ Y, lam)
 
@@ -125,6 +119,7 @@ def train_rls(H, Y, lam: float) -> ClassifierMatrix:
 def rls_from_gram(gram, cross, lam: float) -> ClassifierMatrix:
     """Ridge solution from precomputed H^T H and H^T Y (both left intact).
 
+    Also solves the dual system of :func:`train_rls`, given H H^T and Y.
     One Cholesky factorization per call; to solve for many lambdas over one
     design matrix, :func:`rls_sweep` reduces the Gram matrix once instead.
     """
@@ -137,7 +132,7 @@ def rls_from_gram(gram, cross, lam: float) -> ClassifierMatrix:
         w = sla.cho_solve(sla.cho_factor(gram), cross)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
-            "normal equations are singular at lambda=0; use lambda > 0"
+            f"normal equations are singular at lambda={lam}; use a larger lambda"
         ) from exc
     return ClassifierMatrix(weights=w.T, kind="rls")
 
@@ -215,7 +210,7 @@ def _solve_tridiagonal(diag, off, rhs, lam: float) -> NDArray[np.float64]:
         x, info = None, 1
     if info > 0:
         raise SingularSystemError(
-            f"normal equations are singular at lambda={lam}; use lambda > 0"
+            f"normal equations are singular at lambda={lam}; use a larger lambda"
         )
     _check_info("dptsv", info)
     return x
@@ -226,10 +221,9 @@ def _check_info(routine: str, info: int) -> None:
         raise RuntimeError(f"LAPACK {routine} rejected argument {-info}")
 
 
-def finalize_centroids(class_sums, class_counts) -> ClassifierMatrix:
+def finalize_centroids(class_sums) -> ClassifierMatrix:
     """Normalize per-class activation sums to unit rows; empty classes stay zero."""
     sums = np.asarray(class_sums)
-    counts = np.asarray(class_counts, dtype=np.int64)
     weights = sums.astype(np.float64)
     norms = np.linalg.norm(weights, axis=1)
     zero = norms == 0.0
@@ -241,9 +235,7 @@ def finalize_centroids(class_sums, class_counts) -> ClassifierMatrix:
             stacklevel=2,
         )
     weights[~zero] /= norms[~zero, None]
-    return ClassifierMatrix(
-        weights=weights, kind="centroid", class_sums=sums, class_counts=counts
-    )
+    return ClassifierMatrix(weights=weights, kind="centroid", class_sums=sums)
 
 
 def train_centroids(H, labels, n_classes: int) -> ClassifierMatrix:
@@ -258,13 +250,11 @@ def train_centroids(H, labels, n_classes: int) -> ClassifierMatrix:
     # reproduces these sums bit for bit.
     dtype = np.int64 if np.issubdtype(H.dtype, np.integer) else np.float64
     sums = np.zeros((n_classes, H.shape[1]), dtype=dtype)
-    counts = np.zeros(n_classes, dtype=np.int64)
     for i in range(1, n_classes + 1):
         mask = labels == i
-        counts[i - 1] = int(mask.sum())
-        if counts[i - 1]:
+        if mask.any():
             sums[i - 1] = H[mask].sum(axis=0, dtype=dtype)
-    return finalize_centroids(sums, counts)
+    return finalize_centroids(sums)
 
 
 def predict(w: ClassifierMatrix, h) -> int:

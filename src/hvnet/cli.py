@@ -23,8 +23,6 @@ from .harness import (
 from .hdc import SeedSpec
 from .network import VERSION_KINDS, ExperimentVersion
 
-VERSION_CHOICES = VERSION_KINDS
-
 
 def _load_dataset(dataset: str, manifest: str | None):
     entries = load_manifest(manifest) if manifest else None
@@ -73,7 +71,7 @@ def grid_cmd(dataset, manifest, seed, dims, lams, kappas, train_fraction, out):
 @main.command("run")
 @click.option("--dataset", required=True, help="Dataset name or synth:... spec.")
 @click.option("--manifest", type=click.Path(exists=True), default=None)
-@click.option("--version", "versions", type=click.Choice(VERSION_CHOICES),
+@click.option("--version", "versions", type=click.Choice(VERSION_KINDS),
               multiple=True, required=True, help="Model version (repeatable).")
 @click.option("--compress", is_flag=True, help="Also run distributed with compression.")
 @click.option("--classifier", type=click.Choice(CLASSIFIER_KINDS), default="rls",

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .errors import DimensionError, InvalidParameterError
-from .hdc import SeedSpec, check_kappa, clip, random_bipolar
+from .hdc import SeedSpec, check_count, clip, random_bipolar
 
 __all__ = [
     "InputProjection",
@@ -97,7 +97,7 @@ def encode_sums(x, proj: InputProjection) -> NDArray[np.signedinteger]:
 
 def encode_sample(x, proj: InputProjection, kappa: int) -> NDArray[np.signedinteger]:
     """Hidden activation of one sample: clipped sum of bound thermometer codes."""
-    check_kappa(kappa)
+    check_count("kappa", kappa)
     return clip(encode_sums(x, proj), kappa)
 
 
@@ -125,5 +125,5 @@ def encode_batch_sums(X, proj: InputProjection) -> NDArray[np.signedinteger]:
 
 def encode_batch(X, proj: InputProjection, kappa: int) -> NDArray[np.signedinteger]:
     """Encode a whole (n_samples, n_features) matrix; rows are hidden activations."""
-    check_kappa(kappa)
+    check_count("kappa", kappa)
     return clip(encode_batch_sums(X, proj), kappa)

@@ -1,9 +1,8 @@
 """Experiment harness: grid search, multi-seed suites, statistics, reporting.
 
 Every suite is a pure function of its configuration and master seed, so
-rerunning one produces byte-identical report files.  Wall-clock timing is
-kept on the in-memory records but deliberately excluded from serialized
-output to preserve that property.
+rerunning one produces byte-identical report files.  Records hold no
+wall-clock timing, which would break that property.
 """
 
 from __future__ import annotations
@@ -13,9 +12,8 @@ import hashlib
 import io
 import json
 import math
-import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import reduce
 from pathlib import Path
 
@@ -45,7 +43,7 @@ from .errors import (
     SuiteError,
     UndefinedCorrelationError,
 )
-from .hdc import SeedSpec, check_count, check_kappa, clip
+from .hdc import SeedSpec, check_count, clip
 from .network import VERSION_KINDS, ExperimentVersion, ModelParams, SharedPass, run_version
 
 __all__ = [
@@ -160,20 +158,18 @@ class ResultRecord:
     payload_values_per_producer: int
     payload_bytes_per_producer: int
     config_hash: str
-    wall_time_s: float = field(default=0.0, compare=False)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         """Fields in declaration order, which is the CSV column order; tuples become lists."""
         out = {}
         for f in fields(self):
-            if include_timing or f.name != "wall_time_s":
-                value = getattr(self, f.name)
-                out[f.name] = list(value) if isinstance(value, tuple) else value
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultRecord":
-        """Inverse of :meth:`to_dict`; ``wall_time_s`` may be absent, no other field may.
+        """Inverse of :meth:`to_dict`; every field must be present, other keys are ignored.
 
         ``version``, ``compressed`` and ``classifier`` must form an
         :class:`ExperimentVersion`.
@@ -181,8 +177,6 @@ class ResultRecord:
         values = {}
         for f in fields(cls):
             if f.name not in d:
-                if f.name == "wall_time_s":
-                    continue
                 raise ParseError(f"record lacks field {f.name!r}")
             try:
                 values[f.name] = _FIELD_DECODERS[f.type](d[f.name])
@@ -247,7 +241,6 @@ def grid_search(
     grid: GridSpec,
     seed: SeedSpec,
     train_fraction: float = 0.5,
-    stratified: bool = True,
 ) -> tuple[int, float, int]:
     """Exhaustive hyperparameter search with the centralized least-squares model.
 
@@ -266,9 +259,9 @@ def grid_search(
     for lam in grid.lambda_values:
         check_lambda(lam)
     for kappa in grid.kappa_values:
-        check_kappa(kappa)
+        check_count("kappa", kappa)
     spec = SplitSpec(
-        mode="holdout", fraction=train_fraction, stratified=stratified,
+        mode="holdout", fraction=train_fraction, stratified=True,
         seed=seed.child("grid_split"),
     )
     train_idx, val_idx = split(ds, spec)
@@ -345,7 +338,6 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
     pieces = [(normalize(raw, train_idx), train_idx, test_idx) for train_idx, test_idx in pairs]
     by_agent_count = sorted(range(len(cells)), key=lambda c: cells[c][1])
     runs = [[[] for _ in range(config.n_seeds)] for _ in cells]
-    elapsed = [0.0] * len(cells)
     for i in range(config.n_seeds):
         seed = base.child("seed", i)
         for f, (ds, train_idx, test_idx) in enumerate(pieces):
@@ -353,7 +345,6 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
             shared = SharedPass(ds, train_idx, test_idx, params, piece_seed)
             for c in by_agent_count:
                 version, n_agents = cells[c]
-                started = time.perf_counter()
                 try:
                     runs[c][i].append(run_version(
                         shared, version, n_agents, eval_on_full_test=config.eval_on_full_test
@@ -363,7 +354,6 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
                         f"suite aborted: seed index {i} failed for "
                         f"version={version_label(version)} n_agents={n_agents}: {exc}"
                     ) from exc
-                elapsed[c] += time.perf_counter() - started
 
     records = []
     for c, (version, n_agents) in enumerate(cells):
@@ -389,7 +379,6 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
             payload_values_per_producer=payload,
             payload_bytes_per_producer=8 * payload,
             config_hash=_config_hash({**identity, **hashed, "version": version_label(version)}),
-            wall_time_s=elapsed[c],
         ))
     return records
 
@@ -458,13 +447,13 @@ def _sorted_records(records) -> list[ResultRecord]:
     )
 
 
-def records_to_jsonl(records, include_timing: bool = False) -> str:
-    lines = [_canonical_json(r.to_dict(include_timing)) for r in _sorted_records(records)]
+def records_to_jsonl(records) -> str:
+    lines = [_canonical_json(r.to_dict()) for r in _sorted_records(records)]
     return "\n".join(lines) + "\n"
 
 
-def records_to_csv(records, include_timing: bool = False) -> str:
-    rows = [r.to_dict(include_timing) for r in _sorted_records(records)]
+def records_to_csv(records) -> str:
+    rows = [r.to_dict() for r in _sorted_records(records)]
     if not rows:
         raise InvalidParameterError("no records to report")
     buffer = io.StringIO()
@@ -512,16 +501,16 @@ def format_table(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report(records, fmt: str = "jsonl", out=None, include_timing: bool = False):
+def report(records, fmt: str = "jsonl", out=None):
     """Render records deterministically; write to ``out`` if given, else return the text.
 
     The full text is built before any I/O, so an unwritable path never
     leaves a partial file behind.
     """
     if fmt == "jsonl":
-        text = records_to_jsonl(records, include_timing)
+        text = records_to_jsonl(records)
     elif fmt == "csv":
-        text = records_to_csv(records, include_timing)
+        text = records_to_csv(records)
     elif fmt == "table":
         text = format_table(records)
     else:

@@ -26,7 +26,6 @@ __all__ = [
     "SeedSpec",
     "bind_elementwise",
     "check_count",
-    "check_kappa",
     "circ_convolve",
     "clip",
     "cosine",
@@ -101,11 +100,6 @@ def check_count(name: str, value) -> None:
         raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def check_kappa(kappa) -> None:
-    """Raise unless ``kappa`` is a clipping threshold: an integer >= 1."""
-    check_count("kappa", kappa)
-
-
 def clip(v, kappa: int) -> np.ndarray:
     """Saturate every component of a vector or a stack of vectors to [-kappa, kappa].
 
@@ -113,7 +107,7 @@ def clip(v, kappa: int) -> np.ndarray:
     int8 for kappa <= 127, int16 up to 32767, int32 up to 2**31 - 1, else
     int64.  Float input keeps its dtype.
     """
-    check_kappa(kappa)
+    check_count("kappa", kappa)
     v = _as_rows(v)
     if not np.issubdtype(v.dtype, np.integer):
         return np.clip(v, -kappa, kappa)

@@ -180,8 +180,8 @@ def exchange_and_aggregate(
     Returns the aggregated classifier of every agent and the number of
     float64 values each agent sends.
 
-    Uncompressed centroids travel as raw per-class sums and counts, and each
-    agent normalizes after aggregation; over a fully connected network this
+    Uncompressed centroids travel as raw per-class sums, and each agent
+    normalizes after aggregation; over a fully connected network this
     reproduces the centralized centroid classifier exactly.  Compressed
     classifiers are packed once per producer; every consumer regenerates the
     producer's keys from its agent id and decompresses the reconstruction,
@@ -206,13 +206,12 @@ def exchange_and_aggregate(
 
     if kind == "centroid" and not compression:
         for c in received:
-            if c.class_sums is None or c.class_counts is None:
-                raise ProtocolError("centroid exchange requires class sums and counts")
+            if c.class_sums is None:
+                raise ProtocolError("centroid exchange requires class sums")
         sums = np.stack([c.class_sums for c in received])
-        counts = np.stack([c.class_counts for c in received])
 
         def combine(members):
-            return finalize_centroids(_ordered_sum(sums, members), _ordered_sum(counts, members))
+            return finalize_centroids(_ordered_sum(sums, members))
     else:
         weights = np.stack([c.weights for c in received])
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg as sla
 from scipy.linalg import lapack
 
 from hvnet.classifiers import (
@@ -110,6 +111,36 @@ def test_rls_dual_branch_matches_oracle():
     Y = one_hot(rng.integers(1, 3, size=8), 2)
     model = train_rls(H, Y, 0.5)
     np.testing.assert_allclose(model.weights, rls_oracle(H, Y, 0.5), atol=1e-6)
+
+
+def inline_dual_rls(H, Y, lam):
+    """Reference dual weights: numpy H H^T, +lam on its diagonal, a Cholesky solve S, H^T S."""
+    H = np.asarray(H, dtype=np.float64)
+    gram = H @ H.T
+    gram[np.diag_indices_from(gram)] += lam
+    S = sla.cho_solve(sla.cho_factor(gram), Y)
+    return (H.T @ S).T
+
+
+@pytest.mark.parametrize("lam", [2.0**-10, 0.5, 32.0])
+@pytest.mark.parametrize("activations", ["int8", "float"])
+@pytest.mark.parametrize("rows, dim", [(1, 40), (30, 200), (199, 200)])
+def test_rls_dual_equals_inline_cholesky_bit_for_bit(rows, dim, activations, lam):
+    rng = SeedSpec(29).rng()
+    if activations == "int8":
+        H = clip(rng.integers(-20, 21, size=(rows, dim)), 15)
+        assert H.dtype == np.int8
+    else:
+        H = rng.standard_normal((rows, dim))
+    Y = one_hot(rng.integers(1, 4, size=rows), 3)
+    assert np.array_equal(train_rls(H, Y, lam).weights, inline_dual_rls(H, Y, lam))
+
+
+def test_rls_dual_singular_names_its_lambda():
+    # lambda is positive but below the rounding of H H^T, which has rank one.
+    H = np.array([[1e8, 0, 0], [1e8, 0, 0]])
+    with pytest.raises(SingularSystemError, match=r"lambda=1e-300; use a larger lambda"):
+        train_rls(H, one_hot([1, 2], 2), 1e-300)
 
 
 def test_rls_from_gram_matches_and_preserves_inputs():
@@ -273,7 +304,7 @@ def test_rls_sweep_equals_numpy_gram_path_bit_for_bit(rows, dim):
 def test_centroid_single_sample():
     model = train_centroids(np.array([[3, 4]]), np.array([1]), 1)
     np.testing.assert_allclose(model.weights[0], [0.6, 0.8], atol=1e-12)
-    assert model.class_counts[0] == 1
+    np.testing.assert_array_equal(model.class_sums[0], [3, 4])
 
 
 def test_centroid_two_samples_one_class():
@@ -287,7 +318,7 @@ def test_centroid_empty_class_is_zero_row():
         model = train_centroids(np.array([[1, 2], [2, 1]]), np.array([1, 1]), 3)
     np.testing.assert_array_equal(model.weights[1], [0, 0])
     np.testing.assert_array_equal(model.weights[2], [0, 0])
-    assert model.class_counts.tolist() == [2, 0, 0]
+    assert model.class_sums.tolist() == [[3, 3], [0, 0], [0, 0]]
 
 
 def test_centroid_rows_unit_norm():
@@ -305,7 +336,7 @@ def test_finalize_centroids_matches_training():
     labels = np.array([1, 1, 2])
     direct = train_centroids(H, labels, 2)
     sums = np.stack([H[:2].sum(axis=0), H[2:].sum(axis=0)])
-    rebuilt = finalize_centroids(sums, np.array([2, 1]))
+    rebuilt = finalize_centroids(sums)
     np.testing.assert_array_equal(direct.weights, rebuilt.weights)
 
 
@@ -453,7 +484,7 @@ def test_int8_activations_train_and_predict_like_int64(dim):
 
     c8, c64 = train_centroids(H8, labels, 3), train_centroids(H64, labels, 3)
     assert np.all(c8.class_sums[0] == 320 * 127)
-    for name in ("class_sums", "class_counts", "weights"):
+    for name in ("class_sums", "weights"):
         assert np.array_equal(getattr(c8, name), getattr(c64, name))
 
     r8, r64 = train_rls(H8, one_hot(labels, 3), 0.5), train_rls(H64, one_hot(labels, 3), 0.5)

@@ -65,10 +65,9 @@ def assert_same_classifiers(got, want):
     for g, w in zip(got, want):
         assert g.kind == w.kind
         assert np.array_equal(g.weights, w.weights)
-        for attr in ("class_sums", "class_counts"):
-            a, b = getattr(g, attr), getattr(w, attr)
-            assert (a is None) == (b is None)
-            assert a is None or (np.array_equal(a, b) and a.dtype == b.dtype)
+        a, b = g.class_sums, w.class_sums
+        assert (a is None) == (b is None)
+        assert a is None or (np.array_equal(a, b) and a.dtype == b.dtype)
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,15 +90,14 @@ def test_grouped_rls_exchange_equals_sequential_reference(net_rng, n_classes, di
 def test_grouped_centroid_exchange_equals_sequential_reference(net_rng, n_classes, dim):
     net, rng = net_rng
     sums = [rng.integers(-50, 50, size=(n_classes, dim)) for _ in range(net.n_agents)]
-    counts = [rng.integers(0, 20, size=n_classes) for _ in range(net.n_agents)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        classifiers = [finalize_centroids(s, c) for s, c in zip(sums, counts)]
+        classifiers = [finalize_centroids(s) for s in sums]
         got, _ = exchange_and_aggregate(net, classifiers, compression=False)
         want = []
         for p in range(net.n_agents):
             members = naive_neighborhood(net, p)
-            want.append(finalize_centroids(naive_sum(sums, members), naive_sum(counts, members)))
+            want.append(finalize_centroids(naive_sum(sums, members)))
     assert_same_classifiers(got, want)
 
 

@@ -632,10 +632,15 @@ def test_record_dict_round_trip():
     assert ResultRecord.from_dict(rec.to_dict()) == rec
 
 
-def test_serialized_records_omit_timing_by_default():
+def test_jsonl_line_with_old_timing_field_loads_and_renders_without_it(tmp_path):
+    # Older writers could add a wall_time_s key to each line; it is ignored.
     rec = fake_record()
-    assert "wall_time_s" not in rec.to_dict()
-    assert "wall_time_s" in rec.to_dict(include_timing=True)
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps({**rec.to_dict(), "wall_time_s": 1.5}) + "\n", encoding="utf-8")
+    (loaded,) = records_from_jsonl(path)
+    assert loaded == rec
+    assert records_to_jsonl([loaded]) == records_to_jsonl([rec])
+    assert "wall_time_s" not in records_to_jsonl([loaded])
 
 
 def test_record_from_dict_names_a_missing_field():
@@ -671,12 +676,12 @@ def test_record_from_dict_rejects_invalid_version(overrides, reason):
 
 def test_record_csv_round_trip_keeps_header_order():
     rec = fake_record(version="distributed", compressed=True, lam=0.25)
-    text = records_to_csv([rec], include_timing=True)
+    text = records_to_csv([rec])
     assert text.splitlines()[0].split(",") == [
         "dataset", "version", "classifier", "compressed", "n_agents", "dim", "lam",
         "kappa", "n_seeds", "master_seed", "per_seed_mean", "mean_accuracy",
         "std_accuracy", "per_agent_mean", "payload_values_per_producer",
-        "payload_bytes_per_producer", "config_hash", "wall_time_s",
+        "payload_bytes_per_producer", "config_hash",
     ]
     (row,) = csv.DictReader(io.StringIO(text))
     # Lists are JSON cells and booleans are true/false; from_dict parses the rest.

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from hvnet.classifiers import evaluate, predict_batch, train_centroids, train_rls, one_hot
+from hvnet.classifiers import (
+    ClassifierMatrix, evaluate, one_hot, predict_batch, train_centroids, train_rls,
+)
 from hvnet.data import SplitSpec, split, synth_blobs
 from hvnet.encoding import encode_batch, init_projection
 from hvnet.errors import (
@@ -237,6 +239,17 @@ def test_exchange_rejects_inconsistent_shapes(blobs):
         exchange_and_aggregate(AgentNetwork.fully_connected(2), [models[0], odd], False)
     with pytest.raises(ProtocolError):
         exchange_and_aggregate(AgentNetwork.fully_connected(3), models, False)
+
+
+def test_raw_centroid_exchange_requires_class_sums():
+    # Raw centroids are aggregated from their sums; a packed one travels as weights.
+    models = [
+        ClassifierMatrix(weights=np.eye(2, 16, k=s), kind="centroid") for s in range(2)
+    ]
+    with pytest.raises(ProtocolError, match="class sums"):
+        exchange_and_aggregate(AgentNetwork.fully_connected(2), models, False)
+    aggregated, _ = exchange_and_aggregate(AgentNetwork.fully_connected(2), models, True)
+    assert [m.kind for m in aggregated] == ["centroid", "centroid"]
 
 
 # --------------------------------------------------------------- run_version
