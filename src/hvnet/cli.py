@@ -118,9 +118,9 @@ def run_cmd(dataset, manifest, versions, compress, classifier, agent_counts, see
             kappa=kappa,
             n_seeds=seeds,
             master_seed=seed,
-            split_mode="kfold" if kfold else "holdout",
+            split_mode="holdout" if kfold is None else "kfold",
             train_fraction=train_fraction,
-            k_folds=kfold or 4,
+            k_folds=4 if kfold is None else kfold,
             eval_on_full_test=full_test,
             manifest=manifest,
             allow_off_grid=allow_off_grid,

@@ -239,17 +239,27 @@ def load_manifest(path) -> dict:
     index lists) to replace the seeded split protocol for that dataset.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        entries = json.load(fh)
+    entries = _load_json(path, "manifest")
     if not isinstance(entries, dict):
         raise InvalidParameterError(f"manifest {path} must be a JSON object")
     for name, entry in entries.items():
-        if "path" not in entry:
-            raise InvalidParameterError(f"manifest entry {name!r} lacks a path")
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise InvalidParameterError(
+                f"manifest {path} entry {name!r} must be an object with a string path"
+            )
         entry["path"] = str((path.parent / entry["path"]).resolve())
         if "split_file" in entry:
             entry["split_file"] = str((path.parent / entry["split_file"]).resolve())
     return entries
+
+
+def _load_json(path, what: str):
+    """Parse one JSON file; malformed JSON or text is a ParseError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def load_split_file(path, n_samples: int):
@@ -258,8 +268,7 @@ def load_split_file(path, n_samples: int):
     Each list must be a non-empty flat list of distinct integer indices in
     ``0..n_samples-1``, and no index may be in both lists.
     """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _load_json(path, "split file")
     lists = []
     for name in ("train", "test"):
         values = payload.get(name) if isinstance(payload, dict) else None

@@ -100,6 +100,7 @@ class ExperimentConfig:
     Fixed hyperparameters must be valid (lambda finite and >= 0; kappa,
     dim, n_seeds and every agent count integers >= 1) and, unless
     ``allow_off_grid`` is set, lie inside the default search ranges.
+    ``versions`` and ``agent_counts`` are non-empty and repeat no entry.
     """
 
     dataset: str
@@ -122,10 +123,15 @@ class ExperimentConfig:
         check_lambda(self.lam)
         for name in ("kappa", "dim", "n_seeds"):
             check_count(name, getattr(self, name))
-        if not self.agent_counts:
-            raise InvalidParameterError("agent_counts must hold at least one agent count")
         for n_agents in self.agent_counts:
             check_count("agent count", n_agents)
+        for name in ("versions", "agent_counts"):
+            values = getattr(self, name)
+            if not values:
+                raise InvalidParameterError(f"{name} must hold at least one entry")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise InvalidParameterError(f"{name} repeats {repeated[0]!r}")
         if self.allow_off_grid:
             return
         for name, value in (("dim", self.dim), ("lam", self.lam), ("kappa", self.kappa)):
@@ -174,6 +180,8 @@ class ResultRecord:
         ``version``, ``compressed`` and ``classifier`` must form an
         :class:`ExperimentVersion`.
         """
+        if not isinstance(d, dict):
+            raise ParseError(f"a record must be a JSON object, got {type(d).__name__}")
         values = {}
         for f in fields(cls):
             if f.name not in d:
@@ -529,8 +537,16 @@ def _write_or_return(text: str, out):
 
 
 def records_from_jsonl(path) -> list[ResultRecord]:
-    with open(path, encoding="utf-8") as fh:
-        return [ResultRecord.from_dict(json.loads(line)) for line in fh if line.strip()]
+    """One record per non-blank line; a line that does not decode to a record raises ParseError."""
+    records = []
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            try:
+                if line.strip():
+                    records.append(ResultRecord.from_dict(json.loads(line)))
+            except ValueError as exc:
+                raise ParseError(f"{path} line {number}: {exc}") from exc
+    return records
 
 
 def scatter_export(records, version_a: str, version_b: str, out=None):

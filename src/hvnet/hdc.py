@@ -125,16 +125,17 @@ def bind_elementwise(x, y) -> np.ndarray:
 
 
 def superpose(vs) -> np.ndarray:
-    """Component-wise sum of one or more hypervectors. No clipping is applied."""
-    vs = list(vs)
-    if not vs:
+    """Component-wise sum of one or more hypervectors, or of equal-shape stacks of them.
+
+    Inputs are added one at a time, in order.  Integers accumulate as int64, so
+    int8 bipolar inputs cannot overflow; floats as float64.  No clipping.
+    """
+    arrs = [_as_rows(v) for v in vs]
+    if not arrs:
         raise InvalidParameterError("superpose needs at least one vector")
-    arrs = [_as_vector(v) for v in vs]
-    first = arrs[0]
-    for a in arrs[1:]:
-        _check_same_length(first, a)
+    if any(a.shape != arrs[0].shape for a in arrs):
+        raise DimensionError(f"superpose needs equal shapes, got {sorted({a.shape for a in arrs})}")
     stacked = np.stack(arrs)
-    # Accumulate wide so int8 bipolar inputs cannot overflow.
     dtype = np.int64 if np.issubdtype(stacked.dtype, np.integer) else np.float64
     return stacked.sum(axis=0, dtype=dtype)
 

@@ -5,8 +5,8 @@ boundaries are classifier matrices (or their compressed hypervectors),
 so the exchange payload size is independent of shard sizes.  Aggregation
 is a single round: every agent sums the classifiers of its neighbors and
 itself.  Agents with the same neighborhood get the same sum, so each
-distinct neighborhood is summed once, as a sequential axis-0 reduction
-over its members in sorted-agent-id order.  That order is part of the
+distinct neighborhood is summed once, by :func:`hvnet.hdc.superpose` over
+its members in sorted-agent-id order.  That order is part of the
 byte-identity contract: the result is order-free in the agent ids, and
 it is not a BLAS product, which would round differently.
 
@@ -35,7 +35,7 @@ from .compression import compress, decompress, generate_keys
 from .data import Dataset
 from .encoding import InputProjection, encode_batch, init_projection
 from .errors import InsufficientDataError, InvalidParameterError, ProtocolError
-from .hdc import SeedSpec
+from .hdc import SeedSpec, superpose
 
 __all__ = [
     "AgentNetwork",
@@ -162,16 +162,6 @@ def _fit(classifier_kind: str, H, y, n_classes: int, lam: float) -> ClassifierMa
     return train_rls(H, one_hot(y, n_classes), lam)
 
 
-def _check_consistent(classifiers: list[ClassifierMatrix]) -> tuple[str, int, int]:
-    kinds = {c.kind for c in classifiers}
-    shapes = {(c.n_classes, c.dim) for c in classifiers}
-    if len(kinds) != 1 or len(shapes) != 1:
-        raise ProtocolError(f"agents disagree on classifier kind/shape: {kinds}, {shapes}")
-    (kind,) = kinds
-    ((n_classes, dim),) = shapes
-    return kind, n_classes, dim
-
-
 def exchange_and_aggregate(
     network: AgentNetwork, classifiers: list[ClassifierMatrix], compression: bool
 ) -> tuple[list[ClassifierMatrix], int]:
@@ -185,58 +175,41 @@ def exchange_and_aggregate(
     reproduces the centralized centroid classifier exactly.  Compressed
     classifiers are packed once per producer; every consumer regenerates the
     producer's keys from its agent id and decompresses the reconstruction,
-    which is then aggregated as-is.  Agents sharing a neighborhood share one
-    aggregated classifier.
+    which is then aggregated as-is.  Each distinct neighborhood is bundled once
+    by ``superpose``, and agents sharing a neighborhood share that aggregate.
     """
     if len(classifiers) != network.n_agents:
         raise ProtocolError("need exactly one classifier per agent")
-    kind, n_classes, dim = _check_consistent(classifiers)
+    kinds = {c.kind for c in classifiers}
+    shapes = {c.weights.shape for c in classifiers}
+    if len(kinds) != 1 or len(shapes) != 1:
+        raise ProtocolError(f"agents disagree on classifier kind/shape: {kinds}, {shapes}")
+    (kind,), ((n_classes, dim),) = kinds, shapes
+    raw_sums = kind == "centroid" and not compression
+    if raw_sums and any(c.class_sums is None for c in classifiers):
+        raise ProtocolError("centroid exchange requires class sums")
 
-    if compression:
-        payload_per = dim
-        received = []
-        for s in range(network.n_agents):
-            keys = generate_keys(network.agent_ids[s], n_classes, dim)
-            packed = compress(classifiers[s], keys)
+    payloads = []
+    for agent_id, c in zip(network.agent_ids, classifiers):
+        if compression:
+            keys = generate_keys(agent_id, n_classes, dim)
             # Deterministic, so one reconstruction stands in for every consumer's.
-            received.append(decompress(packed, keys, kind=kind))
-    else:
-        payload_per = n_classes * dim
-        received = classifiers
-
-    if kind == "centroid" and not compression:
-        for c in received:
-            if c.class_sums is None:
-                raise ProtocolError("centroid exchange requires class sums")
-        sums = np.stack([c.class_sums for c in received])
-
-        def combine(members):
-            return finalize_centroids(_ordered_sum(sums, members))
-    else:
-        weights = np.stack([c.weights for c in received])
-
-        def combine(members):
-            return ClassifierMatrix(weights=_ordered_sum(weights, members), kind=kind)
+            payloads.append(decompress(compress(c, keys), keys, kind=kind).weights)
+        else:
+            payloads.append(c.class_sums if raw_sums else c.weights)
 
     by_neighborhood: dict[tuple[int, ...], ClassifierMatrix] = {}
     aggregated = []
     for p in range(network.n_agents):
         members = tuple(network.neighborhood(p))
         if members not in by_neighborhood:
-            by_neighborhood[members] = combine(members)
+            total = superpose(payloads[m] for m in members)
+            if raw_sums:
+                by_neighborhood[members] = finalize_centroids(total)
+            else:
+                by_neighborhood[members] = ClassifierMatrix(weights=total, kind=kind)
         aggregated.append(by_neighborhood[members])
-    return aggregated, payload_per
-
-
-def _ordered_sum(stack: np.ndarray, members: tuple[int, ...]) -> np.ndarray:
-    """0 + stack[m0] + stack[m1] + ..., added one member at a time in the given order.
-
-    A reduction over the outermost axis adds whole slices in sequence, so the
-    result is bit-identical to a Python loop of ``+=`` from zero.  A
-    neighborhood of every agent, in stack order, is summed without a copy.
-    """
-    rows = list(members)
-    return (stack if rows == list(range(len(stack))) else stack[rows]).sum(axis=0, initial=0)
+    return aggregated, dim if compression else n_classes * dim
 
 
 class SharedPass:

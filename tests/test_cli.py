@@ -76,7 +76,11 @@ def test_run_unknown_dataset_fails_cleanly(runner):
     (["--lambda", "nan", "--allow-off-grid"], "lambda must be a finite number >= 0, got nan"),
     (["--kappa", "0", "--allow-off-grid"], "kappa must be an integer >= 1, got 0"),
     (["--dim", "0", "--allow-off-grid"], "dim must be an integer >= 1, got 0"),
-], ids=["seeds", "agents", "lambda", "lambda-off-grid", "kappa-off-grid", "dim-off-grid"])
+    (["--kfold", "0"], "k must be >= 2"),
+    (["--agents", "2", "--agents", "2"], "agent_counts repeats 2"),
+    (["--version", "local"], "versions repeats ExperimentVersion(kind='local'"),
+], ids=["seeds", "agents", "lambda", "lambda-off-grid", "kappa-off-grid", "dim-off-grid",
+        "kfold-zero", "repeated-agents", "repeated-version"])
 def test_run_rejects_invalid_config_before_encoding(runner, monkeypatch, args, message):
     encoded = []
     monkeypatch.setattr(hvnet.network, "encode_batch", lambda *a: encoded.append(a))
@@ -85,6 +89,32 @@ def test_run_rejects_invalid_config_before_encoding(runner, monkeypatch, args, m
     assert message in result.output
     assert "allow_off_grid" not in result.output and "suite aborted" not in result.output
     assert encoded == []
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("run", '{"d": 5}', "entry 'd' must be an object with a string path"),
+    ("run", '{"d": "toy.csv"}', "entry 'd' must be an object with a string path"),
+    ("grid", '{"d": {"path": "toy.csv"', "is not valid JSON"),
+], ids=["run-number-entry", "run-string-entry", "grid-truncated"])
+def test_malformed_manifest_is_a_clean_error(runner, tmp_path, command, text, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text, encoding="utf-8")
+    args = ["--version", "local"] if command == "run" else ["--dim", "40"]
+    result = runner.invoke(main, [command, "--dataset", "d", "--manifest", str(manifest), *args])
+    assert result.exit_code == 1
+    assert f"Error: manifest {manifest}" in result.output and message in result.output
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ('{"dataset": "toy", "n_agents": ', "line 1: Expecting value"),
+    ("5", "line 1: a record must be a JSON object, got int"),
+], ids=["truncated", "number"])
+def test_report_on_a_malformed_jsonl_line_is_a_clean_error(runner, tmp_path, bad_line, message):
+    path = tmp_path / "records.jsonl"
+    path.write_text(bad_line + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["report", str(path)])
+    assert result.exit_code == 1
+    assert f"Error: {path} {message}" in result.output
 
 
 @pytest.mark.parametrize("args, message", [

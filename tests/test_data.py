@@ -238,6 +238,26 @@ def test_manifest_round_trip(tmp_path):
     assert ds.name == "toy" and ds.n_samples == 3
 
 
+@pytest.mark.parametrize("text", [
+    '{"d": 5}', '{"d": "toy.csv"}', '{"d": {"label_column": 0}}', '{"d": {"path": 5}}',
+], ids=["number", "string", "no-path", "numeric-path"])
+def test_manifest_rejects_an_entry_that_is_not_an_object_with_a_path(tmp_path, text):
+    path = write(tmp_path, "manifest.json", text)
+    with pytest.raises(InvalidParameterError, match="entry 'd' must be an object") as excinfo:
+        load_manifest(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("loader", [
+    load_manifest, lambda path: load_split_file(path, 5),
+], ids=["manifest", "split-file"])
+def test_json_inputs_that_do_not_parse_raise_a_parse_error_naming_the_file(tmp_path, loader):
+    path = write(tmp_path, "input.json", '{"toy": {"path": "toy.csv"')
+    with pytest.raises(ParseError, match="is not valid JSON") as excinfo:
+        loader(path)
+    assert str(path) in str(excinfo.value)
+
+
 def test_resolve_unknown_dataset():
     with pytest.raises(InvalidParameterError):
         resolve_dataset("mystery", {})

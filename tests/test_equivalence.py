@@ -150,6 +150,43 @@ def test_fully_connected_network_sums_once():
     assert np.array_equal(got[0].weights, naive_sum(weights, range(n)))
 
 
+def stacked_sum(stack, members):
+    """The exchange's former aggregation: the member rows of one stack, summed from +0."""
+    return stack[list(members)].sum(axis=0, initial=0)
+
+
+@pytest.mark.parametrize("topology", ["full", "ring"])
+@pytest.mark.parametrize("exchange", ["rls", "centroid", "compressed"])
+def test_exchange_aggregates_equal_the_former_stacked_sum(topology, exchange):
+    """``superpose`` per neighborhood equals the former up-front stack and sum.
+
+    np.array_equal counts -0.0 and +0.0 as equal, and the sign of an exact
+    zero is the one difference allowed: the former sum started from +0, while
+    superpose adds from the first member, so an entry that is -0.0 in every
+    member may stay -0.0.  Both signs score alike, so no prediction changes.
+    """
+    rng = np.random.default_rng(23)
+    n, n_classes, dim = 7, 3, 16
+    ids = (5, 40, 3, 17, 0, 28, 9)  # not ascending, so the sorted order matters
+    omega = np.ones((n, n), dtype=np.int64) if topology == "full" else ring(n).omega
+    net = AgentNetwork(omega=omega, agent_ids=ids)
+    if exchange == "centroid":
+        stack = rng.integers(-50, 50, size=(n, n_classes, dim))
+        classifiers = [finalize_centroids(sums) for sums in stack]
+    else:
+        stack = wide_range_weights(rng, (n, n_classes, dim))
+        stack[:, 0, 0] = -0.0
+        classifiers = [ClassifierMatrix(weights=w, kind="rls") for w in stack]
+    if exchange == "compressed":
+        keys = [generate_keys(i, n_classes, dim) for i in ids]
+        stack = np.stack([decompress(compress(c, k), k).weights for c, k in zip(classifiers, keys)])
+    got, _ = exchange_and_aggregate(net, classifiers, compression=exchange == "compressed")
+    for p, aggregate in enumerate(got):
+        total = aggregate.class_sums if exchange == "centroid" else aggregate.weights
+        want = stacked_sum(stack, naive_neighborhood(net, p))
+        assert total.dtype == want.dtype and np.array_equal(total, want)
+
+
 # ------------------------------------------------------- shared per-seed pass
 
 

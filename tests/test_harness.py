@@ -105,8 +105,12 @@ def test_config_rejects_off_grid_hyperparameters():
     ({"n_seeds": 0}, "n_seeds must be an integer >= 1, got 0"),
     ({"agent_counts": ()}, "agent_counts must hold at least one"),
     ({"agent_counts": (4, 0)}, "agent count must be an integer >= 1, got 0"),
+    ({"versions": ()}, "versions must hold at least one entry"),
+    ({"versions": (ExperimentVersion("local"),) * 2}, "versions repeats ExperimentVersion"),
+    ({"agent_counts": (4, 2, 4)}, "agent_counts repeats 4"),
 ], ids=["lam-nan", "lam-negative", "kappa-zero", "kappa-float", "dim-zero", "dim-float",
-        "no-seeds", "no-agent-counts", "agent-count-zero"])
+        "no-seeds", "no-agent-counts", "agent-count-zero", "no-versions", "repeated-version",
+        "repeated-agent-count"])
 def test_config_rejects_invalid_values_before_the_range_test(overrides, message, allow_off_grid):
     with pytest.raises(InvalidParameterError, match=message):
         small_config(allow_off_grid=allow_off_grid, **overrides)
@@ -641,6 +645,20 @@ def test_jsonl_line_with_old_timing_field_loads_and_renders_without_it(tmp_path)
     assert loaded == rec
     assert records_to_jsonl([loaded]) == records_to_jsonl([rec])
     assert "wall_time_s" not in records_to_jsonl([loaded])
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    (b'{"dataset": "toy", "n_agents": ', "line 2: Expecting value"),
+    (b"5", "line 2: a record must be a JSON object, got int"),
+    (b'{"dataset": "toy"}', "line 2: record lacks field 'version'"),
+    (b'{"dataset": "\xc3("}', "line 2: 'utf-8' codec can't decode"),
+], ids=["truncated", "number", "missing-field", "not-utf-8"])
+def test_jsonl_reader_names_the_file_and_line_of_a_bad_record(tmp_path, bad_line, message):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(records_to_jsonl([fake_record()]).encode() + bad_line + b"\n")
+    with pytest.raises(ParseError, match=message) as excinfo:
+        records_from_jsonl(path)
+    assert str(excinfo.value).startswith(f"{path} line 2: ")
 
 
 def test_record_from_dict_names_a_missing_field():

@@ -156,6 +156,35 @@ def test_superpose_errors():
         superpose([])
     with pytest.raises(DimensionError):
         superpose([np.ones(3), np.ones(2)])
+    with pytest.raises(DimensionError):
+        superpose([np.ones((2, 3)), np.ones((3, 3))])
+    with pytest.raises(DimensionError):
+        superpose([np.ones((2, 3)), np.ones(3)])
+
+
+def sequential_sum(arrays):
+    """A Python loop of ``+=`` from the first array, accumulating int64 or float64."""
+    wide = np.int64 if np.issubdtype(arrays[0].dtype, np.integer) else np.float64
+    acc = arrays[0].astype(wide)
+    for a in arrays[1:]:
+        acc += a
+    return acc
+
+
+@pytest.mark.parametrize("dtype", ["int8", "int64", "float64"])
+def test_superpose_of_stacks_equals_a_sequential_loop(dtype):
+    # Nine (L, d) stacks: int8 sums leave the int8 range, int64 ones need
+    # 64 bits, and floats span twelve decades, so the order of a sum shows.
+    rng = SeedSpec(7).child("stacks").rng()
+    shape = (9, 3, 11)
+    if dtype == "float64":
+        arrays = list(rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, size=shape))
+    else:
+        bound = 127 if dtype == "int8" else 2**59
+        arrays = list(rng.integers(-bound, bound, size=shape).astype(dtype))
+    got, want = superpose(arrays), sequential_sum(arrays)
+    assert got.dtype == want.dtype == (np.float64 if dtype == "float64" else np.int64)
+    assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------ circ_convolve
