@@ -48,7 +48,6 @@ from .harness import (
 )
 from .hdc import (
     SeedSpec,
-    bind_elementwise,
     circ_convolve,
     clip,
     cosine,

@@ -73,13 +73,17 @@ def load_csv(path, label_column=-1, header: bool = False, name: str | None = Non
     """Load a numeric-feature CSV; the label column may be categorical.
 
     Labels are densely re-indexed to 1..n_classes (numeric order when all
-    raw labels parse as numbers, lexicographic otherwise).
+    raw labels parse as numbers, lexicographic otherwise).  The file must be
+    UTF-8, and every data row as many cells long as the file's first row.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     if not rows:
         raise InvalidDatasetError(f"{path} is empty")
     columns = rows[0]
@@ -98,11 +102,13 @@ def load_csv(path, label_column=-1, header: bool = False, name: str | None = Non
         label_idx = int(label_column)
     if not rows:
         raise InvalidDatasetError(f"{path} has no data rows")
-    label_idx = label_idx % len(rows[0])
+    label_idx = label_idx % len(columns)
 
     features = []
     raw_labels = []
     for r, row in enumerate(rows):
+        if len(row) != len(columns):
+            raise ParseError(f"{path}: row {r + 1} has {len(row)} cells, not {len(columns)}")
         vals = []
         for c, cell in enumerate(row):
             if c == label_idx:

@@ -72,7 +72,7 @@ DEFAULT_KAPPA_GRID = (1, 3, 7, 15)
 
 # Config fields a record carries, and the split settings only its config_hash carries.
 _RECORD_CONFIG_FIELDS = ("dim", "lam", "kappa", "n_seeds", "master_seed")
-_SPLIT_FIELDS = ("split_mode", "train_fraction", "k_folds", "stratified", "eval_on_full_test")
+_SPLIT_FIELDS = ("split_mode", "train_fraction", "k_folds", "eval_on_full_test")
 _VERSION_LABELS = VERSION_KINDS + ("distributed+compressed",)  # every version_label value
 
 _GRID_RANGES = {
@@ -101,6 +101,7 @@ class ExperimentConfig:
     dim, n_seeds and every agent count integers >= 1) and, unless
     ``allow_off_grid`` is set, lie inside the default search ranges.
     ``versions`` and ``agent_counts`` are non-empty and repeat no entry.
+    Seeded splits are always stratified.
     """
 
     dataset: str
@@ -114,7 +115,6 @@ class ExperimentConfig:
     split_mode: str = "holdout"  # holdout | kfold
     train_fraction: float = 0.5
     k_folds: int = 4
-    stratified: bool = True
     eval_on_full_test: bool = False
     manifest: str | None = None
     allow_off_grid: bool = False
@@ -141,6 +141,12 @@ class ExperimentConfig:
                     f"{name}={value} is outside the search range [{lo}, {hi}]; "
                     "set allow_off_grid=True (--allow-off-grid) to override"
                 )
+
+    @property
+    def cells(self) -> list[tuple[ExperimentVersion, int]]:
+        """(version, agent count) pairs, one per record; centralized runs at N=1 only."""
+        return [(version, n_agents) for version in self.versions
+                for n_agents in ((1,) if version.kind == "centralized" else self.agent_counts)]
 
 
 @dataclass(frozen=True)
@@ -296,17 +302,44 @@ def grid_search(
     return best
 
 
+def _run_pass(config: ExperimentConfig, piece, seed_index: int, fold: int | None):
+    """Run every cell of ``config`` on one (seed, fold); return the results in cell order.
+
+    ``piece`` is the fold's normalized dataset and its train and test indices;
+    ``fold`` is None for a single split, whose pass draws from the bare seed.
+    The cells share one :class:`SharedPass`, visited by agent count.  A pure
+    function of its arguments, so passes may run in any order.
+    """
+    seed = SeedSpec(config.master_seed).child("seed", seed_index)
+    seed = seed if fold is None else seed.child("fold", fold)
+    params = ModelParams(dim=config.dim, kappa=config.kappa, lam=config.lam)
+    shared = SharedPass(*piece, params, seed)
+    cells = config.cells
+    results = [None] * len(cells)
+    for c in sorted(range(len(cells)), key=lambda c: cells[c][1]):
+        version, n_agents = cells[c]
+        try:
+            results[c] = run_version(
+                shared, version, n_agents, eval_on_full_test=config.eval_on_full_test
+            )
+        except Exception as exc:
+            raise SuiteError(
+                f"suite aborted: seed index {seed_index} failed for "
+                f"version={version_label(version)} n_agents={n_agents}: {exc}"
+            ) from exc
+    return results
+
+
 def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[ResultRecord]:
     """Run every (version, agent count) of the config over its seeds.
 
     All randomness derives from (master_seed, seed index); one failing
     seed aborts the whole suite so averages are never silently partial.
+    Maps :func:`_run_pass` over (seed, fold), then reduces in that order.
     """
     manifest = load_manifest(config.manifest) if config.manifest else {}
     raw = resolve_dataset(config.dataset, manifest) if dataset is None else dataset
     split_file = manifest.get(config.dataset, {}).get("split_file")
-    base = SeedSpec(config.master_seed)
-    params = ModelParams(dim=config.dim, kappa=config.kappa, lam=config.lam)
 
     # Every split protocol becomes (train, test) index pairs, one per fold.
     if split_file is not None:
@@ -315,7 +348,7 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
     else:
         spec = SplitSpec(
             mode=config.split_mode, fraction=config.train_fraction, k=config.k_folds,
-            stratified=config.stratified, seed=base.child("split"),
+            seed=SeedSpec(config.master_seed).child("split"),
         )
         if spec.mode == "holdout":
             pairs = [split(raw, spec)]
@@ -326,17 +359,8 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
                 for f in range(len(folds))
             ]
 
-    # One (version, agent count) cell per record.  runs[c][i] holds cell c's
-    # result for each fold of seed i; every cell of a (seed, fold) reuses
-    # that piece's SharedPass, visited by agent count so that it trains each
-    # set of local models once and holds one agent count's sets at a time.
-    cells = [
-        (version, n_agents)
-        for version in config.versions
-        for n_agents in ((1,) if version.kind == "centralized" else config.agent_counts)
-    ]
     # Reject an unshardable agent count before encoding; run_version rejects empty sets.
-    most_agents = max(n_agents for _, n_agents in cells)
+    most_agents = max(n_agents for _, n_agents in config.cells)
     fewest_rows = max(1, min(min(train.size, test.size) for train, test in pairs))
     if most_agents > fewest_rows:
         raise InsufficientDataError(
@@ -344,40 +368,25 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
             f"the smallest train or test set of a fold has {fewest_rows} rows"
         )
     pieces = [(normalize(raw, train_idx), train_idx, test_idx) for train_idx, test_idx in pairs]
-    by_agent_count = sorted(range(len(cells)), key=lambda c: cells[c][1])
-    runs = [[[] for _ in range(config.n_seeds)] for _ in cells]
-    for i in range(config.n_seeds):
-        seed = base.child("seed", i)
-        for f, (ds, train_idx, test_idx) in enumerate(pieces):
-            piece_seed = seed if len(pieces) == 1 else seed.child("fold", f)
-            shared = SharedPass(ds, train_idx, test_idx, params, piece_seed)
-            for c in by_agent_count:
-                version, n_agents = cells[c]
-                try:
-                    runs[c][i].append(run_version(
-                        shared, version, n_agents, eval_on_full_test=config.eval_on_full_test
-                    ))
-                except Exception as exc:
-                    raise SuiteError(
-                        f"suite aborted: seed index {i} failed for "
-                        f"version={version_label(version)} n_agents={n_agents}: {exc}"
-                    ) from exc
+    # passes[i][f][c] is cell c's result on fold f of seed i.
+    passes = [[_run_pass(config, piece, i, f if len(pieces) > 1 else None)
+               for f, piece in enumerate(pieces)] for i in range(config.n_seeds)]
 
     records = []
-    for c, (version, n_agents) in enumerate(cells):
+    for c, (version, n_agents) in enumerate(config.cells):
         # Sums run in seed and fold order, one term at a time.
-        per_seed = [float(np.mean([r.mean_accuracy for r in folds])) for folds in runs[c]]
+        per_seed = [float(np.mean([fold[c].mean_accuracy for fold in seed])) for seed in passes]
         per_agent_mean = reduce(np.add, [
-            reduce(np.add, [r.per_agent_accuracy for r in folds]) / len(pieces)
-            for folds in runs[c]
+            reduce(np.add, [fold[c].per_agent_accuracy for fold in seed]) / len(pieces)
+            for seed in passes
         ]) / config.n_seeds
-        payload = runs[c][-1][-1].payload_values_per_producer
+        payload = passes[-1][-1][c].payload_values_per_producer
         identity = dict(
             dataset=raw.name, version=version.kind, classifier=version.classifier_kind,
             compressed=version.compression, n_agents=n_agents,
             **{name: getattr(config, name) for name in _RECORD_CONFIG_FIELDS},
         )
-        hashed = {name: getattr(config, name) for name in _SPLIT_FIELDS}
+        hashed = {"stratified": True, **{n: getattr(config, n) for n in _SPLIT_FIELDS}}
         records.append(ResultRecord(
             **identity,
             per_seed_mean=tuple(per_seed),

@@ -24,7 +24,6 @@ from .errors import (
 
 __all__ = [
     "SeedSpec",
-    "bind_elementwise",
     "check_count",
     "circ_convolve",
     "clip",
@@ -114,14 +113,6 @@ def clip(v, kappa: int) -> np.ndarray:
     # -kappa - 1, not -kappa: int8 holds -128 but not +128.
     dtype = np.min_scalar_type(-min(kappa, _INT64_MAX) - 1)
     return np.clip(v, -kappa, kappa, out=np.empty(v.shape, dtype), casting="unsafe")
-
-
-def bind_elementwise(x, y) -> np.ndarray:
-    """Bind two bipolar hypervectors by component-wise multiplication."""
-    x = _as_vector(x, "x")
-    y = _as_vector(y, "y")
-    _check_same_length(x, y)
-    return x * y
 
 
 def superpose(vs) -> np.ndarray:

@@ -223,7 +223,7 @@ class SharedPass:
     long as its caller keeps it; nothing is cached at module level.  Local
     classifiers are kept for one agent count at a time, which bounds memory
     by the largest network, so a caller that visits agent counts in turn
-    (as ``run_suite`` does) trains each set once.
+    (as ``hvnet.harness._run_pass`` does) trains each set once.
     """
 
     def __init__(self, ds: Dataset, train_idx, test_idx, params: ModelParams, seed: SeedSpec):

@@ -1,6 +1,7 @@
 """CSV loading, normalization, splits, and synthetic blob generation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,31 @@ def test_load_csv_non_numeric_cell_reports_position(tmp_path):
 def test_load_csv_non_finite_cell_reports_position(tmp_path, cell):
     path = write(tmp_path, "nonfinite.csv", f"1.0,2.0,a\n3.0,{cell},b\n")
     with pytest.raises(ParseError, match="row 2, column 2"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, header, message",
+    [
+        # Without the check, a row lacking its label shifted every later label.
+        ("1.0,2.0,a\n3.0,4.0,b\n5.0,6.0\n7.0,8.0,a\n", False, "row 3 has 2 cells, not 3"),
+        ("0,1\n1,2,2\n", False, "row 2 has 3 cells, not 2"),
+        ("x,y,label\n1.0,2.0,a\n3.0,b\n", True, "row 2 has 2 cells, not 3"),
+        # A wider header would let a named label column index another column.
+        ("x,y,label\n1,0.5\n2,0.7\n", True, "row 1 has 2 cells, not 3"),
+    ],
+    ids=["short", "long", "short-after-header", "narrower-than-header"],
+)
+def test_load_csv_rejects_a_row_of_another_length(tmp_path, text, header, message):
+    path = write(tmp_path, "ragged.csv", text)
+    with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
+        load_csv(path, header=header)
+
+
+def test_load_csv_that_is_not_utf8_raises_a_parse_error_naming_the_file(tmp_path):
+    path = tmp_path / "utf16.csv"
+    path.write_bytes("1.0,a\n2.0,b\n".encode("utf-16"))  # starts with ff fe
+    with pytest.raises(ParseError, match=re.escape(f"{path} is not UTF-8 text")):
         load_csv(path)
 
 

@@ -293,6 +293,23 @@ def test_shared_pass_fits_each_local_model_set_once(blobs):
     assert shared.encoded() is shared.encoded()
 
 
+@pytest.mark.parametrize("eval_on_full_test", [False, True])
+@pytest.mark.parametrize("classifier", ["rls", "centroid"])
+def test_isolated_distributed_agents_score_like_local_ones(blobs, classifier, eval_on_full_test):
+    # Over an isolated network (omega = I) each raw aggregate is the agent's own model.
+    ds, train_idx, test_idx = blobs
+    ids = (50, 3, 9, 1, 7, 22)
+    isolated = AgentNetwork(omega=np.eye(len(ids), dtype=np.int64), agent_ids=ids)
+
+    def run(kind, network):
+        shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(34))
+        version = ExperimentVersion(kind, classifier_kind=classifier)
+        return run_version(shared, version, len(ids), network, eval_on_full_test)
+
+    local, dist = run("local", None), run("distributed", isolated)
+    assert dist.per_agent_accuracy.tobytes() == local.per_agent_accuracy.tobytes()
+
+
 SMALL_SUITE = ExperimentConfig(
     dataset="synth:classes=3,features=5,samples=300,sep=3.0,seed=1",
     versions=(

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import pickle
 import warnings
 
 import numpy as np
@@ -335,6 +336,56 @@ def test_run_suite_failure_identifies_seed():
     )
     with pytest.raises(SuiteError, match="seed index 0"):
         run_suite(cfg)
+
+
+def recorded_passes(monkeypatch, config):
+    """The suite's records and each _run_pass call's (arguments, results), in call order."""
+    run_pass = hvnet.harness._run_pass
+    calls = []
+
+    def recording(*args):
+        calls.append((args, run_pass(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(hvnet.harness, "_run_pass", recording)
+    records = run_suite(config)
+    monkeypatch.setattr(hvnet.harness, "_run_pass", run_pass)
+    return records, calls
+
+
+def assert_same_results(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.n_agents == y.n_agents
+        assert x.payload_values_per_producer == y.payload_values_per_producer
+        assert x.per_agent_accuracy.dtype == y.per_agent_accuracy.dtype
+        assert x.per_agent_accuracy.tobytes() == y.per_agent_accuracy.tobytes()
+
+
+@pytest.mark.parametrize("split_mode, folds", [("holdout", [None]), ("kfold", [0, 1, 2])])
+def test_passes_computed_in_reverse_order_reduce_to_the_same_records(
+    monkeypatch, split_mode, folds
+):
+    cfg = small_config(split_mode=split_mode, k_folds=3, agent_counts=(4, 2))
+    records, calls = recorded_passes(monkeypatch, cfg)
+    assert [args[2:] for args, _ in calls] == [(i, f) for i in range(cfg.n_seeds) for f in folds]
+    # Each pass is a pure function of its arguments: recomputed last to first,
+    # the passes are bit-equal to the suite's and reduce to the same records.
+    backward = {args[2:]: hvnet.harness._run_pass(*args) for args, _ in reversed(calls)}
+    for args, results in calls:
+        assert_same_results(backward[args[2:]], results)
+    monkeypatch.setattr(
+        hvnet.harness, "_run_pass", lambda config, piece, i, fold: backward[(i, fold)]
+    )
+    assert records_to_jsonl(run_suite(cfg)) == records_to_jsonl(records)
+
+
+def test_a_pass_and_its_results_pickle_and_round_trip(monkeypatch):
+    _, calls = recorded_passes(monkeypatch, small_config(split_mode="kfold", k_folds=3))
+    args, results = calls[-1]
+    assert_same_results(pickle.loads(pickle.dumps(results)), results)
+    run_pass, restored_args = pickle.loads(pickle.dumps((hvnet.harness._run_pass, args)))
+    assert_same_results(run_pass(*restored_args), results)
 
 
 def test_run_suite_payload_accounting():

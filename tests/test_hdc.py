@@ -13,7 +13,6 @@ from hvnet.errors import (
 )
 from hvnet.hdc import (
     SeedSpec,
-    bind_elementwise,
     circ_convolve,
     clip,
     cosine,
@@ -91,40 +90,6 @@ def test_clip_idempotent(values, kappa):
 def test_clip_rejects_bad_kappa(kappa):
     with pytest.raises(InvalidParameterError):
         clip(np.array([1.0]), kappa)
-
-
-# ---------------------------------------------------------- bind_elementwise
-
-
-def test_bind_componentwise_product():
-    out = bind_elementwise(np.array([1, -1, 1]), np.array([1, 1, -1]))
-    np.testing.assert_array_equal(out, [1, -1, -1])
-
-
-def test_bind_self_gives_ones():
-    x = random_bipolar(64, SeedSpec(0).child("x"))
-    np.testing.assert_array_equal(bind_elementwise(x, x), np.ones(64, dtype=np.int8))
-
-
-def test_bind_is_self_inverse_exactly():
-    x = random_bipolar(256, SeedSpec(1).child("x"))
-    y = random_bipolar(256, SeedSpec(1).child("y"))
-    np.testing.assert_array_equal(bind_elementwise(x, bind_elementwise(x, y)), y)
-
-
-def test_bind_result_nearly_orthogonal_to_operands():
-    # Statistical, but fully seeded: bound vectors decorrelate from operands.
-    for t in range(10):
-        x = random_bipolar(1000, SeedSpec(2).child("x", t))
-        y = random_bipolar(1000, SeedSpec(2).child("y", t))
-        z = bind_elementwise(x, y)
-        assert abs(cosine(z, x)) < 0.15
-        assert abs(cosine(z, y)) < 0.15
-
-
-def test_bind_length_mismatch():
-    with pytest.raises(DimensionError):
-        bind_elementwise(np.ones(3), np.ones(4))
 
 
 # --------------------------------------------------------------- superpose
