@@ -24,8 +24,6 @@ from .compression import (
     decompress,
     from_bytes,
     generate_keys,
-    load_compressed,
-    save_compressed,
     to_bytes,
 )
 from .data import Dataset, SplitSpec, load_csv, normalize, split, synth_blobs

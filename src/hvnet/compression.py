@@ -21,9 +21,10 @@ from .errors import (
     DimensionError,
     InvalidParameterError,
     KeyCorrelationWarning,
+    ProtocolError,
     WireFormatError,
 )
-from .hdc import INVERSE_MODES, SeedSpec, circ_convolve, inverse, random_gaussian_key, superpose
+from .hdc import SeedSpec, check_count, circ_convolve, inverse, random_gaussian_key, superpose
 
 __all__ = [
     "CompressedClassifier",
@@ -33,16 +34,13 @@ __all__ = [
     "decompress",
     "from_bytes",
     "generate_keys",
-    "load_compressed",
-    "save_compressed",
     "to_bytes",
 ]
 
 MAGIC = b"HRRC"
-WIRE_VERSION = 1
-_HEADER = struct.Struct("<4sHQIIB")
-_MODE_CODES = {"exact": 0, "involution": 1}
-_CODE_MODES = {v: k for k, v in _MODE_CODES.items()}
+WIRE_VERSION = 2
+# magic, version, agent id, n_classes, dim
+_HEADER = struct.Struct("<4sHQII")
 
 # Pairwise key cosines should stay below this at dim >= 512; checked at
 # generation because decompression quality degrades with correlated keys.
@@ -51,11 +49,10 @@ _KEY_COSINE_BOUND = 0.2
 
 @dataclass(frozen=True)
 class KeySet:
-    """Per-class key hypervectors of one agent, plus the inverse mode to use."""
+    """Per-class key hypervectors of one agent."""
 
     agent_id: int
     keys: np.ndarray  # (n_classes, dim) float64
-    mode: str = "exact"
 
     @property
     def n_classes(self) -> int:
@@ -79,18 +76,17 @@ class CompressedClassifier:
         return self.w.shape[0]
 
 
-def generate_keys(agent_id: int, n_classes: int, dim: int, mode: str = "exact") -> KeySet:
+def generate_keys(agent_id: int, n_classes: int, dim: int) -> KeySet:
     """Regenerate an agent's key set from its ID alone.
 
     Every party that knows ``agent_id`` (and the shared n_classes, dim)
-    reproduces bit-identical keys.
+    reproduces bit-identical keys.  The ID must fit the wire header's u64.
     """
-    if agent_id < 0:
-        raise InvalidParameterError("agent_id must be non-negative")
-    if n_classes < 1 or dim < 1:
-        raise InvalidParameterError("n_classes and dim must be >= 1")
-    if mode not in INVERSE_MODES:
-        raise InvalidParameterError(f"mode must be one of {INVERSE_MODES}")
+    is_int = isinstance(agent_id, (int, np.integer)) and not isinstance(agent_id, bool)
+    if not (is_int and 0 <= agent_id < 2**64):
+        raise InvalidParameterError(f"agent_id must be an integer in [0, 2**64), got {agent_id!r}")
+    check_count("n_classes", n_classes)
+    check_count("dim", dim)
     base = SeedSpec(agent_id)
     keys = np.stack(
         [random_gaussian_key(dim, base.child("class_key", i)) for i in range(n_classes)]
@@ -106,7 +102,7 @@ def generate_keys(agent_id: int, n_classes: int, dim: int, mode: str = "exact") 
                 KeyCorrelationWarning,
                 stacklevel=2,
             )
-    return KeySet(agent_id=agent_id, keys=keys, mode=mode)
+    return KeySet(agent_id=agent_id, keys=keys)
 
 
 def compress(w_out: ClassifierMatrix, keys: KeySet) -> CompressedClassifier:
@@ -121,27 +117,29 @@ def compress(w_out: ClassifierMatrix, keys: KeySet) -> CompressedClassifier:
 
 
 def decompress(c: CompressedClassifier, keys: KeySet, kind: str = "rls") -> ClassifierMatrix:
-    """Approximately reconstruct each row by convolving with the key inverse.
+    """Approximately reconstruct each row by convolving with its key's exact inverse.
 
     With more than one class the reconstruction carries crosstalk noise
-    from the other key-row pairs; it is exact only for n_classes == 1 in
-    exact mode.
+    from the other key-row pairs; it is exact only for n_classes == 1.
+    The payload must come from the agent whose keys are given.
     """
+    if c.agent_id != keys.agent_id:
+        raise ProtocolError(
+            f"payload of agent {c.agent_id} cannot be unpacked with agent {keys.agent_id}'s keys"
+        )
     if c.n_classes != keys.n_classes or c.dim != keys.dim:
         raise DimensionError("compressed payload and key set disagree on shape")
-    return ClassifierMatrix(weights=circ_convolve(c.w, inverse(keys.keys, keys.mode)), kind=kind)
+    return ClassifierMatrix(weights=circ_convolve(c.w, inverse(keys.keys)), kind=kind)
 
 
 def compression_fidelity(w_out: ClassifierMatrix, keys: KeySet) -> NDArray[np.float64]:
     """Per-class cosine between original and reconstructed rows; zero rows give 0.0.
 
-    The cosine depends on the class count L and the inverse mode, not on
-    ``dim``: the packing rate is L:1 at every dimension, so the crosstalk
-    from the other L - 1 rows keeps a fixed share of each reconstructed
-    row.  With the involution inverse it is about ``1/sqrt(L + 1)`` for
-    independent rows; with the exact inverse it is lower and falls slowly
-    as ``dim`` grows, because small spectral components of a Gaussian key
-    amplify the crosstalk.
+    The cosine is set by the class count L, not improved by ``dim``: the
+    packing rate is L:1 at every dimension, so the crosstalk from the other
+    L - 1 rows keeps a fixed share of each reconstructed row.  It even falls
+    slowly as ``dim`` grows, because small spectral components of a Gaussian
+    key amplify the crosstalk under the exact inverse.
     """
     orig = w_out.weights.astype(np.float64)
     recon = decompress(compress(w_out, keys), keys, kind=w_out.kind).weights
@@ -150,42 +148,25 @@ def compression_fidelity(w_out: ClassifierMatrix, keys: KeySet) -> NDArray[np.fl
     return np.divide(dots, norms, out=np.zeros_like(norms), where=norms != 0.0)
 
 
-def to_bytes(c: CompressedClassifier, mode: str = "exact") -> bytes:
+def to_bytes(c: CompressedClassifier) -> bytes:
     """Serialize with the HRRC wire header, payload as little-endian float64."""
-    if mode not in _MODE_CODES:
-        raise InvalidParameterError(f"mode must be one of {INVERSE_MODES}")
-    header = _HEADER.pack(MAGIC, WIRE_VERSION, c.agent_id, c.n_classes, c.dim, _MODE_CODES[mode])
+    header = _HEADER.pack(MAGIC, WIRE_VERSION, c.agent_id, c.n_classes, c.dim)
     return header + np.ascontiguousarray(c.w, dtype="<f8").tobytes()
 
 
-def from_bytes(buf: bytes) -> tuple[CompressedClassifier, str]:
-    """Parse an HRRC payload; returns the classifier and its inverse mode."""
+def from_bytes(buf: bytes) -> CompressedClassifier:
+    """Parse an HRRC payload, validating its header and length."""
     if len(buf) < _HEADER.size:
         raise WireFormatError(f"buffer too short for header: {len(buf)} bytes")
-    magic, version, agent_id, n_classes, dim, mode_code = _HEADER.unpack_from(buf)
+    magic, version, agent_id, n_classes, dim = _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise WireFormatError(f"bad magic {magic!r}")
     if version != WIRE_VERSION:
         raise WireFormatError(f"unsupported version {version}")
-    if mode_code not in _CODE_MODES:
-        raise WireFormatError(f"unknown inverse mode code {mode_code}")
     if dim < 1 or n_classes < 1:
         raise WireFormatError(f"header has dim={dim}, n_classes={n_classes}; both must be >= 1")
     expected = _HEADER.size + 8 * dim
     if len(buf) != expected:
         raise WireFormatError(f"expected {expected} bytes, got {len(buf)}")
     w = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).astype(np.float64)
-    return (
-        CompressedClassifier(w=w, agent_id=agent_id, n_classes=n_classes),
-        _CODE_MODES[mode_code],
-    )
-
-
-def save_compressed(c: CompressedClassifier, path, mode: str = "exact") -> None:
-    with open(path, "wb") as fh:
-        fh.write(to_bytes(c, mode))
-
-
-def load_compressed(path) -> tuple[CompressedClassifier, str]:
-    with open(path, "rb") as fh:
-        return from_bytes(fh.read())
+    return CompressedClassifier(w=w, agent_id=agent_id, n_classes=n_classes)

@@ -87,22 +87,25 @@ def load_csv(path, label_column=-1, header: bool = False, name: str | None = Non
     if not rows:
         raise InvalidDatasetError(f"{path} is empty")
     columns = rows[0]
-    if header:
-        if isinstance(label_column, str):
-            try:
-                label_idx = columns.index(label_column)
-            except ValueError:
-                raise ParseError(f"no column named {label_column!r} in {path}") from None
-        else:
-            label_idx = int(label_column)
-        rows = rows[1:]
-    else:
-        if isinstance(label_column, str):
+    label_idx = label_column
+    if isinstance(label_column, str):
+        if not header:
             raise InvalidParameterError("named label column requires header=True")
-        label_idx = int(label_column)
+        try:
+            label_idx = columns.index(label_column)
+        except ValueError:
+            raise ParseError(f"no column named {label_column!r} in {path}") from None
+    if header:
+        rows = rows[1:]
     if not rows:
         raise InvalidDatasetError(f"{path} has no data rows")
-    label_idx = label_idx % len(columns)
+    n_cols = len(columns)
+    # type() rather than isinstance(): a bool is not a column index.
+    if type(label_idx) is not int or not -n_cols <= label_idx < n_cols:
+        raise InvalidParameterError(
+            f"label_column {label_column!r} is not a column of {path}, which has {n_cols} columns"
+        )
+    label_idx %= n_cols
 
     features = []
     raw_labels = []

@@ -34,8 +34,6 @@ __all__ = [
     "superpose",
 ]
 
-INVERSE_MODES = ("exact", "involution")
-
 # Spectral components with magnitude at or below this are treated as zero
 # when building an exact inverse.
 SPECTRUM_EPS = 1e-12
@@ -145,25 +143,18 @@ def circ_convolve(x, y) -> NDArray[np.float64]:
     return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(y), n=x.shape[-1])
 
 
-def inverse(k, mode: str = "exact") -> NDArray[np.float64]:
-    """Convolutive inverse of a key hypervector, or of each key in a stack (last axis).
+def inverse(k) -> NDArray[np.float64]:
+    """Exact convolutive inverse of a key hypervector, or of each key in a stack (last axis).
 
-    ``involution`` reverses indices cyclically (output_j = k_{(-j) mod D});
-    it is only an approximate inverse.  ``exact`` inverts the spectrum, so
-    circ_convolve(k, inverse(k)) is the unit impulse up to roundoff; it
-    requires every spectral component of every key to be nonzero.
+    Inverts the spectrum, so circ_convolve(k, inverse(k)) is the unit impulse
+    up to roundoff; requires every spectral component of every key to be
+    nonzero.
     """
     k = _as_rows(k, "k").astype(np.float64)
-    if mode == "involution":
-        return np.roll(k[..., ::-1], 1, axis=-1)
-    if mode == "exact":
-        spectrum = np.fft.rfft(k)
-        if np.min(np.abs(spectrum)) <= SPECTRUM_EPS:
-            raise SingularKeyError(
-                "key has a near-zero spectral component; no exact inverse exists"
-            )
-        return np.fft.irfft(1.0 / spectrum, n=k.shape[-1])
-    raise InvalidParameterError(f"mode must be one of {INVERSE_MODES}, got {mode!r}")
+    spectrum = np.fft.rfft(k)
+    if np.min(np.abs(spectrum)) <= SPECTRUM_EPS:
+        raise SingularKeyError("key has a near-zero spectral component; no exact inverse exists")
+    return np.fft.irfft(1.0 / spectrum, n=k.shape[-1])
 
 
 def cosine(x, y) -> float:

@@ -16,11 +16,9 @@ from hvnet.compression import (
     decompress,
     from_bytes,
     generate_keys,
-    load_compressed,
-    save_compressed,
     to_bytes,
 )
-from hvnet.errors import DimensionError, InvalidParameterError, WireFormatError
+from hvnet.errors import DimensionError, InvalidParameterError, ProtocolError, WireFormatError
 from hvnet.hdc import SeedSpec, circ_convolve, cosine, inverse, superpose
 
 
@@ -86,7 +84,16 @@ def test_generate_keys_rejects_bad_params():
     with pytest.raises(InvalidParameterError):
         generate_keys(0, 0, 16)
     with pytest.raises(InvalidParameterError):
-        generate_keys(0, 2, 16, mode="other")
+        generate_keys(0, 2.0, 16)
+
+
+def test_generate_keys_rejects_ids_outside_u64():
+    # 2**64 would otherwise alias agent 0's seed and overflow the wire header.
+    top = generate_keys(2**64 - 1, 2, 16)
+    assert from_bytes(to_bytes(compress(matrix(np.ones((2, 16))), top))).agent_id == 2**64 - 1
+    for bad in (2**64, 2**64 + 7, True, 1.0):
+        with pytest.raises(InvalidParameterError, match="agent_id"):
+            generate_keys(bad, 2, 16)
 
 
 # --------------------------------------------------------------- compress
@@ -125,6 +132,12 @@ def test_compress_shape_mismatch():
         )
 
 
+def test_decompress_rejects_another_agents_keys():
+    packed = compress(matrix(unit_rows(2, 32, 49)), generate_keys(1, 2, 32))
+    with pytest.raises(ProtocolError, match="agent 1.*agent 2"):
+        decompress(packed, generate_keys(2, 2, 32))
+
+
 def test_payload_is_one_row_regardless_of_classes():
     for n_classes in (1, 10, 50):
         w = matrix(unit_rows(n_classes, 64, 44))
@@ -158,18 +171,17 @@ def test_crosstalk_is_zero_mean_across_key_sets():
     assert float(np.max(np.abs(mean_error))) < 3.0 / np.sqrt(trials)
 
 
-@pytest.mark.parametrize("mode", ["exact", "involution"])
 @pytest.mark.parametrize("n_classes, dim", [(1, 64), (2, 150), (3, 777), (10, 1500)])
-def test_pack_unpack_match_per_row_loop(mode, n_classes, dim):
+def test_pack_unpack_match_per_row_loop(n_classes, dim):
     # The row-batched FFTs must give exactly what one FFT per class row gives.
     w = matrix(unit_rows(n_classes, dim, 46))
-    keys = generate_keys(9, n_classes, dim, mode=mode)
+    keys = generate_keys(9, n_classes, dim)
     packed = compress(w, keys)
     expected = superpose(
         [circ_convolve(keys.keys[i], w.weights[i]) for i in range(n_classes)]
     )
     assert np.array_equal(packed.w, expected)
-    rows = [circ_convolve(packed.w, inverse(keys.keys[i], mode)) for i in range(n_classes)]
+    rows = [circ_convolve(packed.w, inverse(keys.keys[i])) for i in range(n_classes)]
     assert np.array_equal(decompress(packed, keys).weights, np.stack(rows))
 
 
@@ -230,18 +242,11 @@ def test_fidelity_dim_trend_measured():
 def test_wire_round_trip_bit_exact():
     w = matrix(unit_rows(4, 200, 48))
     packed = compress(w, generate_keys(11, 4, 200))
-    restored, mode = from_bytes(to_bytes(packed, mode="exact"))
-    assert mode == "exact"
+    restored = from_bytes(to_bytes(packed))
     assert restored.agent_id == 11
     assert restored.n_classes == 4
     assert restored.dim == 200
     assert restored.w.tobytes() == packed.w.tobytes()
-
-
-def test_wire_mode_byte_round_trips():
-    packed = CompressedClassifier(w=np.arange(8.0), agent_id=0, n_classes=2)
-    _, mode = from_bytes(to_bytes(packed, mode="involution"))
-    assert mode == "involution"
 
 
 def test_wire_rejects_bad_magic_and_truncation():
@@ -255,24 +260,22 @@ def test_wire_rejects_bad_magic_and_truncation():
         from_bytes(buf + b"\x00" * 8)
 
 
-def test_wire_file_round_trip(tmp_path):
-    packed = CompressedClassifier(w=np.linspace(-1, 1, 33), agent_id=5, n_classes=3)
-    path = tmp_path / "payload.hrrc"
-    save_compressed(packed, path, mode="exact")
-    restored, mode = load_compressed(path)
-    assert mode == "exact"
-    assert restored.w.tobytes() == packed.w.tobytes()
-    assert (restored.agent_id, restored.n_classes) == (5, 3)
+# Independent statement of the 22-byte HRRC v2 header:
+# magic, version, agent id, n_classes, dim.
+HRRC_HEADER = struct.Struct("<4sHQII")
 
 
-# Independent statement of the 23-byte HRRC header:
-# magic, version, agent id, n_classes, dim, inverse mode code.
-HRRC_HEADER = struct.Struct("<4sHQIIB")
+def test_wire_rejects_v1_buffer():
+    # v1 carried a trailing inverse-mode byte: 23 header bytes + 8 * dim.
+    v1 = struct.pack("<4sHQIIB", b"HRRC", 1, 0, 2, 4, 0) + b"\x00" * 32
+    assert len(v1) == 23 + 8 * 4
+    with pytest.raises(WireFormatError, match="version 1"):
+        from_bytes(v1)
 
 
 @pytest.mark.parametrize("n_classes, dim", [(0, 4), (2, 0), (0, 0)])
 def test_wire_rejects_zero_classes_or_dim(n_classes, dim):
-    buf = HRRC_HEADER.pack(b"HRRC", 1, 0, n_classes, dim, 0) + b"\x00" * (8 * dim)
+    buf = HRRC_HEADER.pack(b"HRRC", 2, 0, n_classes, dim) + b"\x00" * (8 * dim)
     with pytest.raises(WireFormatError):
         from_bytes(buf)
 
@@ -280,12 +283,11 @@ def test_wire_rejects_zero_classes_or_dim(n_classes, dim):
 @given(st.binary(max_size=80))
 @settings(deadline=None, max_examples=200)
 def test_wire_arbitrary_bytes_raise_only_wire_format_error(tail):
-    for buf in (tail, b"HRRC" + struct.pack("<H", 1) + tail):
+    for buf in (tail, b"HRRC" + struct.pack("<H", 2) + tail):
         try:
-            restored, mode = from_bytes(buf)
+            restored = from_bytes(buf)
         except WireFormatError:
             continue
-        assert mode in ("exact", "involution")
         assert restored.n_classes >= 1 and restored.dim >= 1
         assert len(buf) == HRRC_HEADER.size + 8 * restored.dim
 
@@ -295,13 +297,12 @@ def test_wire_arbitrary_bytes_raise_only_wire_format_error(tail):
     st.integers(0, 3), st.integers(-1, 1),
 )
 @settings(deadline=None, max_examples=200)
-def test_wire_header_fields_accepted_only_when_valid(agent_id, n_classes, dim, code, extra):
-    buf = HRRC_HEADER.pack(b"HRRC", 1, agent_id, n_classes, dim, code) + b"\x00" * (8 * dim)
+def test_wire_header_fields_accepted_only_when_valid(agent_id, n_classes, dim, version, extra):
+    buf = HRRC_HEADER.pack(b"HRRC", version, agent_id, n_classes, dim) + b"\x00" * (8 * dim)
     buf = buf[:len(buf) + extra] if extra < 0 else buf + b"\x00" * extra
-    if n_classes >= 1 and dim >= 1 and code in (0, 1) and extra == 0:
-        restored, mode = from_bytes(buf)
+    if n_classes >= 1 and dim >= 1 and version == 2 and extra == 0:
+        restored = from_bytes(buf)
         assert (restored.agent_id, restored.n_classes, restored.dim) == (agent_id, n_classes, dim)
-        assert mode == ("exact", "involution")[code]
     else:
         with pytest.raises(WireFormatError):
             from_bytes(buf)

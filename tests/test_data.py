@@ -60,6 +60,21 @@ def test_load_csv_header_and_named_column(tmp_path):
     np.testing.assert_array_equal(ds.samples, [[1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize("label_column", [5, -4, True, 1.5])
+def test_load_csv_rejects_label_column_outside_row(tmp_path, label_column):
+    path = write(tmp_path, "three.csv", "1.0,2.0,a\n3.0,4.0,b\n")
+    with pytest.raises(InvalidParameterError, match=r"three\.csv, which has 3 columns"):
+        load_csv(path, label_column=label_column)
+
+
+@pytest.mark.parametrize("label_column", [2, -1])
+def test_load_csv_label_column_in_row_loads(tmp_path, label_column):
+    path = write(tmp_path, "three.csv", "1.0,2.0,a\n3.0,4.0,b\n")
+    ds = load_csv(path, label_column=label_column)
+    assert ds.label_values == ("a", "b")
+    np.testing.assert_array_equal(ds.samples, [[1, 2], [3, 4]])
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "absent.csv")
