@@ -50,15 +50,14 @@ def main():
 def grid_cmd(dataset, manifest, seed, dims, lams, kappas, train_fraction, out):
     """Exhaustive (dim, lambda, kappa) search with the centralized RLS model."""
     try:
+        spec = SeedSpec(seed)
         ds = _load_dataset(dataset, manifest)
         grid = GridSpec(
             dim_values=tuple(dims) or GridSpec().dim_values,
             lambda_values=tuple(lams) or GridSpec().lambda_values,
             kappa_values=tuple(kappas) or GridSpec().kappa_values,
         )
-        dim, lam, kappa = grid_search(
-            ds, grid, SeedSpec(seed), train_fraction=train_fraction
-        )
+        dim, lam, kappa = grid_search(ds, grid, spec, train_fraction=train_fraction)
     except (HvnetError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
     payload = {"dim": dim, "lambda": lam, "kappa": kappa}

@@ -24,7 +24,15 @@ from .errors import (
     ProtocolError,
     WireFormatError,
 )
-from .hdc import SeedSpec, check_count, circ_convolve, inverse, random_gaussian_key, superpose
+from .hdc import (
+    SeedSpec,
+    check_count,
+    check_seed,
+    circ_convolve,
+    inverse,
+    random_gaussian_key,
+    superpose,
+)
 
 __all__ = [
     "CompressedClassifier",
@@ -65,11 +73,18 @@ class KeySet:
 
 @dataclass(frozen=True)
 class CompressedClassifier:
-    """A whole classifier packed into one hypervector."""
+    """A whole classifier packed into one hypervector; its fields must fit the wire header."""
 
     w: np.ndarray  # (dim,) float64
     agent_id: int
     n_classes: int
+
+    def __post_init__(self):
+        check_seed("agent_id", self.agent_id)
+        check_count("n_classes", self.n_classes, bits=32)
+        shape = np.shape(self.w)
+        if len(shape) != 1 or not 1 <= shape[0] < 2**32:
+            raise InvalidParameterError(f"w must be 1-D with 1 to 2**32 - 1 values, not {shape}")
 
     @property
     def dim(self) -> int:
@@ -82,11 +97,8 @@ def generate_keys(agent_id: int, n_classes: int, dim: int) -> KeySet:
     Every party that knows ``agent_id`` (and the shared n_classes, dim)
     reproduces bit-identical keys.  The ID must fit the wire header's u64.
     """
-    is_int = isinstance(agent_id, (int, np.integer)) and not isinstance(agent_id, bool)
-    if not (is_int and 0 <= agent_id < 2**64):
-        raise InvalidParameterError(f"agent_id must be an integer in [0, 2**64), got {agent_id!r}")
-    check_count("n_classes", n_classes)
-    check_count("dim", dim)
+    check_seed("agent_id", agent_id)
+    check_count("n_classes", n_classes)  # random_gaussian_key checks dim
     base = SeedSpec(agent_id)
     keys = np.stack(
         [random_gaussian_key(dim, base.child("class_key", i)) for i in range(n_classes)]

@@ -17,7 +17,7 @@ from .errors import (
     ParseError,
     StratificationWarning,
 )
-from .hdc import SeedSpec
+from .hdc import SeedSpec, check_count
 
 __all__ = [
     "Dataset",
@@ -40,8 +40,6 @@ class Dataset:
     labels: np.ndarray  # (n_samples,) int64 in 1..n_classes
     n_classes: int
     name: str = "dataset"
-    feature_ranges: np.ndarray | None = None  # (n_features, 2) min/max used to normalize
-    label_values: tuple = ()  # raw label of class i at position i-1
 
     @property
     def n_samples(self) -> int:
@@ -142,7 +140,6 @@ def load_csv(path, label_column=-1, header: bool = False, name: str | None = Non
         labels=np.asarray([index[v] for v in raw_labels], dtype=np.int64),
         n_classes=len(ordered),
         name=name or path.stem,
-        label_values=tuple(ordered),
     )
 
 
@@ -163,7 +160,7 @@ def normalize(ds: Dataset, train_indices=None) -> Dataset:
     safe_span = np.where(constant, 1.0, span)
     scaled = np.clip((ds.samples - mins) / safe_span, 0.0, 1.0)
     scaled[:, constant] = 0.5
-    return replace(ds, samples=scaled, feature_ranges=np.stack([mins, maxs], axis=1))
+    return replace(ds, samples=scaled)
 
 
 def _stratify_ok(labels: np.ndarray, n_classes: int) -> bool:
@@ -218,8 +215,9 @@ def synth_blobs(
     separation), noise is unit isotropic, and the result is min-max
     normalized to [0, 1].  separation=0 makes the classes indistinguishable.
     """
-    if n_classes < 1 or n_features < 1 or n_samples < 1:
-        raise InvalidParameterError("n_classes, n_features, n_samples must be >= 1")
+    check_count("n_classes", n_classes, lo=2)  # one class cannot be classified
+    check_count("n_features", n_features)
+    check_count("n_samples", n_samples)
     if separation < 0:
         raise InvalidParameterError("separation must be >= 0")
     rng = seed.rng()
@@ -311,11 +309,13 @@ def resolve_dataset(spec: str, manifest: dict | None = None) -> Dataset:
         for item in filter(None, body.split(",")):
             key, _, value = item.partition("=")
             key = key.strip()
-            if key not in params:
+            try:
+                params[key] = type(params[key])(value)
+            except (KeyError, ValueError):
                 raise InvalidParameterError(
-                    f"unknown synth parameter {key!r}; expected {sorted(params)}"
-                )
-            params[key] = float(value) if key == "sep" else int(value)
+                    f"bad synth parameter {item!r}: expected KEY=VALUE with KEY one of "
+                    f"{sorted(params)} and VALUE an integer (a number for sep)"
+                ) from None
         return synth_blobs(
             params["classes"],
             params["features"],

@@ -52,8 +52,7 @@ def init_projection(n_features: int, dim: int, seed: SeedSpec) -> InputProjectio
 
     Any party holding the same seed reconstructs the identical matrix.
     """
-    if n_features < 1 or dim < 1:
-        raise InvalidParameterError("n_features and dim must be >= 1")
+    check_count("n_features", n_features)  # random_bipolar checks dim
     cols = np.stack(
         [random_bipolar(dim, seed.child("input_column", j)) for j in range(n_features)],
         axis=1,
@@ -79,8 +78,7 @@ def _thermometer_codes(dim: int) -> NDArray[np.int8]:
 
 def thermometer_encode(value: float, dim: int) -> NDArray[np.int8]:
     """Monotone bipolar code: the first round(value*dim) entries are +1, the rest -1."""
-    if dim < 1:
-        raise InvalidParameterError(f"dim must be >= 1, got {dim}")
+    check_count("dim", dim)
     n_plus = _prefix_lengths(np.asarray([value], dtype=np.float64), dim)[0]
     return _thermometer_codes(dim)[n_plus].copy()
 

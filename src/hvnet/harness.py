@@ -43,7 +43,7 @@ from .errors import (
     SuiteError,
     UndefinedCorrelationError,
 )
-from .hdc import SeedSpec, check_count, clip
+from .hdc import SeedSpec, check_count, check_seed, clip
 from .network import VERSION_KINDS, ExperimentVersion, ModelParams, SharedPass, run_version
 
 __all__ = [
@@ -98,7 +98,8 @@ class ExperimentConfig:
     """One experiment suite: a dataset, model versions, agent counts, hyperparameters.
 
     Fixed hyperparameters must be valid (lambda finite and >= 0; kappa,
-    dim, n_seeds and every agent count integers >= 1) and, unless
+    dim, n_seeds and every agent count integers >= 1; master_seed an
+    integer in [0, 2**64)) and, unless
     ``allow_off_grid`` is set, lie inside the default search ranges.
     ``versions`` and ``agent_counts`` are non-empty and repeat no entry.
     Seeded splits are always stratified.
@@ -121,6 +122,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_lambda(self.lam)
+        check_seed("master_seed", self.master_seed)
         for name in ("kappa", "dim", "n_seeds"):
             check_count(name, getattr(self, name))
         for n_agents in self.agent_counts:

@@ -25,6 +25,7 @@ from .errors import (
 __all__ = [
     "SeedSpec",
     "check_count",
+    "check_seed",
     "circ_convolve",
     "clip",
     "cosine",
@@ -56,15 +57,18 @@ class SeedSpec:
     independent streams.
     """
 
-    master_seed: int
+    master_seed: int  # in [0, 2**64)
     stream_labels: tuple[tuple[str, int], ...] = ()
+
+    def __post_init__(self):
+        check_seed("master_seed", self.master_seed)
 
     def child(self, tag: str, index: int = 0) -> "SeedSpec":
         """Derive a sub-stream for one purpose, e.g. ``seed.child("key", 3)``."""
         return SeedSpec(self.master_seed, self.stream_labels + ((tag, int(index)),))
 
     def rng(self) -> np.random.Generator:
-        entropy = [self.master_seed & _MASK64]
+        entropy = [int(self.master_seed)]
         for tag, index in self.stream_labels:
             entropy.append(_tag_to_int(tag))
             entropy.append(index & _MASK64)
@@ -91,10 +95,17 @@ def _check_same_length(x: np.ndarray, y: np.ndarray) -> None:
         raise DimensionError(f"length mismatch: {x.shape[-1]} vs {y.shape[-1]}")
 
 
-def check_count(name: str, value) -> None:
-    """Raise unless ``value`` is an integer >= 1."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(name: str, value, lo: int = 1, bits: int | None = None) -> None:
+    """Raise unless ``value`` is an integer >= ``lo``, and below 2**bits when ``bits`` is given."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (is_int and value >= lo and (bits is None or value < 2**bits)):
+        span = f">= {lo}" if bits is None else f"in [{lo}, 2**{bits})"
+        raise InvalidParameterError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def check_seed(name: str, value) -> None:
+    """Raise unless ``value`` is an integer in [0, 2**64), the range of a seed or an agent id."""
+    check_count(name, value, lo=0, bits=64)
 
 
 def clip(v, kappa: int) -> np.ndarray:
@@ -171,8 +182,7 @@ def cosine(x, y) -> float:
 
 def random_bipolar(dim: int, seed: SeedSpec) -> NDArray[np.int8]:
     """Random vector with entries drawn equiprobably from {-1, +1}."""
-    if dim < 1:
-        raise InvalidParameterError(f"dim must be >= 1, got {dim}")
+    check_count("dim", dim)
     bits = seed.rng().integers(0, 2, size=dim, dtype=np.int8)
     return (2 * bits - 1).astype(np.int8)
 
@@ -182,6 +192,5 @@ def random_gaussian_key(dim: int, seed: SeedSpec) -> NDArray[np.float64]:
 
     This scaling makes circular convolution norm-preserving in expectation.
     """
-    if dim < 1:
-        raise InvalidParameterError(f"dim must be >= 1, got {dim}")
+    check_count("dim", dim)
     return seed.rng().standard_normal(dim) / np.sqrt(dim)

@@ -35,7 +35,7 @@ from .compression import compress, decompress, generate_keys
 from .data import Dataset
 from .encoding import InputProjection, encode_batch, init_projection
 from .errors import InsufficientDataError, InvalidParameterError, ProtocolError
-from .hdc import SeedSpec, superpose
+from .hdc import SeedSpec, check_count, superpose
 
 __all__ = [
     "AgentNetwork",
@@ -75,8 +75,7 @@ class AgentNetwork:
 
     @classmethod
     def fully_connected(cls, n_agents: int, agent_ids=None) -> "AgentNetwork":
-        if n_agents < 1:
-            raise InvalidParameterError("need at least one agent")
+        check_count("n_agents", n_agents)
         ids = tuple(range(n_agents)) if agent_ids is None else tuple(agent_ids)
         return cls(omega=np.ones((n_agents, n_agents), dtype=np.int64), agent_ids=ids)
 
@@ -131,8 +130,7 @@ class RunResult:
 
 def partition(n_samples: int, n_agents: int, seed: SeedSpec) -> DataPartition:
     """Uniform seeded shuffle split into n_agents near-equal disjoint shards."""
-    if n_agents < 1:
-        raise InvalidParameterError("n_agents must be >= 1")
+    check_count("n_agents", n_agents)
     if n_samples < n_agents:
         raise InsufficientDataError(
             f"{n_samples} samples cannot give {n_agents} non-empty shards"

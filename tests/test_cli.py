@@ -79,8 +79,10 @@ def test_run_unknown_dataset_fails_cleanly(runner):
     (["--kfold", "0"], "k must be >= 2"),
     (["--agents", "2", "--agents", "2"], "agent_counts repeats 2"),
     (["--version", "local"], "versions repeats ExperimentVersion(kind='local'"),
+    (["--seed", str(2**64)], f"master_seed must be an integer in [0, 2**64), got {2**64}"),
+    (["--seed", "-1"], "master_seed must be an integer in [0, 2**64), got -1"),
 ], ids=["seeds", "agents", "lambda", "lambda-off-grid", "kappa-off-grid", "dim-off-grid",
-        "kfold-zero", "repeated-agents", "repeated-version"])
+        "kfold-zero", "repeated-agents", "repeated-version", "seed-2**64", "seed-negative"])
 def test_run_rejects_invalid_config_before_encoding(runner, monkeypatch, args, message):
     encoded = []
     monkeypatch.setattr(hvnet.network, "encode_batch", lambda *a: encoded.append(a))
@@ -182,6 +184,19 @@ def test_grid_rejects_non_finite_lambda(runner, lam):
     ])
     assert result.exit_code == 1
     assert f"lambda must be a finite number >= 0, got {lam}" in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["grid", "--dataset", SYNTH, "--dim", "20", "--seed", str(2**64)], "master_seed"),
+    (["run", "--dataset", "synth:classes=abc", "--version", "local"],
+     "bad synth parameter 'classes=abc'"),
+    (["run", "--dataset", "synth:classes=1", "--version", "local"],
+     "n_classes must be an integer >= 2, got 1"),
+], ids=["grid-seed", "synth-value", "synth-one-class"])
+def test_out_of_range_seed_and_bad_synth_spec_are_clean_errors(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: {message}")
 
 
 def test_report_renders_table_and_scatter(runner, tmp_path):

@@ -96,6 +96,28 @@ def test_generate_keys_rejects_ids_outside_u64():
             generate_keys(bad, 2, 16)
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"agent_id": -1}, "agent_id"),
+    ({"agent_id": 2**64}, "agent_id"),
+    ({"n_classes": 0}, "n_classes"),
+    ({"n_classes": 2**32}, "n_classes"),
+    ({"w": np.zeros((2, 4))}, "w must be 1-D"),
+    ({"w": np.zeros(0)}, "w must be 1-D"),
+    ({"w": np.broadcast_to(0.0, (2**32,))}, "w must be 1-D"),
+], ids=["negative-id", "id-2**64", "no-classes", "classes-2**32", "2-d", "empty", "dim-2**32"])
+def test_compressed_classifier_rejects_what_the_wire_header_cannot_hold(fields, name):
+    # The HRRC header holds the agent id as a u64 and n_classes and dim as u32s.
+    args = {"w": np.zeros(4), "agent_id": 0, "n_classes": 2, **fields}
+    with pytest.raises(InvalidParameterError, match=name):
+        CompressedClassifier(**args)
+
+
+def test_compressed_classifier_at_the_header_limits_round_trips():
+    c = CompressedClassifier(w=np.ones(3), agent_id=2**64 - 1, n_classes=2**32 - 1)
+    restored = from_bytes(to_bytes(c))
+    assert (restored.agent_id, restored.n_classes, restored.dim) == (2**64 - 1, 2**32 - 1, 3)
+
+
 # --------------------------------------------------------------- compress
 
 

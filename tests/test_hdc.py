@@ -11,8 +11,12 @@ from hvnet.errors import (
     SingularKeyError,
     UndefinedSimilarityError,
 )
+from hvnet.data import synth_blobs
+from hvnet.encoding import init_projection, thermometer_encode
+from hvnet.harness import ExperimentConfig
 from hvnet.hdc import (
     SeedSpec,
+    check_seed,
     circ_convolve,
     clip,
     cosine,
@@ -21,6 +25,7 @@ from hvnet.hdc import (
     random_gaussian_key,
     superpose,
 )
+from hvnet.network import AgentNetwork, ExperimentVersion, partition
 
 
 def direct_convolve(x, y):
@@ -56,6 +61,42 @@ def test_seedspec_distinct_labels_distinct_streams():
     c = SeedSpec(42).child("y", 0).rng().standard_normal(16)
     assert not np.allclose(a, b)
     assert not np.allclose(a, c)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+def test_seedspec_accepts_every_u64_seed(seed):
+    check_seed("master_seed", seed)
+    assert SeedSpec(seed).child("x").rng().standard_normal(2).shape == (2,)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3, True, 1.0, "3", np.int64(-1)])
+def test_seedspec_rejects_seeds_outside_u64(seed):
+    # Masking to 64 bits would make 2**64 replay seed 0 and -1 replay 2**64 - 1.
+    with pytest.raises(InvalidParameterError, match=r"master_seed .* in \[0, 2\*\*64\)"):
+        SeedSpec(seed)
+
+
+def test_experiment_config_rejects_seed_outside_u64():
+    version = (ExperimentVersion(kind="local"),)
+    with pytest.raises(InvalidParameterError, match="master_seed"):
+        ExperimentConfig(dataset="synth", versions=version, master_seed=2**64)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: init_projection(4, 2.5, s),
+    lambda s: init_projection(True, 8, s),
+    lambda s: thermometer_encode(0.5, 2.5),
+    lambda s: random_bipolar(True, s),
+    lambda s: random_gaussian_key(8.0, s),
+    lambda s: synth_blobs(3.0, 2, 30, 1.0, s),
+    lambda s: partition(10, 2.5, s),
+    lambda s: partition(10, True, s),
+    lambda s: AgentNetwork.fully_connected(2.5),
+], ids=["projection-dim", "projection-features", "thermometer", "bipolar", "gaussian-key",
+        "synth-classes", "partition-float", "partition-bool", "fully-connected"])
+def test_counts_must_be_integers(call):
+    with pytest.raises(InvalidParameterError, match="must be an integer >= "):
+        call(SeedSpec(0))
 
 
 # -------------------------------------------------------------------- clip
