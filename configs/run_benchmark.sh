@@ -39,5 +39,6 @@ print(best['dim'], best['lambda'], best['kappa'])
 done
 
 echo "== combined table =="
-cat "$OUTDIR"/*.jsonl > "$OUTDIR/all_records.jsonl"
+# Only the suites' outputs: a rerun must not read the previous all_records.jsonl.
+cat "$OUTDIR"/*.rls.jsonl "$OUTDIR"/*.centroid.jsonl > "$OUTDIR/all_records.jsonl"
 hvnet report "$OUTDIR/all_records.jsonl" --format table

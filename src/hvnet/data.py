@@ -62,9 +62,9 @@ class SplitSpec:
         if self.mode not in ("holdout", "kfold"):
             raise InvalidParameterError(f"unknown split mode {self.mode!r}")
         if self.mode == "holdout" and not 0.0 < self.fraction < 1.0:
-            raise InvalidParameterError("holdout fraction must be in (0, 1)")
-        if self.mode == "kfold" and self.k < 2:
-            raise InvalidParameterError("k must be >= 2")
+            raise InvalidParameterError(f"holdout fraction must be in (0, 1), got {self.fraction}")
+        if self.mode == "kfold":
+            check_count("k", self.k, lo=2)
 
 
 def load_csv(path, label_column=-1, header: bool = False, name: str | None = None) -> Dataset:
@@ -195,15 +195,10 @@ def split(ds: Dataset, spec: SplitSpec):
             test_parts.append(idx[n_train:])
         return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
 
-    folds = [[] for _ in range(spec.k)]
+    # Stratified, each class deals its shuffled rows to the folds in turn.
     if stratified:
-        for idx in groups:
-            for pos, sample in enumerate(idx):
-                folds[pos % spec.k].append(sample)
-    else:
-        for f, part in enumerate(np.array_split(groups[0], spec.k)):
-            folds[f].extend(part.tolist())
-    return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
+        return [np.sort(np.concatenate([idx[f::spec.k] for idx in groups])) for f in range(spec.k)]
+    return [np.sort(part) for part in np.array_split(groups[0], spec.k)]
 
 
 def synth_blobs(
@@ -217,7 +212,7 @@ def synth_blobs(
     """
     check_count("n_classes", n_classes, lo=2)  # one class cannot be classified
     check_count("n_features", n_features)
-    check_count("n_samples", n_samples)
+    check_count("n_samples", n_samples, lo=n_classes)  # every class gets a sample
     if separation < 0:
         raise InvalidParameterError("separation must be >= 0")
     rng = seed.rng()

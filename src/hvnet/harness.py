@@ -52,6 +52,7 @@ __all__ = [
     "DEFAULT_LAMBDA_GRID",
     "ExperimentConfig",
     "GridSpec",
+    "REPORT_FORMATS",
     "ResultRecord",
     "format_table",
     "grid_search",
@@ -102,7 +103,8 @@ class ExperimentConfig:
     integer in [0, 2**64)) and, unless
     ``allow_off_grid`` is set, lie inside the default search ranges.
     ``versions`` and ``agent_counts`` are non-empty and repeat no entry.
-    Seeded splits are always stratified.
+    The split settings must form a valid :attr:`split_spec`.  Every check
+    runs at construction, before any data is read.
     """
 
     dataset: str
@@ -127,6 +129,7 @@ class ExperimentConfig:
             check_count(name, getattr(self, name))
         for n_agents in self.agent_counts:
             check_count("agent count", n_agents)
+        self.split_spec  # checks split_mode, and train_fraction or k_folds
         for name in ("versions", "agent_counts"):
             values = getattr(self, name)
             if not values:
@@ -143,6 +146,14 @@ class ExperimentConfig:
                     f"{name}={value} is outside the search range [{lo}, {hi}]; "
                     "set allow_off_grid=True (--allow-off-grid) to override"
                 )
+
+    @property
+    def split_spec(self) -> SplitSpec:
+        """The seeded, stratified split protocol; a manifest ``split_file`` overrides it."""
+        return SplitSpec(
+            mode=self.split_mode, fraction=self.train_fraction, k=self.k_folds,
+            seed=SeedSpec(self.master_seed).child("split"),
+        )
 
     @property
     def cells(self) -> list[tuple[ExperimentVersion, int]]:
@@ -347,19 +358,14 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
     if split_file is not None:
         # Predefined splits from the manifest override the seeded protocol.
         pairs = [load_split_file(split_file, raw.n_samples)]
+    elif config.split_mode == "holdout":
+        pairs = [split(raw, config.split_spec)]
     else:
-        spec = SplitSpec(
-            mode=config.split_mode, fraction=config.train_fraction, k=config.k_folds,
-            seed=SeedSpec(config.master_seed).child("split"),
-        )
-        if spec.mode == "holdout":
-            pairs = [split(raw, spec)]
-        else:
-            folds = split(raw, spec)
-            pairs = [
-                (np.sort(np.concatenate(folds[:f] + folds[f + 1:])), folds[f])
-                for f in range(len(folds))
-            ]
+        folds = split(raw, config.split_spec)
+        pairs = [
+            (np.sort(np.concatenate(folds[:f] + folds[f + 1:])), folds[f])
+            for f in range(len(folds))
+        ]
 
     # Reject an unshardable agent count before encoding; run_version rejects empty sets.
     most_agents = max(n_agents for _, n_agents in config.cells)
@@ -471,18 +477,21 @@ def records_to_jsonl(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_text(rows) -> str:
+    """CSV text, one line per row; a cell holding a comma, quote or newline is quoted."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def records_to_csv(records) -> str:
     rows = [r.to_dict() for r in _sorted_records(records)]
     if not rows:
         raise InvalidParameterError("no records to report")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    for row in rows:  # lists and booleans as JSON, the rest as str
-        writer.writerow(
-            _canonical_json(v) if isinstance(v, (list, bool)) else str(v) for v in row.values()
-        )
-    return buffer.getvalue()
+    return _csv_text([rows[0].keys()] + [  # lists and booleans as JSON, the rest as str
+        [_canonical_json(v) if isinstance(v, (list, bool)) else str(v) for v in row.values()]
+        for row in rows
+    ])
 
 
 def format_table(records) -> str:
@@ -520,21 +529,19 @@ def format_table(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report(records, fmt: str = "jsonl", out=None):
-    """Render records deterministically; write to ``out`` if given, else return the text.
+# Report format name -> renderer of a record sequence.
+REPORT_FORMATS = {"jsonl": records_to_jsonl, "csv": records_to_csv, "table": format_table}
 
-    The full text is built before any I/O, so an unwritable path never
-    leaves a partial file behind.
+
+def report(records, fmt: str = "jsonl", out=None):
+    """Render records in a :data:`REPORT_FORMATS` format; write to ``out`` if given.
+
+    Returns the text when ``out`` is None.  The full text is built before
+    any I/O, so an unwritable path never leaves a partial file behind.
     """
-    if fmt == "jsonl":
-        text = records_to_jsonl(records)
-    elif fmt == "csv":
-        text = records_to_csv(records)
-    elif fmt == "table":
-        text = format_table(records)
-    else:
+    if fmt not in REPORT_FORMATS:
         raise InvalidParameterError(f"unknown report format {fmt!r}")
-    return _write_or_return(text, out)
+    return _write_or_return(REPORT_FORMATS[fmt](records), out)
 
 
 def _write_or_return(text: str, out):
@@ -575,7 +582,7 @@ def scatter_export(records, version_a: str, version_b: str, out=None):
     sides = {version_a: _cells(records, version_a), version_b: _cells(records, version_b)}
     swap = version_a == "centralized" != version_b  # walk the side with agent counts
     walked, other = (version_b, version_a) if swap else (version_a, version_b)
-    lines = ["dataset,classifier,n_agents,acc_a,acc_b"]
+    rows = [("dataset", "classifier", "n_agents", "acc_a", "acc_b")]
     for key in sorted(sides[walked]):
         r = sides[walked][key]
         match = sides[other].get(key[:2] + (1,) if other == "centralized" else key)
@@ -583,8 +590,5 @@ def scatter_export(records, version_a: str, version_b: str, out=None):
             warnings.warn(f"dataset {r.dataset!r} missing under {other!r}; excluded")
             continue
         ra, rb = (match, r) if swap else (r, match)
-        lines.append(
-            f"{r.dataset},{r.classifier},{r.n_agents},"
-            f"{ra.mean_accuracy!r},{rb.mean_accuracy!r}"
-        )
-    return _write_or_return("\n".join(lines) + "\n", out)
+        rows.append((r.dataset, r.classifier, r.n_agents, ra.mean_accuracy, rb.mean_accuracy))
+    return _write_or_return(_csv_text(rows), out)

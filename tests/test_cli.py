@@ -1,7 +1,9 @@
 """Command-line interface behavior via the click test runner."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ from click.testing import CliRunner
 
 import hvnet.network
 from hvnet.cli import main
-from hvnet.harness import records_from_jsonl
+from hvnet.harness import ExperimentConfig, records_from_jsonl
 
 SYNTH = "synth:classes=2,features=4,samples=160,sep=4.0,seed=3"
 
@@ -19,6 +21,21 @@ SYNTH = "synth:classes=2,features=4,samples=160,sep=4.0,seed=3"
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def test_run_options_default_to_the_config_fields(runner):
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+                if f.default is not dataclasses.MISSING}
+    params = {p.name: p for p in main.commands["run"].params}
+    assert set(defaults) - set(params) == {"split_mode", "k_folds"}  # set by --kfold
+    help_text = " ".join(runner.invoke(main, ["run", "--help"]).output.split())
+    for name in set(defaults) & set(params):
+        param, default = params[name], defaults[name]
+        assert param.default == default, name
+        if param.show_default:
+            shown = ", ".join(map(str, default)) if isinstance(default, tuple) else default
+            assert re.search(rf"{param.opts[0]} [^\[]*\[default: {re.escape(str(shown))}\]",
+                             help_text), name
 
 
 def test_run_writes_jsonl(runner, tmp_path):
@@ -76,7 +93,7 @@ def test_run_unknown_dataset_fails_cleanly(runner):
     (["--lambda", "nan", "--allow-off-grid"], "lambda must be a finite number >= 0, got nan"),
     (["--kappa", "0", "--allow-off-grid"], "kappa must be an integer >= 1, got 0"),
     (["--dim", "0", "--allow-off-grid"], "dim must be an integer >= 1, got 0"),
-    (["--kfold", "0"], "k must be >= 2"),
+    (["--kfold", "0"], "k must be an integer >= 2, got 0"),
     (["--agents", "2", "--agents", "2"], "agent_counts repeats 2"),
     (["--version", "local"], "versions repeats ExperimentVersion(kind='local'"),
     (["--seed", str(2**64)], f"master_seed must be an integer in [0, 2**64), got {2**64}"),

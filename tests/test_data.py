@@ -2,9 +2,12 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvnet.classifiers import evaluate, one_hot, train_rls
 from hvnet.data import (
@@ -187,6 +190,48 @@ def test_kfold_disjoint_and_covering():
     assert len(merged) == 60 and len(np.unique(merged)) == 60
 
 
+def _round_robin_folds(ds, spec):
+    """k folds dealt one row at a time, the form ``split`` had before it took slices."""
+    counts = np.bincount(ds.labels, minlength=ds.n_classes + 1)[1:]
+    stratified = spec.stratified and bool(np.all(counts >= 2))
+    rng = spec.seed.child("split").rng()
+    groups = (
+        [np.flatnonzero(ds.labels == i) for i in range(1, ds.n_classes + 1)]
+        if stratified else [np.arange(ds.n_samples)]
+    )
+    folds = [[] for _ in range(spec.k)]
+    for idx in (idx[rng.permutation(idx.shape[0])] for idx in groups):
+        if stratified:
+            for pos, sample in enumerate(idx):
+                folds[pos % spec.k].append(sample)
+        else:
+            for f, part in enumerate(np.array_split(idx, spec.k)):
+                folds[f].extend(part.tolist())
+    return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
+
+
+@given(
+    n_classes=st.integers(2, 4),
+    labels=st.lists(st.integers(1, 4), min_size=1, max_size=40),
+    k=st.integers(2, 6),
+    stratified=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(deadline=None, max_examples=200, derandomize=True)
+def test_kfold_slices_match_the_round_robin(n_classes, labels, k, stratified, seed):
+    labels = np.minimum(labels, n_classes)
+    ds = Dataset(samples=np.zeros((labels.size, 1)), labels=labels, n_classes=n_classes)
+    spec = SplitSpec(mode="kfold", k=k, stratified=stratified, seed=SeedSpec(seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StratificationWarning)
+        folds = split(ds, spec)
+    expected = _round_robin_folds(ds, spec)
+    assert len(folds) == k
+    for fold, reference in zip(folds, expected):
+        assert fold.dtype == reference.dtype
+        np.testing.assert_array_equal(fold, reference)
+
+
 def test_split_deterministic():
     ds = synth_blobs(2, 3, 50, 2.0, SeedSpec(3))
     a = split(ds, SplitSpec(seed=SeedSpec(4)))
@@ -208,6 +253,8 @@ def test_split_spec_validation():
         SplitSpec(fraction=1.0)
     with pytest.raises(InvalidParameterError):
         SplitSpec(mode="kfold", k=1)
+    with pytest.raises(InvalidParameterError, match="k must be an integer >= 2, got 2.0"):
+        SplitSpec(mode="kfold", k=2.0)
     with pytest.raises(InvalidParameterError):
         SplitSpec(mode="bootstrap")
 

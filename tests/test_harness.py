@@ -117,6 +117,30 @@ def test_config_rejects_invalid_values_before_the_range_test(overrides, message,
         small_config(allow_off_grid=allow_off_grid, **overrides)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"split_mode": "loo"}, "unknown split mode 'loo'"),
+    ({"split_mode": "kfold", "k_folds": 2.5}, "k must be an integer >= 2, got 2.5"),
+    ({"split_mode": "kfold", "k_folds": True}, "k must be an integer >= 2, got True"),
+    ({"split_mode": "kfold", "k_folds": 1}, "k must be an integer >= 2, got 1"),
+    ({"train_fraction": 1.5}, r"holdout fraction must be in \(0, 1\), got 1.5"),
+    ({"train_fraction": float("nan")}, r"holdout fraction must be in \(0, 1\), got nan"),
+], ids=["mode", "k-float", "k-bool", "k-one", "fraction-above-one", "fraction-nan"])
+def test_config_rejects_split_settings_before_reading_data(monkeypatch, overrides, message):
+    def fail(*_):
+        raise AssertionError("a manifest or dataset was read")
+
+    monkeypatch.setattr(hvnet.harness, "load_manifest", fail)
+    monkeypatch.setattr(hvnet.harness, "resolve_dataset", fail)
+    with pytest.raises(InvalidParameterError, match=message):
+        run_suite(small_config(manifest="manifest.json", **overrides))
+
+
+def test_config_checks_only_the_settings_of_its_split_mode():
+    assert small_config(k_folds=1).split_spec.fraction == 0.5
+    spec = small_config(split_mode="kfold", k_folds=3, train_fraction=1.5).split_spec
+    assert (spec.mode, spec.k, spec.seed) == ("kfold", 3, SeedSpec(5).child("split"))
+
+
 def test_grid_search_single_triple():
     ds = synth_blobs(2, 4, 120, 3.0, SeedSpec(0))
     grid = GridSpec(dim_values=(40,), lambda_values=(0.5,), kappa_values=(3,))
@@ -511,6 +535,17 @@ def test_scatter_centralized_against_itself_emits_each_dataset_once():
     ]
     text = scatter_export(records, "centralized", "centralized")
     assert text.splitlines()[1:] == ["a,rls,1,0.8,0.8", "b,rls,1,0.6,0.6"]
+
+
+def test_scatter_quotes_dataset_names_as_csv():
+    name = 'a,"b"'
+    records = [
+        fake_record(dataset=name, version="local", mean_accuracy=0.5),
+        fake_record(dataset=name, version="centralized", n_agents=1, mean_accuracy=0.75),
+    ]
+    rows = list(csv.reader(io.StringIO(scatter_export(records, "local", "centralized"))))
+    assert rows == [["dataset", "classifier", "n_agents", "acc_a", "acc_b"],
+                    [name, "rls", "10", "0.5", "0.75"]]
 
 
 def test_scatter_rejects_unknown_label():

@@ -89,11 +89,12 @@ def test_experiment_config_rejects_seed_outside_u64():
     lambda s: random_bipolar(True, s),
     lambda s: random_gaussian_key(8.0, s),
     lambda s: synth_blobs(3.0, 2, 30, 1.0, s),
+    lambda s: synth_blobs(5, 2, 3, 3.0, s),
     lambda s: partition(10, 2.5, s),
     lambda s: partition(10, True, s),
     lambda s: AgentNetwork.fully_connected(2.5),
 ], ids=["projection-dim", "projection-features", "thermometer", "bipolar", "gaussian-key",
-        "synth-classes", "partition-float", "partition-bool", "fully-connected"])
+        "synth-classes", "synth-samples-below-classes", "partition-float", "partition-bool", "fully-connected"])
 def test_counts_must_be_integers(call):
     with pytest.raises(InvalidParameterError, match="must be an integer >= "):
         call(SeedSpec(0))
