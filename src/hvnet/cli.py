@@ -51,13 +51,13 @@ def main():
               default=GridSpec.lambda_values, help="Restrict the ridge grid (repeatable).")
 @click.option("--kappa", "kappa_values", type=int, multiple=True,
               default=GridSpec.kappa_values, help="Restrict the clipping grid (repeatable).")
-@click.option("--train-fraction", type=float, default=0.5, show_default=True)
+@click.option("--train-fraction", type=float, default=GridSpec.train_fraction, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Write the best triple as JSON.")
-def grid_cmd(dataset, manifest, seed, train_fraction, out, **axes):
+def grid_cmd(dataset, manifest, seed, out, **settings):
     """Exhaustive (dim, lambda, kappa) search with the centralized RLS model."""
-    spec = SeedSpec(seed)
+    grid, spec = GridSpec(**settings), SeedSpec(seed)
     ds = resolve_dataset(dataset, load_manifest(manifest) if manifest else None)
-    dim, lam, kappa = grid_search(ds, GridSpec(**axes), spec, train_fraction=train_fraction)
+    dim, lam, kappa = grid_search(ds, grid, spec)
     text = json.dumps({"dim": dim, "lambda": lam, "kappa": kappa}, sort_keys=True)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
@@ -102,7 +102,7 @@ def run_cmd(versions, compress, classifier, kfold, out, fmt, **settings):
         version_objs.append(ExperimentVersion("distributed", True, classifier))
     config = ExperimentConfig(
         versions=tuple(version_objs),
-        split_mode="holdout" if kfold is None else "kfold",
+        split_mode=ExperimentConfig.split_mode if kfold is None else "kfold",
         k_folds=ExperimentConfig.k_folds if kfold is None else kfold,
         **settings,
     )

@@ -234,11 +234,17 @@ def synth_blobs(
     return normalize(ds)
 
 
+# Manifest entry key -> the types its JSON value may have; "path" is required.
+_MANIFEST_KEYS = {"path": (str,), "label_column": (int, str), "header": (bool,),
+                  "split_file": (str,)}
+
+
 def load_manifest(path) -> dict:
     """Read a dataset manifest: a JSON object mapping name -> {path, label_column, header}.
 
     An entry may also name a ``split_file`` (JSON with ``train`` and ``test``
-    index lists) to replace the seeded split protocol for that dataset.
+    index lists) to replace the seeded split protocol for that dataset.  An
+    entry holds no other key, and each value is of its key's type.
     """
     path = Path(path)
     entries = _load_json(path, "manifest")
@@ -249,6 +255,12 @@ def load_manifest(path) -> dict:
             raise InvalidParameterError(
                 f"manifest {path} entry {name!r} must be an object with a string path"
             )
+        for key, value in entry.items():
+            if type(value) not in _MANIFEST_KEYS.get(key, ()):  # a bool is no label column
+                schema = ", ".join(f"{k}: {' or '.join(t.__name__ for t in ts)}"
+                                   for k, ts in _MANIFEST_KEYS.items())
+                raise InvalidParameterError(f"manifest {path} entry {name!r} has {key!r}: "
+                                            f"{value!r}; an entry's keys and types are {schema}")
         entry["path"] = str((path.parent / entry["path"]).resolve())
         if "split_file" in entry:
             entry["split_file"] = str((path.parent / entry["split_file"]).resolve())
@@ -326,6 +338,6 @@ def resolve_dataset(spec: str, manifest: dict | None = None) -> Dataset:
     return load_csv(
         entry["path"],
         label_column=entry.get("label_column", -1),
-        header=bool(entry.get("header", False)),
+        header=entry.get("header", False),
         name=spec,
     )

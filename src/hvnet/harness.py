@@ -14,7 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -83,11 +83,36 @@ _GRID_RANGES = {
 }
 
 
+def _check_entries(name: str, values, check=None) -> None:
+    """Raise unless ``values`` holds an entry, repeats none, and each passes ``check``."""
+    if not values:
+        raise InvalidParameterError(f"{name} must hold at least one entry")
+    for i, value in enumerate(values):
+        if check is not None:
+            check(value)
+        if value in values[:i]:
+            raise InvalidParameterError(f"{name} repeats {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
+    """The (dim, lambda, kappa) axes of a grid search and its holdout's train share.
+
+    Checked at construction, before any data is read: each axis holds a value
+    and repeats none, dims and kappas are integers >= 1, lambdas finite
+    numbers >= 0, and the share lies in (0, 1).
+    """
+
     dim_values: tuple[int, ...] = DEFAULT_DIM_GRID
     lambda_values: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     kappa_values: tuple[int, ...] = DEFAULT_KAPPA_GRID
+    train_fraction: float = SplitSpec.fraction
+
+    def __post_init__(self):
+        _check_entries("dim_values", self.dim_values, partial(check_count, "dim"))
+        _check_entries("lambda_values", self.lambda_values, check_lambda)
+        _check_entries("kappa_values", self.kappa_values, partial(check_count, "kappa"))
+        SplitSpec(fraction=self.train_fraction)  # checks the share
 
     @property
     def size(self) -> int:
@@ -115,9 +140,9 @@ class ExperimentConfig:
     kappa: int = 7
     n_seeds: int = 10
     master_seed: int = 0
-    split_mode: str = "holdout"  # holdout | kfold
-    train_fraction: float = 0.5
-    k_folds: int = 4
+    split_mode: str = SplitSpec.mode  # holdout | kfold
+    train_fraction: float = SplitSpec.fraction
+    k_folds: int = SplitSpec.k
     eval_on_full_test: bool = False
     manifest: str | None = None
     allow_off_grid: bool = False
@@ -127,16 +152,9 @@ class ExperimentConfig:
         check_seed("master_seed", self.master_seed)
         for name in ("kappa", "dim", "n_seeds"):
             check_count(name, getattr(self, name))
-        for n_agents in self.agent_counts:
-            check_count("agent count", n_agents)
+        _check_entries("versions", self.versions)
+        _check_entries("agent_counts", self.agent_counts, partial(check_count, "agent count"))
         self.split_spec  # checks split_mode, and train_fraction or k_folds
-        for name in ("versions", "agent_counts"):
-            values = getattr(self, name)
-            if not values:
-                raise InvalidParameterError(f"{name} must hold at least one entry")
-            repeated = [v for i, v in enumerate(values) if v in values[:i]]
-            if repeated:
-                raise InvalidParameterError(f"{name} repeats {repeated[0]!r}")
         if self.allow_off_grid:
             return
         for name, value in (("dim", self.dim), ("lam", self.lam), ("kappa", self.kappa)):
@@ -207,7 +225,7 @@ class ResultRecord:
                 raise ParseError(f"record lacks field {f.name!r}")
             try:
                 values[f.name] = _FIELD_DECODERS[f.type](d[f.name])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
                 raise ParseError(f"record field {f.name!r}: {exc}") from exc
         record = cls(**values)
         try:
@@ -231,7 +249,10 @@ def _decoder(convert, *accepted):
         if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
             names = " or ".join(t.__name__ for t in accepted)
             raise TypeError(f"expected {names}, got {value!r}")
-        return convert(value)
+        result = convert(value)
+        if isinstance(result, float) and not math.isfinite(result):
+            raise ValueError(f"expected a finite number, got {value!r}")
+        return result
     return decode
 
 
@@ -239,7 +260,7 @@ _to_float = _decoder(float, int, float, str)
 
 # Field annotation (a string under postponed evaluation) -> JSON value decoder.
 # Every annotation of ResultRecord must be listed.  Numbers may be strings,
-# because CSV cells are.
+# because CSV cells are; a float must be finite (NaN and infinity are no scores).
 _FIELD_DECODERS = {
     "str": _decoder(str, str),
     "bool": _decoder(bool, bool),
@@ -263,34 +284,18 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def grid_search(
-    ds: Dataset,
-    grid: GridSpec,
-    seed: SeedSpec,
-    train_fraction: float = 0.5,
-) -> tuple[int, float, int]:
+def grid_search(ds: Dataset, grid: GridSpec, seed: SeedSpec) -> tuple[int, float, int]:
     """Exhaustive hyperparameter search with the centralized least-squares model.
 
-    Trains on one half of a seeded holdout of ``ds`` and scores on the
-    other; returns the (dim, lambda, kappa) with the best validation
-    accuracy, ties resolved toward smaller dim, then lambda, then kappa.
+    Trains on ``grid.train_fraction`` of a seeded holdout of ``ds`` and
+    scores on the rest; returns the (dim, lambda, kappa) with the best
+    validation accuracy, ties resolved toward smaller dim, then lambda, then kappa.
     The selected triple is meant to be reused for both classifier kinds
     and every version.  Each (dim, kappa) pair solves for every lambda at
     once with :func:`rls_sweep` and scores them all with
     :func:`evaluate_many`.
     """
-    for axis, values in (("dim", grid.dim_values), ("lambda", grid.lambda_values),
-                         ("kappa", grid.kappa_values)):
-        if not values:
-            raise InvalidParameterError(f"the grid's {axis} axis is empty")
-    for lam in grid.lambda_values:
-        check_lambda(lam)
-    for kappa in grid.kappa_values:
-        check_count("kappa", kappa)
-    spec = SplitSpec(
-        mode="holdout", fraction=train_fraction, stratified=True,
-        seed=seed.child("grid_split"),
-    )
+    spec = SplitSpec(fraction=grid.train_fraction, seed=seed.child("grid_split"))
     train_idx, val_idx = split(ds, spec)
     ds = normalize(ds, train_idx)
     X_train, y_train = ds.samples[train_idx], ds.labels[train_idx]
@@ -298,8 +303,7 @@ def grid_search(
     Y_train = one_hot(y_train, ds.n_classes)
     lams = sorted(grid.lambda_values)
 
-    best_acc = -1.0
-    best: tuple[int, float, int] | None = None
+    best_acc, best = -1.0, None  # every accuracy beats the start
     for d_i, dim in enumerate(sorted(grid.dim_values)):
         proj = init_projection(ds.n_features, dim, seed.child("grid_projection", d_i))
         sums_train = encode_batch_sums(X_train, proj)
@@ -308,10 +312,8 @@ def grid_search(
             models = rls_sweep(clip(sums_train, kappa), Y_train, lams)
             for lam, acc in zip(lams, evaluate_many(models, clip(sums_val, kappa), y_val)):
                 triple = (dim, float(lam), int(kappa))
-                if acc > best_acc or (acc == best_acc and best is not None and triple < best):
-                    best_acc = acc
-                    best = triple
-    assert best is not None
+                if acc > best_acc or (acc == best_acc and triple < best):
+                    best_acc, best = acc, triple
     return best
 
 

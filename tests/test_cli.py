@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import hvnet.cli
 import hvnet.network
 from hvnet.cli import main
-from hvnet.harness import ExperimentConfig, records_from_jsonl
+from hvnet.harness import ExperimentConfig, GridSpec, records_from_jsonl
 
 SYNTH = "synth:classes=2,features=4,samples=160,sep=4.0,seed=3"
 
@@ -114,7 +115,11 @@ def test_run_rejects_invalid_config_before_encoding(runner, monkeypatch, args, m
     ("run", '{"d": 5}', "entry 'd' must be an object with a string path"),
     ("run", '{"d": "toy.csv"}', "entry 'd' must be an object with a string path"),
     ("grid", '{"d": {"path": "toy.csv"', "is not valid JSON"),
-], ids=["run-number-entry", "run-string-entry", "grid-truncated"])
+    ("run", '{"d": {"path": "toy.csv", "split_file": 5}}', "entry 'd' has 'split_file': 5;"),
+    ("grid", '{"d": {"path": "toy.csv", "header": "false"}}', "entry 'd' has 'header': 'false';"),
+    ("run", '{"d": {"path": "toy.csv", "label_colum": 0}}', "entry 'd' has 'label_colum': 0;"),
+], ids=["run-number-entry", "run-string-entry", "grid-truncated", "run-split-file-number",
+        "grid-header-string", "run-misspelt-key"])
 def test_malformed_manifest_is_a_clean_error(runner, tmp_path, command, text, message):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(text, encoding="utf-8")
@@ -201,6 +206,35 @@ def test_grid_rejects_non_finite_lambda(runner, lam):
     ])
     assert result.exit_code == 1
     assert f"lambda must be a finite number >= 0, got {lam}" in result.output
+
+
+def test_grid_options_default_to_the_grid_spec(runner):
+    defaults = {f.name: f.default for f in dataclasses.fields(GridSpec)}
+    params = {p.name: p for p in main.commands["grid"].params}
+    help_text = " ".join(runner.invoke(main, ["grid", "--help"]).output.split())
+    for name, default in defaults.items():
+        param = params[name]
+        assert param.default == default, name
+        if param.show_default:
+            shown = ", ".join(map(str, default)) if isinstance(default, tuple) else default
+            assert re.search(rf"{param.opts[0]} [^\[]*\[default: {re.escape(str(shown))}\]",
+                             help_text), name
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--dim", "50", "--dim", "50"], "dim_values repeats 50"),
+    (["--kappa", "0"], "kappa must be an integer >= 1, got 0"),
+    (["--lambda", "nan"], "lambda must be a finite number >= 0, got nan"),
+    (["--train-fraction", "1.5"], "holdout fraction must be in (0, 1), got 1.5"),
+], ids=["repeated-dim", "kappa-zero", "lambda-nan", "fraction"])
+def test_grid_rejects_invalid_settings_before_reading_data(runner, monkeypatch, args, message):
+    def fail(*_):
+        raise AssertionError("the dataset was read")
+
+    monkeypatch.setattr(hvnet.cli, "resolve_dataset", fail)
+    result = runner.invoke(main, ["grid", "--dataset", SYNTH, *args])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: {message}")
 
 
 @pytest.mark.parametrize("args, message", [

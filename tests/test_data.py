@@ -352,6 +352,31 @@ def test_manifest_rejects_an_entry_that_is_not_an_object_with_a_path(tmp_path, t
     assert str(path) in str(excinfo.value)
 
 
+@pytest.mark.parametrize("entry, shown", [
+    ({"header": "false"}, "'header': 'false'"),
+    ({"header": 1}, "'header': 1"),
+    ({"split_file": 5}, "'split_file': 5"),
+    ({"label_column": 1.5}, "'label_column': 1.5"),
+    ({"label_column": True}, "'label_column': True"),
+    ({"label_colum": 0}, "'label_colum': 0"),
+], ids=["header-string", "header-number", "split-file-number", "label-float", "label-bool",
+        "misspelt-key"])
+def test_manifest_rejects_an_unknown_key_or_a_value_of_the_wrong_type(tmp_path, entry, shown):
+    path = write(tmp_path, "manifest.json", json.dumps({"d": {"path": "toy.csv", **entry}}))
+    with pytest.raises(InvalidParameterError, match=re.escape(
+            f"manifest {path} entry 'd' has {shown}; an entry's keys and types are "
+            "path: str, label_column: int or str, header: bool, split_file: str")):
+        load_manifest(path)
+
+
+def test_manifest_header_flag_reaches_the_csv_reader(tmp_path):
+    write(tmp_path, "toy.csv", "".join(f"{i}.0,{'ab'[i % 2]}\n" for i in range(6)))
+    for header, rows in ((False, 6), (True, 5)):
+        write(tmp_path, "manifest.json", json.dumps({"toy": {"path": "toy.csv", "header": header}}))
+        entries = load_manifest(tmp_path / "manifest.json")
+        assert resolve_dataset("toy", entries).n_samples == rows
+
+
 @pytest.mark.parametrize("loader", [
     load_manifest, lambda path: load_split_file(path, 5),
 ], ids=["manifest", "split-file"])

@@ -11,7 +11,7 @@ import pytest
 
 import hvnet.harness
 from hvnet.classifiers import evaluate, evaluate_many
-from hvnet.data import resolve_dataset, synth_blobs
+from hvnet.data import SplitSpec, resolve_dataset, split, synth_blobs
 from hvnet.errors import (
     InvalidParameterError,
     PairingError,
@@ -190,35 +190,59 @@ def test_grid_scoring_equals_per_model_evaluate(dataset, dims, triples, monkeypa
 
 
 @pytest.mark.parametrize("kappa", [0, -2, 1.5])
-def test_grid_search_rejects_invalid_kappa(kappa, monkeypatch):
-    # Every grid kappa is checked before anything is encoded.
-    encoded = []
-    monkeypatch.setattr(hvnet.harness, "encode_batch_sums", lambda *a: encoded.append(a))
-    ds = synth_blobs(2, 4, 120, 3.0, SeedSpec(0))
-    grid = GridSpec(dim_values=(40,), lambda_values=(0.5,), kappa_values=(3, kappa))
+def test_grid_search_rejects_invalid_kappa(kappa):
+    # A grid with an invalid kappa cannot be built, so nothing is ever encoded.
     with pytest.raises(InvalidParameterError, match="kappa"):
-        grid_search(ds, grid, SeedSpec(1))
-    assert encoded == []
+        GridSpec(dim_values=(40,), lambda_values=(0.5,), kappa_values=(3, kappa))
 
 
 @pytest.mark.parametrize("axes, message", [
     ({"lambda_values": (0.5, float("nan"))}, "lambda must be"),
     ({"lambda_values": (float("inf"),)}, "lambda must be"),
     ({"lambda_values": (-1.0, 0.5)}, "lambda must be"),
-    ({"dim_values": ()}, "dim axis is empty"),
-    ({"lambda_values": ()}, "lambda axis is empty"),
-    ({"kappa_values": ()}, "kappa axis is empty"),
+    ({"dim_values": ()}, "dim_values must hold at least one entry"),
+    ({"lambda_values": ()}, "lambda_values must hold at least one entry"),
+    ({"kappa_values": ()}, "kappa_values must hold at least one entry"),
 ])
-def test_grid_search_rejects_invalid_lambda_or_empty_axis(axes, message, monkeypatch):
-    # Checked before the data are split or encoded.
-    called = []
-    monkeypatch.setattr(hvnet.harness, "split", lambda *a: called.append(a))
-    monkeypatch.setattr(hvnet.harness, "encode_batch_sums", lambda *a: called.append(a))
-    ds = synth_blobs(2, 4, 120, 3.0, SeedSpec(0))
-    grid = GridSpec(**{"dim_values": (40,), "lambda_values": (0.5,), "kappa_values": (3,), **axes})
+def test_grid_search_rejects_invalid_lambda_or_empty_axis(axes, message):
+    # Checked when the grid is built, before any data are split or encoded.
     with pytest.raises(InvalidParameterError, match=message):
-        grid_search(ds, grid, SeedSpec(1))
-    assert called == []
+        GridSpec(**{"dim_values": (40,), "lambda_values": (0.5,), "kappa_values": (3,), **axes})
+
+
+# Empty axes, and kappas and lambdas out of range, are cases of the two tests above.
+@pytest.mark.parametrize("settings, message", [
+    ({"dim_values": (50, 100, 50)}, "dim_values repeats 50"),
+    ({"lambda_values": (0.5, 4.0, 0.5)}, "lambda_values repeats 0.5"),
+    ({"kappa_values": (3, 3)}, "kappa_values repeats 3"),
+    ({"dim_values": (50, 0)}, "dim must be an integer >= 1, got 0"),
+    ({"dim_values": (2.5,)}, "dim must be an integer >= 1, got 2.5"),
+    ({"kappa_values": (3, 2.5)}, "kappa must be an integer >= 1, got 2.5"),
+    ({"train_fraction": 0.0}, r"holdout fraction must be in \(0, 1\), got 0.0"),
+    ({"train_fraction": 1.0}, r"holdout fraction must be in \(0, 1\), got 1.0"),
+    ({"train_fraction": float("nan")}, r"holdout fraction must be in \(0, 1\), got nan"),
+], ids=["repeated-dim", "repeated-lambda", "repeated-kappa", "dim-zero", "dim-float",
+        "kappa-float", "fraction-zero", "fraction-one", "fraction-nan"])
+def test_grid_spec_rejects_invalid_settings_at_construction(settings, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        GridSpec(**{"dim_values": (50, 100), "lambda_values": (0.5, 4.0), "kappa_values": (3,),
+                    **settings})
+
+
+def test_grid_search_splits_at_the_grid_spec_share(monkeypatch):
+    # The grid's split is the default stratified holdout, at the grid's share.
+    specs = []
+
+    def recording_split(ds, spec):
+        specs.append(spec)
+        return split(ds, spec)
+
+    monkeypatch.setattr(hvnet.harness, "split", recording_split)
+    ds = synth_blobs(2, 4, 120, 3.0, SeedSpec(0))
+    grid = GridSpec(dim_values=(40,), lambda_values=(0.5,), kappa_values=(3,), train_fraction=0.3)
+    grid_search(ds, grid, SeedSpec(1))
+    assert specs == [SplitSpec(fraction=0.3, seed=SeedSpec(1).child("grid_split"))]
+    assert (specs[0].mode, specs[0].stratified) == ("holdout", True)
 
 
 # ---------------------------------------------------------------- pearson
@@ -738,7 +762,14 @@ def test_jsonl_line_with_old_timing_field_loads_and_renders_without_it(tmp_path)
     (b"5", "line 2: a record must be a JSON object, got int"),
     (b'{"dataset": "toy"}', "line 2: record lacks field 'version'"),
     (b'{"dataset": "\xc3("}', "line 2: 'utf-8' codec can't decode"),
-], ids=["truncated", "number", "missing-field", "not-utf-8"])
+    (json.dumps({**fake_record().to_dict(), "mean_accuracy": float("nan")}).encode(),
+     "line 2: record field 'mean_accuracy': expected a finite number, got nan"),
+    (json.dumps({**fake_record().to_dict(), "per_seed_mean": [0.7, float("-inf")]}).encode(),
+     "line 2: record field 'per_seed_mean': expected a finite number, got -inf"),
+    (json.dumps({**fake_record().to_dict(), "mean_accuracy": "nan"}).encode(),
+     "line 2: record field 'mean_accuracy': expected a finite number, got 'nan'"),
+], ids=["truncated", "number", "missing-field", "not-utf-8", "nan", "minus-infinity",
+        "nan-string"])
 def test_jsonl_reader_names_the_file_and_line_of_a_bad_record(tmp_path, bad_line, message):
     path = tmp_path / "records.jsonl"
     path.write_bytes(records_to_jsonl([fake_record()]).encode() + bad_line + b"\n")
@@ -762,6 +793,9 @@ def test_record_from_dict_names_a_missing_field():
     ("lam", True), ("lam", None), ("lam", "x"),
     ("dataset", None), ("config_hash", 7),
     ("per_seed_mean", "0.7"), ("per_seed_mean", [0.7, False]),
+    ("mean_accuracy", float("inf")), ("mean_accuracy", "nan"), ("std_accuracy", float("nan")),
+    ("lam", "Infinity"), ("per_agent_mean", [0.7, float("nan")]),
+    pytest.param("lam", 10**400, id="lam-10**400"),
 ])
 def test_record_from_dict_rejects_wrong_json_types(name, value):
     with pytest.raises(ParseError, match=f"'{name}'"):
