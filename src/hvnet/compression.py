@@ -22,6 +22,7 @@ from .errors import (
     InvalidParameterError,
     KeyCorrelationWarning,
     ProtocolError,
+    SingularKeyError,
     WireFormatError,
 )
 from .hdc import (
@@ -31,7 +32,6 @@ from .hdc import (
     circ_convolve,
     inverse,
     random_gaussian_key,
-    superpose,
 )
 
 __all__ = [
@@ -42,7 +42,9 @@ __all__ = [
     "decompress",
     "from_bytes",
     "generate_keys",
+    "pack",
     "to_bytes",
+    "unpack",
 ]
 
 MAGIC = b"HRRC"
@@ -117,6 +119,37 @@ def generate_keys(agent_id: int, n_classes: int, dim: int) -> KeySet:
     return KeySet(agent_id=agent_id, keys=keys)
 
 
+def pack(weights, keys) -> NDArray[np.float64]:
+    """Pack a stack of (..., n_classes, dim) classifiers into (..., dim) hypervectors.
+
+    Each class row is bound to its own key (same shape as ``weights``) by
+    circular convolution, and the bound rows are summed over the class axis
+    in row order.  Every classifier of a stack packs bit for bit as it does
+    alone.
+    """
+    return circ_convolve(keys, weights).sum(axis=-2)
+
+
+def unpack(packed, keys, agent_ids) -> NDArray[np.float64]:
+    """Unpack (n, dim) hypervectors with their producers' (n, n_classes, dim) keys.
+
+    Row l of reconstruction i is ``packed[i]`` convolved with the exact
+    inverse of ``keys[i, l]``; each comes out bit for bit as it does alone.
+    ``agent_ids`` names the producer of each hypervector, so that a key
+    without an exact inverse is reported with its agent.
+    """
+    try:
+        inverses = inverse(keys)
+    except SingularKeyError:
+        for agent_id, agent_keys in zip(agent_ids, keys):
+            try:
+                inverse(agent_keys)
+            except SingularKeyError as exc:
+                raise SingularKeyError(f"agent {agent_id}: {exc}") from None
+        raise
+    return circ_convolve(np.asarray(packed)[:, None, :], inverses)
+
+
 def compress(w_out: ClassifierMatrix, keys: KeySet) -> CompressedClassifier:
     """Superpose the key-bound classifier rows into a single hypervector."""
     if w_out.n_classes != keys.n_classes or w_out.dim != keys.dim:
@@ -124,7 +157,7 @@ def compress(w_out: ClassifierMatrix, keys: KeySet) -> CompressedClassifier:
             f"classifier is {w_out.n_classes}x{w_out.dim}, "
             f"keys are {keys.n_classes}x{keys.dim}"
         )
-    w = superpose(circ_convolve(keys.keys, w_out.weights))
+    w = pack(w_out.weights, keys.keys)
     return CompressedClassifier(w=w, agent_id=keys.agent_id, n_classes=keys.n_classes)
 
 
@@ -141,7 +174,8 @@ def decompress(c: CompressedClassifier, keys: KeySet, kind: str = "rls") -> Clas
         )
     if c.n_classes != keys.n_classes or c.dim != keys.dim:
         raise DimensionError("compressed payload and key set disagree on shape")
-    return ClassifierMatrix(weights=circ_convolve(c.w, inverse(keys.keys)), kind=kind)
+    weights = unpack(c.w[None], keys.keys[None], (keys.agent_id,))[0]
+    return ClassifierMatrix(weights=weights, kind=kind)
 
 
 def compression_fidelity(w_out: ClassifierMatrix, keys: KeySet) -> NDArray[np.float64]:

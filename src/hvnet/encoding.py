@@ -115,9 +115,11 @@ def encode_batch_sums(X, proj: InputProjection) -> NDArray[np.signedinteger]:
     dtype = np.int16 if proj.n_features <= 32767 else np.int32
     acc = np.zeros((X.shape[0], proj.dim), dtype=dtype)
     for j in range(proj.n_features):
-        bound = codes[counts[:, j]]  # (n_samples, dim) int8 copy
-        bound *= proj.columns[:, j]
-        acc += bound
+        # Bind only the code levels this feature uses, then gather their rows.
+        levels, rows = np.unique(counts[:, j], return_inverse=True)
+        table = codes[levels]  # (n_levels, dim) int8 copy
+        table *= proj.columns[:, j]
+        acc += table[rows]
     return acc
 
 

@@ -147,11 +147,18 @@ def circ_convolve(x, y) -> NDArray[np.float64]:
     bit-identical to convolving that pair alone.  Uses an FFT fast path;
     agrees with the direct double sum to better than 1e-9 absolute for D
     up to a few thousand in double precision.
+
+    The spectra are multiplied as spectrum(x) * spectrum(y), in that order:
+    numpy's SIMD complex product rounds by operand order, so a swap changes
+    the last bits.  Both spectra are named, which keeps numpy from reusing
+    one of them as the output, operands swapped.
     """
     x = _as_rows(x, "x").astype(np.float64)
     y = _as_rows(y, "y").astype(np.float64)
     _check_same_length(x, y)
-    return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(y), n=x.shape[-1])
+    spectrum_x = np.fft.rfft(x)
+    spectrum_y = np.fft.rfft(y)
+    return np.fft.irfft(spectrum_x * spectrum_y, n=x.shape[-1])
 
 
 def inverse(k) -> NDArray[np.float64]:

@@ -31,7 +31,9 @@ from .classifiers import (
     train_centroids,
     train_rls,
 )
-from .compression import compress, decompress, generate_keys
+# compress and decompress are not called here, but perfbench/tracer.py wraps
+# these names in this module, so they must stay importable from it.
+from .compression import compress, decompress, generate_keys, pack, unpack
 from .data import Dataset
 from .encoding import InputProjection, encode_batch, init_projection
 from .errors import InsufficientDataError, InvalidParameterError, ProtocolError
@@ -51,6 +53,10 @@ __all__ = [
 ]
 
 VERSION_KINDS = ("centralized", "local", "distributed")
+
+# Producers packed and unpacked per array call in a compressed exchange; it
+# bounds the (block, n_classes, dim) temporaries.
+EXCHANGE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -171,9 +177,11 @@ def exchange_and_aggregate(
     Uncompressed centroids travel as raw per-class sums, and each agent
     normalizes after aggregation; over a fully connected network this
     reproduces the centralized centroid classifier exactly.  Compressed
-    classifiers are packed once per producer; every consumer regenerates the
-    producer's keys from its agent id and decompresses the reconstruction,
-    which is then aggregated as-is.  Each distinct neighborhood is bundled once
+    classifiers are packed once per producer, ``EXCHANGE_BLOCK`` producers per
+    array call; every consumer regenerates the producer's keys from its agent
+    id and unpacks the reconstruction, which is then aggregated as-is.  Each
+    row is bit-identical to a one-agent ``compress`` and ``decompress``.  Each
+    distinct neighborhood (a distinct row of Ω ∨ I) is bundled once
     by ``superpose``, and agents sharing a neighborhood share that aggregate.
     """
     if len(classifiers) != network.n_agents:
@@ -187,26 +195,32 @@ def exchange_and_aggregate(
     if raw_sums and any(c.class_sums is None for c in classifiers):
         raise ProtocolError("centroid exchange requires class sums")
 
-    payloads = []
-    for agent_id, c in zip(network.agent_ids, classifiers):
-        if compression:
-            keys = generate_keys(agent_id, n_classes, dim)
+    if compression:
+        payloads = []
+        for start in range(0, network.n_agents, EXCHANGE_BLOCK):
+            ids = network.agent_ids[start:start + EXCHANGE_BLOCK]
+            keys = np.stack([generate_keys(agent_id, n_classes, dim).keys for agent_id in ids])
+            weights = np.stack([c.weights for c in classifiers[start:start + EXCHANGE_BLOCK]])
             # Deterministic, so one reconstruction stands in for every consumer's.
-            payloads.append(decompress(compress(c, keys), keys, kind=kind).weights)
-        else:
-            payloads.append(c.class_sums if raw_sums else c.weights)
+            payloads.extend(unpack(pack(weights, keys), keys, ids))
+    else:
+        payloads = [c.class_sums if raw_sums else c.weights for c in classifiers]
 
-    by_neighborhood: dict[tuple[int, ...], ClassifierMatrix] = {}
+    # Row p of Ω ∨ I is agent p's neighborhood; agents with equal rows share one sum.
+    members = np.asarray(network.omega) != 0
+    np.fill_diagonal(members, True)
+    by_agent_id = np.array(sorted(range(network.n_agents), key=network.agent_ids.__getitem__))
+    by_neighborhood: dict[bytes, ClassifierMatrix] = {}
     aggregated = []
-    for p in range(network.n_agents):
-        members = tuple(network.neighborhood(p))
-        if members not in by_neighborhood:
-            total = superpose(payloads[m] for m in members)
+    for row in members:
+        key = row.tobytes()
+        if key not in by_neighborhood:
+            total = superpose(payloads[m] for m in by_agent_id[row[by_agent_id]])
             if raw_sums:
-                by_neighborhood[members] = finalize_centroids(total)
+                by_neighborhood[key] = finalize_centroids(total)
             else:
-                by_neighborhood[members] = ClassifierMatrix(weights=total, kind=kind)
-        aggregated.append(by_neighborhood[members])
+                by_neighborhood[key] = ClassifierMatrix(weights=total, kind=kind)
+        aggregated.append(by_neighborhood[key])
     return aggregated, dim if compression else n_classes * dim
 
 

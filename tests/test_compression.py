@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hvnet.network
 from hvnet.classifiers import ClassifierMatrix
 from hvnet.compression import (
     CompressedClassifier,
@@ -16,10 +17,19 @@ from hvnet.compression import (
     decompress,
     from_bytes,
     generate_keys,
+    pack,
     to_bytes,
+    unpack,
 )
-from hvnet.errors import DimensionError, InvalidParameterError, ProtocolError, WireFormatError
+from hvnet.errors import (
+    DimensionError,
+    InvalidParameterError,
+    ProtocolError,
+    SingularKeyError,
+    WireFormatError,
+)
 from hvnet.hdc import SeedSpec, circ_convolve, cosine, inverse, superpose
+from hvnet.network import EXCHANGE_BLOCK, AgentNetwork, exchange_and_aggregate
 
 
 def unit_rows(n_classes, dim, seed):
@@ -205,6 +215,85 @@ def test_pack_unpack_match_per_row_loop(n_classes, dim):
     assert np.array_equal(packed.w, expected)
     rows = [circ_convolve(packed.w, inverse(keys.keys[i])) for i in range(n_classes)]
     assert np.array_equal(decompress(packed, keys).weights, np.stack(rows))
+
+
+# ------------------------------------------------- batched pack and unpack
+
+
+def reference_round_trip(weights, agent_id):
+    """One agent's compress and decompress, written out as they were before the batched codec."""
+    keys = generate_keys(agent_id, *weights.shape).keys
+    packed = superpose(circ_convolve(keys, weights))
+    return circ_convolve(packed, inverse(keys))
+
+
+def wide_range_stack(shape, seed):
+    """Floats spanning six decades, so that any change in the order of a sum or product shows."""
+    rng = SeedSpec(seed).child("stack", shape[-1]).rng()
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+
+
+IDS = (7, 3, 1000, 2**64 - 1, 0)
+
+
+@pytest.mark.parametrize("n_classes, dim", [(1, 63), (1, 64), (3, 150), (3, 777), (10, 500), (10, 1501)])
+def test_batched_pack_unpack_equal_the_one_agent_codec(n_classes, dim):
+    ids = IDS + tuple(range(20, 34))  # 19 agents
+    weights = wide_range_stack((len(ids), n_classes, dim), 48)
+    keys = np.stack([generate_keys(agent_id, n_classes, dim).keys for agent_id in ids])
+    got = unpack(pack(weights, keys), keys, ids)
+    want = np.stack([reference_round_trip(w, agent_id) for w, agent_id in zip(weights, ids)])
+    assert np.array_equal(got, want)
+
+
+def reference_exchange(network, classifiers):
+    """Each agent's sum of its neighborhood's one-agent round trips, in sorted-agent-id order."""
+    received = [
+        reference_round_trip(c.weights, agent_id)
+        for agent_id, c in zip(network.agent_ids, classifiers)
+    ]
+    return [
+        superpose(received[m] for m in network.neighborhood(p))
+        for p in range(network.n_agents)
+    ]
+
+
+def ring_network(agent_ids):
+    n = len(agent_ids)
+    omega = np.zeros((n, n), dtype=np.int64)
+    for p in range(n):
+        omega[p, (p + 1) % n] = omega[(p + 1) % n, p] = 1
+    return AgentNetwork(omega=omega, agent_ids=tuple(agent_ids))
+
+
+@pytest.mark.parametrize("network, n_classes, dim", [
+    (AgentNetwork.fully_connected(5, agent_ids=IDS), 3, 64),
+    (AgentNetwork.fully_connected(EXCHANGE_BLOCK + 1), 10, 101),
+    # Not a multiple of the block, with ids in no particular order.
+    (ring_network([(37 * p) % 41 for p in range(2 * EXCHANGE_BLOCK + 3)]), 3, 150),
+    (ring_network([5, 2**64 - 1, 9]), 1, 32),
+], ids=["five-scattered-ids", "one-past-a-block", "ring-35", "ring-3"])
+def test_compressed_exchange_equals_the_one_agent_codec(network, n_classes, dim):
+    weights = wide_range_stack((network.n_agents, n_classes, dim), 49)
+    classifiers = [ClassifierMatrix(weights=w, kind="rls") for w in weights]
+    got, payload = exchange_and_aggregate(network, classifiers, compression=True)
+    want = reference_exchange(network, classifiers)
+    assert payload == dim
+    assert all(np.array_equal(g.weights, w) for g, w in zip(got, want))
+
+
+def test_exchange_names_the_agent_whose_key_is_singular(monkeypatch):
+    # An all-ones key's spectrum is zero at every nonzero frequency.
+    def keys_with_one_singular(agent_id, n_classes, dim):
+        if agent_id == 1000:
+            return KeySet(agent_id=agent_id, keys=np.ones((n_classes, dim)))
+        return generate_keys(agent_id, n_classes, dim)
+
+    monkeypatch.setattr(hvnet.network, "generate_keys", keys_with_one_singular)
+    network = AgentNetwork.fully_connected(5, agent_ids=IDS)
+    classifiers = [matrix(unit_rows(3, 32, 50 + p)) for p in range(5)]
+    with pytest.raises(SingularKeyError, match="agent 1000: key has a near-zero spectral"):
+        exchange_and_aggregate(network, classifiers, compression=True)
 
 
 # ---------------------------------------------------------------- fidelity

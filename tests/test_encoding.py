@@ -212,6 +212,31 @@ def test_encode_batch_sums_widens_past_int16():
     np.testing.assert_array_equal(sums, sums_from_definition(X, columns))
 
 
+def level_batch(rows, dim):
+    """Random columns, and values at random code levels of ``dim``, with levels 0 and dim present."""
+    rng = SeedSpec(15).child("levels", dim).rng()
+    levels = rng.integers(0, dim + 1, size=(rows, 4))
+    levels[0], levels[-1] = 0, dim
+    columns = rng.choice(np.array([-1, 1], dtype=np.int8), size=(dim, 4))
+    return levels / dim, columns
+
+
+@pytest.mark.parametrize("X, columns", [
+    # 500 rows over 17 levels: every level is shared by many rows.
+    level_batch(500, 16),
+    # One row against 1501 levels: the kernel binds only the level in use.
+    level_batch(1, 1500),
+    # Every row at one level in every feature.
+    (np.full((40, 3), 0.25), np.array([[1, -1, 1], [-1, -1, 1], [1, 1, -1], [-1, 1, 1]],
+                                      dtype=np.int8)),
+], ids=["rows-share-levels", "fewer-rows-than-levels", "all-equal-columns"])
+def test_encode_batch_sums_binds_shared_and_sparse_levels_exactly(X, columns):
+    proj = InputProjection(columns=columns, seed=SeedSpec(0))
+    sums = encode_batch_sums(X, proj)
+    assert sums.dtype == np.int16
+    np.testing.assert_array_equal(sums, sums_from_definition(X, columns))
+
+
 @pytest.mark.parametrize("kappa, dtype", [
     (1, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
 ])

@@ -222,6 +222,27 @@ def test_convolve_commutative():
     np.testing.assert_allclose(circ_convolve(x, y), circ_convolve(y, x), atol=1e-12)
 
 
+@pytest.mark.parametrize("x_shape, y_shape", [
+    ((64,), (64,)),
+    ((777,), (3, 777)),  # one packed classifier against its key inverses
+    ((10, 1500), (10, 1500)),  # one classifier's rows against their keys
+    ((37, 10, 1500), (37, 10, 1500)),  # a stack of classifiers, 4.4 MB spectra
+    ((37, 1, 1500), (37, 10, 1500)),  # a stack of packed vectors, broadcast
+])
+def test_convolve_multiplies_the_spectra_in_operand_order(x_shape, y_shape):
+    # numpy's SIMD complex product rounds by operand order, so only
+    # spectrum(x) * spectrum(y) on named operands gives these bits.  Most
+    # shapes here are above numpy's 256 KiB threshold for reusing a
+    # temporary operand as the output.
+    rng = SeedSpec(8).rng()
+    x = rng.standard_normal(x_shape) * 10.0 ** rng.uniform(-3, 3, size=x_shape)
+    y = rng.standard_normal(y_shape) * 10.0 ** rng.uniform(-3, 3, size=y_shape)
+    spectrum_x = np.fft.rfft(x)
+    spectrum_y = np.fft.rfft(y)
+    expected = np.fft.irfft(spectrum_x * spectrum_y, n=x_shape[-1])
+    assert np.array_equal(circ_convolve(x, y), expected)
+
+
 @pytest.mark.parametrize("dim", [3, 64, 1024])
 def test_convolve_distributes_over_superpose(dim):
     rng = SeedSpec(6).child("d", dim).rng()
