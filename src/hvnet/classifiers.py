@@ -102,26 +102,48 @@ def _design(H, Y) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
 def train_rls(H, Y, lam: float) -> ClassifierMatrix:
     """Ridge-regularized least-squares output weights in one analytic step.
 
-    Solves (H^T H + lam I)^-1 H^T Y through a symmetric positive-definite
-    factorization.  When lam > 0 and there are fewer samples than hidden
-    units, the algebraically equivalent dual form H^T (H H^T + lam I)^-1 Y
-    is used, which is much cheaper for small shards.
+    Solves (H^T H + lam I)^-1 H^T Y, or the equivalent dual form
+    H^T (H H^T + lam I)^-1 Y where :func:`_normal_equations` picks it (it is
+    much cheaper for small shards), by a Cholesky factorization.
     """
     H, Y = _design(H, Y)
     check_lambda(lam)
-    m, d = H.shape
-    if lam > 0 and m < d:
-        w = H.T @ rls_from_gram(H @ H.T, Y, lam).weights.T
-        return ClassifierMatrix(weights=w.T, kind="rls")
-    return rls_from_gram(H.T @ H, H.T @ Y, lam)
+    dual, gram, rhs = _normal_equations(H, Y, [lam])
+    # gram.T holds in its upper triangle the lower one that dsyrk filled.
+    weights = rls_from_gram(gram.T, rhs, lam).weights
+    return ClassifierMatrix(weights=_from_dual(weights.T, H) if dual else weights, kind="rls")
+
+
+def _normal_equations(H, Y, lams) -> tuple[bool, NDArray[np.float64], NDArray[np.float64]]:
+    """(dual, gram, rhs), the ridge system of float64 H and Y for all of ``lams``.
+
+    The one primal/dual rule: H H^T against Y when there are fewer rows than
+    columns and every lambda is positive, else H^T H against H^T Y.  dsyrk
+    fills the Gram matrix's lower triangle only.  The products are numpy's
+    ``H @ H.T``, ``H.T @ H`` and ``H.T @ Y`` bit for bit, for float input
+    too (an upper dsyrk or ``dgemm(1.0, H.T, Y)`` is not), and go to scipy's
+    BLAS, which also solves: each library's OpenBLAS has its own thread
+    pool, and one that has just finished spins on the cores the other needs.
+    """
+    dual = H.shape[0] < H.shape[1] and min(lams) > 0
+    # H.T is the Fortran-ordered view BLAS takes without a copy.
+    gram = blas.dsyrk(1.0, H.T, trans=1 if dual else 0, lower=1)
+    rhs = Y if dual else blas.dgemm(1.0, Y.T, H.T, trans_b=1).T
+    return dual, gram, rhs
+
+
+def _from_dual(S, H) -> NDArray[np.float64]:
+    """Weights (H^T S)^T of a dual solution S, as S^T H: numpy's ``H.T @ S`` bits."""
+    return blas.dgemm(1.0, S, H.T, trans_a=1, trans_b=1)
 
 
 def rls_from_gram(gram, cross, lam: float) -> ClassifierMatrix:
     """Ridge solution from precomputed H^T H and H^T Y (both left intact).
 
-    Also solves the dual system of :func:`train_rls`, given H H^T and Y.
-    One Cholesky factorization per call; to solve for many lambdas over one
-    design matrix, :func:`rls_sweep` reduces the Gram matrix once instead.
+    Only the upper triangle of ``gram`` is read.  Also solves the dual system
+    of :func:`train_rls`, given H H^T and Y.  One Cholesky factorization per
+    call; to solve for many lambdas over one design matrix, :func:`rls_sweep`
+    reduces the Gram matrix once instead.
     """
     gram = np.array(gram, dtype=np.float64)
     cross = np.asarray(cross, dtype=np.float64)
@@ -140,19 +162,12 @@ def rls_from_gram(gram, cross, lam: float) -> ClassifierMatrix:
 def rls_sweep(H, Y, lams) -> list[ClassifierMatrix]:
     """The :func:`train_rls` solution for every lambda of ``lams``, in order.
 
-    The smaller Gram matrix -- H^T H, or H H^T when there are fewer rows
-    than columns and every lambda is positive, the choice ``train_rls``
-    makes -- is reduced once to Q T Q^T, T tridiagonal, by Householder
-    reflections (LAPACK dsytrd).  Each lambda then costs one linear-time
-    solve of (T + lam I) X = Q^T B (dptsv), and Q is applied to all the
-    solutions at once.  The weights agree with ``train_rls`` to rounding,
-    not bit for bit.
-
-    Every BLAS and LAPACK call here goes to scipy's BLAS.  numpy and scipy
-    each bundle an OpenBLAS with its own thread pool, and a pool that has
-    just finished keeps spinning on the cores the other one then needs.
-    With integer activations every Gram and cross-product entry is an
-    integer below 2**53, so these products are exact in any BLAS.
+    The Gram matrix of :func:`_normal_equations`, which picks the primal or
+    dual system and says which BLAS it calls, is reduced once to Q T Q^T, T
+    tridiagonal, by Householder reflections (LAPACK dsytrd).  Each lambda
+    then costs one linear-time solve of (T + lam I) X = Q^T B (dptsv), and Q
+    is applied to all the solutions at once.  The weights agree with
+    ``train_rls`` to rounding, not bit for bit.
     """
     H, Y = _design(H, Y)
     lams = list(lams)
@@ -160,12 +175,7 @@ def rls_sweep(H, Y, lams) -> list[ClassifierMatrix]:
         raise InvalidParameterError("need at least one lambda")
     for lam in lams:
         check_lambda(lam)
-    m, d = H.shape
-    dual = m < d and min(lams) > 0
-    # H.T is the Fortran-ordered view BLAS takes without a copy.  dsyrk fills
-    # only the lower triangle of the Gram matrix, which is all dsytrd reads.
-    gram = blas.dsyrk(1.0, H.T, trans=1 if dual else 0, lower=1)
-    rhs = Y if dual else blas.dgemm(1.0, H.T, Y)
+    dual, gram, rhs = _normal_equations(H, Y, lams)
     lwork, _ = lapack.dsytrd_lwork(gram.shape[0], lower=1)
     reduced, diag, off, tau, info = lapack.dsytrd(
         gram, lower=1, lwork=int(lwork), overwrite_a=1
@@ -174,12 +184,7 @@ def rls_sweep(H, Y, lams) -> list[ClassifierMatrix]:
     rhs = _reflect(reduced, tau, rhs, "T")
     solutions = np.hstack([_solve_tridiagonal(diag + lam, off, rhs, lam) for lam in lams])
     solutions = _reflect(reduced, tau, solutions, "N")
-    if dual:
-        # (H^T S)^T = S^T H, the product numpy's row-major H.T @ S hands to
-        # its BLAS; in this form scipy's dgemm gives the same bits.
-        weights = blas.dgemm(1.0, solutions, H.T, trans_a=1, trans_b=1)
-    else:
-        weights = solutions.T
+    weights = _from_dual(solutions, H) if dual else solutions.T
     return [ClassifierMatrix(weights=w, kind="rls") for w in np.split(weights, len(lams))]
 
 
@@ -303,7 +308,7 @@ def _winners(models, H) -> NDArray[np.int64]:
 
     The one scoring loop.  Each block of rows is cast to float64 once and
     scored against the models' stacked weights with scipy's dgemm, the BLAS
-    :func:`rls_sweep` uses, so a grid step stays in one thread pool.
+    every ridge fit uses, so a grid step stays in one thread pool.
     OpenBLAS threads a product above 2**18 multiply-adds, and a threaded
     product can round differently, so a prediction could depend on the
     thread count.  A product therefore scores PREDICT_BLOCK rows (fewer for

@@ -136,6 +136,30 @@ def test_rls_dual_equals_inline_cholesky_bit_for_bit(rows, dim, activations, lam
     assert np.array_equal(train_rls(H, Y, lam).weights, inline_dual_rls(H, Y, lam))
 
 
+def inline_primal_rls(H, Y, lam):
+    """Reference primal weights: numpy H^T H, +lam on its diagonal, a Cholesky solve of H^T Y."""
+    H = np.asarray(H, dtype=np.float64)
+    gram = H.T @ H
+    gram[np.diag_indices_from(gram)] += lam
+    return sla.cho_solve(sla.cho_factor(gram), H.T @ Y).T
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0**-10, 32.0])
+@pytest.mark.parametrize("activations", ["int8", "float"])
+@pytest.mark.parametrize("rows, dim", [(300, 300), (600, 300), (1500, 750)])
+def test_rls_primal_equals_inline_cholesky_bit_for_bit(rows, dim, activations, lam):
+    # Float activations round in every product, so only numpy's own forms of
+    # H^T H and H^T Y give these bits; integer ones are exact in any form.
+    rng = SeedSpec(30).rng()
+    if activations == "int8":
+        H = clip(rng.integers(-20, 21, size=(rows, dim)), 15)
+        assert H.dtype == np.int8
+    else:
+        H = rng.standard_normal((rows, dim))
+    Y = one_hot(rng.integers(1, 4, size=rows), 3)
+    assert np.array_equal(train_rls(H, Y, lam).weights, inline_primal_rls(H, Y, lam))
+
+
 def test_rls_dual_singular_names_its_lambda():
     # lambda is positive but below the rounding of H H^T, which has rank one.
     H = np.array([[1e8, 0, 0], [1e8, 0, 0]])
@@ -285,13 +309,23 @@ def numpy_gram_sweep(H, Y, lams):
     return [w.T for w in np.split(solutions, len(lams), axis=1)]
 
 
-@pytest.mark.parametrize("rows, dim", [(1500, 750), (500, 750)], ids=["primal", "dual"])
-def test_rls_sweep_equals_numpy_gram_path_bit_for_bit(rows, dim):
-    # Integer activations make every Gram and cross-product entry an exact
-    # integer, so moving those products to scipy's BLAS changes no bit; the
-    # dual's closing product is issued in the form numpy's H.T @ S takes.
+@pytest.mark.parametrize("rows, dim, activations", [
+    pytest.param(1500, 750, "int8", id="primal"),
+    pytest.param(500, 750, "int8", id="dual"),
+    pytest.param(1500, 750, "float", id="primal-float"),
+    pytest.param(500, 750, "float", id="dual-float"),
+    pytest.param(600, 300, "int8", id="primal-600x300"),
+    pytest.param(600, 300, "float", id="primal-600x300-float"),
+])
+def test_rls_sweep_equals_numpy_gram_path_bit_for_bit(rows, dim, activations):
+    # The Gram, cross and closing products are issued in the forms that give
+    # numpy's bits, so float activations match too; integer activations make
+    # every Gram and cross-product entry exact in any form.
     rng = SeedSpec(28).rng()
-    H = clip(rng.integers(-40, 41, size=(rows, dim)), 15)
+    if activations == "int8":
+        H = clip(rng.integers(-40, 41, size=(rows, dim)), 15)
+    else:
+        H = rng.standard_normal((rows, dim))
     Y = one_hot(rng.integers(1, 4, size=rows), 3)
     want = numpy_gram_sweep(H, Y, DEFAULT_LAMBDA_GRID)
     got = rls_sweep(H, Y, DEFAULT_LAMBDA_GRID)

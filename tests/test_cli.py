@@ -158,16 +158,25 @@ def test_run_rejects_unshardable_agent_count_before_encoding(runner, monkeypatch
     assert "suite aborted" not in result.output
 
 
-def test_run_records_do_not_depend_on_blas_threads():
+@pytest.mark.parametrize("run_args", [
     # Ten classes at dim 500 score 5,000 weights per row: a 128-row block
     # would be above OpenBLAS's threading threshold, where one prediction of
     # this run used to flip between one and two threads.
-    args = [
-        sys.executable, "-m", "hvnet.cli", "run",
+    pytest.param([
         "--dataset", "synth:classes=10,features=4,samples=4000,sep=3.0,seed=7",
         "--version", "local", "--classifier", "centroid", "--agents", "100",
         "--seeds", "2", "--seed", "2", "--full-test",
-    ]
+    ], id="scoring"),
+    # The protocol's shape: 180-row shards at dim 500, whose ridge products
+    # are above the threading threshold.
+    pytest.param([
+        "--dataset", "synth:classes=4,features=20,samples=2400,sep=2.0,seed=3",
+        "--version", "centralized", "--version", "local", "--version", "distributed",
+        "--compress", "--agents", "10", "--seeds", "1", "--kfold", "4", "--dim", "500",
+    ], id="ridge-fits"),
+])
+def test_run_records_do_not_depend_on_blas_threads(run_args):
+    args = [sys.executable, "-m", "hvnet.cli", "run", *run_args]
     src = str(Path(hvnet.__file__).resolve().parent.parent)
     outputs = []
     for threads in ("1", "2"):
