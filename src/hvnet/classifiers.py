@@ -145,13 +145,15 @@ def rls_from_gram(gram, cross, lam: float) -> ClassifierMatrix:
     call; to solve for many lambdas over one design matrix, :func:`rls_sweep`
     reduces the Gram matrix once instead.
     """
-    gram = np.array(gram, dtype=np.float64)
+    # The one copy of the Gram matrix, in the Fortran order that LAPACK
+    # factors in place.
+    gram = np.array(gram, dtype=np.float64, order="F")
     cross = np.asarray(cross, dtype=np.float64)
     check_lambda(lam)
     if lam > 0:
         gram[np.diag_indices_from(gram)] += lam
     try:
-        w = sla.cho_solve(sla.cho_factor(gram), cross)
+        w = sla.cho_solve(sla.cho_factor(gram, overwrite_a=True), cross)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             f"normal equations are singular at lambda={lam}; use a larger lambda"
@@ -234,7 +236,7 @@ def finalize_centroids(class_sums) -> ClassifierMatrix:
     zero = norms == 0.0
     if np.any(zero):
         warnings.warn(
-            f"classes {list(np.flatnonzero(zero) + 1)} have a zero-norm sum; "
+            f"classes {(np.flatnonzero(zero) + 1).tolist()} have a zero-norm sum; "
             "their rows are all-zero",
             EmptyClassWarning,
             stacklevel=2,
@@ -307,27 +309,26 @@ def _winners(models, H) -> NDArray[np.int64]:
     """1-based winner-takes-all classes, (n_models, n_rows), of models of one shape.
 
     The one scoring loop.  Each block of rows is cast to float64 once and
-    scored against the models' stacked weights with scipy's dgemm, the BLAS
-    every ridge fit uses, so a grid step stays in one thread pool.
-    OpenBLAS threads a product above 2**18 multiply-adds, and a threaded
+    scored against each model's weights in turn, one scipy dgemm per model,
+    the BLAS every ridge fit uses, so a grid step stays in one thread pool.
+    A product holds exactly one model: OpenBLAS rounds a score differently
+    depending on how many weight rows share a product, so stacked models
+    would make a prediction depend on the models scored beside it.  It
+    also threads a product above 2**18 multiply-adds, and a threaded
     product can round differently, so a prediction could depend on the
     thread count.  A product therefore scores PREDICT_BLOCK rows (fewer for
-    a model wider than 2**18 / PREDICT_BLOCK weights) against as many whole
-    models as stay within 2**18.  argmax picks the first maximum, i.e. the
-    lowest class index on ties.
+    a model wider than 2**18 / PREDICT_BLOCK weights).  argmax picks the
+    first maximum, i.e. the lowest class index on ties.
     """
     n_classes, dim = models[0].weights.shape
     rows = min(PREDICT_BLOCK, max(1, 2**18 // (n_classes * dim)))
-    group = max(1, 2**18 // (rows * n_classes * dim))  # models per product
-    stacked = np.concatenate([w.weights for w in models]).astype(np.float64, copy=False)
+    weights = [np.ascontiguousarray(w.weights, dtype=np.float64) for w in models]
     out = np.empty((len(models), H.shape[0]), dtype=np.int64)
     for start in range(0, H.shape[0], rows):
         block = np.asarray(H[start:start + rows], dtype=np.float64)
-        for first in range(0, len(models), group):
-            # part.T is the Fortran-ordered view dgemm takes without a copy, and
-            # (part @ block.T).T has one row of (model, class) scores per sample.
-            part = stacked[first * n_classes:(first + group) * n_classes]
-            scores = blas.dgemm(1.0, part.T, block.T, trans_a=1).T
-            winners = np.argmax(scores.reshape(len(block), -1, n_classes), axis=2)
-            out[first:first + group, start:start + rows] = winners.T
+        for m, w in enumerate(weights):
+            # w.T is the Fortran-ordered view dgemm takes without a copy, and
+            # (w @ block.T).T has one row of class scores per sample.
+            scores = blas.dgemm(1.0, w.T, block.T, trans_a=1).T
+            out[m, start:start + rows] = np.argmax(scores, axis=1)
     return out + 1

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-# evaluate, rls_from_gram and train_rls are not called here, but
-# perfbench/tracer.py wraps these names in this module, so they must stay
-# importable from it.
+# evaluate, rls_from_gram, train_rls and run_version are not called
+# here, but perfbench/tracer.py wraps these names in this module, so they
+# must stay importable from it.
 from .classifiers import (
     check_lambda, evaluate, evaluate_many, one_hot, rls_from_gram, rls_sweep, train_rls,
 )
@@ -44,7 +44,9 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .hdc import SeedSpec, check_count, check_seed, clip
-from .network import VERSION_KINDS, ExperimentVersion, ModelParams, SharedPass, run_version
+from .network import (
+    VERSION_KINDS, ExperimentVersion, ModelParams, SharedPass, run_version, run_versions,
+)
 
 __all__ = [
     "DEFAULT_DIM_GRID",
@@ -322,8 +324,10 @@ def _run_pass(config: ExperimentConfig, piece, seed_index: int, fold: int | None
 
     ``piece`` is the fold's normalized dataset and its train and test indices;
     ``fold`` is None for a single split, whose pass draws from the bare seed.
-    The cells share one :class:`SharedPass`, visited by agent count.  A pure
-    function of its arguments, so passes may run in any order.
+    The cells share one :class:`SharedPass`, visited by agent count: one
+    :func:`run_versions` call realizes and scores the cells of each count, in
+    cell order.  A pure function of its arguments, so passes may run in any
+    order.
     """
     seed = SeedSpec(config.master_seed).child("seed", seed_index)
     seed = seed if fold is None else seed.child("fold", fold)
@@ -331,17 +335,22 @@ def _run_pass(config: ExperimentConfig, piece, seed_index: int, fold: int | None
     shared = SharedPass(*piece, params, seed)
     cells = config.cells
     results = [None] * len(cells)
-    for c in sorted(range(len(cells)), key=lambda c: cells[c][1]):
-        version, n_agents = cells[c]
+    for n_agents in sorted({n for _, n in cells}):
+        group = [c for c in range(len(cells)) if cells[c][1] == n_agents]
+        versions = [cells[c][0] for c in group]
         try:
-            results[c] = run_version(
-                shared, version, n_agents, eval_on_full_test=config.eval_on_full_test
+            group_results = run_versions(
+                shared, versions, n_agents, eval_on_full_test=config.eval_on_full_test
             )
         except Exception as exc:
+            # A failure before any version is realized is the first version's.
+            version = getattr(exc, "failed_version", versions[0])
             raise SuiteError(
                 f"suite aborted: seed index {seed_index} failed for "
                 f"version={version_label(version)} n_agents={n_agents}: {exc}"
             ) from exc
+        for c, result in zip(group, group_results):
+            results[c] = result
     return results
 
 
@@ -369,7 +378,7 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
             for f in range(len(folds))
         ]
 
-    # Reject an unshardable agent count before encoding; run_version rejects empty sets.
+    # Reject an unshardable agent count before encoding; run_versions rejects empty sets.
     most_agents = max(n_agents for _, n_agents in config.cells)
     fewest_rows = max(1, min(min(train.size, test.size) for train, test in pairs))
     if most_agents > fewest_rows:

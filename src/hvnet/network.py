@@ -11,9 +11,11 @@ byte-identity contract: the result is order-free in the agent ids, and
 it is not a BLAS product, which would round differently.
 
 All model versions of one seed share the projection, the encodings, the
-shard partitions and the local classifiers.  A :class:`SharedPass` holds the
-inputs of one (seed, fold) and computes each of them once; every
-realization, run by :func:`run_version`, reads them from a pass.
+shard partitions, the local classifiers and the agents' keys.  A
+:class:`SharedPass` holds the inputs of one (seed, fold) and computes each
+of them once; every realization reads them from a pass.
+:func:`run_versions` realizes the versions of one agent count and scores
+them together, each agent's block of test rows cast once for all of them.
 """
 
 from __future__ import annotations
@@ -22,10 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# evaluate is not called here, but perfbench/tracer.py wraps this name in
+# this module, so it must stay importable from it.
 from .classifiers import (
     CLASSIFIER_KINDS,
     ClassifierMatrix,
     evaluate,
+    evaluate_many,
     finalize_centroids,
     one_hot,
     train_centroids,
@@ -49,6 +54,7 @@ __all__ = [
     "exchange_and_aggregate",
     "partition",
     "run_version",
+    "run_versions",
     "train_local",
 ]
 
@@ -167,7 +173,10 @@ def _fit(classifier_kind: str, H, y, n_classes: int, lam: float) -> ClassifierMa
 
 
 def exchange_and_aggregate(
-    network: AgentNetwork, classifiers: list[ClassifierMatrix], compression: bool
+    network: AgentNetwork,
+    classifiers: list[ClassifierMatrix],
+    compression: bool,
+    key_sets: dict[tuple[int, int, int], np.ndarray] | None = None,
 ) -> tuple[list[ClassifierMatrix], int]:
     """One-shot exchange: each agent sums the classifiers of its neighborhood.
 
@@ -180,7 +189,11 @@ def exchange_and_aggregate(
     classifiers are packed once per producer, ``EXCHANGE_BLOCK`` producers per
     array call; every consumer regenerates the producer's keys from its agent
     id and unpacks the reconstruction, which is then aggregated as-is.  Each
-    row is bit-identical to a one-agent ``compress`` and ``decompress``.  Each
+    row is bit-identical to a one-agent ``compress`` and ``decompress``.
+    Keys depend on (agent id, n_classes, dim) alone, so ``key_sets``, a dict
+    of key arrays under that triple, is read and filled: a caller that keeps
+    one across exchanges, as a :class:`SharedPass` does, generates each
+    agent's keys once.  By default every call starts a fresh dict.  Each
     distinct neighborhood (a distinct row of Ω ∨ I) is bundled once
     by ``superpose``, and agents sharing a neighborhood share that aggregate.
     """
@@ -196,10 +209,15 @@ def exchange_and_aggregate(
         raise ProtocolError("centroid exchange requires class sums")
 
     if compression:
+        key_sets = {} if key_sets is None else key_sets
         payloads = []
         for start in range(0, network.n_agents, EXCHANGE_BLOCK):
             ids = network.agent_ids[start:start + EXCHANGE_BLOCK]
-            keys = np.stack([generate_keys(agent_id, n_classes, dim).keys for agent_id in ids])
+            for agent_id in ids:
+                slot = (agent_id, n_classes, dim)
+                if slot not in key_sets:
+                    key_sets[slot] = generate_keys(*slot).keys
+            keys = np.stack([key_sets[agent_id, n_classes, dim] for agent_id in ids])
             weights = np.stack([c.weights for c in classifiers[start:start + EXCHANGE_BLOCK]])
             # Deterministic, so one reconstruction stands in for every consumer's.
             payloads.extend(unpack(pack(weights, keys), keys, ids))
@@ -228,14 +246,16 @@ class SharedPass:
     """The inputs of one (seed, fold) and the work its model versions share, done once.
 
     Holds the dataset, the train and test indices, the model parameters and
-    the seed that every realization of :func:`run_version` reads.  Draws
-    the projection and encodes the train and test rows on first use,
-    partitions the shards once per agent count, and trains the local
-    classifiers once per (classifier kind, agent count).  A pass lives as
-    long as its caller keeps it; nothing is cached at module level.  Local
-    classifiers are kept for one agent count at a time, which bounds memory
-    by the largest network, so a caller that visits agent counts in turn
-    (as ``hvnet.harness._run_pass`` does) trains each set once.
+    the seed that every realization reads.  Draws the projection and
+    encodes the train and test rows on first use, partitions the shards
+    once per agent count, and trains the local classifiers once per
+    (classifier kind, agent count).  ``key_sets`` holds every agent's
+    compression keys once they are generated, for all agent counts: an
+    agent's keys depend on its id alone.  A pass lives as long as its
+    caller keeps it; nothing is cached at module level.  Local classifiers
+    are kept for one agent count at a time, which bounds memory by the
+    largest network, so a caller that visits agent counts in turn (as
+    ``hvnet.harness._run_pass`` does) trains each set once.
     """
 
     def __init__(self, ds: Dataset, train_idx, test_idx, params: ModelParams, seed: SeedSpec):
@@ -244,6 +264,7 @@ class SharedPass:
         self.test_idx = np.asarray(test_idx)
         self.params = params
         self.seed = seed
+        self.key_sets: dict[tuple[int, int, int], np.ndarray] = {}
         self._encoded: tuple[np.ndarray, np.ndarray] | None = None
         self._shards: dict[int, tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]] = {}
         self._locals: dict[tuple[str, int], list[ClassifierMatrix]] = {}
@@ -284,6 +305,73 @@ class SharedPass:
             self._locals[key] = [self.fit(classifier_kind, rows) for rows in train_shards]
         return self._locals[key]
 
+    def realize(
+        self, version: ExperimentVersion, n_agents: int, network: AgentNetwork | None = None
+    ) -> tuple[list[ClassifierMatrix], int]:
+        """Every agent's model of one version, and the values each agent sends.
+
+        The centralized version has one model, fit on every train row; the
+        local version has each agent's own; the distributed version has each
+        agent's aggregate over ``network`` (fully connected by default).
+        """
+        if version.kind == "centralized":
+            return [self.fit(version.classifier_kind, np.arange(self.train_idx.size))], 0
+        models = self.local_models(version.classifier_kind, n_agents)
+        if version.kind == "local":
+            return models, 0
+        net = network if network is not None else AgentNetwork.fully_connected(n_agents)
+        if net.n_agents != n_agents:
+            raise InvalidParameterError("network size must match n_agents")
+        return exchange_and_aggregate(net, models, version.compression, self.key_sets)
+
+
+def run_versions(
+    shared: SharedPass,
+    versions: list[ExperimentVersion],
+    n_agents: int,
+    network: AgentNetwork | None = None,
+    eval_on_full_test: bool = False,
+) -> list[RunResult]:
+    """Run one seeded realization of each version at one agent count, in order.
+
+    The dataset, index sets, parameters and seed come from ``shared``, and
+    all randomness (projection, shard partitions) derives from its seed.
+    Local and distributed versions evaluate each agent on its own test
+    shard unless ``eval_on_full_test`` is set; the centralized version
+    always uses the full test set.  On shards, one ``evaluate_many`` per
+    agent scores every version's model of that agent, so its block of rows
+    is gathered and cast once; on the full test set, one ``evaluate_many``
+    scores each distinct model of all those versions once.  Each model sees
+    the rows it would see alone, one model per product, so every accuracy
+    equals the one-version run bit for bit.  An exception raised while
+    realizing a version carries it as ``failed_version``.
+    """
+    if shared.train_idx.size < 1 or shared.test_idx.size < 1:
+        raise InvalidParameterError("train and test index sets must be non-empty")
+    realized = []
+    for version in versions:
+        try:
+            realized.append(shared.realize(version, n_agents, network))
+        except Exception as exc:
+            exc.failed_version = version
+            raise
+    on_full = [eval_on_full_test or v.kind == "centralized" for v in versions]
+
+    H_test, y_test = shared.encoded()[1], shared.ds.labels[shared.test_idx]
+    distinct = {id(m): m for (models, _), full in zip(realized, on_full) if full for m in models}
+    accs = dict(zip(distinct, evaluate_many(distinct.values(), H_test, y_test))) if distinct else {}
+    scores = [[accs.get(id(m)) for m in models] for models, _ in realized]  # None: on a shard
+    shard_versions = [i for i, full in enumerate(on_full) if not full]
+    if shard_versions:
+        for p, rows in enumerate(shared.shards(n_agents)[1]):
+            models = [realized[i][0][p] for i in shard_versions]
+            for i, acc in zip(shard_versions, evaluate_many(models, H_test[rows], y_test[rows])):
+                scores[i][p] = acc
+    return [
+        RunResult(len(models), np.asarray(per_agent), payload)
+        for (models, payload), per_agent in zip(realized, scores)
+    ]
+
 
 def run_version(
     shared: SharedPass,
@@ -292,37 +380,5 @@ def run_version(
     network: AgentNetwork | None = None,
     eval_on_full_test: bool = False,
 ) -> RunResult:
-    """Run one seeded realization of a model version and report per-agent accuracy.
-
-    The dataset, index sets, parameters and seed come from ``shared``, and
-    all randomness (projection, shard partitions) derives from its seed.
-    Local and distributed versions evaluate each agent on its own test
-    shard unless ``eval_on_full_test`` is set; the centralized version
-    always uses the full test set.  There, each distinct model is scored once.
-    """
-    if shared.train_idx.size < 1 or shared.test_idx.size < 1:
-        raise InvalidParameterError("train and test index sets must be non-empty")
-    H_test = shared.encoded()[1]
-    y_test = shared.ds.labels[shared.test_idx]
-
-    if version.kind == "centralized":
-        models = [shared.fit(version.classifier_kind, np.arange(shared.train_idx.size))]
-        payload_per, eval_on_full_test = 0, True
-    else:
-        models, payload_per = shared.local_models(version.classifier_kind, n_agents), 0
-        if version.kind == "distributed":
-            net = network if network is not None else AgentNetwork.fully_connected(n_agents)
-            if net.n_agents != n_agents:
-                raise InvalidParameterError("network size must match n_agents")
-            models, payload_per = exchange_and_aggregate(net, models, version.compression)
-
-    if eval_on_full_test:
-        distinct = {id(model): model for model in models}
-        accs = {key: evaluate(model, H_test, y_test) for key, model in distinct.items()}
-        per_agent = [accs[id(model)] for model in models]
-    else:
-        test_shards = shared.shards(n_agents)[1]
-        per_agent = [
-            evaluate(model, H_test[rows], y_test[rows]) for model, rows in zip(models, test_shards)
-        ]
-    return RunResult(len(models), np.asarray(per_agent), payload_per)
+    """Run one seeded realization of a model version: :func:`run_versions` of one."""
+    return run_versions(shared, [version], n_agents, network, eval_on_full_test)[0]

@@ -179,6 +179,34 @@ def test_rls_from_gram_matches_and_preserves_inputs():
     np.testing.assert_array_equal(gram, gram_copy)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "lower-transposed", "int64"])
+def test_rls_from_gram_leaves_the_callers_gram_intact(layout):
+    # rls_from_gram factors its one Fortran-ordered copy in place.
+    rng = SeedSpec(23).rng()
+    H = rng.integers(-7, 8, size=(30, 6))
+    Y = one_hot(rng.integers(1, 3, size=30), 2)
+    gram = {
+        "C": (H.T @ H).astype(np.float64),
+        "F": np.asfortranarray(H.T @ H, dtype=np.float64),
+        # train_rls hands over the transposed lower triangle of dsyrk's result.
+        "lower-transposed": np.tril(H.T @ H).astype(np.float64).T,
+        "int64": H.T @ H,
+    }[layout]
+    before, cross = gram.copy(order="K"), (H.T @ Y).astype(np.float64)
+    cross_before = cross.copy()
+    model = rls_from_gram(gram, cross, 0.5)
+    np.testing.assert_allclose(model.weights, rls_oracle(H, Y, 0.5), atol=1e-10)
+    assert gram.dtype == before.dtype and np.array_equal(gram, before)
+    assert np.array_equal(cross, cross_before)
+
+
+def test_rls_from_gram_rejects_a_nan_gram():
+    gram = np.eye(3)
+    gram[1, 2] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        rls_from_gram(gram, np.eye(3), 1.0)
+
+
 def test_rls_singular_without_ridge():
     H = np.ones((3, 5))  # rank one
     Y = one_hot([1, 2, 1], 2)
@@ -355,6 +383,11 @@ def test_centroid_empty_class_is_zero_row():
     assert model.class_sums.tolist() == [[3, 3], [0, 0], [0, 0]]
 
 
+def test_empty_class_warning_prints_plain_class_numbers():
+    with pytest.warns(EmptyClassWarning, match=r"classes \[3\] have a zero-norm sum"):
+        train_centroids(np.array([[1, 2], [2, 1]]), np.array([1, 2]), 3)
+
+
 def test_centroid_rows_unit_norm():
     rng = SeedSpec(25).rng()
     H = rng.integers(-7, 8, size=(40, 32))
@@ -472,9 +505,9 @@ def test_predict_batch_across_row_blocks():
 def test_every_scoring_wrapper_matches_the_reference(n_models, dim):
     # Integer weights and activations make every score exact, so the repeated
     # class row (classes 2 and 3) and the all-zero activation rows tie exactly,
-    # on both sides of each block boundary.  Forty 4 x 30 models take more
-    # than one product per block; a 4 x 600 model is wide enough that a block
-    # holds fewer than PREDICT_BLOCK rows.
+    # on both sides of each block boundary.  Forty 4 x 30 models take forty
+    # products per block, one each; a 4 x 600 model is wide enough that a
+    # block holds fewer than PREDICT_BLOCK rows.
     rng = SeedSpec(32).rng()
     block = min(PREDICT_BLOCK, 2**18 // (4 * dim))
     assert (block < PREDICT_BLOCK) == (dim == 600)

@@ -1,8 +1,9 @@
-"""The grouped exchange and the shared per-seed pass against their naive forms.
+"""The grouped exchange, the shared per-seed pass and its scoring against their naive forms.
 
 The grouped exchange must equal a per-agent, sorted-order, sequential ``+=``
-reference bit for bit, and a realization that reuses a SharedPass must
-return exactly what one on a fresh pass does.
+reference bit for bit, a realization that reuses a SharedPass must return
+exactly what one on a fresh pass does, and scoring an agent count's versions
+together must equal scoring each version alone.
 """
 
 import warnings
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hvnet.network
-from hvnet.classifiers import ClassifierMatrix, evaluate, finalize_centroids
+from hvnet.classifiers import ClassifierMatrix, evaluate, evaluate_many, finalize_centroids
 from hvnet.compression import compress, decompress, generate_keys
 from hvnet.data import SplitSpec, split, synth_blobs
 from hvnet.errors import SuiteError
@@ -26,6 +27,7 @@ from hvnet.network import (
     SharedPass,
     exchange_and_aggregate,
     run_version,
+    run_versions,
 )
 
 # ------------------------------------------------------- grouped exchange
@@ -265,22 +267,108 @@ def test_run_version_scores_like_a_per_agent_loop(blobs, version, topology, eval
     assert got.payload_values_per_producer == payload
 
 
+@pytest.mark.parametrize("eval_on_full_test", [False, True])
+@pytest.mark.parametrize("topology", ["full", "ring"])
+@pytest.mark.parametrize("n_agents", [1, 4, 9])
+def test_run_versions_equals_one_run_per_version(blobs, n_agents, topology, eval_on_full_test):
+    # dim 80 puts L * dim below 1024, where the former kernel stacked models.
+    ds, train_idx, test_idx = blobs
+    network = ring(n_agents) if topology == "ring" else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(35))
+        got = run_versions(shared, ALL_VERSIONS, n_agents, network, eval_on_full_test)
+        want = [
+            run_version(
+                SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(35)),
+                version, n_agents, network, eval_on_full_test,
+            )
+            for version in ALL_VERSIONS
+        ]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.per_agent_accuracy.dtype == w.per_agent_accuracy.dtype
+        assert g.per_agent_accuracy.tobytes() == w.per_agent_accuracy.tobytes()
+        assert g.n_agents == w.n_agents
+        assert g.payload_values_per_producer == w.payload_values_per_producer
+
+
+def test_each_scoring_product_holds_one_model(monkeypatch):
+    rng = np.random.default_rng(36)
+    n_classes, dim, n_rows, n_models = 3, 80, 300, 5
+    models = [
+        ClassifierMatrix(weights=rng.standard_normal((n_classes, dim)), kind="rls")
+        for _ in range(n_models)
+    ]
+    H, labels = rng.integers(-7, 8, size=(n_rows, dim)), rng.integers(1, 4, size=n_rows)
+    dgemm = hvnet.classifiers.blas.dgemm
+    shapes = []
+
+    def recording(alpha, a, b, **kwargs):
+        shapes.append((np.shape(a), np.shape(b)))
+        return dgemm(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(hvnet.classifiers.blas, "dgemm", recording)
+    got = evaluate_many(models, H, labels)
+    monkeypatch.undo()
+    assert got == [evaluate(w, H, labels) for w in models]
+    blocks = [min(128, n_rows - start) for start in range(0, n_rows, 128)]
+    assert sorted(shapes) == sorted(((dim, n_classes), (dim, b)) for b in blocks * n_models)
+
+
+def test_a_pass_generates_each_agents_keys_once(blobs, monkeypatch):
+    ds, train_idx, test_idx = blobs
+    generate = hvnet.network.generate_keys
+    calls = []
+
+    def counting(agent_id, n_classes, dim):
+        calls.append(agent_id)
+        return generate(agent_id, n_classes, dim)
+
+    monkeypatch.setattr(hvnet.network, "generate_keys", counting)
+    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(37))
+    versions = [v for v in ALL_VERSIONS if v.compression]  # both classifier kinds
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n_agents in (4, 9):
+            run_versions(shared, versions, n_agents)
+    assert sorted(calls) == list(range(9))
+    assert sorted(shared.key_sets) == [(p, ds.n_classes, PARAMS.dim) for p in range(9)]
+
+
+def test_exchange_with_filled_key_sets_equals_a_fresh_one():
+    rng = np.random.default_rng(38)
+    ids = (5, 40, 3, 17, 0, 28, 9)
+    net = AgentNetwork(omega=ring(len(ids)).omega, agent_ids=ids)
+    classifiers = [
+        ClassifierMatrix(weights=wide_range_weights(rng, (3, 32)), kind="rls") for _ in ids
+    ]
+    key_sets = {}
+    first, _ = exchange_and_aggregate(net, classifiers, True, key_sets)
+    assert sorted(key_sets) == sorted((i, 3, 32) for i in ids)
+    filled, _ = exchange_and_aggregate(net, classifiers, True, key_sets)
+    fresh, _ = exchange_and_aggregate(net, classifiers, True)
+    assert_same_classifiers(first, fresh)
+    assert_same_classifiers(filled, fresh)
+
+
 @pytest.mark.parametrize("compression", [False, True])
 def test_full_test_scores_a_shared_aggregate_once(blobs, monkeypatch, compression):
     ds, train_idx, test_idx = blobs
     shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(33))
-    calls = []
+    scored = []
 
-    def counting(*args):
-        calls.append(1)
-        return evaluate(*args)
+    def counting(models, *args):
+        models = list(models)
+        scored.append(len(models))
+        return evaluate_many(models, *args)
 
-    monkeypatch.setattr(hvnet.network, "evaluate", counting)
+    monkeypatch.setattr(hvnet.network, "evaluate_many", counting)
     version = ExperimentVersion("distributed", compression=compression)
     for n_agents in (1, 4, 9):
-        calls.clear()
+        scored.clear()
         result = run_version(shared, version, n_agents, eval_on_full_test=True)
-        assert len(calls) == 1
+        assert scored == [1]  # every agent holds the one aggregate
         assert len(set(result.per_agent_accuracy)) == 1
 
 

@@ -38,7 +38,7 @@ from hvnet.harness import (
     scatter_export,
 )
 from hvnet.hdc import SeedSpec
-from hvnet.network import ExperimentVersion
+from hvnet.network import ExperimentVersion, SharedPass
 
 
 def small_config(**overrides):
@@ -353,22 +353,30 @@ def test_run_suite_rejects_unknown_split_mode():
 
 @pytest.mark.parametrize("split_mode, n_folds", [("holdout", 1), ("kfold", 3)])
 def test_run_suite_runs_each_realization_once(monkeypatch, split_mode, n_folds):
-    # One run_version call per (cell, seed, fold): the unit a per-realization
-    # trace of run_version relies on.
-    run_version = hvnet.harness.run_version
-    calls = []
+    # One run_versions call per (agent count, seed, fold), and one realization
+    # per (cell, seed, fold).
+    run_versions, realize = hvnet.harness.run_versions, SharedPass.realize
+    passes, realized = [], []
 
-    def counting(shared, version, n_agents, **kwargs):
-        calls.append((shared.seed, version, n_agents))
-        return run_version(shared, version, n_agents, **kwargs)
+    def counting_passes(shared, versions, n_agents, **kwargs):
+        passes.append((shared.seed, n_agents))
+        return run_versions(shared, versions, n_agents, **kwargs)
 
-    monkeypatch.setattr(hvnet.harness, "run_version", counting)
+    def counting_realize(shared, version, n_agents, network=None):
+        realized.append((shared.seed, version, n_agents))
+        return realize(shared, version, n_agents, network)
+
+    monkeypatch.setattr(hvnet.harness, "run_versions", counting_passes)
+    monkeypatch.setattr(SharedPass, "realize", counting_realize)
     cfg = small_config(split_mode=split_mode, k_folds=3, agent_counts=(4, 2))
     run_suite(cfg)
     cells = [(v, n) for v in cfg.versions for n in ((1,) if v.kind == "centralized" else (4, 2))]
-    assert len(calls) == len(cells) * cfg.n_seeds * n_folds
-    assert len(set(calls)) == len(calls)
-    assert {(v, n) for _, v, n in calls} == set(cells)
+    assert len(passes) == len({n for _, n in cells}) * cfg.n_seeds * n_folds
+    assert len(set(passes)) == len(passes)
+    assert [n for _, n in passes[:3]] == [1, 2, 4]  # by agent count
+    assert len(realized) == len(cells) * cfg.n_seeds * n_folds
+    assert len(set(realized)) == len(realized)
+    assert {(v, n) for _, v, n in realized} == set(cells)
 
 
 def test_run_suite_failure_identifies_seed():
@@ -384,6 +392,28 @@ def test_run_suite_failure_identifies_seed():
     )
     with pytest.raises(SuiteError, match="seed index 0"):
         run_suite(cfg)
+
+
+def test_run_suite_failure_names_the_failing_version():
+    # At lambda = 0 only the RLS fits are singular.  The centroid version is
+    # realized first at the same agent count and succeeds.
+    cfg = small_config(
+        dataset="synth:classes=3,features=4,samples=7,sep=2.0,seed=2",
+        versions=(
+            ExperimentVersion("local", classifier_kind="centroid"),
+            ExperimentVersion("distributed"),
+        ),
+        agent_counts=(2,),
+        lam=0.0,
+        n_seeds=3,
+        allow_off_grid=True,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(
+            SuiteError, match="seed index 0 failed for version=distributed n_agents=2: .*singular"
+        ):
+            run_suite(cfg)
 
 
 def recorded_passes(monkeypatch, config):
