@@ -420,11 +420,13 @@ def run_suite(config: ExperimentConfig, dataset: Dataset | None = None) -> list[
 
 
 def pearson(xs, ys) -> float:
-    """Sample Pearson correlation coefficient."""
+    """Sample Pearson correlation coefficient of two vectors of finite numbers."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
         raise InvalidParameterError("need two equal-length vectors of at least 2 values")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise InvalidParameterError("correlation needs finite values; got NaN or infinity")
     dx = xs - xs.mean()
     dy = ys - ys.mean()
     sx = np.sqrt(np.sum(dx * dx))
@@ -459,7 +461,9 @@ def relative_improvement(records, compressed: bool = False) -> dict[int, float]:
 
     Pairs local records with distributed records (of the requested
     compression flavor) sharing the same dataset, classifier and agent
-    count; records must cover exactly one such pairing per count.
+    count; records must cover exactly one such pairing per count.  A local
+    mean accuracy of 0 leaves the improvement undefined and raises
+    :class:`InvalidParameterError` naming the cell.
     """
     records = list(records)
     local = _cells(records, "local")
@@ -470,6 +474,11 @@ def relative_improvement(records, compressed: bool = False) -> dict[int, float]:
     groups = {key[:2] for key in local}
     if len(groups) != 1:
         raise PairingError(f"records span multiple dataset/classifier groups: {sorted(groups)}")
+    for key in sorted(local):
+        if local[key].mean_accuracy == 0.0:
+            raise InvalidParameterError(
+                f"relative improvement is undefined for {key}: local mean_accuracy is 0"
+            )
     return {
         k[2]: 100.0 * (dist[k].mean_accuracy - local[k].mean_accuracy) / local[k].mean_accuracy
         for k in sorted(local)

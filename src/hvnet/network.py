@@ -10,12 +10,13 @@ its members in sorted-agent-id order.  That order is part of the
 byte-identity contract: the result is order-free in the agent ids, and
 it is not a BLAS product, which would round differently.
 
-All model versions of one seed share the projection, the encodings, the
-shard partitions, the local classifiers and the agents' keys.  A
-:class:`SharedPass` holds the inputs of one (seed, fold) and computes each
-of them once; every realization reads them from a pass.
-:func:`run_versions` realizes the versions of one agent count and scores
-them together, each agent's block of test rows cast once for all of them.
+All model versions and agent counts of one (seed, fold) share the
+projection, the encodings and the agents' keys; a :class:`SharedPass`
+holds them and computes each once.  :func:`run_versions` holds what one
+agent count needs: it partitions the shards, fits each classifier kind's
+local models, realizes every version and scores them together, each
+agent's block of test rows cast once for all of them.  Its per-count work
+is freed when it returns.
 """
 
 from __future__ import annotations
@@ -94,12 +95,6 @@ class AgentNetwork:
     @property
     def n_agents(self) -> int:
         return len(self.agent_ids)
-
-    def neighborhood(self, p: int) -> list[int]:
-        """Indices of p's neighbors plus p itself, sorted by agent id."""
-        members = set(np.flatnonzero(np.asarray(self.omega)[p]).tolist())
-        members.add(p)
-        return sorted(members, key=lambda s: self.agent_ids[s])
 
 
 @dataclass(frozen=True)
@@ -243,19 +238,16 @@ def exchange_and_aggregate(
 
 
 class SharedPass:
-    """The inputs of one (seed, fold) and the work its model versions share, done once.
+    """The inputs of one (seed, fold) and the work every agent count shares, done once.
 
     Holds the dataset, the train and test indices, the model parameters and
     the seed that every realization reads.  Draws the projection and
-    encodes the train and test rows on first use, partitions the shards
-    once per agent count, and trains the local classifiers once per
-    (classifier kind, agent count).  ``key_sets`` holds every agent's
-    compression keys once they are generated, for all agent counts: an
-    agent's keys depend on its id alone.  A pass lives as long as its
-    caller keeps it; nothing is cached at module level.  Local classifiers
-    are kept for one agent count at a time, which bounds memory by the
-    largest network, so a caller that visits agent counts in turn (as
-    ``hvnet.harness._run_pass`` does) trains each set once.
+    encodes the train and test rows on first use.  ``key_sets`` holds every
+    agent's compression keys once they are generated: an agent's keys
+    depend on its id alone, so they serve every agent count.  Nothing here
+    depends on the agent count; shards and local classifiers live in one
+    :func:`run_versions` call.  A pass lives as long as its caller keeps
+    it; nothing is cached at module level.
     """
 
     def __init__(self, ds: Dataset, train_idx, test_idx, params: ModelParams, seed: SeedSpec):
@@ -266,8 +258,6 @@ class SharedPass:
         self.seed = seed
         self.key_sets: dict[tuple[int, int, int], np.ndarray] = {}
         self._encoded: tuple[np.ndarray, np.ndarray] | None = None
-        self._shards: dict[int, tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]] = {}
-        self._locals: dict[tuple[str, int], list[ClassifierMatrix]] = {}
 
     def encoded(self) -> tuple[np.ndarray, np.ndarray]:
         """Hidden activations of the train and the test rows."""
@@ -280,49 +270,11 @@ class SharedPass:
             )
         return self._encoded
 
-    def shards(self, n_agents: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """Train and test row shards, positions into the index sets, one per agent."""
-        if n_agents not in self._shards:
-            self._shards[n_agents] = (
-                partition(self.train_idx.size, n_agents, self.seed.child("train_partition")).shards,
-                partition(self.test_idx.size, n_agents, self.seed.child("test_partition")).shards,
-            )
-        return self._shards[n_agents]
-
     def fit(self, classifier_kind: str, rows) -> ClassifierMatrix:
         """Train one classifier on the given train rows."""
         H_train, y_train = self.encoded()[0], self.ds.labels[self.train_idx]
         n_classes, lam = self.ds.n_classes, self.params.lam
         return _fit(classifier_kind, H_train[rows], y_train[rows], n_classes, lam)
-
-    def local_models(self, classifier_kind: str, n_agents: int) -> list[ClassifierMatrix]:
-        """One classifier per agent, each trained on that agent's train shard."""
-        key = (classifier_kind, n_agents)
-        if key not in self._locals:
-            if any(n != n_agents for _, n in self._locals):
-                self._locals.clear()
-            train_shards = self.shards(n_agents)[0]
-            self._locals[key] = [self.fit(classifier_kind, rows) for rows in train_shards]
-        return self._locals[key]
-
-    def realize(
-        self, version: ExperimentVersion, n_agents: int, network: AgentNetwork | None = None
-    ) -> tuple[list[ClassifierMatrix], int]:
-        """Every agent's model of one version, and the values each agent sends.
-
-        The centralized version has one model, fit on every train row; the
-        local version has each agent's own; the distributed version has each
-        agent's aggregate over ``network`` (fully connected by default).
-        """
-        if version.kind == "centralized":
-            return [self.fit(version.classifier_kind, np.arange(self.train_idx.size))], 0
-        models = self.local_models(version.classifier_kind, n_agents)
-        if version.kind == "local":
-            return models, 0
-        net = network if network is not None else AgentNetwork.fully_connected(n_agents)
-        if net.n_agents != n_agents:
-            raise InvalidParameterError("network size must match n_agents")
-        return exchange_and_aggregate(net, models, version.compression, self.key_sets)
 
 
 def run_versions(
@@ -336,6 +288,13 @@ def run_versions(
 
     The dataset, index sets, parameters and seed come from ``shared``, and
     all randomness (projection, shard partitions) derives from its seed.
+    The centralized version has one model, fit on every train row; the
+    local version has each agent's own, fit on its train shard; the
+    distributed version has each agent's aggregate over ``network`` (fully
+    connected by default).  The shards are drawn once, at the first version
+    that is not centralized, and each classifier kind's local models are
+    fit once; both are dropped when the call returns.
+
     Local and distributed versions evaluate each agent on its own test
     shard unless ``eval_on_full_test`` is set; the centralized version
     always uses the full test set.  On shards, one ``evaluate_many`` per
@@ -346,15 +305,33 @@ def run_versions(
     equals the one-version run bit for bit.  An exception raised while
     realizing a version carries it as ``failed_version``.
     """
-    if shared.train_idx.size < 1 or shared.test_idx.size < 1:
+    n_train, n_test, seed = shared.train_idx.size, shared.test_idx.size, shared.seed
+    if n_train < 1 or n_test < 1:
         raise InvalidParameterError("train and test index sets must be non-empty")
-    realized = []
+    shards, local, realized = None, {}, []  # shards: (train shards, test shards)
     for version in versions:
+        kind = version.classifier_kind
         try:
-            realized.append(shared.realize(version, n_agents, network))
+            if version.kind == "centralized":
+                models, payload = [shared.fit(kind, np.arange(n_train))], 0
+            else:
+                if shards is None:
+                    shards = (partition(n_train, n_agents, seed.child("train_partition")).shards,
+                              partition(n_test, n_agents, seed.child("test_partition")).shards)
+                if kind not in local:
+                    local[kind] = [shared.fit(kind, rows) for rows in shards[0]]
+                models, payload = local[kind], 0
+            if version.kind == "distributed":
+                net = network if network is not None else AgentNetwork.fully_connected(n_agents)
+                if net.n_agents != n_agents:
+                    raise InvalidParameterError("network size must match n_agents")
+                models, payload = exchange_and_aggregate(
+                    net, models, version.compression, shared.key_sets
+                )
         except Exception as exc:
             exc.failed_version = version
             raise
+        realized.append((models, payload))
     on_full = [eval_on_full_test or v.kind == "centralized" for v in versions]
 
     H_test, y_test = shared.encoded()[1], shared.ds.labels[shared.test_idx]
@@ -363,7 +340,7 @@ def run_versions(
     scores = [[accs.get(id(m)) for m in models] for models, _ in realized]  # None: on a shard
     shard_versions = [i for i, full in enumerate(on_full) if not full]
     if shard_versions:
-        for p, rows in enumerate(shared.shards(n_agents)[1]):
+        for p, rows in enumerate(shards[1]):
             models = [realized[i][0][p] for i in shard_versions]
             for i, acc in zip(shard_versions, evaluate_many(models, H_test[rows], y_test[rows])):
                 scores[i][p] = acc

@@ -1,8 +1,13 @@
 """The public names: each module's ``__all__`` is the one list of them."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import hvnet
 
@@ -25,3 +30,24 @@ def test_all_names_are_defined_and_the_package_root_holds_only_the_version():
     ]
     assert library == []
     assert isinstance(hvnet.__version__, str)
+
+
+def test_the_light_modules_load_neither_scipy_nor_the_harness():
+    # The README's promise: these modules need numpy alone.
+    code = (
+        "import json, sys\n"
+        "import hvnet.data, hvnet.hdc, hvnet.encoding, hvnet.errors\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    src = str(Path(hvnet.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          timeout=120, check=True)
+    loaded = json.loads(done.stdout)
+    assert "hvnet.data" in loaded
+    heavy = [
+        name for name in loaded
+        if name.startswith(("scipy", "click")) or name in ("hvnet.classifiers", "hvnet.harness")
+    ]
+    assert heavy == []

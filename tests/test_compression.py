@@ -252,10 +252,12 @@ def reference_exchange(network, classifiers):
         reference_round_trip(c.weights, agent_id)
         for agent_id, c in zip(network.agent_ids, classifiers)
     ]
-    return [
-        superpose(received[m] for m in network.neighborhood(p))
-        for p in range(network.n_agents)
-    ]
+    aggregates = []
+    for p in range(network.n_agents):
+        members = set(np.flatnonzero(network.omega[p]).tolist()) | {p}
+        ordered = sorted(members, key=lambda s: network.agent_ids[s])
+        aggregates.append(superpose(received[m] for m in ordered))
+    return aggregates
 
 
 def ring_network(agent_ids):

@@ -6,7 +6,9 @@ exactly what one on a fresh pass does, and scoring an agent count's versions
 together must equal scoring each version alone.
 """
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from hvnet.network import (
     ModelParams,
     SharedPass,
     exchange_and_aggregate,
+    partition,
     run_version,
     run_versions,
 )
@@ -244,23 +247,26 @@ def test_shared_pass_matches_standalone_runs(blobs, eval_on_full_test, topology)
 )
 def test_run_version_scores_like_a_per_agent_loop(blobs, version, topology, eval_on_full_test):
     ds, train_idx, test_idx = blobs
-    n_agents = 5
-    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(32))
+    n_agents, seed = 5, SeedSpec(32)
+    shared = SharedPass(ds, train_idx, test_idx, PARAMS, seed)
     network = ring(n_agents) if topology == "ring" else AgentNetwork.fully_connected(n_agents)
+    kind = version.classifier_kind
+    train_shards = partition(train_idx.size, n_agents, seed.child("train_partition")).shards
+    test_shards = partition(test_idx.size, n_agents, seed.child("test_partition")).shards
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = run_version(shared, version, n_agents, network, eval_on_full_test)
         if version.kind == "centralized":
-            models, payload = [shared.fit(version.classifier_kind, np.arange(train_idx.size))], 0
+            models, payload = [shared.fit(kind, np.arange(train_idx.size))], 0
         else:
-            models, payload = shared.local_models(version.classifier_kind, n_agents), 0
+            models, payload = [shared.fit(kind, rows) for rows in train_shards], 0
             if version.kind == "distributed":
                 models, payload = exchange_and_aggregate(network, models, version.compression)
     H_test, y_test = shared.encoded()[1], ds.labels[test_idx]
     if version.kind == "centralized" or eval_on_full_test:
         rows = [np.arange(test_idx.size)] * len(models)
     else:
-        rows = shared.shards(n_agents)[1]
+        rows = test_shards
     want = [evaluate(models[p], H_test[rows[p]], y_test[rows[p]]) for p in range(len(models))]
     assert got.n_agents == len(models)
     assert np.array_equal(got.per_agent_accuracy, want)
@@ -372,13 +378,47 @@ def test_full_test_scores_a_shared_aggregate_once(blobs, monkeypatch, compressio
         assert len(set(result.per_agent_accuracy)) == 1
 
 
-def test_shared_pass_fits_each_local_model_set_once(blobs):
+def counting_fits(monkeypatch):
+    """Every classifier that ``SharedPass.fit`` returns, in call order."""
+    fit, fitted = SharedPass.fit, []
+
+    def counting(shared, classifier_kind, rows):
+        fitted.append(fit(shared, classifier_kind, rows))
+        return fitted[-1]
+
+    monkeypatch.setattr(SharedPass, "fit", counting)
+    return fitted
+
+
+def test_shared_pass_fits_each_local_model_set_once(blobs, monkeypatch):
+    # One run_versions call fits each classifier kind's N local models once,
+    # however many local and distributed versions read them.
     ds, train_idx, test_idx = blobs
+    fitted = counting_fits(monkeypatch)
     shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(31))
-    first = shared.local_models("rls", 4)
-    assert shared.local_models("rls", 4) is first
-    assert shared.local_models("centroid", 4) is not first
+    versions = [v for v in ALL_VERSIONS if v.kind != "centralized"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_versions(shared, versions, 4)
+    assert sorted(m.kind for m in fitted) == ["centroid"] * 4 + ["rls"] * 4
     assert shared.encoded() is shared.encoded()
+
+
+def test_local_models_do_not_outlive_their_call(blobs, monkeypatch):
+    ds, train_idx, test_idx = blobs
+    fitted = counting_fits(monkeypatch)
+    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(39))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = run_versions(shared, ALL_VERSIONS, 4)
+    refs = [weakref.ref(m) for m in fitted]
+    encoded, key_sets = weakref.ref(shared.encoded()[0]), shared.key_sets
+    assert len(refs) == 2 * (1 + 4) and key_sets
+    del fitted[:], results
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+    assert encoded() is shared.encoded()[0]
+    assert shared.key_sets is key_sets and len(key_sets) == 4
 
 
 @pytest.mark.parametrize("eval_on_full_test", [False, True])

@@ -5,11 +5,13 @@ import io
 import json
 import pickle
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import hvnet.harness
+import hvnet.network
 from hvnet.classifiers import evaluate, evaluate_many
 from hvnet.data import SplitSpec, resolve_dataset, split, synth_blobs
 from hvnet.errors import (
@@ -38,7 +40,7 @@ from hvnet.harness import (
     scatter_export,
 )
 from hvnet.hdc import SeedSpec
-from hvnet.network import ExperimentVersion, SharedPass
+from hvnet.network import ExperimentVersion
 
 
 def small_config(**overrides):
@@ -270,6 +272,14 @@ def test_pearson_zero_variance_undefined():
         pearson([1.0], [2.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pearson_rejects_non_finite_values(bad):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        pearson([0.2, bad, 0.9], [0.1, 0.5, 0.7])
+    with pytest.raises(InvalidParameterError, match="finite"):
+        pearson([0.2, 0.5, 0.9], [0.1, 0.5, bad])
+
+
 # --------------------------------------------------- relative improvement
 
 
@@ -291,6 +301,17 @@ def test_relative_improvement_equal_is_zero():
         fake_record(version="distributed", mean_accuracy=0.5),
     ]
     assert relative_improvement(records)[10] == 0.0
+
+
+def test_relative_improvement_of_a_zero_local_accuracy_names_its_cell():
+    records = [
+        fake_record(version="local", n_agents=10, mean_accuracy=0.6),
+        fake_record(version="distributed", n_agents=10, mean_accuracy=0.7),
+        fake_record(version="local", n_agents=20, mean_accuracy=0.0),
+        fake_record(version="distributed", n_agents=20, mean_accuracy=0.4),
+    ]
+    with pytest.raises(InvalidParameterError, match=r"\('toy', 'rls', 20\).*mean_accuracy is 0"):
+        relative_improvement(records)
 
 
 def test_relative_improvement_missing_counterpart():
@@ -353,30 +374,30 @@ def test_run_suite_rejects_unknown_split_mode():
 
 @pytest.mark.parametrize("split_mode, n_folds", [("holdout", 1), ("kfold", 3)])
 def test_run_suite_runs_each_realization_once(monkeypatch, split_mode, n_folds):
-    # One run_versions call per (agent count, seed, fold), and one realization
-    # per (cell, seed, fold).
-    run_versions, realize = hvnet.harness.run_versions, SharedPass.realize
-    passes, realized = [], []
+    # One run_versions call per (agent count, seed, fold), and one exchange
+    # per (distributed cell, seed, fold).
+    run_versions, exchange = hvnet.harness.run_versions, hvnet.network.exchange_and_aggregate
+    passes, exchanged = [], []
 
     def counting_passes(shared, versions, n_agents, **kwargs):
         passes.append((shared.seed, n_agents))
         return run_versions(shared, versions, n_agents, **kwargs)
 
-    def counting_realize(shared, version, n_agents, network=None):
-        realized.append((shared.seed, version, n_agents))
-        return realize(shared, version, n_agents, network)
+    def counting_exchange(network, classifiers, compression, key_sets=None):
+        exchanged.append((network.n_agents, compression))
+        return exchange(network, classifiers, compression, key_sets)
 
     monkeypatch.setattr(hvnet.harness, "run_versions", counting_passes)
-    monkeypatch.setattr(SharedPass, "realize", counting_realize)
+    monkeypatch.setattr(hvnet.network, "exchange_and_aggregate", counting_exchange)
     cfg = small_config(split_mode=split_mode, k_folds=3, agent_counts=(4, 2))
     run_suite(cfg)
     cells = [(v, n) for v in cfg.versions for n in ((1,) if v.kind == "centralized" else (4, 2))]
     assert len(passes) == len({n for _, n in cells}) * cfg.n_seeds * n_folds
     assert len(set(passes)) == len(passes)
     assert [n for _, n in passes[:3]] == [1, 2, 4]  # by agent count
-    assert len(realized) == len(cells) * cfg.n_seeds * n_folds
-    assert len(set(realized)) == len(realized)
-    assert {(v, n) for _, v, n in realized} == set(cells)
+    distributed = [(n, v.compression) for v, n in cells if v.kind == "distributed"]
+    assert len(distributed) == 2
+    assert Counter(exchanged) == {cell: cfg.n_seeds * n_folds for cell in distributed}
 
 
 def test_run_suite_failure_identifies_seed():

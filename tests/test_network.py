@@ -73,11 +73,17 @@ def test_partition_deterministic():
 # ------------------------------------------------------------ agent network
 
 
+def sorted_neighborhood(network, p):
+    """p's neighbors and p itself in agent-id order: the members of p's aggregate."""
+    members = set(np.flatnonzero(network.omega[p]).tolist()) | {p}
+    return sorted(members, key=lambda s: network.agent_ids[s])
+
+
 def test_fully_connected_shape():
     net = AgentNetwork.fully_connected(4)
     assert net.n_agents == 4
     assert net.agent_ids == (0, 1, 2, 3)
-    assert net.neighborhood(2) == [0, 1, 2, 3]
+    assert np.array_equal(net.omega, np.ones((4, 4)))
 
 
 def test_network_rejects_asymmetric():
@@ -87,10 +93,17 @@ def test_network_rejects_asymmetric():
 
 
 def test_neighborhood_always_contains_self():
+    # Omega's diagonal is 0 and agent 2 is isolated; every aggregate still
+    # holds the agent's own classifier.  Powers of two sum exactly.
     omega = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    net = AgentNetwork(omega=omega, agent_ids=(0, 1, 2))
-    assert net.neighborhood(2) == [2]
-    assert net.neighborhood(0) == [0, 1]
+    net = AgentNetwork(omega=omega, agent_ids=(7, 3, 5))
+    assert sorted_neighborhood(net, 2) == [2]
+    assert sorted_neighborhood(net, 0) == [1, 0]
+    models = [ClassifierMatrix(weights=np.full((2, 4), 2.0**s), kind="rls") for s in range(3)]
+    aggregated, _ = exchange_and_aggregate(net, models, False)
+    for p, got in enumerate(aggregated):
+        want = sum(models[m].weights for m in sorted_neighborhood(net, p))
+        assert np.array_equal(got.weights, want)
 
 
 # -------------------------------------------------------------- train_local
