@@ -88,9 +88,16 @@ def check_lambda(lam) -> None:
         raise InvalidParameterError(f"lambda must be a finite number >= 0, got {lam!r}")
 
 
-def _design(H, Y) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Activations and targets as float64 matrices with matching row counts."""
-    H = np.asarray(H, dtype=np.float64)
+def _design(H, Y) -> tuple[NDArray, NDArray[np.float64]]:
+    """Activations and targets as matrices with matching row counts.
+
+    Integer activations keep their dtype, from which :func:`_normal_equations`
+    may form an exact float32 system; all other activations and the targets
+    become float64.
+    """
+    H = np.asarray(H)
+    if not np.issubdtype(H.dtype, np.integer):
+        H = np.asarray(H, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if H.ndim != 2 or Y.ndim != 2:
         raise DimensionError("H and Y must be 2-D matrices")
@@ -108,28 +115,63 @@ def train_rls(H, Y, lam: float) -> ClassifierMatrix:
     """
     H, Y = _design(H, Y)
     check_lambda(lam)
-    dual, gram, rhs = _normal_equations(H, Y, [lam])
-    # gram.T holds in its upper triangle the lower one that dsyrk filled.
+    gram, rhs, dual_H = _normal_equations(H, Y, [lam])
+    # gram.T holds in its upper triangle the lower one that syrk filled.
     weights = rls_from_gram(gram.T, rhs, lam).weights
-    return ClassifierMatrix(weights=_from_dual(weights.T, H) if dual else weights, kind="rls")
+    if dual_H is not None:
+        weights = _from_dual(weights.T, dual_H)
+    return ClassifierMatrix(weights=weights, kind="rls")
 
 
-def _normal_equations(H, Y, lams) -> tuple[bool, NDArray[np.float64], NDArray[np.float64]]:
-    """(dual, gram, rhs), the ridge system of float64 H and Y for all of ``lams``.
+def _normal_equations(H, Y, lams) -> tuple[NDArray, NDArray, NDArray | None]:
+    """(gram, rhs, dual_H), the float64 ridge system of H and Y for all of ``lams``.
 
     The one primal/dual rule: H H^T against Y when there are fewer rows than
-    columns and every lambda is positive, else H^T H against H^T Y.  dsyrk
-    fills the Gram matrix's lower triangle only.  The products are numpy's
-    ``H @ H.T``, ``H.T @ H`` and ``H.T @ Y`` bit for bit, for float input
-    too (an upper dsyrk or ``dgemm(1.0, H.T, Y)`` is not), and go to scipy's
-    BLAS, which also solves: each library's OpenBLAS has its own thread
-    pool, and one that has just finished spins on the cores the other needs.
+    columns and every lambda is positive, else H^T H against H^T Y.
+    ``dual_H`` is H in float64 for the dual system, which :func:`_from_dual`
+    maps back with, and None for the primal one.  syrk fills the Gram
+    matrix's lower triangle only.  The products are numpy's ``H @ H.T``,
+    ``H.T @ H`` and ``H.T @ Y`` bit for bit, for float input too (an upper
+    dsyrk or ``dgemm(1.0, H.T, Y)`` is not), and go to scipy's BLAS, which
+    also solves: each library's OpenBLAS has its own thread pool, and one
+    that has just finished spins on the cores the other needs.
+
+    A primal system whose partial sums are all integers below 2**24 (see
+    :func:`_exact_in_float32`) is formed by ssyrk and sgemm on one float32
+    copy of H, released before both results are widened: every sum is exact
+    in float32, so the bits are float64's at half the bytes.  Any other
+    system is formed from H in float64.
     """
     dual = H.shape[0] < H.shape[1] and min(lams) > 0
-    # H.T is the Fortran-ordered view BLAS takes without a copy.
+    if not dual and _exact_in_float32(H, Y):
+        H32 = H.astype(np.float32)
+        # H32.T is the Fortran-ordered view BLAS takes without a copy.
+        gram = blas.ssyrk(1.0, H32.T, lower=1)
+        rhs = blas.sgemm(1.0, Y.astype(np.float32).T, H32.T, trans_b=1).T
+        del H32
+        # astype keeps the Fortran order that dsytrd and cho_factor work in.
+        return gram.astype(np.float64), rhs.astype(np.float64), None
+    H = np.asarray(H, dtype=np.float64)
     gram = blas.dsyrk(1.0, H.T, trans=1 if dual else 0, lower=1)
-    rhs = Y if dual else blas.dgemm(1.0, Y.T, H.T, trans_b=1).T
-    return dual, gram, rhs
+    if dual:
+        return gram, Y, H
+    return gram, blas.dgemm(1.0, Y.T, H.T, trans_b=1).T, None
+
+
+def _exact_in_float32(H, Y) -> bool:
+    """Whether every partial sum of H^T H and H^T Y is an integer below 2**24.
+
+    Such sums are exact in float32 in any order.  It takes integer H and
+    integer-valued Y: with m = max|H|, no partial sum over the rows exceeds
+    rows * m * max(m, max|Y|) (m is taken as at least 1 so that Y itself
+    fits when H is all zero).
+    """
+    if not np.issubdtype(H.dtype, np.integer) or H.size == 0 or Y.size == 0:
+        return False
+    if not np.all(Y == np.rint(Y)):  # also rejects NaN
+        return False
+    m = max(-int(H.min()), int(H.max()))
+    return H.shape[0] * max(m, 1) * max(m, float(np.abs(Y).max())) < 2**24
 
 
 def _from_dual(S, H) -> NDArray[np.float64]:
@@ -177,7 +219,7 @@ def rls_sweep(H, Y, lams) -> list[ClassifierMatrix]:
         raise InvalidParameterError("need at least one lambda")
     for lam in lams:
         check_lambda(lam)
-    dual, gram, rhs = _normal_equations(H, Y, lams)
+    gram, rhs, dual_H = _normal_equations(H, Y, lams)
     lwork, _ = lapack.dsytrd_lwork(gram.shape[0], lower=1)
     reduced, diag, off, tau, info = lapack.dsytrd(
         gram, lower=1, lwork=int(lwork), overwrite_a=1
@@ -186,7 +228,7 @@ def rls_sweep(H, Y, lams) -> list[ClassifierMatrix]:
     rhs = _reflect(reduced, tau, rhs, "T")
     solutions = np.hstack([_solve_tridiagonal(diag + lam, off, rhs, lam) for lam in lams])
     solutions = _reflect(reduced, tau, solutions, "N")
-    weights = _from_dual(solutions, H) if dual else solutions.T
+    weights = solutions.T if dual_H is None else _from_dual(solutions, dual_H)
     return [ClassifierMatrix(weights=w, kind="rls") for w in np.split(weights, len(lams))]
 
 

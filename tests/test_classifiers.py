@@ -1,17 +1,21 @@
 """Output-layer training: least squares against an elimination oracle, centroids, prediction."""
 
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
+import hvnet.classifiers
 from hvnet.classifiers import (
     PREDICT_BLOCK,
     ClassifierMatrix,
+    _normal_equations,
     _reflect,
     _solve_tridiagonal,
     evaluate,
@@ -358,6 +362,112 @@ def test_rls_sweep_equals_numpy_gram_path_bit_for_bit(rows, dim, activations):
     want = numpy_gram_sweep(H, Y, DEFAULT_LAMBDA_GRID)
     got = rls_sweep(H, Y, DEFAULT_LAMBDA_GRID)
     assert all(np.array_equal(m.weights, w) for m, w in zip(got, want, strict=True))
+
+
+class CountingBlas:
+    """scipy's BLAS module, counting the calls made through it by routine name."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        routine = getattr(blas, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return routine(*args, **kwargs)
+
+        return counted
+
+
+@pytest.fixture
+def counting_blas(monkeypatch):
+    counter = CountingBlas()
+    monkeypatch.setattr(hvnet.classifiers, "blas", counter)
+    return counter.calls
+
+
+def assert_fits_equal_float64_fits(H, Y, lams):
+    """train_rls and rls_sweep give the float64 activations' weights bit for bit."""
+    H64 = H.astype(np.float64)
+    for lam in lams:
+        assert np.array_equal(train_rls(H, Y, lam).weights, train_rls(H64, Y, lam).weights)
+    got, want = rls_sweep(H, Y, lams), rls_sweep(H64, Y, lams)
+    assert all(np.array_equal(g.weights, w.weights) for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("rows, dim, kappa", [(1500, 750, 15), (600, 300, 7), (300, 300, 1)])
+def test_integer_primal_systems_equal_the_float64_ones_bit_for_bit(
+    rows, dim, kappa, dtype, counting_blas
+):
+    rng = SeedSpec(32).rng()
+    H = clip(rng.integers(-40, 41, size=(rows, dim)), kappa).astype(dtype)
+    Y = one_hot(rng.integers(1, 4, size=rows), 3)
+    gram, rhs, dual_H = _normal_equations(H, Y, [1.0])
+    H64 = H.astype(np.float64)
+    assert dual_H is None and gram.flags.f_contiguous
+    assert np.array_equal(np.tril(gram), np.tril(H64.T @ H64))
+    assert np.array_equal(rhs, H64.T @ Y)
+    assert counting_blas == {"ssyrk": 1, "sgemm": 1}
+    assert_fits_equal_float64_fits(H, Y, [0.0, 2.0**-10, 1.0, 32.0])
+
+
+@pytest.mark.parametrize("rows, path", [(1040, "ssyrk"), (1041, "dsyrk")],
+                         ids=["under-2**24", "over-2**24"])
+def test_the_float32_bound_is_the_largest_partial_sum(rows, path, counting_blas):
+    # Column 0 is all 127, so its diagonal Gram entry is rows * 127**2:
+    # 16,774,160 just under 2**24, and the odd 16,790,289 just over it,
+    # which float32 cannot hold.
+    rng = SeedSpec(33).rng()
+    H = rng.integers(-127, 128, size=(rows, 8)).astype(np.int8)
+    H[:, 0] = 127
+    Y = one_hot(rng.integers(1, 3, size=rows), 2)
+    gram, _, _ = _normal_equations(H, Y, [1.0])
+    assert gram[0, 0] == rows * 127**2
+    assert counting_blas[path] == 1 and sum(counting_blas.values()) == 2
+    assert_fits_equal_float64_fits(H, Y, [2.0**-10, 1.0])
+
+
+@pytest.mark.parametrize("case", ["float-H", "fractional-Y", "nan-Y", "dual"])
+def test_other_systems_keep_the_float64_products(case, counting_blas):
+    rng = SeedSpec(34).rng()
+    H = rng.integers(-7, 8, size=(60, 20)).astype(np.int8)
+    Y = one_hot(rng.integers(1, 3, size=60), 2)
+    if case == "float-H":
+        H = H + 0.5
+    elif case == "fractional-Y":
+        Y = Y / 3
+    elif case == "nan-Y":
+        Y[5, 1] = np.nan
+    else:
+        H = H[:10]
+        Y = Y[:10]
+    gram, rhs, dual_H = _normal_equations(H, Y, [1.0])
+    H64 = np.asarray(H, dtype=np.float64)
+    assert counting_blas["ssyrk"] == 0 and counting_blas["dsyrk"] == 1
+    if case == "dual":
+        assert dual_H.dtype == np.float64 and np.array_equal(dual_H, H64)
+        assert np.array_equal(np.tril(gram), np.tril(H64 @ H64.T))
+    else:
+        assert dual_H is None
+        assert np.array_equal(np.tril(gram), np.tril(H64.T @ H64))
+        assert np.array_equal(rhs, H64.T @ Y, equal_nan=True)
+
+
+def test_rls_sweep_holds_no_float64_copy_of_integer_activations():
+    # One float64 copy of H and one float64 Gram matrix: 12.9 MiB.
+    rng = SeedSpec(35).rng()
+    H = clip(rng.integers(-40, 41, size=(1500, 750)), 15)
+    Y = one_hot(rng.integers(1, 4, size=1500), 3)
+    rls_sweep(H, Y, DEFAULT_LAMBDA_GRID)  # any first-call allocations
+    tracemalloc.start()
+    try:
+        rls_sweep(H, Y, DEFAULT_LAMBDA_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * H.size + 8 * H.shape[1] ** 2
 
 
 # ---------------------------------------------------------------- centroids
