@@ -295,8 +295,7 @@ def grid_search(ds: Dataset, grid: GridSpec, seed: SeedSpec) -> tuple[int, float
     The selected triple is meant to be reused for both classifier kinds
     and every version.  Each (dim, kappa) pair solves for every lambda at
     once with :func:`rls_sweep` and scores them all with
-    :func:`evaluate_many`.  Per dim, no kappa above the smallest one that
-    clips no sum is solved: each would give the same activations.
+    :func:`evaluate_many`.
     """
     spec = SplitSpec(fraction=grid.train_fraction, seed=seed.child("grid_split"))
     train_idx, val_idx = split(ds, spec)
@@ -311,17 +310,12 @@ def grid_search(ds: Dataset, grid: GridSpec, seed: SeedSpec) -> tuple[int, float
         proj = init_projection(ds.n_features, dim, seed.child("grid_projection", d_i))
         sums_train = encode_batch_sums(X_train, proj)
         sums_val = encode_batch_sums(X_val, proj)
-        widest = max(int(np.abs(sums_train).max()), int(np.abs(sums_val).max()))
         for kappa in sorted(grid.kappa_values):
             models = rls_sweep(clip(sums_train, kappa), Y_train, lams)
             for lam, acc in zip(lams, evaluate_many(models, clip(sums_val, kappa), y_val)):
                 triple = (dim, float(lam), int(kappa))
                 if acc > best_acc or (acc == best_acc and triple < best):
                     best_acc, best = acc, triple
-            if kappa >= widest:
-                # Every larger kappa clips nothing either, so it scores these
-                # accuracies again and loses each tie to this kappa.
-                break
     return best
 
 

@@ -12,9 +12,8 @@ import pytest
 
 import hvnet.harness
 import hvnet.network
-from hvnet.classifiers import evaluate, evaluate_many, one_hot, rls_sweep
-from hvnet.data import SplitSpec, normalize, resolve_dataset, split, synth_blobs
-from hvnet.encoding import encode_batch, init_projection
+from hvnet.classifiers import evaluate, evaluate_many
+from hvnet.data import SplitSpec, resolve_dataset, split, synth_blobs
 from hvnet.errors import (
     InvalidParameterError,
     PairingError,
@@ -190,43 +189,6 @@ def test_grid_scoring_equals_per_model_evaluate(dataset, dims, triples, monkeypa
     grid = GridSpec(dim_values=dims, kappa_values=(1, 3, 7))
     assert [grid_search(ds, grid, SeedSpec(s)) for s in range(4)] == triples
     assert scored == [len(DEFAULT_LAMBDA_GRID)] * (4 * len(dims) * 3)
-
-
-def grid_without_kappa_dedup(ds, grid, seed):
-    """grid_search's triple from a sweep of every (dim, kappa) pair."""
-    train_idx, val_idx = split(ds, SplitSpec(fraction=grid.train_fraction,
-                                             seed=seed.child("grid_split")))
-    ds = normalize(ds, train_idx)
-    Y_train = one_hot(ds.labels[train_idx], ds.n_classes)
-    lams = sorted(grid.lambda_values)
-    scored = []
-    for d_i, dim in enumerate(sorted(grid.dim_values)):
-        proj = init_projection(ds.n_features, dim, seed.child("grid_projection", d_i))
-        for kappa in sorted(grid.kappa_values):
-            models = rls_sweep(encode_batch(ds.samples[train_idx], proj, kappa), Y_train, lams)
-            H_val = encode_batch(ds.samples[val_idx], proj, kappa)
-            accs = evaluate_many(models, H_val, ds.labels[val_idx])
-            scored += [(-acc, (dim, float(lam), kappa)) for lam, acc in zip(lams, accs)]
-    return min(scored)[1]
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_grid_search_solves_one_kappa_that_clips_nothing(seed, monkeypatch):
-    # Three features give sums in {-3, -1, 1, 3}: kappa 3 clips nothing, so
-    # kappas 7 and 15 would repeat its activations and lose every tie to it.
-    sweeps = []
-
-    def counting(H, Y, lams):
-        sweeps.append(H.shape[1])
-        return rls_sweep(H, Y, lams)
-
-    monkeypatch.setattr(hvnet.harness, "rls_sweep", counting)
-    ds = synth_blobs(3, 3, 300, 1.0, SeedSpec(10 + seed))
-    grid = GridSpec(dim_values=(40, 120), lambda_values=(2.0**-10, 1.0, 32.0))
-    assert grid.kappa_values == (1, 3, 7, 15)
-    got = grid_search(ds, grid, SeedSpec(seed))
-    assert sweeps == [40, 40, 120, 120]
-    assert got == grid_without_kappa_dedup(ds, grid, SeedSpec(seed))
 
 
 @pytest.mark.parametrize("kappa", [0, -2, 1.5])
