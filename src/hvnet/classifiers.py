@@ -37,6 +37,12 @@ __all__ = [
 CLASSIFIER_KINDS = ("rls", "centroid")
 # Most rows scored per matrix product (see _winners).
 PREDICT_BLOCK = 128
+# Most rows of H cast to float32 at once, and most Gram columns summed at
+# once, in an exact float32 ridge system (see _exact_system).
+GRAM_BLOCK = 256
+GRAM_PANEL = 256
+# Most reflector columns moved at once by _compact_reflectors.
+REFLECT_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -131,31 +137,81 @@ def _normal_equations(H, Y, lams) -> tuple[NDArray, NDArray, NDArray | None]:
     ``dual_H`` is H in float64 for the dual system, which :func:`_from_dual`
     maps back with, and None for the primal one.  syrk fills the Gram
     matrix's lower triangle only.  The products are numpy's ``H @ H.T``,
-    ``H.T @ H`` and ``H.T @ Y`` bit for bit, for float input too (an upper
-    dsyrk or ``dgemm(1.0, H.T, Y)`` is not), and go to scipy's BLAS, which
-    also solves: each library's OpenBLAS has its own thread pool, and one
-    that has just finished spins on the cores the other needs.
+    ``H.T @ H`` and ``H.T @ Y`` bit for bit (for float input, an upper dsyrk
+    or ``dgemm(1.0, H.T, Y)`` is not), and go to scipy's BLAS, which also
+    solves: each library's OpenBLAS has its own thread pool, and one that
+    has just finished spins on the cores the other needs.  Integer input
+    gives numpy's bits at every OpenBLAS kernel, and float input at all but
+    one: at the Prescott (SSE3) kernel, the dsyrk of a one-row float H
+    (a 1 x 1 dual Gram matrix) differs from numpy's in the last bit.
 
     A primal system whose partial sums are all integers below 2**24 (see
-    :func:`_exact_in_float32`) is formed by ssyrk and sgemm on one float32
-    copy of H, released before both results are widened: every sum is exact
-    in float32, so the bits are float64's at half the bytes.  Any other
-    system is formed from H in float64.
+    :func:`_exact_in_float32`) is summed in float32 by :func:`_exact_system`
+    instead, which holds neither a float32 copy of H nor a float32 Gram
+    matrix: every sum is exact in float32 in any blocking, so the bits are
+    float64's.  Any other system is formed from H in float64.
     """
     dual = H.shape[0] < H.shape[1] and min(lams) > 0
     if not dual and _exact_in_float32(H, Y):
-        H32 = H.astype(np.float32)
-        # H32.T is the Fortran-ordered view BLAS takes without a copy.
-        gram = blas.ssyrk(1.0, H32.T, lower=1)
-        rhs = blas.sgemm(1.0, Y.astype(np.float32).T, H32.T, trans_b=1).T
-        del H32
-        # astype keeps the Fortran order that dsytrd and cho_factor work in.
-        return gram.astype(np.float64), rhs.astype(np.float64), None
+        return (*_exact_system(H, Y), None)
     H = np.asarray(H, dtype=np.float64)
     gram = blas.dsyrk(1.0, H.T, trans=1 if dual else 0, lower=1)
     if dual:
         return gram, Y, H
     return gram, blas.dgemm(1.0, Y.T, H.T, trans_b=1).T, None
+
+
+def _exact_system(H, Y) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """(gram, rhs): H^T H's lower triangle and H^T Y in float64, summed in float32.
+
+    For a system that :func:`_exact_in_float32` admits.  The Gram matrix is
+    built one panel of GRAM_PANEL columns at a time (see :func:`_exact_panel`)
+    and each panel is widened into float64 as it is finished, so only one
+    float32 panel and one float32 block of rows exist at a time.  Every
+    partial sum is an exact integer, so any blocking gives the same bits.
+    The Gram matrix's upper triangle is never computed and stays zero:
+    dsytrd(lower=1) and the transposed Cholesky of :func:`train_rls` read
+    only the lower one.
+    """
+    rows, dim = H.shape
+    gram = np.zeros((dim, dim), order="F")
+    rhs = np.empty((dim, Y.shape[1]))
+    Y32 = np.ascontiguousarray(Y, dtype=np.float32)
+    buffer = np.empty(min(GRAM_BLOCK, rows) * dim, dtype=np.float32)
+    for c0 in range(0, dim, GRAM_PANEL):
+        c1 = min(c0 + GRAM_PANEL, dim)
+        gram[c0:c1, c0:c1], gram[c1:, c0:c1], rhs[c0:c1] = _exact_panel(H, Y32, c0, c1, buffer)
+    return gram, rhs
+
+
+def _exact_panel(H, Y32, c0: int, c1: int, buffer):
+    """Columns c0:c1 of H^T H from row c0 down, and rows c0:c1 of H^T Y, in float32.
+
+    Returned as the diagonal block (lower triangle only, by ssyrk), the
+    block below it and the rows of H^T Y (by sgemm).  Each is summed over
+    blocks of GRAM_BLOCK rows of H, cast into ``buffer``, with beta = 1.
+    """
+    rows, dim = H.shape
+    width, below = c1 - c0, dim - c1
+    diag = np.zeros((width, width), dtype=np.float32, order="F")
+    lower = np.zeros((below, width), dtype=np.float32, order="F")
+    cross = np.zeros((width, Y32.shape[1]), dtype=np.float32, order="F")
+    for r0 in range(0, rows, GRAM_BLOCK):
+        r1 = min(r0 + GRAM_BLOCK, rows)
+        n = r1 - r0
+        head = buffer[:n * width].reshape(n, width)
+        np.copyto(head, H[r0:r1, c0:c1], casting="same_kind")
+        # The .T of a C-ordered block is the Fortran view BLAS takes without
+        # a copy, and overwrite_c adds into the panel in place.
+        diag = blas.ssyrk(1.0, head.T, beta=1.0, c=diag, lower=1, overwrite_c=1)
+        cross = blas.sgemm(1.0, head.T, Y32[r0:r1].T, trans_b=1, beta=1.0, c=cross,
+                           overwrite_c=1)
+        if below:
+            tail = buffer[n * width:n * (width + below)].reshape(n, below)
+            np.copyto(tail, H[r0:r1, c1:], casting="same_kind")
+            lower = blas.sgemm(1.0, tail.T, head.T, trans_b=1, beta=1.0, c=lower,
+                               overwrite_c=1)
+    return diag, lower, cross
 
 
 def _exact_in_float32(H, Y) -> bool:
@@ -210,8 +266,9 @@ def rls_sweep(H, Y, lams) -> list[ClassifierMatrix]:
     dual system and says which BLAS it calls, is reduced once to Q T Q^T, T
     tridiagonal, by Householder reflections (LAPACK dsytrd).  Each lambda
     then costs one linear-time solve of (T + lam I) X = Q^T B (dptsv), and Q
-    is applied to all the solutions at once.  The weights agree with
-    ``train_rls`` to rounding, not bit for bit.
+    is applied to all the solutions at once, from reflectors that
+    :func:`_compact_reflectors` moves in place within the reduced matrix.
+    The weights agree with ``train_rls`` to rounding, not bit for bit.
     """
     H, Y = _design(H, Y)
     lams = list(lams)
@@ -225,22 +282,44 @@ def rls_sweep(H, Y, lams) -> list[ClassifierMatrix]:
         gram, lower=1, lwork=int(lwork), overwrite_a=1
     )
     _check_info("dsytrd", info)
-    rhs = _reflect(reduced, tau, rhs, "T")
+    factor = _compact_reflectors(reduced)
+    rhs = _reflect(factor, tau, rhs, "T")
     solutions = np.hstack([_solve_tridiagonal(diag + lam, off, rhs, lam) for lam in lams])
-    solutions = _reflect(reduced, tau, solutions, "N")
+    solutions = _reflect(factor, tau, solutions, "N")
     weights = solutions.T if dual_H is None else _from_dual(solutions, dual_H)
     return [ClassifierMatrix(weights=w, kind="rls") for w in np.split(weights, len(lams))]
 
 
-def _reflect(reduced, tau, B, trans: str) -> NDArray[np.float64]:
+def _compact_reflectors(reduced) -> NDArray[np.float64]:
+    """reduced[1:, :-1] of a Fortran-ordered lower dsytrd output, moved in place.
+
+    The result is a contiguous Fortran (n - 1, n - 1) view of the front of
+    ``reduced``'s buffer, which dormqr reads without the copy f2py makes of
+    the strided slice; the rest of ``reduced`` is left as scratch, so its
+    diagonal, off-diagonal and tau must be read first.  Column j moves from
+    offset j*n + 1 down to j*(n - 1), never onto a column still to move, so
+    REFLECT_BLOCK columns at a time in column order is safe (numpy reads an
+    overlapping block through a temporary).
+    """
+    n = reduced.shape[0]
+    flat = reduced.reshape(-1, order="F")  # a view: reduced is Fortran-ordered
+    for j in range(0, n - 1, REFLECT_BLOCK):
+        k = min(REFLECT_BLOCK, n - 1 - j)
+        moved = flat[j * n:(j + k) * n].reshape(n, k, order="F")[1:]
+        flat[j * (n - 1):(j + k) * (n - 1)].reshape(n - 1, k, order="F")[...] = moved
+    return flat[:(n - 1) ** 2].reshape(n - 1, n - 1, order="F")
+
+
+def _reflect(factor, tau, B, trans: str) -> NDArray[np.float64]:
     """Q B (``trans`` "N") or Q^T B ("T") for the Q of a lower dsytrd reduction.
 
-    Q = diag(1, Q') where Q' is stored like a QR factor in reduced[1:, :-1]
-    (the layout dormtr passes on to dormqr), so row 0 of B is left as it is.
+    Q = diag(1, Q') where Q' is stored like a QR factor in ``factor``, the
+    reduced matrix's reduced[1:, :-1] (the layout dormtr passes on to
+    dormqr) as :func:`_compact_reflectors` returns it, so row 0 of B is left
+    as it is.
     """
     out = np.array(B, dtype=np.float64, order="F")
     if tau.size:
-        factor = reduced[1:, :-1]
         _, work, info = lapack.dormqr("L", trans, factor, tau, out[1:], lwork=-1)
         _check_info("dormqr", info)
         out[1:], _, info = lapack.dormqr("L", trans, factor, tau, out[1:], lwork=int(work[0]))

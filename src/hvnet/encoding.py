@@ -3,10 +3,12 @@
 A feature value in [0, 1] becomes a bipolar thermometer code, is bound to
 a fixed random bipolar column, and the per-feature results are summed and
 clipped.  All outputs are integer vectors, which downstream code relies on
-for exact aggregation.  They are narrow: sums are int16 (int32 beyond
-32767 features, since |sum| <= n_features), and clipped activations take
-the narrowest signed type that holds +kappa (int8 for kappa <= 127), so
-consumers widen before any arithmetic that could overflow.
+for exact aggregation.  They are narrow: sums take the narrowest signed
+type that holds +-n_features (int8 up to 127 features, since |sum| <=
+n_features), and clipped activations the narrowest that holds +kappa (int8
+for kappa <= 127), so consumers widen before any arithmetic that could
+overflow.  Sums are gathered ENCODE_BLOCK rows at a time and clipped in
+place where the types agree, so encoding holds little beyond its output.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ __all__ = [
     "init_projection",
     "thermometer_encode",
 ]
+
+# Most rows gathered per table lookup in encode_batch_sums.
+ENCODE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,10 @@ def encode_sample(x, proj: InputProjection, kappa: int) -> NDArray[np.signedinte
 def encode_batch_sums(X, proj: InputProjection) -> NDArray[np.signedinteger]:
     """Unclipped hidden activations for a whole (n_samples, n_features) matrix.
 
-    int16, or int32 when there are more than 32767 features.
+    In the narrowest signed type that holds +-n_features: int8 up to 127
+    features, int16 up to 32767, else int32.  Each feature's bound code rows
+    are gathered ENCODE_BLOCK rows at a time, so no full-size temporary
+    exists beside the sums; integer sums are exact in any blocking.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != proj.n_features:
@@ -111,19 +119,23 @@ def encode_batch_sums(X, proj: InputProjection) -> NDArray[np.signedinteger]:
         )
     counts = _prefix_lengths(X.ravel(), proj.dim).reshape(X.shape)
     codes = _thermometer_codes(proj.dim)
-    # |sum| <= n_features, so int16 holds it up to 32767 features.
-    dtype = np.int16 if proj.n_features <= 32767 else np.int32
-    acc = np.zeros((X.shape[0], proj.dim), dtype=dtype)
+    # -n_features - 1, not -n_features: int8 holds -128 but not +128.
+    acc = np.zeros((X.shape[0], proj.dim), dtype=np.min_scalar_type(-proj.n_features - 1))
     for j in range(proj.n_features):
         # Bind only the code levels this feature uses, then gather their rows.
         levels, rows = np.unique(counts[:, j], return_inverse=True)
         table = codes[levels]  # (n_levels, dim) int8 copy
         table *= proj.columns[:, j]
-        acc += table[rows]
+        for start in range(0, X.shape[0], ENCODE_BLOCK):
+            acc[start:start + ENCODE_BLOCK] += table[rows[start:start + ENCODE_BLOCK]]
     return acc
 
 
 def encode_batch(X, proj: InputProjection, kappa: int) -> NDArray[np.signedinteger]:
-    """Encode a whole (n_samples, n_features) matrix; rows are hidden activations."""
+    """Encode a whole (n_samples, n_features) matrix; rows are hidden activations.
+
+    The sums are this call's own, so they are clipped in place when they
+    already have the clipped type.
+    """
     check_count("kappa", kappa)
-    return clip(encode_batch_sums(X, proj), kappa)
+    return clip(encode_batch_sums(X, proj), kappa, overwrite=True)

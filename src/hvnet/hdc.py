@@ -108,12 +108,13 @@ def check_seed(name: str, value) -> None:
     check_count(name, value, lo=0, bits=64)
 
 
-def clip(v, kappa: int) -> np.ndarray:
+def clip(v, kappa: int, *, overwrite: bool = False) -> np.ndarray:
     """Saturate every component of a vector or a stack of vectors to [-kappa, kappa].
 
     Integer input comes back in the narrowest signed type that holds +kappa:
     int8 for kappa <= 127, int16 up to 32767, int32 up to 2**31 - 1, else
-    int64.  Float input keeps its dtype.
+    int64.  Float input keeps its dtype.  With ``overwrite``, an integer
+    array that already has that type is clipped in place and returned.
     """
     check_count("kappa", kappa)
     v = _as_rows(v)
@@ -121,14 +122,17 @@ def clip(v, kappa: int) -> np.ndarray:
         return np.clip(v, -kappa, kappa)
     # -kappa - 1, not -kappa: int8 holds -128 but not +128.
     dtype = np.min_scalar_type(-min(kappa, _INT64_MAX) - 1)
-    return np.clip(v, -kappa, kappa, out=np.empty(v.shape, dtype), casting="unsafe")
+    out = v if overwrite and v.dtype == dtype else np.empty(v.shape, dtype)
+    return np.clip(v, -kappa, kappa, out=out, casting="unsafe")
 
 
 def superpose(vs) -> np.ndarray:
     """Component-wise sum of one or more hypervectors, or of equal-shape stacks of them.
 
-    Inputs are added one at a time, in order.  Integers accumulate as int64, so
-    int8 bipolar inputs cannot overflow; floats as float64.  No clipping.
+    Inputs are added one at a time, in order, except that numpy adds eight
+    or more one-element inputs in interleaved partial sums.  Integers
+    accumulate as int64, so int8 bipolar inputs cannot overflow; floats as
+    float64.  No clipping.
     """
     arrs = [_as_rows(v) for v in vs]
     if not arrs:

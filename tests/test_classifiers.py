@@ -13,6 +13,8 @@ from scipy.linalg import blas, lapack
 
 import hvnet.classifiers
 from hvnet.classifiers import (
+    GRAM_BLOCK,
+    GRAM_PANEL,
     PREDICT_BLOCK,
     ClassifierMatrix,
     _normal_equations,
@@ -326,16 +328,20 @@ def test_rls_sweep_singular_without_ridge(rows, dim):
 
 
 def numpy_gram_sweep(H, Y, lams):
-    """rls_sweep's weights with the Gram and cross products taken in numpy."""
+    """rls_sweep's weights with the Gram and cross products taken in numpy.
+
+    The reflectors are handed to dormqr as the strided slice reduced[1:, :-1],
+    which f2py copies for each call.
+    """
     H = np.asarray(H, dtype=np.float64)
     dual = H.shape[0] < H.shape[1] and min(lams) > 0
     gram, rhs = (H @ H.T, Y) if dual else (H.T @ H, H.T @ Y)
     lwork, _ = lapack.dsytrd_lwork(gram.shape[0], lower=1)
     reduced, diag, off, tau, info = lapack.dsytrd(gram.T, lower=1, lwork=int(lwork))
     assert info == 0
-    rhs = _reflect(reduced, tau, rhs, "T")
+    rhs = _reflect(reduced[1:, :-1], tau, rhs, "T")
     solutions = np.hstack([_solve_tridiagonal(diag + lam, off, rhs, lam) for lam in lams])
-    solutions = _reflect(reduced, tau, solutions, "N")
+    solutions = _reflect(reduced[1:, :-1], tau, solutions, "N")
     if dual:
         solutions = H.T @ solutions
     return [w.T for w in np.split(solutions, len(lams), axis=1)]
@@ -362,6 +368,23 @@ def test_rls_sweep_equals_numpy_gram_path_bit_for_bit(rows, dim, activations):
     want = numpy_gram_sweep(H, Y, DEFAULT_LAMBDA_GRID)
     got = rls_sweep(H, Y, DEFAULT_LAMBDA_GRID)
     assert all(np.array_equal(m.weights, w) for m, w in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("system", ["primal", "dual"])
+@pytest.mark.parametrize("n", [1, 2, 3, 250, 750])
+def test_rls_sweep_float64_weights_from_compacted_reflectors_bit_for_bit(n, system):
+    # rls_sweep moves the reflectors to the front of the reduced matrix; the
+    # reference hands dormqr the strided slice, which f2py copies.  n is the
+    # order of the Gram matrix, so n = 1 reduces nothing and tau is empty.
+    rng = SeedSpec(36).child(system, n).rng()
+    rows, dim = (2 * n + 3, n) if system == "primal" else (n, n + 5)
+    H = clip(rng.integers(-40, 41, size=(rows, dim)), 15)
+    Y = one_hot(np.arange(rows) % 3 + 1, 3)
+    want = numpy_gram_sweep(H, Y, DEFAULT_LAMBDA_GRID)
+    got = rls_sweep(H, Y, DEFAULT_LAMBDA_GRID)
+    assert all(np.array_equal(m.weights, w) for m, w in zip(got, want, strict=True))
+    if n == 1:
+        assert lapack.dsytrd(np.ones((1, 1)), lower=1)[3].size == 0
 
 
 class CountingBlas:
@@ -409,13 +432,36 @@ def test_integer_primal_systems_equal_the_float64_ones_bit_for_bit(
     assert dual_H is None and gram.flags.f_contiguous
     assert np.array_equal(np.tril(gram), np.tril(H64.T @ H64))
     assert np.array_equal(rhs, H64.T @ Y)
-    assert counting_blas == {"ssyrk": 1, "sgemm": 1}
+    # Float32 routines only, streamed over blocks of rows and columns.
+    assert set(counting_blas) == {"ssyrk", "sgemm"}
     assert_fits_equal_float64_fits(H, Y, [0.0, 2.0**-10, 1.0, 32.0])
 
 
-@pytest.mark.parametrize("rows, path", [(1040, "ssyrk"), (1041, "dsyrk")],
-                         ids=["under-2**24", "over-2**24"])
-def test_the_float32_bound_is_the_largest_partial_sum(rows, path, counting_blas):
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("dim", [1, GRAM_PANEL - 1, GRAM_PANEL, GRAM_PANEL + 1])
+@pytest.mark.parametrize("rows", [1, GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1])
+def test_streamed_float32_system_equals_the_float64_products_bit_for_bit(
+    rows, dim, dtype, counting_blas
+):
+    # A zero lambda keeps the primal system at every shape.  The upper
+    # triangle is never written.
+    rng = SeedSpec(37).child("streamed", rows * 1000 + dim).rng()
+    H = clip(rng.integers(-40, 41, size=(rows, dim)), 15).astype(dtype)
+    Y = one_hot(rng.integers(1, 4, size=rows), 3)
+    gram, rhs, dual_H = _normal_equations(H, Y, [0.0])
+    H64 = H.astype(np.float64)
+    assert dual_H is None and gram.flags.f_contiguous
+    assert np.array_equal(np.tril(gram), np.tril(H64.T @ H64))
+    assert not np.triu(gram, 1).any()
+    assert np.array_equal(rhs, H64.T @ Y)
+    assert set(counting_blas) == {"ssyrk", "sgemm"}
+
+
+@pytest.mark.parametrize("rows, routines", [
+    pytest.param(1040, {"ssyrk", "sgemm"}, id="under-2**24"),
+    pytest.param(1041, {"dsyrk", "dgemm"}, id="over-2**24"),
+])
+def test_the_float32_bound_is_the_largest_partial_sum(rows, routines, counting_blas):
     # Column 0 is all 127, so its diagonal Gram entry is rows * 127**2:
     # 16,774,160 just under 2**24, and the odd 16,790,289 just over it,
     # which float32 cannot hold.
@@ -423,9 +469,15 @@ def test_the_float32_bound_is_the_largest_partial_sum(rows, path, counting_blas)
     H = rng.integers(-127, 128, size=(rows, 8)).astype(np.int8)
     H[:, 0] = 127
     Y = one_hot(rng.integers(1, 3, size=rows), 2)
-    gram, _, _ = _normal_equations(H, Y, [1.0])
+    gram, rhs, _ = _normal_equations(H, Y, [1.0])
+    H64 = H.astype(np.float64)
     assert gram[0, 0] == rows * 127**2
-    assert counting_blas[path] == 1 and sum(counting_blas.values()) == 2
+    assert np.array_equal(np.tril(gram), np.tril(H64.T @ H64))
+    assert np.array_equal(rhs, H64.T @ Y)
+    # The float32 sums stream over row blocks; the float64 products are one
+    # call each, and neither path calls the other's routines.
+    assert set(counting_blas) == routines
+    assert "dsyrk" not in routines or sum(counting_blas.values()) == 2
     assert_fits_equal_float64_fits(H, Y, [2.0**-10, 1.0])
 
 
@@ -456,7 +508,8 @@ def test_other_systems_keep_the_float64_products(case, counting_blas):
 
 
 def test_rls_sweep_holds_no_float64_copy_of_integer_activations():
-    # One float64 copy of H and one float64 Gram matrix: 12.9 MiB.
+    # One float64 Gram matrix (4.3 MiB) and 2 MiB: no copy of H and no
+    # float32 Gram matrix fit beside it, nor a copy of the reflectors.
     rng = SeedSpec(35).rng()
     H = clip(rng.integers(-40, 41, size=(1500, 750)), 15)
     Y = one_hot(rng.integers(1, 4, size=1500), 3)
@@ -467,7 +520,7 @@ def test_rls_sweep_holds_no_float64_copy_of_integer_activations():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * H.size + 8 * H.shape[1] ** 2
+    assert peak < 8 * H.shape[1] ** 2 + 2 * 2**20
 
 
 # ---------------------------------------------------------------- centroids

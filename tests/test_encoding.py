@@ -1,5 +1,7 @@
 """Thermometer codes, the fixed projection, and hidden-layer encoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import hvnet.encoding
 from hvnet.encoding import (
+    ENCODE_BLOCK,
     InputProjection,
     encode_batch,
     encode_batch_sums,
@@ -192,7 +195,7 @@ def test_encode_batch_sums_equals_int64_definition(batch):
     X, columns = batch
     proj = InputProjection(columns=columns, seed=SeedSpec(0))
     sums = encode_batch_sums(X, proj)
-    assert sums.dtype == np.int16
+    assert sums.dtype == np.int8
     np.testing.assert_array_equal(sums, sums_from_definition(X, columns))
 
 
@@ -233,8 +236,68 @@ def level_batch(rows, dim):
 def test_encode_batch_sums_binds_shared_and_sparse_levels_exactly(X, columns):
     proj = InputProjection(columns=columns, seed=SeedSpec(0))
     sums = encode_batch_sums(X, proj)
-    assert sums.dtype == np.int16
+    assert sums.dtype == np.int8
     np.testing.assert_array_equal(sums, sums_from_definition(X, columns))
+
+
+def extreme_batch(rows, n_features, dim=24):
+    """Random values with the last row at 0.0 and row 0 at 1.0, and every column +1 at position 0.
+
+    So sums[0, 0] is +n_features and, below row 0, sums[-1, 0] is -n_features.
+    """
+    rng = SeedSpec(17).child("extreme", rows * 1000 + n_features).rng()
+    X = rng.uniform(size=(rows, n_features))
+    X[-1] = 0.0
+    X[0] = 1.0
+    columns = rng.choice(np.array([-1, 1], dtype=np.int8), size=(dim, n_features))
+    columns[0] = 1
+    return X, columns
+
+
+@pytest.mark.parametrize("rows", [1, ENCODE_BLOCK - 1, ENCODE_BLOCK, ENCODE_BLOCK + 1])
+@pytest.mark.parametrize("n_features, dtype", [(1, np.int8), (127, np.int8), (128, np.int16)])
+def test_narrow_sums_equal_the_int64_definition_bit_for_bit(n_features, dtype, rows):
+    # int8 holds the sums of up to 127 features; 128 take int16.  Row counts
+    # straddle the block the kernel gathers at once.
+    X, columns = extreme_batch(rows, n_features)
+    sums = encode_batch_sums(X, InputProjection(columns=columns, seed=SeedSpec(0)))
+    assert sums.dtype == dtype
+    assert sums[0, 0] == n_features
+    np.testing.assert_array_equal(sums, sums_from_definition(X, columns))
+
+
+@pytest.mark.parametrize("kappa, in_place", [(1, True), (127, True), (128, False)])
+def test_encode_batch_equals_clipped_int64_sums_bit_for_bit(kappa, in_place, monkeypatch):
+    # 127 features give int8 sums, which encode_batch clips in place while
+    # kappa <= 127; at kappa = 128 the int16 activations are a new array.
+    X, columns = extreme_batch(ENCODE_BLOCK + 1, 127)
+    proj = InputProjection(columns=columns, seed=SeedSpec(0))
+    made = []
+
+    def recorded_sums(*args):
+        made.append(encode_batch_sums(*args))
+        return made[-1]
+
+    monkeypatch.setattr(hvnet.encoding, "encode_batch_sums", recorded_sums)
+    H = encode_batch(X, proj, kappa)
+    assert (H is made[0]) == in_place
+    assert H.dtype == clip(np.zeros(1, dtype=np.int64), kappa).dtype
+    np.testing.assert_array_equal(H, np.clip(sums_from_definition(X, columns), -kappa, kappa))
+
+
+def test_encode_batch_holds_little_beside_its_output():
+    # 5400 rows x 10 features at dim 500: a 2.6 MiB int8 output, and no
+    # full-size int16 sums or gather temporary beside it.
+    proj = init_projection(10, 500, SeedSpec(18))
+    X = SeedSpec(19).rng().uniform(size=(5400, 10))
+    encode_batch(X, proj, 7)  # any first-call allocations
+    tracemalloc.start()
+    try:
+        H = encode_batch(X, proj, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * H.nbytes
 
 
 @pytest.mark.parametrize("kappa, dtype", [
@@ -245,6 +308,22 @@ def test_clip_returns_narrowest_type_holding_kappa(kappa, dtype):
     out = clip(v, kappa)
     assert out.dtype == dtype
     np.testing.assert_array_equal(out, [[kappa, -kappa, kappa, -kappa, 0]])
+
+
+@pytest.mark.parametrize("dtype, kappa, in_place", [
+    (np.int8, 3, True), (np.int16, 300, True), (np.int16, 3, False), (np.int8, 300, False),
+    (np.float64, 3, False),
+])
+def test_clip_overwrites_only_input_of_its_output_type(dtype, kappa, in_place):
+    v = np.array([[-5, 100, 2], [127, -128, 0]]).astype(dtype)
+    want = clip(v, kappa)
+    before = v.copy()
+    out = clip(v, kappa, overwrite=True)
+    assert (out is v) == in_place
+    np.testing.assert_array_equal(out, want)
+    assert out.dtype == want.dtype
+    if not in_place:
+        np.testing.assert_array_equal(v, before)
 
 
 def test_clip_keeps_float_dtype():
