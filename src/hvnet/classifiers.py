@@ -62,6 +62,8 @@ class ClassifierMatrix:
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
             raise InvalidParameterError(f"kind must be one of {CLASSIFIER_KINDS}")
+        if not isinstance(self.weights, np.ndarray):
+            raise DimensionError(f"weights must be a numpy array, got {type(self.weights).__name__}")
         if self.weights.ndim != 2 or min(self.weights.shape) < 1:
             raise DimensionError(f"weights must be 2-D, non-empty, got {self.weights.shape}")
 

@@ -9,7 +9,6 @@ agent's ID alone, so no key material ever travels.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ from .errors import (
     KeyCorrelationWarning,
     ProtocolError,
     SingularKeyError,
-    WireFormatError,
 )
 from .hdc import (
     SeedSpec,
@@ -38,19 +36,11 @@ __all__ = [
     "CompressedClassifier",
     "KeySet",
     "compress",
-    "compression_fidelity",
     "decompress",
-    "from_bytes",
     "generate_keys",
     "pack",
-    "to_bytes",
     "unpack",
 ]
-
-MAGIC = b"HRRC"
-WIRE_VERSION = 2
-# magic, version, agent id, n_classes, dim
-_HEADER = struct.Struct("<4sHQII")
 
 # Pairwise key cosines should stay below this at dim >= 512; checked at
 # generation because decompression quality degrades with correlated keys.
@@ -75,7 +65,7 @@ class KeySet:
 
 @dataclass(frozen=True)
 class CompressedClassifier:
-    """A whole classifier packed into one hypervector; its fields must fit the wire header."""
+    """One agent's classifier packed into one hypervector; ``agent_id`` lies in [0, 2**64)."""
 
     w: np.ndarray  # (dim,) float64
     agent_id: int
@@ -83,10 +73,12 @@ class CompressedClassifier:
 
     def __post_init__(self):
         check_seed("agent_id", self.agent_id)
-        check_count("n_classes", self.n_classes, bits=32)
-        shape = np.shape(self.w)
-        if len(shape) != 1 or not 1 <= shape[0] < 2**32:
-            raise InvalidParameterError(f"w must be 1-D with 1 to 2**32 - 1 values, not {shape}")
+        check_count("n_classes", self.n_classes)
+        if not isinstance(self.w, np.ndarray) or self.w.ndim != 1 or self.w.size < 1:
+            raise InvalidParameterError(
+                f"w must be a non-empty 1-D numpy array, got {type(self.w).__name__} "
+                f"of shape {np.shape(self.w)}"
+            )
 
     @property
     def dim(self) -> int:
@@ -97,7 +89,7 @@ def generate_keys(agent_id: int, n_classes: int, dim: int) -> KeySet:
     """Regenerate an agent's key set from its ID alone.
 
     Every party that knows ``agent_id`` (and the shared n_classes, dim)
-    reproduces bit-identical keys.  The ID must fit the wire header's u64.
+    reproduces bit-identical keys.  The ID is a seed, so it lies in [0, 2**64).
     """
     check_seed("agent_id", agent_id)
     check_count("n_classes", n_classes)  # random_gaussian_key checks dim
@@ -176,43 +168,3 @@ def decompress(c: CompressedClassifier, keys: KeySet, kind: str = "rls") -> Clas
         raise DimensionError("compressed payload and key set disagree on shape")
     weights = unpack(c.w[None], keys.keys[None], (keys.agent_id,))[0]
     return ClassifierMatrix(weights=weights, kind=kind)
-
-
-def compression_fidelity(w_out: ClassifierMatrix, keys: KeySet) -> NDArray[np.float64]:
-    """Per-class cosine between original and reconstructed rows; zero rows give 0.0.
-
-    The cosine is set by the class count L, not improved by ``dim``: the
-    packing rate is L:1 at every dimension, so the crosstalk from the other
-    L - 1 rows keeps a fixed share of each reconstructed row.  It even falls
-    slowly as ``dim`` grows, because small spectral components of a Gaussian
-    key amplify the crosstalk under the exact inverse.
-    """
-    orig = w_out.weights.astype(np.float64)
-    recon = decompress(compress(w_out, keys), keys, kind=w_out.kind).weights
-    norms = np.linalg.norm(orig, axis=1) * np.linalg.norm(recon, axis=1)
-    dots = np.einsum("ij,ij->i", orig, recon)
-    return np.divide(dots, norms, out=np.zeros_like(norms), where=norms != 0.0)
-
-
-def to_bytes(c: CompressedClassifier) -> bytes:
-    """Serialize with the HRRC wire header, payload as little-endian float64."""
-    header = _HEADER.pack(MAGIC, WIRE_VERSION, c.agent_id, c.n_classes, c.dim)
-    return header + np.ascontiguousarray(c.w, dtype="<f8").tobytes()
-
-
-def from_bytes(buf: bytes) -> CompressedClassifier:
-    """Parse an HRRC payload, validating its header and length."""
-    if len(buf) < _HEADER.size:
-        raise WireFormatError(f"buffer too short for header: {len(buf)} bytes")
-    magic, version, agent_id, n_classes, dim = _HEADER.unpack_from(buf)
-    if magic != MAGIC:
-        raise WireFormatError(f"bad magic {magic!r}")
-    if version != WIRE_VERSION:
-        raise WireFormatError(f"unsupported version {version}")
-    if dim < 1 or n_classes < 1:
-        raise WireFormatError(f"header has dim={dim}, n_classes={n_classes}; both must be >= 1")
-    expected = _HEADER.size + 8 * dim
-    if len(buf) != expected:
-        raise WireFormatError(f"expected {expected} bytes, got {len(buf)}")
-    w = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).astype(np.float64)
-    return CompressedClassifier(w=w, agent_id=agent_id, n_classes=n_classes)

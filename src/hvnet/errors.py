@@ -17,10 +17,6 @@ class SingularKeyError(HvnetError, ValueError):
     """A key hypervector has a (near-)zero spectral component, so no exact inverse exists."""
 
 
-class UndefinedSimilarityError(HvnetError, ValueError):
-    """Cosine similarity requested for a zero-norm vector."""
-
-
 class SingularSystemError(HvnetError, ValueError):
     """The unregularized normal equations are singular; advise a positive ridge parameter."""
 
@@ -31,10 +27,6 @@ class InsufficientDataError(HvnetError, ValueError):
 
 class ProtocolError(HvnetError, ValueError):
     """Agents presented inconsistently shaped or typed payloads during exchange."""
-
-
-class WireFormatError(HvnetError, ValueError):
-    """A serialized compressed classifier fails header or length validation."""
 
 
 class ParseError(HvnetError, ValueError):

@@ -493,8 +493,8 @@ def _sorted_records(records) -> list[ResultRecord]:
 
 
 def records_to_jsonl(records) -> str:
-    lines = [_canonical_json(r.to_dict()) for r in _sorted_records(records)]
-    return "\n".join(lines) + "\n"
+    """One canonical JSON line per record; no records give the empty string."""
+    return "".join(_canonical_json(r.to_dict()) + "\n" for r in _sorted_records(records))
 
 
 def _csv_text(rows) -> str:

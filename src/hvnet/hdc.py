@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    DimensionError,
-    InvalidParameterError,
-    SingularKeyError,
-    UndefinedSimilarityError,
-)
+from .errors import DimensionError, InvalidParameterError, SingularKeyError
 
 __all__ = [
     "SeedSpec",
@@ -28,7 +23,6 @@ __all__ = [
     "check_seed",
     "circ_convolve",
     "clip",
-    "cosine",
     "inverse",
     "random_bipolar",
     "random_gaussian_key",
@@ -73,13 +67,6 @@ class SeedSpec:
             entropy.append(_tag_to_int(tag))
             entropy.append(index & _MASK64)
         return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def _as_vector(v, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(v)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DimensionError(f"{name} must be a non-empty 1-D vector, got shape {arr.shape}")
-    return arr
 
 
 def _as_rows(v, name: str = "vector") -> np.ndarray:
@@ -177,18 +164,6 @@ def inverse(k) -> NDArray[np.float64]:
     if np.min(np.abs(spectrum)) <= SPECTRUM_EPS:
         raise SingularKeyError("key has a near-zero spectral component; no exact inverse exists")
     return np.fft.irfft(1.0 / spectrum, n=k.shape[-1])
-
-
-def cosine(x, y) -> float:
-    """Cosine similarity in [-1, 1]."""
-    x = _as_vector(x, "x").astype(np.float64)
-    y = _as_vector(y, "y").astype(np.float64)
-    _check_same_length(x, y)
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        raise UndefinedSimilarityError("cosine is undefined for a zero-norm vector")
-    return float(np.dot(x, y) / (nx * ny))
 
 
 def random_bipolar(dim: int, seed: SeedSpec) -> NDArray[np.int8]:

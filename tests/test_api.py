@@ -1,5 +1,6 @@
 """The public names: each module's ``__all__`` is the one list of them."""
 
+import ast
 import importlib
 import json
 import os
@@ -51,3 +52,101 @@ def test_the_light_modules_load_neither_scipy_nor_the_harness():
         if name.startswith(("scipy", "click")) or name in ("hvnet.classifiers", "hvnet.harness")
     ]
     assert heavy == []
+
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Public names that nothing in the program calls: they are the single-sample
+# references of the batched encoder and predictor, kept until a one-sample
+# oracle holds their formulas.
+UNREACHED = {
+    ("hvnet.classifiers", "predict"),
+    ("hvnet.encoding", "encode_sample"),
+    ("hvnet.encoding", "thermometer_encode"),
+}
+
+
+def _imported_from(node):
+    """The absolute module an ``ast.ImportFrom`` imports from; relative ones lie in hvnet."""
+    if not node.level:
+        return node.module
+    return ".".join(filter(None, ["hvnet", node.module]))
+
+
+def _dotted(node):
+    """``a.b.c`` for a chain of attribute lookups on a bare name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _loads_outside_own_definition(tree):
+    """Bare names loaded anywhere except inside the definition of that same name."""
+    names = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in inside:
+            names.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return names
+
+
+def _references(tree, own_module=None):
+    """The (module, name) pairs that one parsed file refers to.
+
+    A reference is an import of the name from its module, or an attribute
+    lookup on the module object itself (``hvnet.harness.run_version``, not
+    ``int.from_bytes``).  In ``own_module``, a bare name loaded outside its
+    own definition counts too.
+    """
+    modules = {}  # local name -> the module it is bound to
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.partition(".")[0]
+                modules[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom):
+            base = _imported_from(node)
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"{base}.{alias.name}"
+                found.add((base, alias.name))
+    for node in ast.walk(tree):
+        owner = _dotted(node.value) if isinstance(node, ast.Attribute) else None
+        if owner is not None:
+            head, _, rest = owner.partition(".")
+            found.add((".".join(filter(None, [modules.get(head, head), rest])), node.attr))
+    if own_module is not None:
+        found.update((own_module, name) for name in _loads_outside_own_definition(tree))
+    return found
+
+
+def test_every_public_name_has_a_user():
+    # Users are the library itself, the benchmark and the acceptance tests;
+    # a name that only its own unit tests call is not part of the program.
+    public, users = {}, set()
+    for path in sorted((REPO / "src" / "hvnet").glob("*.py")):
+        module = f"hvnet.{path.stem}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                public[module] = ast.literal_eval(node.value)
+        users |= _references(tree, module)
+    for path in [*sorted((REPO / "perfbench").glob("*.py")), REPO / "tests" / "test_acceptance.py"]:
+        users |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    assert len(public) >= 7
+    unused = sorted(
+        (module, name) for module, names in public.items() for name in names
+        if (module, name) not in users
+    )
+    assert unused == sorted(UNREACHED)

@@ -696,9 +696,9 @@ def test_every_scoring_wrapper_matches_the_reference(n_models, dim):
 
 
 def test_classifier_matrix_rejects_empty_weights():
-    for shape in [(0, 3), (3, 0), (3,)]:
+    for weights in [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(3), [[1.0, 2.0]]]:
         with pytest.raises(DimensionError):
-            ClassifierMatrix(weights=np.zeros(shape), kind="rls")
+            ClassifierMatrix(weights=weights, kind="rls")
 
 
 @pytest.mark.parametrize("dim", [12, 400])  # primal and dual ridge solves

@@ -1,11 +1,7 @@
-"""Key generation, pack/unpack round trips, crosstalk statistics, wire format."""
-
-import struct
+"""Key generation, pack/unpack round trips, crosstalk statistics."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import hvnet.network
 from hvnet.classifiers import ClassifierMatrix
@@ -13,22 +9,13 @@ from hvnet.compression import (
     CompressedClassifier,
     KeySet,
     compress,
-    compression_fidelity,
     decompress,
-    from_bytes,
     generate_keys,
     pack,
-    to_bytes,
     unpack,
 )
-from hvnet.errors import (
-    DimensionError,
-    InvalidParameterError,
-    ProtocolError,
-    SingularKeyError,
-    WireFormatError,
-)
-from hvnet.hdc import SeedSpec, circ_convolve, cosine, inverse, superpose
+from hvnet.errors import DimensionError, InvalidParameterError, ProtocolError, SingularKeyError
+from hvnet.hdc import SeedSpec, circ_convolve, inverse, superpose
 from hvnet.network import EXCHANGE_BLOCK, AgentNetwork, exchange_and_aggregate
 
 
@@ -47,13 +34,28 @@ def delta_keyset(n_classes, dim):
     return KeySet(agent_id=0, keys=keys)
 
 
+def row_cosines(w, keys):
+    """Cosine of each nonzero row of ``w`` with its reconstruction after a compressed round trip."""
+    recon = decompress(compress(w, keys), keys).weights
+    return np.einsum("ij,ij->i", w.weights, recon) / (
+        np.linalg.norm(w.weights, axis=1) * np.linalg.norm(recon, axis=1)
+    )
+
+
 def mean_fidelity(dim, n_classes, trials, seed0):
     vals = []
     for t in range(trials):
         w = matrix(unit_rows(n_classes, dim, seed0 + t))
         keys = generate_keys(t, n_classes, dim)
-        vals.append(float(np.mean(compression_fidelity(w, keys))))
+        vals.append(float(np.mean(row_cosines(w, keys))))
     return float(np.mean(vals))
+
+
+def abs_cosines(a, b):
+    """|cos| between every row of ``a`` and every row of ``b``."""
+    a = a / np.linalg.norm(a, axis=1, keepdims=True)
+    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    return np.abs(a @ b.T)
 
 
 # ------------------------------------------------------------------- keys
@@ -69,16 +71,12 @@ def test_generate_keys_deterministic():
 def test_keys_across_agents_decorrelated():
     a = generate_keys(0, 4, 1024)
     b = generate_keys(1, 4, 1024)
-    for i in range(4):
-        for j in range(4):
-            assert abs(cosine(a.keys[i], b.keys[j])) < 0.2
+    assert np.all(abs_cosines(a.keys, b.keys) < 0.2)
 
 
 def test_keys_within_agent_decorrelated():
     keys = generate_keys(3, 6, 1024)
-    for i in range(6):
-        for j in range(i + 1, 6):
-            assert abs(cosine(keys.keys[i], keys.keys[j])) < 0.2
+    assert np.all(abs_cosines(keys.keys, keys.keys)[np.triu_indices(6, k=1)] < 0.2)
 
 
 def test_single_key_round_trip():
@@ -98,9 +96,9 @@ def test_generate_keys_rejects_bad_params():
 
 
 def test_generate_keys_rejects_ids_outside_u64():
-    # 2**64 would otherwise alias agent 0's seed and overflow the wire header.
+    # 2**64 would otherwise alias agent 0's seed.
     top = generate_keys(2**64 - 1, 2, 16)
-    assert from_bytes(to_bytes(compress(matrix(np.ones((2, 16))), top))).agent_id == 2**64 - 1
+    assert compress(matrix(np.ones((2, 16))), top).agent_id == 2**64 - 1
     for bad in (2**64, 2**64 + 7, True, 1.0):
         with pytest.raises(InvalidParameterError, match="agent_id"):
             generate_keys(bad, 2, 16)
@@ -110,22 +108,15 @@ def test_generate_keys_rejects_ids_outside_u64():
     ({"agent_id": -1}, "agent_id"),
     ({"agent_id": 2**64}, "agent_id"),
     ({"n_classes": 0}, "n_classes"),
-    ({"n_classes": 2**32}, "n_classes"),
-    ({"w": np.zeros((2, 4))}, "w must be 1-D"),
-    ({"w": np.zeros(0)}, "w must be 1-D"),
-    ({"w": np.broadcast_to(0.0, (2**32,))}, "w must be 1-D"),
-], ids=["negative-id", "id-2**64", "no-classes", "classes-2**32", "2-d", "empty", "dim-2**32"])
-def test_compressed_classifier_rejects_what_the_wire_header_cannot_hold(fields, name):
-    # The HRRC header holds the agent id as a u64 and n_classes and dim as u32s.
+    ({"w": np.zeros((2, 4))}, "w must be a non-empty 1-D"),
+    ({"w": np.zeros(0)}, "w must be a non-empty 1-D"),
+    ({"w": [1.0, 2.0, 3.0, 4.0]}, "w must be a non-empty 1-D numpy array, got list"),
+], ids=["negative-id", "id-2**64", "no-classes", "2-d", "empty", "list"])
+def test_compressed_classifier_rejects_invalid_fields(fields, name):
+    # The agent id is the seed of the agent's keys, so it lies in [0, 2**64).
     args = {"w": np.zeros(4), "agent_id": 0, "n_classes": 2, **fields}
     with pytest.raises(InvalidParameterError, match=name):
         CompressedClassifier(**args)
-
-
-def test_compressed_classifier_at_the_header_limits_round_trips():
-    c = CompressedClassifier(w=np.ones(3), agent_id=2**64 - 1, n_classes=2**32 - 1)
-    restored = from_bytes(to_bytes(c))
-    assert (restored.agent_id, restored.n_classes, restored.dim) == (2**64 - 1, 2**32 - 1, 3)
 
 
 # --------------------------------------------------------------- compress
@@ -303,30 +294,8 @@ def test_exchange_names_the_agent_whose_key_is_singular(monkeypatch):
 
 def test_fidelity_single_pair_is_one():
     w = matrix(unit_rows(1, 256, 46))
-    fid = compression_fidelity(w, generate_keys(9, 1, 256))
+    fid = row_cosines(w, generate_keys(9, 1, 256))
     np.testing.assert_allclose(fid, [1.0], atol=1e-6)
-
-
-def test_fidelity_zero_row_reports_zero():
-    rows = unit_rows(3, 128, 47)
-    rows[1] = 0.0
-    fid = compression_fidelity(matrix(rows), generate_keys(0, 3, 128))
-    assert fid[1] == 0.0
-    assert fid[0] != 0.0
-
-
-@pytest.mark.parametrize("n_classes, zero_rows", [(1, []), (1, [0]), (3, [1]), (10, [0, 9])])
-def test_fidelity_matches_per_row_cosines(n_classes, zero_rows):
-    rows = unit_rows(n_classes, 200, 48) * np.arange(1, n_classes + 1)[:, None]
-    rows[zero_rows] = 0.0
-    w = matrix(rows)
-    keys = generate_keys(5, n_classes, 200)
-    recon = decompress(compress(w, keys), keys).weights
-    want = [
-        cosine(rows[i], recon[i]) if rows[i].any() and recon[i].any() else 0.0
-        for i in range(n_classes)
-    ]
-    np.testing.assert_allclose(compression_fidelity(w, keys), want, rtol=1e-12, atol=0)
 
 
 def test_fidelity_decreases_with_class_count():
@@ -347,75 +316,3 @@ def test_fidelity_dim_trend_measured():
     f500 = mean_fidelity(500, 10, trials=20, seed0=400)
     f1500 = mean_fidelity(1500, 10, trials=20, seed0=500)
     assert 0.05 < f1500 < f500 < f150 < 0.25
-
-
-# ------------------------------------------------------------- wire format
-
-
-def test_wire_round_trip_bit_exact():
-    w = matrix(unit_rows(4, 200, 48))
-    packed = compress(w, generate_keys(11, 4, 200))
-    restored = from_bytes(to_bytes(packed))
-    assert restored.agent_id == 11
-    assert restored.n_classes == 4
-    assert restored.dim == 200
-    assert restored.w.tobytes() == packed.w.tobytes()
-
-
-def test_wire_rejects_bad_magic_and_truncation():
-    packed = CompressedClassifier(w=np.arange(8.0), agent_id=0, n_classes=2)
-    buf = to_bytes(packed)
-    with pytest.raises(WireFormatError):
-        from_bytes(b"XXXX" + buf[4:])
-    with pytest.raises(WireFormatError):
-        from_bytes(buf[:10])
-    with pytest.raises(WireFormatError):
-        from_bytes(buf + b"\x00" * 8)
-
-
-# Independent statement of the 22-byte HRRC v2 header:
-# magic, version, agent id, n_classes, dim.
-HRRC_HEADER = struct.Struct("<4sHQII")
-
-
-def test_wire_rejects_v1_buffer():
-    # v1 carried a trailing inverse-mode byte: 23 header bytes + 8 * dim.
-    v1 = struct.pack("<4sHQIIB", b"HRRC", 1, 0, 2, 4, 0) + b"\x00" * 32
-    assert len(v1) == 23 + 8 * 4
-    with pytest.raises(WireFormatError, match="version 1"):
-        from_bytes(v1)
-
-
-@pytest.mark.parametrize("n_classes, dim", [(0, 4), (2, 0), (0, 0)])
-def test_wire_rejects_zero_classes_or_dim(n_classes, dim):
-    buf = HRRC_HEADER.pack(b"HRRC", 2, 0, n_classes, dim) + b"\x00" * (8 * dim)
-    with pytest.raises(WireFormatError):
-        from_bytes(buf)
-
-
-@given(st.binary(max_size=80))
-@settings(deadline=None, max_examples=200)
-def test_wire_arbitrary_bytes_raise_only_wire_format_error(tail):
-    for buf in (tail, b"HRRC" + struct.pack("<H", 2) + tail):
-        try:
-            restored = from_bytes(buf)
-        except WireFormatError:
-            continue
-        assert restored.n_classes >= 1 and restored.dim >= 1
-        assert len(buf) == HRRC_HEADER.size + 8 * restored.dim
-
-
-@given(
-    st.integers(0, 2**64 - 1), st.integers(0, 3), st.integers(0, 3),
-    st.integers(0, 3), st.integers(-1, 1),
-)
-@settings(deadline=None, max_examples=200)
-def test_wire_header_fields_accepted_only_when_valid(agent_id, n_classes, dim, version, extra):
-    buf = HRRC_HEADER.pack(b"HRRC", version, agent_id, n_classes, dim) + b"\x00" * (8 * dim)
-    buf = buf[:len(buf) + extra] if extra < 0 else buf + b"\x00" * extra
-    if n_classes >= 1 and dim >= 1 and version == 2 and extra == 0:
-        restored = from_bytes(buf)
-        assert (restored.agent_id, restored.n_classes, restored.dim) == (agent_id, n_classes, dim)
-    else:
-        with pytest.raises(WireFormatError):
-            from_bytes(buf)

@@ -556,6 +556,10 @@ def test_report_writes_file_and_round_trips(tmp_path):
     out = report(records, fmt="jsonl", out=tmp_path / "records.jsonl")
     restored = records_from_jsonl(out)
     assert records_to_jsonl(restored) == records_to_jsonl(records)
+    # An empty record file re-renders to the same, empty, bytes.
+    empty = report([], fmt="jsonl", out=tmp_path / "empty.jsonl")
+    assert empty.read_bytes() == b""
+    assert records_to_jsonl(records_from_jsonl(empty)) == ""
 
 
 def test_report_unwritable_path_leaves_nothing(tmp_path):

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvnet.errors import (
-    DimensionError,
-    InvalidParameterError,
-    SingularKeyError,
-    UndefinedSimilarityError,
-)
+from hvnet.errors import DimensionError, InvalidParameterError, SingularKeyError
 from hvnet.data import synth_blobs
 from hvnet.encoding import init_projection, thermometer_encode
 from hvnet.harness import ExperimentConfig
@@ -19,13 +14,18 @@ from hvnet.hdc import (
     check_seed,
     circ_convolve,
     clip,
-    cosine,
     inverse,
     random_bipolar,
     random_gaussian_key,
     superpose,
 )
 from hvnet.network import AgentNetwork, ExperimentVersion, partition
+
+
+def abs_cosine(x, y):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return abs(float(x @ y)) / (np.linalg.norm(x) * np.linalg.norm(y))
 
 
 def direct_convolve(x, y):
@@ -274,24 +274,6 @@ def test_exact_inverse_singular_key():
         inverse(np.ones(8))
 
 
-# ------------------------------------------------------------------ cosine
-
-
-def test_cosine_self_and_negation():
-    x = np.array([1.0, 2.0, -3.0])
-    assert cosine(x, x) == pytest.approx(1.0)
-    assert cosine(x, -x) == pytest.approx(-1.0)
-
-
-def test_cosine_orthogonal():
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-
-
-def test_cosine_zero_norm_undefined():
-    with pytest.raises(UndefinedSimilarityError):
-        cosine([0.0, 0.0], [1.0, 2.0])
-
-
 # ---------------------------------------------------------- random vectors
 
 
@@ -307,7 +289,7 @@ def test_random_bipolar_pairs_nearly_orthogonal():
     for t in range(100):
         x = random_bipolar(1000, SeedSpec(10).child("x", t))
         y = random_bipolar(1000, SeedSpec(10).child("y", t))
-        sims.append(abs(cosine(x, y)))
+        sims.append(abs_cosine(x, y))
     assert float(np.mean(sims)) < 0.05
 
 
@@ -336,4 +318,4 @@ def test_gaussian_key_norm_concentrates_near_one():
 def test_gaussian_keys_from_different_streams_decorrelated():
     a = random_gaussian_key(1024, SeedSpec(14).child("k", 0))
     b = random_gaussian_key(1024, SeedSpec(14).child("k", 1))
-    assert abs(cosine(a, b)) < 0.15
+    assert abs_cosine(a, b) < 0.15
