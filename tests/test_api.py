@@ -1,6 +1,7 @@
 """The public names: each module's ``__all__`` is the one list of them."""
 
 import ast
+import functools
 import importlib
 import json
 import os
@@ -9,6 +10,8 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import hvnet
 
@@ -129,24 +132,62 @@ def _references(tree, own_module=None):
     return found
 
 
-def test_every_public_name_has_a_user():
-    # Users are the library itself, the benchmark and the acceptance tests;
-    # a name that only its own unit tests call is not part of the program.
-    public, users = {}, set()
-    for path in sorted((REPO / "src" / "hvnet").glob("*.py")):
-        module = f"hvnet.{path.stem}"
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-            ):
-                public[module] = ast.literal_eval(node.value)
-        users |= _references(tree, module)
+def _public_names(path):
+    """The names in the ``__all__`` of one parsed library file, or None without one."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+LIBRARY = sorted((REPO / "src" / "hvnet").glob("*.py"))
+PUBLIC = {
+    f"hvnet.{path.stem}": names
+    for path in LIBRARY if (names := _public_names(path)) is not None
+}
+
+
+@functools.lru_cache(maxsize=1)
+def _users():
+    """Every (module, name) pair that the library, the benchmark or the acceptance tests use."""
+    users = set()
+    for path in LIBRARY:
+        users |= _references(ast.parse(path.read_text(encoding="utf-8")), f"hvnet.{path.stem}")
     for path in [*sorted((REPO / "perfbench").glob("*.py")), REPO / "tests" / "test_acceptance.py"]:
         users |= _references(ast.parse(path.read_text(encoding="utf-8")))
-    assert len(public) >= 7
-    unused = sorted(
-        (module, name) for module, names in public.items() for name in names
-        if (module, name) not in users
-    )
-    assert unused == sorted(UNREACHED)
+    return users
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC))
+def test_every_public_name_has_a_user(module):
+    # Users are the library itself, the benchmark and the acceptance tests;
+    # a name that only its own unit tests call is not part of the program.
+    assert len(PUBLIC) >= 7
+    unused = sorted(name for name in PUBLIC[module] if (module, name) not in _users())
+    assert unused == sorted(name for owner, name in UNREACHED if owner == module)
+
+
+@pytest.mark.parametrize("source, own_module, pair", [
+    ("from hvnet.hdc import clip", None, ("hvnet.hdc", "clip")),
+    ("from .hdc import clip", None, ("hvnet.hdc", "clip")),
+    ("from . import hdc\nhdc.clip", None, ("hvnet.hdc", "clip")),
+    ("import hvnet.harness\nhvnet.harness.run_version", None, ("hvnet.harness", "run_version")),
+    ("import hvnet.network as net\nnet.compress", None, ("hvnet.network", "compress")),
+    ("def f():\n    return g\ndef g():\n    pass", "hvnet.m", ("hvnet.m", "g")),
+], ids=["absolute-import", "relative-import", "package-import", "dotted-lookup",
+        "aliased-lookup", "call-from-another-function"])
+def test_a_reference_is_an_import_or_a_use_of_the_name(source, own_module, pair):
+    assert pair in _references(ast.parse(source), own_module)
+
+
+@pytest.mark.parametrize("source, own_module, pair", [
+    ("int.from_bytes(b'', 'little')", None, ("hvnet.compression", "from_bytes")),
+    ("def cosine(x):\n    return cosine(x)", "hvnet.hdc", ("hvnet.hdc", "cosine")),
+    ("class KeySet:\n    def copy(self):\n        return KeySet()", "hvnet.compression",
+     ("hvnet.compression", "KeySet")),
+    ("MAGIC = b'HRRC'", "hvnet.compression", ("hvnet.compression", "MAGIC")),
+], ids=["lookup-on-another-object", "own-function", "own-class", "assignment"])
+def test_lookups_on_other_objects_and_self_references_are_not_uses(source, own_module, pair):
+    assert pair not in _references(ast.parse(source), own_module)

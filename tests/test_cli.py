@@ -274,6 +274,13 @@ def test_report_renders_table_and_scatter(runner, tmp_path):
     assert scatter.output.splitlines()[0] == "dataset,classifier,n_agents,acc_a,acc_b"
 
 
+def test_report_of_an_empty_record_file_gives_back_its_bytes(runner, tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    result = runner.invoke(main, ["report", str(empty), "--format", "jsonl"])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == b""
+
 def test_report_rejects_unknown_scatter_label(runner, tmp_path):
     out = tmp_path / "records.jsonl"
     ran = runner.invoke(main, [

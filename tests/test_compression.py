@@ -119,6 +119,17 @@ def test_compressed_classifier_rejects_invalid_fields(fields, name):
         CompressedClassifier(**args)
 
 
+@pytest.mark.parametrize("fields, shape", [
+    ({"agent_id": 2**64 - 1}, (2**64 - 1, 2, 4)),
+    ({"n_classes": 2**32}, (0, 2**32, 4)),
+    ({"w": np.broadcast_to(0.0, (2**32,))}, (0, 2, 2**32)),
+], ids=["id-2**64-1", "classes-2**32", "dim-2**32"])
+def test_compressed_classifier_has_no_bound_beyond_the_seed_range(fields, shape):
+    # Nothing is serialized, so n_classes and dim are not capped at a header's u32.
+    c = CompressedClassifier(**{"w": np.zeros(4), "agent_id": 0, "n_classes": 2, **fields})
+    assert (c.agent_id, c.n_classes, c.dim) == shape
+
+
 # --------------------------------------------------------------- compress
 
 
