@@ -26,7 +26,6 @@ __all__ = [
     "evaluate_many",
     "finalize_centroids",
     "one_hot",
-    "predict",
     "predict_batch",
     "rls_from_gram",
     "rls_sweep",
@@ -76,8 +75,8 @@ class ClassifierMatrix:
         return self.weights.shape[1]
 
 
-def one_hot(labels, n_classes: int) -> NDArray[np.float64]:
-    """Rows of indicator vectors for 1-based class labels."""
+def _check_labels(labels, n_classes: int) -> NDArray[np.int64]:
+    """``labels`` as int64, after checking they are 1-based labels of n_classes >= 2 classes."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size < 1:
         raise InvalidParameterError("labels must be a non-empty 1-D sequence")
@@ -85,6 +84,12 @@ def one_hot(labels, n_classes: int) -> NDArray[np.float64]:
         raise InvalidParameterError("need at least two classes")
     if labels.min() < 1 or labels.max() > n_classes:
         raise InvalidParameterError("labels must lie in 1..n_classes")
+    return labels
+
+
+def one_hot(labels, n_classes: int) -> NDArray[np.float64]:
+    """Rows of indicator vectors for 1-based class labels."""
+    labels = _check_labels(labels, n_classes)
     out = np.zeros((labels.shape[0], n_classes), dtype=np.float64)
     out[np.arange(labels.shape[0]), labels - 1] = 1.0
     return out
@@ -354,6 +359,8 @@ def _check_info(routine: str, info: int) -> None:
 def finalize_centroids(class_sums) -> ClassifierMatrix:
     """Normalize per-class activation sums to unit rows; empty classes stay zero."""
     sums = np.asarray(class_sums)
+    if sums.ndim != 2:
+        raise DimensionError(f"class sums must be a 2-D (n_classes, dim) array, got {sums.shape}")
     weights = sums.astype(np.float64)
     norms = np.linalg.norm(weights, axis=1)
     zero = norms == 0.0
@@ -371,9 +378,9 @@ def finalize_centroids(class_sums) -> ClassifierMatrix:
 def train_centroids(H, labels, n_classes: int) -> ClassifierMatrix:
     """One unit-norm centroid per class, from the hidden activations of its samples."""
     H = np.asarray(H)
-    labels = np.asarray(labels, dtype=np.int64)
     if H.ndim != 2 or H.shape[0] < 1:
         raise InvalidParameterError("need at least one training sample")
+    labels = _check_labels(labels, n_classes)
     if labels.shape[0] != H.shape[0]:
         raise DimensionError("labels and activation rows must match")
     # Integer activations get exact integer sums, so shard-wise aggregation
@@ -385,14 +392,6 @@ def train_centroids(H, labels, n_classes: int) -> ClassifierMatrix:
         if mask.any():
             sums[i - 1] = H[mask].sum(axis=0, dtype=dtype)
     return finalize_centroids(sums)
-
-
-def predict(w: ClassifierMatrix, h) -> int:
-    """Winner-takes-all class for one activation; ties go to the lowest class index."""
-    h = np.asarray(h)
-    if h.ndim != 1 or h.shape[0] != w.dim:
-        raise DimensionError(f"activation length {h.shape} does not match dim {w.dim}")
-    return int(predict_batch(w, h[None, :])[0])
 
 
 def predict_batch(w: ClassifierMatrix, H) -> NDArray[np.int64]:

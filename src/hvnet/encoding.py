@@ -26,10 +26,7 @@ __all__ = [
     "InputProjection",
     "encode_batch",
     "encode_batch_sums",
-    "encode_sample",
-    "encode_sums",
     "init_projection",
-    "thermometer_encode",
 ]
 
 # Most rows gathered per table lookup in encode_batch_sums.
@@ -79,29 +76,6 @@ def _thermometer_codes(dim: int) -> NDArray[np.int8]:
     Every row is a window of one length-2*dim buffer of +1s then -1s.
     """
     return sliding_window_view(np.repeat(np.array([1, -1], dtype=np.int8), dim), dim)[::-1]
-
-
-def thermometer_encode(value: float, dim: int) -> NDArray[np.int8]:
-    """Monotone bipolar code: the first round(value*dim) entries are +1, the rest -1."""
-    check_count("dim", dim)
-    n_plus = _prefix_lengths(np.asarray([value], dtype=np.float64), dim)[0]
-    return _thermometer_codes(dim)[n_plus].copy()
-
-
-def encode_sums(x, proj: InputProjection) -> NDArray[np.signedinteger]:
-    """Unclipped hidden activation: sum over features of (column * thermometer code)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != proj.n_features:
-        raise DimensionError(
-            f"sample has {x.shape} features, projection expects {proj.n_features}"
-        )
-    return encode_batch_sums(x[None, :], proj)[0]
-
-
-def encode_sample(x, proj: InputProjection, kappa: int) -> NDArray[np.signedinteger]:
-    """Hidden activation of one sample: clipped sum of bound thermometer codes."""
-    check_count("kappa", kappa)
-    return clip(encode_sums(x, proj), kappa)
 
 
 def encode_batch_sums(X, proj: InputProjection) -> NDArray[np.signedinteger]:

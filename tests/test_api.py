@@ -60,15 +60,6 @@ def test_the_light_modules_load_neither_scipy_nor_the_harness():
 
 REPO = Path(__file__).resolve().parent.parent
 
-# Public names that nothing in the program calls: they are the single-sample
-# references of the batched encoder and predictor, kept until a one-sample
-# oracle holds their formulas.
-UNREACHED = {
-    ("hvnet.classifiers", "predict"),
-    ("hvnet.encoding", "encode_sample"),
-    ("hvnet.encoding", "thermometer_encode"),
-}
-
 
 def _imported_from(node):
     """The absolute module an ``ast.ImportFrom`` imports from; relative ones lie in hvnet."""
@@ -166,7 +157,7 @@ def test_every_public_name_has_a_user(module):
     # a name that only its own unit tests call is not part of the program.
     assert len(PUBLIC) >= 7
     unused = sorted(name for name in PUBLIC[module] if (module, name) not in _users())
-    assert unused == sorted(name for owner, name in UNREACHED if owner == module)
+    assert unused == []
 
 
 @pytest.mark.parametrize("source, own_module, pair", [
@@ -191,3 +182,32 @@ def test_a_reference_is_an_import_or_a_use_of_the_name(source, own_module, pair)
 ], ids=["lookup-on-another-object", "own-function", "own-class", "assignment"])
 def test_lookups_on_other_objects_and_self_references_are_not_uses(source, own_module, pair):
     assert pair not in _references(ast.parse(source), own_module)
+
+
+def _unloaded_imports(tree):
+    """The names that one parsed file's imports bind and that it never loads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return sorted(bound - _loads_outside_own_definition(tree))
+
+
+@pytest.mark.parametrize("source, unloaded", [
+    ("import os\nfrom hvnet.hdc import clip, superpose\nclip()", ["os", "superpose"]),
+    ("import hvnet.network\nhvnet.network.run_version", []),
+    ("from hypothesis import strategies as st\n@st.composite\ndef f(draw):\n    pass", []),
+], ids=["unused", "dotted-module", "alias-in-decorator"])
+def test_an_import_is_unused_when_its_name_is_never_loaded(source, unloaded):
+    assert _unloaded_imports(ast.parse(source)) == unloaded
+
+
+# test_acceptance.py is exempt: no change edits it, and the reach check counts
+# its imports as users of the names they bind.
+@pytest.mark.parametrize("path", [
+    path for path in sorted((REPO / "tests").glob("*.py")) if path.name != "test_acceptance.py"
+], ids=lambda path: path.name)
+def test_test_files_load_every_name_they_import(path):
+    assert _unloaded_imports(ast.parse(path.read_text(encoding="utf-8"))) == []

@@ -1,4 +1,4 @@
-"""Output-layer training: least squares against an elimination oracle, centroids, prediction."""
+"""Output-layer training: least squares against the elimination oracle, centroids, prediction."""
 
 import math
 import tracemalloc
@@ -24,7 +24,6 @@ from hvnet.classifiers import (
     evaluate_many,
     finalize_centroids,
     one_hot,
-    predict,
     predict_batch,
     rls_from_gram,
     rls_sweep,
@@ -39,33 +38,7 @@ from hvnet.errors import (
 )
 from hvnet.harness import DEFAULT_LAMBDA_GRID
 from hvnet.hdc import SeedSpec, clip
-
-
-def gauss_solve(A, B):
-    """Independent oracle: Gaussian elimination with partial pivoting."""
-    A = np.array(A, dtype=np.float64)
-    B = np.array(B, dtype=np.float64)
-    n = A.shape[0]
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(A[col:, col])))
-        if pivot != col:
-            A[[col, pivot]] = A[[pivot, col]]
-            B[[col, pivot]] = B[[pivot, col]]
-        for row in range(col + 1, n):
-            factor = A[row, col] / A[col, col]
-            A[row, col:] -= factor * A[col, col:]
-            B[row] -= factor * B[col]
-    X = np.zeros_like(B)
-    for row in range(n - 1, -1, -1):
-        X[row] = (B[row] - A[row, row + 1 :] @ X[row + 1 :]) / A[row, row]
-    return X
-
-
-def rls_oracle(H, Y, lam):
-    """Literal normal-equations solution via the elimination oracle."""
-    H = np.asarray(H, dtype=np.float64)
-    A = H.T @ H + lam * np.eye(H.shape[1])
-    return gauss_solve(A, H.T @ Y).T
+from oracle import predict, ridge
 
 
 def ridge_loss(weights, H, Y, lam):
@@ -107,7 +80,7 @@ def test_rls_matches_elimination_oracle():
     H = rng.standard_normal((50, 10))
     Y = one_hot(rng.integers(1, 4, size=50), 3)
     model = train_rls(H, Y, 0.25)
-    np.testing.assert_allclose(model.weights, rls_oracle(H, Y, 0.25), atol=1e-6)
+    np.testing.assert_allclose(model.weights, ridge(H, Y, 0.25), atol=1e-6)
 
 
 def test_rls_dual_branch_matches_oracle():
@@ -116,7 +89,7 @@ def test_rls_dual_branch_matches_oracle():
     H = rng.standard_normal((8, 24))
     Y = one_hot(rng.integers(1, 3, size=8), 2)
     model = train_rls(H, Y, 0.5)
-    np.testing.assert_allclose(model.weights, rls_oracle(H, Y, 0.5), atol=1e-6)
+    np.testing.assert_allclose(model.weights, ridge(H, Y, 0.5), atol=1e-6)
 
 
 def inline_dual_rls(H, Y, lam):
@@ -181,7 +154,7 @@ def test_rls_from_gram_matches_and_preserves_inputs():
     gram_copy = gram.copy()
     cross = H.T @ Y
     model = rls_from_gram(gram, cross, 0.1)
-    np.testing.assert_allclose(model.weights, rls_oracle(H, Y, 0.1), atol=1e-8)
+    np.testing.assert_allclose(model.weights, ridge(H, Y, 0.1), atol=1e-8)
     np.testing.assert_array_equal(gram, gram_copy)
 
 
@@ -201,7 +174,7 @@ def test_rls_from_gram_leaves_the_callers_gram_intact(layout):
     before, cross = gram.copy(order="K"), (H.T @ Y).astype(np.float64)
     cross_before = cross.copy()
     model = rls_from_gram(gram, cross, 0.5)
-    np.testing.assert_allclose(model.weights, rls_oracle(H, Y, 0.5), atol=1e-10)
+    np.testing.assert_allclose(model.weights, ridge(H, Y, 0.5), atol=1e-10)
     assert gram.dtype == before.dtype and np.array_equal(gram, before)
     assert np.array_equal(cross, cross_before)
 
@@ -527,14 +500,16 @@ def test_rls_sweep_holds_no_float64_copy_of_integer_activations():
 
 
 def test_centroid_single_sample():
-    model = train_centroids(np.array([[3, 4]]), np.array([1]), 1)
+    with pytest.warns(EmptyClassWarning):
+        model = train_centroids(np.array([[3, 4]]), np.array([1]), 2)
     np.testing.assert_allclose(model.weights[0], [0.6, 0.8], atol=1e-12)
     np.testing.assert_array_equal(model.class_sums[0], [3, 4])
 
 
 def test_centroid_two_samples_one_class():
     H = np.array([[1, 1, 0], [1, 0, 1]])
-    model = train_centroids(H, np.array([1, 1]), 1)
+    with pytest.warns(EmptyClassWarning):
+        model = train_centroids(H, np.array([1, 1]), 2)
     np.testing.assert_allclose(model.weights[0], np.array([2, 1, 1]) / np.sqrt(6), atol=1e-12)
 
 
@@ -549,6 +524,26 @@ def test_centroid_empty_class_is_zero_row():
 def test_empty_class_warning_prints_plain_class_numbers():
     with pytest.warns(EmptyClassWarning, match=r"classes \[3\] have a zero-norm sum"):
         train_centroids(np.array([[1, 2], [2, 1]]), np.array([1, 2]), 3)
+
+
+@pytest.mark.parametrize("labels, n_classes, message", [
+    ([0, 5, 7], 2, r"labels must lie in 1\.\.n_classes"),
+    ([1, 2, 3], 2, r"labels must lie in 1\.\.n_classes"),
+    ([1, 1, 1], 1, "need at least two classes"),
+    ([1, 1, 1], 0, "need at least two classes"),
+], ids=["below-and-above", "above", "one-class", "no-class"])
+def test_centroids_reject_labels_outside_the_classes(labels, n_classes, message):
+    # Before the check, labels outside 1..n_classes were dropped with only an
+    # EmptyClassWarning, and n_classes=0 failed on the empty weights.
+    with pytest.raises(InvalidParameterError, match=message):
+        train_centroids(np.ones((3, 4), np.int8), labels, n_classes)
+
+
+@pytest.mark.parametrize("sums", [np.ones(4), np.float64(2.0), np.ones((2, 3, 4))],
+                         ids=["1-D", "0-D", "3-D"])
+def test_finalize_centroids_rejects_sums_that_are_not_a_matrix(sums):
+    with pytest.raises(DimensionError, match="class sums must be a 2-D"):
+        finalize_centroids(sums)
 
 
 def test_centroid_rows_unit_norm():
@@ -585,31 +580,31 @@ def test_centroid_perfect_on_separated_clusters():
 
 def test_predict_identity_weights():
     model = train_rls(np.eye(2), np.eye(2), 0.0)
-    assert predict(model, np.array([0.9, 0.1])) == 1
+    np.testing.assert_array_equal(predict_batch(model, [[0.9, 0.1]]), [1])
 
 
 def test_predict_scale_invariance():
     rng = SeedSpec(27).rng()
     model = train_rls(rng.standard_normal((20, 8)), one_hot(rng.integers(1, 4, 20), 3), 0.1)
-    from hvnet.classifiers import ClassifierMatrix
-
     scaled = ClassifierMatrix(weights=7.5 * model.weights, kind="rls")
-    for t in range(10):
-        h = rng.standard_normal(8)
-        assert predict(model, h) == predict(scaled, h) == predict(model, 3.0 * h)
+    H = rng.standard_normal((10, 8))
+    want = predict_batch(model, H)
+    np.testing.assert_array_equal(predict_batch(scaled, H), want)
+    np.testing.assert_array_equal(predict_batch(model, 3.0 * H), want)
 
 
 def test_predict_tie_goes_to_lowest_class():
-    from hvnet.classifiers import ClassifierMatrix
-
     model = ClassifierMatrix(weights=np.array([[1.0, 0.0], [1.0, 0.0]]), kind="rls")
-    assert predict(model, np.array([1.0, 0.5])) == 1
+    np.testing.assert_array_equal(predict_batch(model, [[1.0, 0.5]]), [1])
+    np.testing.assert_array_equal(predict(model.weights, [[1.0, 0.5]]), [1])
 
 
 def test_predict_dimension_mismatch():
     model = train_rls(np.eye(3), one_hot([1, 2, 1], 2), 0.5)
     with pytest.raises(DimensionError):
-        predict(model, np.ones(4))
+        predict_batch(model, np.ones((1, 4)))
+    with pytest.raises(DimensionError):
+        predict_batch(model, np.ones(3))
 
 
 # --------------------------------------------------------------- evaluation
@@ -637,18 +632,11 @@ def test_evaluate_empty_rejected():
         evaluate(model, np.zeros((0, 2)), [])
 
 
-def reference_predict(model, h) -> int:
-    """Winner-takes-all from the definition: argmax(weights @ h) + 1."""
-    return int(np.argmax(model.weights @ np.asarray(h, dtype=np.float64))) + 1
-
-
-def test_predict_batch_agrees_with_predict():
+def test_predict_batch_agrees_with_the_oracle():
     rng = SeedSpec(29).rng()
     model = train_rls(rng.standard_normal((25, 6)), one_hot(rng.integers(1, 3, 25), 2), 0.2)
     H = rng.standard_normal((12, 6))
-    expected = [reference_predict(model, h) for h in H]
-    np.testing.assert_array_equal(predict_batch(model, H), expected)
-    assert [predict(model, h) for h in H] == expected
+    np.testing.assert_array_equal(predict_batch(model, H), predict(model.weights, H))
 
 
 def test_predict_batch_across_row_blocks():
@@ -660,7 +648,7 @@ def test_predict_batch_across_row_blocks():
     H[[0, PREDICT_BLOCK - 1, PREDICT_BLOCK, 2 * PREDICT_BLOCK, -1]] = 0
     got = predict_batch(model, H)
     assert got.dtype == np.int64
-    np.testing.assert_array_equal(got, [reference_predict(model, h) for h in H])
+    np.testing.assert_array_equal(got, predict(model.weights, H))
     assert got[PREDICT_BLOCK - 1] == got[PREDICT_BLOCK] == got[-1] == 1
 
 

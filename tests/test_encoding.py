@@ -13,44 +13,47 @@ from hvnet.encoding import (
     InputProjection,
     encode_batch,
     encode_batch_sums,
-    encode_sample,
-    encode_sums,
     init_projection,
-    thermometer_encode,
 )
 from hvnet.errors import DimensionError, InvalidParameterError
 from hvnet.hdc import SeedSpec, clip
+from oracle import encode_rows, thermometer
+
+
+def codes(values, dim):
+    """encode_batch_sums of one feature whose column is all +1: the thermometer code of each value."""
+    proj = InputProjection(columns=np.ones((dim, 1), dtype=np.int8), seed=SeedSpec(0))
+    return encode_batch_sums(np.asarray(values, dtype=np.float64)[:, None], proj)
 
 
 def test_thermometer_endpoints():
-    np.testing.assert_array_equal(thermometer_encode(0.0, 4), [-1, -1, -1, -1])
-    np.testing.assert_array_equal(thermometer_encode(1.0, 4), [1, 1, 1, 1])
+    np.testing.assert_array_equal(codes([0.0, 1.0], 4), [[-1, -1, -1, -1], [1, 1, 1, 1]])
 
 
 def test_thermometer_half():
     # round(0.5 * 4) = 2 leading +1 entries
-    np.testing.assert_array_equal(thermometer_encode(0.5, 4), [1, 1, -1, -1])
+    np.testing.assert_array_equal(codes([0.5], 4), [[1, 1, -1, -1]])
 
 
 def test_thermometer_rounds_half_up():
-    # 0.375 * 4 = 1.5, which rounds up to a prefix of 2
-    np.testing.assert_array_equal(thermometer_encode(0.375, 4), [1, 1, -1, -1])
+    # 0.375 * 4 = 1.5 and 0.3 * 5 = 1.5, which round up to a prefix of 2
+    np.testing.assert_array_equal(codes([0.375], 4), [[1, 1, -1, -1]])
+    np.testing.assert_array_equal(codes([0.3], 5), [[1, 1, -1, -1, -1]])
+    np.testing.assert_array_equal(thermometer(0.375, 4), [1, 1, -1, -1])
 
 
 @given(st.floats(0, 1), st.floats(0, 1))
 @settings(deadline=None, max_examples=60)
 def test_thermometer_monotone(v1, v2):
-    lo, hi = sorted([v1, v2])
-    a = thermometer_encode(lo, 16)
-    b = thermometer_encode(hi, 16)
+    a, b = codes(sorted([v1, v2]), 16)
     assert np.all(a <= b)
 
 
 def test_thermometer_range_error():
-    with pytest.raises(InvalidParameterError):
-        thermometer_encode(1.2, 4)
-    with pytest.raises(InvalidParameterError):
-        thermometer_encode(-0.1, 4)
+    with pytest.raises(InvalidParameterError, match=r"must lie in \[0, 1\]"):
+        codes([0.5, 1.2], 4)
+    with pytest.raises(InvalidParameterError, match=r"must lie in \[0, 1\]"):
+        codes([-0.1, 0.5], 4)
 
 
 def test_init_projection_deterministic():
@@ -67,7 +70,7 @@ def test_init_projection_master_seeds_differ():
     assert np.any(a.columns != b.columns)
 
 
-def test_encode_sample_hand_case():
+def test_encode_hand_case():
     # dim=3, two features. Column 1 = [1,1,1], column 2 = [1,-1,-1].
     # x = (2/3, 1/3) gives thermometer prefixes (2, 1):
     #   F1 = [1,1,-1], F2 = [1,-1,-1]
@@ -75,29 +78,30 @@ def test_encode_sample_hand_case():
     proj = InputProjection(
         columns=np.array([[1, 1], [1, -1], [1, -1]], dtype=np.int8), seed=SeedSpec(0)
     )
-    h = encode_sample(np.array([2 / 3, 1 / 3]), proj, kappa=1)
-    np.testing.assert_array_equal(h, [1, 1, 0])
+    X = np.array([[2 / 3, 1 / 3]])
+    np.testing.assert_array_equal(encode_batch(X, proj, kappa=1), [[1, 1, 0]])
+    np.testing.assert_array_equal(encode_rows(X, proj.columns, kappa=1), [[1, 1, 0]])
 
 
 def test_encode_single_feature_is_bipolar():
     proj = init_projection(1, 32, SeedSpec(4))
-    h = encode_sample(np.array([0.7]), proj, kappa=1)
-    assert set(np.unique(h)) <= {-1, 1}
+    H = encode_batch(np.array([[0.7], [0.0], [0.5]]), proj, kappa=1)
+    assert set(np.unique(H)) <= {-1, 1}
 
 
 def test_clipping_inactive_when_kappa_at_least_n_features():
     proj = init_projection(6, 40, SeedSpec(5))
-    x = SeedSpec(6).rng().uniform(size=6)
-    unclipped = encode_sums(x, proj)
-    np.testing.assert_array_equal(encode_sample(x, proj, kappa=6), unclipped)
+    X = SeedSpec(6).rng().uniform(size=(4, 6))
+    unclipped = encode_batch_sums(X, proj)
+    np.testing.assert_array_equal(encode_batch(X, proj, kappa=6), unclipped)
     assert np.abs(unclipped).max() <= 6
 
 
 def test_encoding_deterministic_and_integer():
     proj = init_projection(3, 50, SeedSpec(7))
-    x = np.array([0.1, 0.5, 0.9])
-    h1 = encode_sample(x, proj, kappa=3)
-    h2 = encode_sample(x, proj, kappa=3)
+    X = np.array([[0.1, 0.5, 0.9]])
+    h1 = encode_batch(X, proj, kappa=3)
+    h2 = encode_batch(X, proj, kappa=3)
     np.testing.assert_array_equal(h1, h2)
     assert np.issubdtype(h1.dtype, np.integer)
     assert np.abs(h1).max() <= 3
@@ -111,33 +115,28 @@ def test_locality_of_single_feature_change():
     x2 = x1.copy()
     x2[1] = 0.9
     j = 1
-    f1 = thermometer_encode(x1[j], proj.dim).astype(np.int64)
-    f2 = thermometer_encode(x2[j], proj.dim).astype(np.int64)
+    f1 = thermometer(x1[j], proj.dim)
+    f2 = thermometer(x2[j], proj.dim)
     expected_diff = proj.columns[:, j] * (f2 - f1)
-    diff = encode_sums(x2, proj) - encode_sums(x1, proj)
+    sums = encode_batch_sums(np.stack([x1, x2]), proj).astype(np.int64)
+    diff = sums[1] - sums[0]
     np.testing.assert_array_equal(diff, expected_diff)
 
 
 def test_encode_dimension_mismatch():
     proj = init_projection(3, 20, SeedSpec(9))
     with pytest.raises(DimensionError):
-        encode_sample(np.array([0.1, 0.2]), proj, kappa=2)
+        encode_batch(np.array([[0.1, 0.2]]), proj, kappa=2)
+    with pytest.raises(DimensionError):
+        encode_batch(np.array([0.1, 0.2, 0.3]), proj, kappa=2)
 
 
-def test_encode_batch_matches_per_sample():
-    # Reference from the definition, not from the batch kernel that the
-    # single-sample functions wrap: sum_j columns[:, j] * thermometer(x_j), clipped.
+def test_encode_batch_matches_the_oracle_per_sample():
     proj = init_projection(5, 64, SeedSpec(10))
     X = SeedSpec(11).rng().uniform(size=(20, 5))
-    batch = encode_batch(X, proj, kappa=3)
-    raw = encode_batch_sums(X, proj)
-    for i in range(20):
-        sums = np.zeros(proj.dim, dtype=np.int64)
-        for j in range(proj.n_features):
-            sums += proj.columns[:, j] * thermometer_encode(X[i, j], proj.dim)
-        np.testing.assert_array_equal(raw[i], sums)
-        np.testing.assert_array_equal(batch[i], np.clip(sums, -3, 3))
-        np.testing.assert_array_equal(encode_sample(X[i], proj, kappa=3), batch[i])
+    np.testing.assert_array_equal(encode_batch_sums(X, proj), encode_rows(X, proj.columns))
+    np.testing.assert_array_equal(encode_batch(X, proj, kappa=3),
+                                  encode_rows(X, proj.columns, kappa=3))
 
 
 def test_encode_batch_rejects_bad_kappa(monkeypatch):
@@ -147,8 +146,6 @@ def test_encode_batch_rejects_bad_kappa(monkeypatch):
     proj = init_projection(2, 8, SeedSpec(12))
     with pytest.raises(InvalidParameterError):
         encode_batch(np.zeros((3, 2)), proj, kappa=0)
-    with pytest.raises(InvalidParameterError):
-        encode_sample(np.zeros(2), proj, kappa=0)
     assert encoded == []
 
 
@@ -157,21 +154,9 @@ def test_encode_rejects_non_finite_values(bad):
     proj = init_projection(2, 8, SeedSpec(13))
     with pytest.raises(InvalidParameterError):
         encode_batch(np.array([[0.5, 0.5], [bad, 0.5]]), proj, kappa=1)
-    with pytest.raises(InvalidParameterError):
-        encode_sample(np.array([0.5, bad]), proj, kappa=1)
 
 
 # ------------------------------------------------ narrow kernel against int64
-
-
-def sums_from_definition(X, columns):
-    """int64 sum over j of columns[:, j] * thermometer(X[:, j]), written out from the definition."""
-    dim, n_features = columns.shape
-    out = np.zeros((X.shape[0], dim), dtype=np.int64)
-    for j in range(n_features):
-        n_plus = np.floor(X[:, j] * dim + 0.5)[:, None]
-        out += columns[:, j].astype(np.int64) * np.where(np.arange(dim) < n_plus, 1, -1)
-    return out
 
 
 @st.composite
@@ -196,7 +181,7 @@ def test_encode_batch_sums_equals_int64_definition(batch):
     proj = InputProjection(columns=columns, seed=SeedSpec(0))
     sums = encode_batch_sums(X, proj)
     assert sums.dtype == np.int8
-    np.testing.assert_array_equal(sums, sums_from_definition(X, columns))
+    np.testing.assert_array_equal(sums, encode_rows(X, columns))
 
 
 def test_encode_batch_sums_widens_past_int16():
@@ -212,7 +197,7 @@ def test_encode_batch_sums_widens_past_int16():
     sums = encode_batch_sums(X, proj)
     assert sums.dtype == np.int32
     assert sums[0, 0] == n_features
-    np.testing.assert_array_equal(sums, sums_from_definition(X, columns))
+    np.testing.assert_array_equal(sums, encode_rows(X, columns))
 
 
 def level_batch(rows, dim):
@@ -237,7 +222,7 @@ def test_encode_batch_sums_binds_shared_and_sparse_levels_exactly(X, columns):
     proj = InputProjection(columns=columns, seed=SeedSpec(0))
     sums = encode_batch_sums(X, proj)
     assert sums.dtype == np.int8
-    np.testing.assert_array_equal(sums, sums_from_definition(X, columns))
+    np.testing.assert_array_equal(sums, encode_rows(X, columns))
 
 
 def extreme_batch(rows, n_features, dim=24):
@@ -263,7 +248,7 @@ def test_narrow_sums_equal_the_int64_definition_bit_for_bit(n_features, dtype, r
     sums = encode_batch_sums(X, InputProjection(columns=columns, seed=SeedSpec(0)))
     assert sums.dtype == dtype
     assert sums[0, 0] == n_features
-    np.testing.assert_array_equal(sums, sums_from_definition(X, columns))
+    np.testing.assert_array_equal(sums, encode_rows(X, columns))
 
 
 @pytest.mark.parametrize("kappa, in_place", [(1, True), (127, True), (128, False)])
@@ -282,7 +267,7 @@ def test_encode_batch_equals_clipped_int64_sums_bit_for_bit(kappa, in_place, mon
     H = encode_batch(X, proj, kappa)
     assert (H is made[0]) == in_place
     assert H.dtype == clip(np.zeros(1, dtype=np.int64), kappa).dtype
-    np.testing.assert_array_equal(H, np.clip(sums_from_definition(X, columns), -kappa, kappa))
+    np.testing.assert_array_equal(H, encode_rows(X, columns, kappa))
 
 
 def test_encode_batch_holds_little_beside_its_output():
@@ -337,5 +322,4 @@ def test_encode_batch_returns_int8_at_reference_kappa():
     X = SeedSpec(16).rng().uniform(size=(5, 4))
     H = encode_batch(X, proj, kappa=7)
     assert H.dtype == np.int8
-    np.testing.assert_array_equal(H, np.clip(sums_from_definition(X, proj.columns), -7, 7))
-    assert encode_sample(X[0], proj, kappa=7).dtype == np.int8
+    np.testing.assert_array_equal(H, encode_rows(X, proj.columns, 7))

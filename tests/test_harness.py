@@ -329,15 +329,25 @@ def test_run_suite_deterministic():
     assert records_to_jsonl(a) == records_to_jsonl(b)
 
 
-def test_run_suite_centralized_equals_local_single_agent():
+@pytest.mark.parametrize("full_test", [False, True], ids=["shard", "full-test"])
+@pytest.mark.parametrize("split_mode", ["holdout", "kfold"])
+# 150 holdout or 225 k-fold train rows: dim 60 solves the primal system, 400 the dual.
+@pytest.mark.parametrize("dim", [60, 400], ids=["primal", "dual"])
+@pytest.mark.parametrize("kind", ["rls", "centroid"])
+def test_run_suite_centralized_equals_local_single_agent(kind, dim, split_mode, full_test):
+    # One agent's shards are its whole train and test sets, shuffled.
     cfg = small_config(
-        versions=(ExperimentVersion("centralized"), ExperimentVersion("local")),
+        versions=(ExperimentVersion("centralized", classifier_kind=kind),
+                  ExperimentVersion("local", classifier_kind=kind)),
         agent_counts=(1,),
-        n_seeds=1,
-        eval_on_full_test=True,
+        dim=dim,
+        n_seeds=3,
+        split_mode=split_mode,
+        eval_on_full_test=full_test,
     )
     central, local = run_suite(cfg)
     assert central.version == "centralized"
+    assert central.per_seed_mean == local.per_seed_mean
     assert central.mean_accuracy == local.mean_accuracy
 
 

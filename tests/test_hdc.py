@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hvnet.errors import DimensionError, InvalidParameterError, SingularKeyError
 from hvnet.data import synth_blobs
-from hvnet.encoding import init_projection, thermometer_encode
+from hvnet.encoding import init_projection
 from hvnet.harness import ExperimentConfig
 from hvnet.hdc import (
     SeedSpec,
@@ -85,7 +85,6 @@ def test_experiment_config_rejects_seed_outside_u64():
 @pytest.mark.parametrize("call", [
     lambda s: init_projection(4, 2.5, s),
     lambda s: init_projection(True, 8, s),
-    lambda s: thermometer_encode(0.5, 2.5),
     lambda s: random_bipolar(True, s),
     lambda s: random_gaussian_key(8.0, s),
     lambda s: synth_blobs(3.0, 2, 30, 1.0, s),
@@ -93,7 +92,7 @@ def test_experiment_config_rejects_seed_outside_u64():
     lambda s: partition(10, 2.5, s),
     lambda s: partition(10, True, s),
     lambda s: AgentNetwork.fully_connected(2.5),
-], ids=["projection-dim", "projection-features", "thermometer", "bipolar", "gaussian-key",
+], ids=["projection-dim", "projection-features", "bipolar", "gaussian-key",
         "synth-classes", "synth-samples-below-classes", "partition-float", "partition-bool", "fully-connected"])
 def test_counts_must_be_integers(call):
     with pytest.raises(InvalidParameterError, match="must be an integer >= "):

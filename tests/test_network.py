@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from hvnet.classifiers import (
-    ClassifierMatrix, evaluate, one_hot, predict_batch, train_centroids, train_rls,
-)
+from hvnet.classifiers import ClassifierMatrix, predict_batch, train_centroids
 from hvnet.data import SplitSpec, split, synth_blobs
 from hvnet.encoding import encode_batch, init_projection
 from hvnet.errors import (
