@@ -18,6 +18,7 @@ from scipy import linalg as sla
 from scipy.linalg import blas, lapack
 
 from .errors import DimensionError, EmptyClassWarning, InvalidParameterError, SingularSystemError
+from .hdc import check_count
 
 __all__ = [
     "ClassifierMatrix",
@@ -80,8 +81,7 @@ def _check_labels(labels, n_classes: int) -> NDArray[np.int64]:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size < 1:
         raise InvalidParameterError("labels must be a non-empty 1-D sequence")
-    if n_classes < 2:
-        raise InvalidParameterError("need at least two classes")
+    check_count("n_classes", n_classes, lo=2)
     if labels.min() < 1 or labels.max() > n_classes:
         raise InvalidParameterError("labels must lie in 1..n_classes")
     return labels

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -213,8 +214,9 @@ def synth_blobs(
     check_count("n_classes", n_classes, lo=2)  # one class cannot be classified
     check_count("n_features", n_features)
     check_count("n_samples", n_samples, lo=n_classes)  # every class gets a sample
-    if separation < 0:
-        raise InvalidParameterError("separation must be >= 0")
+    is_real = isinstance(separation, numbers.Real) and not isinstance(separation, bool)
+    if not (is_real and 0 <= separation < math.inf):
+        raise InvalidParameterError(f"separation must be a finite number >= 0, got {separation!r}")
     rng = seed.rng()
     dirs = rng.standard_normal((n_classes, n_features))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -60,6 +60,9 @@ def test_one_hot_rejects_out_of_range():
         one_hot([0, 1], 2)
     with pytest.raises(InvalidParameterError):
         one_hot([1, 3], 2)
+    for n_classes in (2.5, True, 1):
+        with pytest.raises(InvalidParameterError, match="n_classes must be an integer >= 2"):
+            one_hot([1, 2], n_classes)
 
 
 # ----------------------------------------------------------- least squares
@@ -529,9 +532,11 @@ def test_empty_class_warning_prints_plain_class_numbers():
 @pytest.mark.parametrize("labels, n_classes, message", [
     ([0, 5, 7], 2, r"labels must lie in 1\.\.n_classes"),
     ([1, 2, 3], 2, r"labels must lie in 1\.\.n_classes"),
-    ([1, 1, 1], 1, "need at least two classes"),
-    ([1, 1, 1], 0, "need at least two classes"),
-], ids=["below-and-above", "above", "one-class", "no-class"])
+    ([1, 1, 1], 1, "n_classes must be an integer >= 2, got 1"),
+    ([1, 1, 1], 0, "n_classes must be an integer >= 2, got 0"),
+    ([1, 2, 1], 2.5, "n_classes must be an integer >= 2, got 2.5"),
+    ([1, 2, 1], True, "n_classes must be an integer >= 2, got True"),
+], ids=["below-and-above", "above", "one-class", "no-class", "non-integer", "bool"])
 def test_centroids_reject_labels_outside_the_classes(labels, n_classes, message):
     # Before the check, labels outside 1..n_classes were dropped with only an
     # EmptyClassWarning, and n_classes=0 failed on the empty weights.

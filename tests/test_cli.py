@@ -1,6 +1,8 @@
 """Command-line interface behavior via the click test runner."""
 
+import csv
 import dataclasses
+import io
 import json
 import os
 import re
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hvnet.cli
 import hvnet.network
@@ -22,6 +26,19 @@ SYNTH = "synth:classes=2,features=4,samples=160,sep=4.0,seed=3"
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture(scope="module")
+def run_records(tmp_path_factory):
+    """One run's JSONL: centralized, and local, distributed and compressed at N = 2 and 4."""
+    out = tmp_path_factory.mktemp("run") / "run.jsonl"
+    result = CliRunner().invoke(main, [
+        "run", "--dataset", SYNTH, "--version", "centralized", "--version", "local",
+        "--version", "distributed", "--compress", "--agents", "2", "--agents", "4",
+        "--seeds", "2", "--dim", "40", "--kappa", "3", "--allow-off-grid", "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    return out
 
 
 def test_run_options_default_to_the_config_fields(runner):
@@ -129,6 +146,24 @@ def test_malformed_manifest_is_a_clean_error(runner, tmp_path, command, text, me
     assert f"Error: manifest {manifest}" in result.output and message in result.output
 
 
+@pytest.mark.parametrize("data, entry, message", [
+    (b"1.0,2.0,a\n3.0,4.0,b\n5.0,6.0\n7.0,8.0,a\n", {}, "row 3 has 2 cells, not 3"),
+    (b"0,1\n1,2,2\n", {}, "row 2 has 3 cells, not 2"),
+    (b"\xff\xfe1.0,a\n2.0,b\n", {}, "is not UTF-8 text"),
+    (b"1.0,2.0,a\n3.0,4.0,b\n", {"label_column": 5}, "label_column 5 is not a column of"),
+], ids=["short-row", "long-row", "not-utf-8", "label-column"])
+def test_malformed_csv_is_a_clean_error_that_names_its_file(runner, tmp_path, data, entry,
+                                                            message):
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"d": {"path": path.name, **entry}}), encoding="utf-8")
+    result = runner.invoke(main, ["run", "--dataset", "d", "--manifest", str(manifest),
+                                  "--version", "local", "--agents", "1"])
+    assert result.exit_code == 1 and result.output.startswith("Error: ")
+    assert str(path.resolve()) in result.output and message in result.output
+
+
 @pytest.mark.parametrize("bad_line, message", [
     ('{"dataset": "toy", "n_agents": ', "line 1: Expecting value"),
     ("5", "line 1: a record must be a JSON object, got int"),
@@ -198,6 +233,12 @@ def test_grid_restricted_search(runner, tmp_path):
     best = json.loads(out.read_text())
     assert best["dim"] in (40, 80) and best["lambda"] == 1.0 and best["kappa"] == 3
 
+    def reject(name):
+        raise AssertionError(f"non-finite constant {name} in the grid's output")
+
+    # The printed triple is strict JSON: no NaN or Infinity.
+    assert json.loads(result.output, parse_constant=reject) == best
+
 
 def test_grid_rejects_invalid_kappa(runner):
     result = runner.invoke(main, [
@@ -252,26 +293,50 @@ def test_grid_rejects_invalid_settings_before_reading_data(runner, monkeypatch, 
      "bad synth parameter 'classes=abc'"),
     (["run", "--dataset", "synth:classes=1", "--version", "local"],
      "n_classes must be an integer >= 2, got 1"),
-], ids=["grid-seed", "synth-value", "synth-one-class"])
+    (["run", "--dataset", "synth:classes=5,samples=3,features=2", "--version", "local",
+      "--agents", "1", "--seeds", "1"], "n_samples must be an integer >= 5, got 3"),
+    (["run", "--dataset", "synth:sep=nan", "--version", "local"],
+     "separation must be a finite number >= 0, got nan"),
+], ids=["grid-seed", "synth-value", "synth-one-class", "synth-fewer-samples-than-classes",
+        "synth-nan-sep"])
 def test_out_of_range_seed_and_bad_synth_spec_are_clean_errors(runner, args, message):
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert result.output.startswith(f"Error: {message}")
 
 
-def test_report_renders_table_and_scatter(runner, tmp_path):
-    out = tmp_path / "records.jsonl"
-    ran = runner.invoke(main, [
-        "run", "--dataset", SYNTH, "--version", "centralized", "--version", "local",
-        "--agents", "4", "--seeds", "1", "--dim", "40", "--kappa", "3", "--allow-off-grid",
-        "--out", str(out),
-    ])
-    assert ran.exit_code == 0
-    table = runner.invoke(main, ["report", str(out), "--format", "table"])
+def test_report_renders_table_and_scatter(runner, run_records):
+    table = runner.invoke(main, ["report", str(run_records), "--format", "table"])
     assert table.exit_code == 0 and "rls/local" in table.output
-    scatter = runner.invoke(main, ["report", str(out), "--scatter", "local:centralized"])
+    scatter = runner.invoke(main, ["report", str(run_records), "--scatter", "local:centralized"])
     assert scatter.exit_code == 0
-    assert scatter.output.splitlines()[0] == "dataset,classifier,n_agents,acc_a,acc_b"
+    rows = list(csv.reader(io.StringIO(scatter.output)))
+    assert rows[0] == ["dataset", "classifier", "n_agents", "acc_a", "acc_b"]
+    # One line per local record, each paired with the one centralized record.
+    assert [row[2] for row in rows[1:]] == ["2", "4"]
+    assert all(len(row) == 5 for row in rows)
+
+
+def test_report_gives_back_a_runs_records(runner, run_records):
+    jsonl = runner.invoke(main, ["report", str(run_records), "--format", "jsonl"])
+    assert jsonl.exit_code == 0
+    assert jsonl.stdout_bytes == run_records.read_bytes()
+    rendered = runner.invoke(main, ["report", str(run_records), "--format", "csv"])
+    assert rendered.exit_code == 0
+    rows = list(csv.reader(io.StringIO(rendered.output)))
+    assert len(rows) == 1 + len(records_from_jsonl(run_records))
+
+
+def test_report_rejects_a_run_record_whose_accuracy_is_nan(runner, tmp_path, run_records):
+    line = run_records.read_text(encoding="utf-8").splitlines()[0]
+    bad, n = re.subn(r'"mean_accuracy":[^,]*', '"mean_accuracy":NaN', line)
+    assert n == 1
+    path = tmp_path / "nan.jsonl"
+    path.write_text(bad + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["report", str(path)])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: {path} line 1: record field 'mean_accuracy': "
+                                    "expected a finite number, got nan")
 
 
 def test_report_of_an_empty_record_file_gives_back_its_bytes(runner, tmp_path):
@@ -296,3 +361,60 @@ def test_report_rejects_unknown_scatter_label(runner, tmp_path):
 def test_report_missing_file(runner, tmp_path):
     result = runner.invoke(main, ["report", str(tmp_path / "absent.jsonl")])
     assert result.exit_code != 0
+
+
+# ------------------------------------------------------ malformed-byte fuzz
+
+# A valid input of each kind the CLI reads; the manifest names the CSV and
+# the split file, whose indices cover the CSV's 12 rows and both classes.
+_VALID_INPUTS = {
+    "d.csv": "".join(f"{i % 5}.{i},{i % 3}.5,{'ab'[i % 2]}\n" for i in range(12)).encode(),
+    "manifest.json": json.dumps({"d": {"path": "d.csv", "label_column": -1, "header": False,
+                                       "split_file": "split.json"}}).encode(),
+    "split.json": json.dumps({"train": list(range(8)), "test": list(range(8, 12))}).encode(),
+}
+
+
+def _edit(data: bytes, draw) -> bytes:
+    """``data`` after one to three edits: flip one bit of a byte, insert a byte, or delete one."""
+    buf = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["flip", "insert", "delete"]))
+        if op == "insert":
+            buf.insert(draw(st.sampled_from(range(len(buf) + 1))), draw(st.integers(0, 255)))
+        elif buf:
+            where = draw(st.sampled_from(range(len(buf))))
+            if op == "flip":
+                buf[where] ^= 1 << draw(st.integers(0, 7))
+            else:
+                del buf[where]
+    return bytes(buf)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(target=st.sampled_from([*_VALID_INPUTS, "run.jsonl"]), data=st.data())
+def test_malformed_input_bytes_exit_cleanly(fuzz_dir, run_records, target, data):
+    # Whatever a few edited bytes make of an input, each command exits 0, or
+    # exits 1 with an "Error:" message; any other exception is a bug.
+    files = {**_VALID_INPUTS, "run.jsonl": run_records.read_bytes()}
+    for name, valid in files.items():
+        (fuzz_dir / name).write_bytes(_edit(valid, data.draw) if name == target else valid)
+    if target == "run.jsonl":
+        records = str(fuzz_dir / "run.jsonl")
+        calls = [["report", records, "--format", fmt] for fmt in ("table", "csv", "jsonl")]
+        calls.append(["report", records, "--scatter", "local:centralized"])
+    else:
+        data_args = ["--dataset", "d", "--manifest", str(fuzz_dir / "manifest.json")]
+        calls = [["run", *data_args, "--version", "local", "--agents", "1", "--seeds", "1",
+                  "--dim", "16", "--kappa", "3", "--allow-off-grid"],
+                 ["grid", *data_args, "--dim", "16", "--lambda", "1", "--kappa", "3"]]
+    for args in calls:
+        result = CliRunner().invoke(main, args)
+        if result.exit_code != 0:
+            assert isinstance(result.exception, SystemExit), (args, result.exception)
+            assert result.exit_code == 1 and result.output.startswith("Error:"), result.output

@@ -291,11 +291,23 @@ def test_synth_blobs_generous_separation_is_easy():
     assert _centralized_accuracy(ds) > 0.95
 
 
-def test_synth_blobs_validation():
-    with pytest.raises(InvalidParameterError):
-        synth_blobs(0, 2, 10, 1.0, SeedSpec(0))
-    with pytest.raises(InvalidParameterError):
-        synth_blobs(2, 2, 10, -1.0, SeedSpec(0))
+class _NoDraws:
+    def rng(self):
+        raise AssertionError("a sample was drawn")
+
+
+@pytest.mark.parametrize("n_classes, separation, message", [
+    (0, 1.0, "n_classes must be an integer >= 2, got 0"),
+    (2, -1.0, "separation must be a finite number >= 0, got -1.0"),
+    (2, float("nan"), "separation must be a finite number >= 0, got nan"),
+    (2, float("inf"), "separation must be a finite number >= 0, got inf"),
+    (2, True, "separation must be a finite number >= 0, got True"),
+    (2, "3", "separation must be a finite number >= 0, got '3'"),
+], ids=["no-class", "negative-sep", "nan-sep", "inf-sep", "bool-sep", "string-sep"])
+def test_synth_blobs_validation(n_classes, separation, message):
+    # _NoDraws fails the test if a sample is drawn before the check.
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        synth_blobs(n_classes, 2, 10, separation, _NoDraws())
 
 
 # ----------------------------------------------------- manifest / resolution
@@ -324,8 +336,12 @@ def test_resolve_synth_rejects_bad_values(spec):
     ("synth:classes=1", "n_classes must be an integer >= 2, got 1"),
     ("synth:seed=-1", "master_seed"),
     ("synth:seed=18446744073709551616", "master_seed"),
+    ("synth:sep=nan", "separation must be a finite number >= 0, got nan"),
+    ("synth:sep=inf", "separation must be a finite number >= 0, got inf"),
+    ("synth:sep=1e400", "separation must be a finite number >= 0, got inf"),
+    ("synth:sep=-0.5", "separation must be a finite number >= 0, got -0.5"),
 ])
-def test_resolve_synth_rejects_one_class_and_seeds_outside_u64(spec, message):
+def test_resolve_synth_rejects_values_outside_their_domains(spec, message):
     with pytest.raises(InvalidParameterError, match=message):
         resolve_dataset(spec)
 

@@ -351,23 +351,26 @@ def test_run_suite_centralized_equals_local_single_agent(kind, dim, split_mode, 
     assert central.mean_accuracy == local.mean_accuracy
 
 
-def test_run_suite_centroid_distributed_equals_centralized():
+@pytest.mark.parametrize("split_mode", ["holdout", "kfold"])
+def test_run_suite_centroid_distributed_equals_centralized(split_mode):
     cfg = small_config(
         versions=(
             ExperimentVersion("centralized", classifier_kind="centroid"),
             ExperimentVersion("distributed", classifier_kind="centroid"),
         ),
-        agent_counts=(5,),
+        agent_counts=(3, 5),
         n_seeds=2,
         eval_on_full_test=True,
+        split_mode=split_mode,
+        k_folds=3,
     )
-    central, dist = run_suite(cfg)
+    central, *dist = run_suite(cfg)
+    assert [r.n_agents for r in dist] == [3, 5]
     # Every agent's accuracy reproduces the centralized value bit for bit;
-    # the record-level mean may differ by one ulp from averaging five
-    # identical floats.
-    for agent_mean in dist.per_agent_mean:
-        assert agent_mean == central.per_agent_mean[0]
-    assert dist.mean_accuracy == pytest.approx(central.mean_accuracy, abs=1e-14)
+    # the record-level mean may differ by one ulp from averaging identical floats.
+    for record in dist:
+        assert record.per_agent_mean == (central.per_agent_mean[0],) * record.n_agents
+        assert record.mean_accuracy == pytest.approx(central.mean_accuracy, abs=1e-14)
 
 
 def test_run_suite_kfold_mode_runs():
