@@ -142,15 +142,15 @@ def _normal_equations(H, Y, lams) -> tuple[NDArray, NDArray, NDArray | None]:
     The one primal/dual rule: H H^T against Y when there are fewer rows than
     columns and every lambda is positive, else H^T H against H^T Y.
     ``dual_H`` is H in float64 for the dual system, which :func:`_from_dual`
-    maps back with, and None for the primal one.  syrk fills the Gram
-    matrix's lower triangle only.  The products are numpy's ``H @ H.T``,
-    ``H.T @ H`` and ``H.T @ Y`` bit for bit (for float input, an upper dsyrk
-    or ``dgemm(1.0, H.T, Y)`` is not), and go to scipy's BLAS, which also
-    solves: each library's OpenBLAS has its own thread pool, and one that
-    has just finished spins on the cores the other needs.  Integer input
-    gives numpy's bits at every OpenBLAS kernel, and float input at all but
-    one: at the Prescott (SSE3) kernel, the dsyrk of a one-row float H
-    (a 1 x 1 dual Gram matrix) differs from numpy's in the last bit.
+    maps back with, and None for the primal one.  The products are numpy's
+    ``H @ H.T``, ``H.T @ H`` and ``H.T @ Y`` bit for bit at every OpenBLAS
+    kernel.  When H has one row or one column they are vector products,
+    which numpy sums in another order than dsyrk and dgemm, so they are
+    numpy's own.  Otherwise they go to scipy's BLAS, which also solves: each
+    library's OpenBLAS has its own thread pool, and one that has just
+    finished spins on the cores the other needs.  There, syrk fills the Gram
+    matrix's lower triangle only (for float input, an upper dsyrk or
+    ``dgemm(1.0, H.T, Y)`` would not give numpy's bits).
 
     A primal system whose partial sums are all integers below 2**24 (see
     :func:`_exact_in_float32`) is summed in float32 by :func:`_exact_system`
@@ -162,6 +162,8 @@ def _normal_equations(H, Y, lams) -> tuple[NDArray, NDArray, NDArray | None]:
     if not dual and _exact_in_float32(H, Y):
         return (*_exact_system(H, Y), None)
     H = np.asarray(H, dtype=np.float64)
+    if min(H.shape) == 1:
+        return (H @ H.T, Y, H) if dual else (H.T @ H, H.T @ Y, None)
     gram = blas.dsyrk(1.0, H.T, trans=1 if dual else 0, lower=1)
     if dual:
         return gram, Y, H

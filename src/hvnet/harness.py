@@ -96,6 +96,11 @@ def _check_entries(name: str, values, check=None) -> None:
             raise InvalidParameterError(f"{name} repeats {value!r}")
 
 
+def _python_number(value):
+    """A numpy scalar as the Python number it holds; anything else as it is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """The (dim, lambda, kappa) axes of a grid search and its holdout's train share.
@@ -131,7 +136,8 @@ class ExperimentConfig:
     ``allow_off_grid`` is set, lie inside the default search ranges.
     ``versions`` and ``agent_counts`` are non-empty and repeat no entry.
     The split settings must form a valid :attr:`split_spec`.  Every check
-    runs at construction, before any data is read.
+    runs at construction, before any data is read.  Numbers are then stored
+    as Python's (lambda as a float), so that every record can be written.
     """
 
     dataset: str
@@ -157,6 +163,11 @@ class ExperimentConfig:
         _check_entries("versions", self.versions)
         _check_entries("agent_counts", self.agent_counts, partial(check_count, "agent count"))
         self.split_spec  # checks split_mode, and train_fraction or k_folds
+        # The checks admit numpy scalars and any real lambda, which JSON cannot write.
+        for name in ("dim", "kappa", "n_seeds", "master_seed", "k_folds", "train_fraction"):
+            object.__setattr__(self, name, _python_number(getattr(self, name)))
+        object.__setattr__(self, "agent_counts", tuple(map(_python_number, self.agent_counts)))
+        object.__setattr__(self, "lam", float(self.lam))
         if self.allow_off_grid:
             return
         for name, value in (("dim", self.dim), ("lam", self.lam), ("kappa", self.kappa)):
@@ -313,7 +324,7 @@ def grid_search(ds: Dataset, grid: GridSpec, seed: SeedSpec) -> tuple[int, float
         for kappa in sorted(grid.kappa_values):
             models = rls_sweep(clip(sums_train, kappa), Y_train, lams)
             for lam, acc in zip(lams, evaluate_many(models, clip(sums_val, kappa), y_val)):
-                triple = (dim, float(lam), int(kappa))
+                triple = (int(dim), float(lam), int(kappa))
                 if acc > best_acc or (acc == best_acc and triple < best):
                     best_acc, best = acc, triple
     return best

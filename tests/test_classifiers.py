@@ -104,16 +104,26 @@ def inline_dual_rls(H, Y, lam):
     return (H.T @ S).T
 
 
+def activations_of(rng, rows, dim, activations, bound):
+    """int8 activations clipped at 15, standard-normal ones, or normal ones spread over 10**(+-3)."""
+    if activations == "int8":
+        H = clip(rng.integers(-bound, bound + 1, size=(rows, dim)), 15)
+        assert H.dtype == np.int8
+        return H
+    H = rng.standard_normal((rows, dim))
+    if activations == "wide":
+        H *= 10.0 ** rng.uniform(-3, 3, size=(rows, dim))
+    return H
+
+
 @pytest.mark.parametrize("lam", [2.0**-10, 0.5, 32.0])
-@pytest.mark.parametrize("activations", ["int8", "float"])
+@pytest.mark.parametrize("activations", ["int8", "float", "wide"])
 @pytest.mark.parametrize("rows, dim", [(1, 40), (30, 200), (199, 200)])
 def test_rls_dual_equals_inline_cholesky_bit_for_bit(rows, dim, activations, lam):
+    # A one-row H makes the Gram matrix 1 x 1, a dot product that only
+    # numpy's own H @ H.T gives the bits of at every OpenBLAS kernel.
     rng = SeedSpec(29).rng()
-    if activations == "int8":
-        H = clip(rng.integers(-20, 21, size=(rows, dim)), 15)
-        assert H.dtype == np.int8
-    else:
-        H = rng.standard_normal((rows, dim))
+    H = activations_of(rng, rows, dim, activations, 20)
     Y = one_hot(rng.integers(1, 4, size=rows), 3)
     assert np.array_equal(train_rls(H, Y, lam).weights, inline_dual_rls(H, Y, lam))
 
@@ -127,17 +137,13 @@ def inline_primal_rls(H, Y, lam):
 
 
 @pytest.mark.parametrize("lam", [0.0, 2.0**-10, 32.0])
-@pytest.mark.parametrize("activations", ["int8", "float"])
-@pytest.mark.parametrize("rows, dim", [(300, 300), (600, 300), (1500, 750)])
+@pytest.mark.parametrize("activations", ["int8", "float", "wide"])
+@pytest.mark.parametrize("rows, dim", [(300, 300), (600, 300), (1500, 750), (300, 1)])
 def test_rls_primal_equals_inline_cholesky_bit_for_bit(rows, dim, activations, lam):
     # Float activations round in every product, so only numpy's own forms of
     # H^T H and H^T Y give these bits; integer ones are exact in any form.
     rng = SeedSpec(30).rng()
-    if activations == "int8":
-        H = clip(rng.integers(-20, 21, size=(rows, dim)), 15)
-        assert H.dtype == np.int8
-    else:
-        H = rng.standard_normal((rows, dim))
+    H = activations_of(rng, rows, dim, activations, 20)
     Y = one_hot(rng.integers(1, 4, size=rows), 3)
     assert np.array_equal(train_rls(H, Y, lam).weights, inline_primal_rls(H, Y, lam))
 
@@ -323,23 +329,24 @@ def numpy_gram_sweep(H, Y, lams):
     return [w.T for w in np.split(solutions, len(lams), axis=1)]
 
 
-@pytest.mark.parametrize("rows, dim, activations", [
-    pytest.param(1500, 750, "int8", id="primal"),
-    pytest.param(500, 750, "int8", id="dual"),
-    pytest.param(1500, 750, "float", id="primal-float"),
-    pytest.param(500, 750, "float", id="dual-float"),
-    pytest.param(600, 300, "int8", id="primal-600x300"),
-    pytest.param(600, 300, "float", id="primal-600x300-float"),
+# The one-row case draws from seed 29: seed 28's 1 x 40 row happens to sum
+# to the same bits in dsyrk's order and in numpy's.
+@pytest.mark.parametrize("rows, dim, activations, seed", [
+    pytest.param(1500, 750, "int8", 28, id="primal"),
+    pytest.param(500, 750, "int8", 28, id="dual"),
+    pytest.param(1500, 750, "float", 28, id="primal-float"),
+    pytest.param(500, 750, "float", 28, id="dual-float"),
+    pytest.param(600, 300, "int8", 28, id="primal-600x300"),
+    pytest.param(600, 300, "float", 28, id="primal-600x300-float"),
+    pytest.param(1, 40, "wide", 29, id="dual-one-row-wide"),
+    pytest.param(300, 1, "wide", 28, id="primal-one-column-wide"),
 ])
-def test_rls_sweep_equals_numpy_gram_path_bit_for_bit(rows, dim, activations):
+def test_rls_sweep_equals_numpy_gram_path_bit_for_bit(rows, dim, activations, seed):
     # The Gram, cross and closing products are issued in the forms that give
     # numpy's bits, so float activations match too; integer activations make
     # every Gram and cross-product entry exact in any form.
-    rng = SeedSpec(28).rng()
-    if activations == "int8":
-        H = clip(rng.integers(-40, 41, size=(rows, dim)), 15)
-    else:
-        H = rng.standard_normal((rows, dim))
+    rng = SeedSpec(seed).rng()
+    H = activations_of(rng, rows, dim, activations, 40)
     Y = one_hot(rng.integers(1, 4, size=rows), 3)
     want = numpy_gram_sweep(H, Y, DEFAULT_LAMBDA_GRID)
     got = rls_sweep(H, Y, DEFAULT_LAMBDA_GRID)

@@ -17,6 +17,7 @@ from hvnet.compression import (
 from hvnet.errors import DimensionError, InvalidParameterError, ProtocolError, SingularKeyError
 from hvnet.hdc import SeedSpec, circ_convolve, inverse, superpose
 from hvnet.network import EXCHANGE_BLOCK, AgentNetwork, exchange_and_aggregate
+from topology import ring, sorted_neighborhood
 
 
 def unit_rows(n_classes, dim, seed):
@@ -256,26 +257,16 @@ def reference_exchange(network, classifiers):
     ]
     aggregates = []
     for p in range(network.n_agents):
-        members = set(np.flatnonzero(network.omega[p]).tolist()) | {p}
-        ordered = sorted(members, key=lambda s: network.agent_ids[s])
-        aggregates.append(superpose(received[m] for m in ordered))
+        aggregates.append(superpose(received[m] for m in sorted_neighborhood(network, p)))
     return aggregates
-
-
-def ring_network(agent_ids):
-    n = len(agent_ids)
-    omega = np.zeros((n, n), dtype=np.int64)
-    for p in range(n):
-        omega[p, (p + 1) % n] = omega[(p + 1) % n, p] = 1
-    return AgentNetwork(omega=omega, agent_ids=tuple(agent_ids))
 
 
 @pytest.mark.parametrize("network, n_classes, dim", [
     (AgentNetwork.fully_connected(5, agent_ids=IDS), 3, 64),
     (AgentNetwork.fully_connected(EXCHANGE_BLOCK + 1), 10, 101),
     # Not a multiple of the block, with ids in no particular order.
-    (ring_network([(37 * p) % 41 for p in range(2 * EXCHANGE_BLOCK + 3)]), 3, 150),
-    (ring_network([5, 2**64 - 1, 9]), 1, 32),
+    (ring([(37 * p) % 41 for p in range(2 * EXCHANGE_BLOCK + 3)]), 3, 150),
+    (ring([5, 2**64 - 1, 9]), 1, 32),
 ], ids=["five-scattered-ids", "one-past-a-block", "ring-35", "ring-3"])
 def test_compressed_exchange_equals_the_one_agent_codec(network, n_classes, dim):
     weights = wide_range_stack((network.n_agents, n_classes, dim), 49)

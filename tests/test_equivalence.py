@@ -32,6 +32,7 @@ from hvnet.network import (
     run_version,
     run_versions,
 )
+from topology import ring, sorted_neighborhood
 
 # ------------------------------------------------------- grouped exchange
 
@@ -51,11 +52,6 @@ def networks(draw, max_agents=12):
 def wide_range_weights(rng, shape):
     """Floats spanning many magnitudes, so the order of a sum changes its rounding."""
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
-
-
-def naive_neighborhood(network, p):
-    members = set(np.flatnonzero(network.omega[p]).tolist()) | {p}
-    return sorted(members, key=lambda s: network.agent_ids[s])
 
 
 def naive_sum(arrays, members):
@@ -83,7 +79,7 @@ def test_grouped_rls_exchange_equals_sequential_reference(net_rng, n_classes, di
     classifiers = [ClassifierMatrix(weights=w, kind="rls") for w in weights]
     got, payload = exchange_and_aggregate(net, classifiers, compression=False)
     want = [
-        ClassifierMatrix(weights=naive_sum(weights, naive_neighborhood(net, p)), kind="rls")
+        ClassifierMatrix(weights=naive_sum(weights, sorted_neighborhood(net, p)), kind="rls")
         for p in range(net.n_agents)
     ]
     assert_same_classifiers(got, want)
@@ -101,7 +97,7 @@ def test_grouped_centroid_exchange_equals_sequential_reference(net_rng, n_classe
         got, _ = exchange_and_aggregate(net, classifiers, compression=False)
         want = []
         for p in range(net.n_agents):
-            members = naive_neighborhood(net, p)
+            members = sorted_neighborhood(net, p)
             want.append(finalize_centroids(naive_sum(sums, members)))
     assert_same_classifiers(got, want)
 
@@ -121,7 +117,7 @@ def test_grouped_compressed_exchange_equals_sequential_reference(net_rng, n_clas
         received.append(decompress(compress(c, keys), keys, kind=kind).weights)
     got, payload = exchange_and_aggregate(net, classifiers, compression=True)
     want = [
-        ClassifierMatrix(weights=naive_sum(received, naive_neighborhood(net, p)), kind=kind)
+        ClassifierMatrix(weights=naive_sum(received, sorted_neighborhood(net, p)), kind=kind)
         for p in range(net.n_agents)
     ]
     assert_same_classifiers(got, want)
@@ -173,8 +169,7 @@ def test_exchange_aggregates_equal_the_former_stacked_sum(topology, exchange):
     rng = np.random.default_rng(23)
     n, n_classes, dim = 7, 3, 16
     ids = (5, 40, 3, 17, 0, 28, 9)  # not ascending, so the sorted order matters
-    omega = np.ones((n, n), dtype=np.int64) if topology == "full" else ring(n).omega
-    net = AgentNetwork(omega=omega, agent_ids=ids)
+    net = AgentNetwork.fully_connected(n, agent_ids=ids) if topology == "full" else ring(ids)
     if exchange == "centroid":
         stack = rng.integers(-50, 50, size=(n, n_classes, dim))
         classifiers = [finalize_centroids(sums) for sums in stack]
@@ -188,7 +183,7 @@ def test_exchange_aggregates_equal_the_former_stacked_sum(topology, exchange):
     got, _ = exchange_and_aggregate(net, classifiers, compression=exchange == "compressed")
     for p, aggregate in enumerate(got):
         total = aggregate.class_sums if exchange == "centroid" else aggregate.weights
-        want = stacked_sum(stack, naive_neighborhood(net, p))
+        want = stacked_sum(stack, sorted_neighborhood(net, p))
         assert total.dtype == want.dtype and np.array_equal(total, want)
 
 
@@ -213,14 +208,6 @@ ALL_VERSIONS = [
 ]
 
 
-def ring(n):
-    omega = np.zeros((n, n), dtype=np.int64)
-    for p in range(n):
-        omega[p, (p + 1) % n] = omega[(p + 1) % n, p] = 1
-    np.fill_diagonal(omega, 0)
-    return AgentNetwork(omega=omega, agent_ids=tuple(range(n)))
-
-
 @pytest.mark.parametrize("eval_on_full_test", [False, True])
 @pytest.mark.parametrize("topology", ["full", "ring"])
 def test_shared_pass_matches_standalone_runs(blobs, eval_on_full_test, topology):
@@ -230,7 +217,7 @@ def test_shared_pass_matches_standalone_runs(blobs, eval_on_full_test, topology)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for n_agents in (1, 4, 9):
-            network = ring(n_agents) if topology == "ring" else None
+            network = ring(range(n_agents)) if topology == "ring" else None
             for version in ALL_VERSIONS:
                 args = (version, n_agents, network, eval_on_full_test)
                 reused = run_version(shared, *args)
@@ -249,7 +236,8 @@ def test_run_version_scores_like_a_per_agent_loop(blobs, version, topology, eval
     ds, train_idx, test_idx = blobs
     n_agents, seed = 5, SeedSpec(32)
     shared = SharedPass(ds, train_idx, test_idx, PARAMS, seed)
-    network = ring(n_agents) if topology == "ring" else AgentNetwork.fully_connected(n_agents)
+    network = (ring(range(n_agents)) if topology == "ring"
+               else AgentNetwork.fully_connected(n_agents))
     kind = version.classifier_kind
     train_shards = partition(train_idx.size, n_agents, seed.child("train_partition")).shards
     test_shards = partition(test_idx.size, n_agents, seed.child("test_partition")).shards
@@ -279,7 +267,7 @@ def test_run_version_scores_like_a_per_agent_loop(blobs, version, topology, eval
 def test_run_versions_equals_one_run_per_version(blobs, n_agents, topology, eval_on_full_test):
     # dim 80 puts L * dim below 1024, where the former kernel stacked models.
     ds, train_idx, test_idx = blobs
-    network = ring(n_agents) if topology == "ring" else None
+    network = ring(range(n_agents)) if topology == "ring" else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(35))
@@ -345,7 +333,7 @@ def test_a_pass_generates_each_agents_keys_once(blobs, monkeypatch):
 def test_exchange_with_filled_key_sets_equals_a_fresh_one():
     rng = np.random.default_rng(38)
     ids = (5, 40, 3, 17, 0, 28, 9)
-    net = AgentNetwork(omega=ring(len(ids)).omega, agent_ids=ids)
+    net = ring(ids)
     classifiers = [
         ClassifierMatrix(weights=wide_range_weights(rng, (3, 32)), kind="rls") for _ in ids
     ]

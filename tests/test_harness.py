@@ -143,6 +143,32 @@ def test_config_checks_only_the_settings_of_its_split_mode():
     assert (spec.mode, spec.k, spec.seed) == ("kfold", 3, SeedSpec(5).child("split"))
 
 
+def test_numpy_scalar_settings_write_the_records_of_python_numbers():
+    # Every number a record or its config_hash carries, as a numpy scalar.
+    settings = dict(agent_counts=(4,), dim=60, lam=0.5, kappa=7, n_seeds=2, master_seed=5,
+                    k_folds=4, train_fraction=0.5)
+    as_numpy = dict(
+        settings, agent_counts=(np.int64(4),), dim=np.int64(60), lam=np.float32(0.5),
+        kappa=np.int32(7), n_seeds=np.int16(2), master_seed=np.uint64(5),
+        k_folds=np.int64(4), train_fraction=np.float32(0.5),
+    )
+    config = small_config(**as_numpy)
+    want, got = run_suite(small_config(**settings)), run_suite(config)
+    for render in (records_to_jsonl, records_to_csv, format_table):
+        assert render(got) == render(want)
+    assert all(type(getattr(config, name)) is type(value) for name, value in settings.items())
+    assert type(config.agent_counts[0]) is int
+
+
+def test_grid_search_returns_python_numbers():
+    ds = synth_blobs(2, 4, 120, 3.0, SeedSpec(0))
+    grid = GridSpec(dim_values=(np.int64(40),), lambda_values=(np.float32(0.5),),
+                    kappa_values=(np.int64(3),))
+    triple = grid_search(ds, grid, SeedSpec(1))
+    assert triple == (40, 0.5, 3)
+    assert [type(x) for x in triple] == [int, float, int]
+
+
 def test_grid_search_single_triple():
     ds = synth_blobs(2, 4, 120, 3.0, SeedSpec(0))
     grid = GridSpec(dim_values=(40,), lambda_values=(0.5,), kappa_values=(3,))

@@ -22,6 +22,7 @@ from hvnet.network import (
     run_version,
     train_local,
 )
+from topology import sorted_neighborhood
 
 
 @pytest.fixture(scope="module")
@@ -69,12 +70,6 @@ def test_partition_deterministic():
 
 
 # ------------------------------------------------------------ agent network
-
-
-def sorted_neighborhood(network, p):
-    """p's neighbors and p itself in agent-id order: the members of p's aggregate."""
-    members = set(np.flatnonzero(network.omega[p]).tolist()) | {p}
-    return sorted(members, key=lambda s: network.agent_ids[s])
 
 
 def test_fully_connected_shape():

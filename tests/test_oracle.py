@@ -25,6 +25,7 @@ from hvnet.hdc import SeedSpec
 from hvnet.network import (
     AgentNetwork, ExperimentVersion, ModelParams, SharedPass, partition, run_version,
 )
+from topology import ring
 
 # Weights agree to this share of their largest magnitude, and accuracies are
 # compared only where every scored row's winner leads by more than this share
@@ -37,10 +38,7 @@ def omega_of(shape: str, n: int, rng) -> np.ndarray:
     if shape == "full":
         return np.ones((n, n), dtype=np.int64)
     if shape == "ring":
-        omega = np.zeros((n, n), dtype=np.int64)
-        for p in range(n):
-            omega[p, (p + 1) % n] = omega[(p + 1) % n, p] = 1
-        return omega
+        return ring(range(n)).omega
     upper = np.triu(rng.random((n, n)) < 0.5, k=1)
     return (upper | upper.T).astype(np.int64)
 
