@@ -7,8 +7,6 @@ matrix applied on the left of a hidden activation.  Class labels are
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -18,11 +16,11 @@ from scipy import linalg as sla
 from scipy.linalg import blas, lapack
 
 from .errors import DimensionError, EmptyClassWarning, InvalidParameterError, SingularSystemError
-from .hdc import check_count
+from .hdc import check_count, check_lambda
+from .records import CLASSIFIER_KINDS
 
 __all__ = [
     "ClassifierMatrix",
-    "check_lambda",
     "evaluate",
     "evaluate_many",
     "finalize_centroids",
@@ -34,7 +32,6 @@ __all__ = [
     "train_rls",
 ]
 
-CLASSIFIER_KINDS = ("rls", "centroid")
 # Most rows scored per matrix product (see _winners).
 PREDICT_BLOCK = 128
 # Most rows of H cast to float32 at once, and most Gram columns summed at
@@ -93,12 +90,6 @@ def one_hot(labels, n_classes: int) -> NDArray[np.float64]:
     out = np.zeros((labels.shape[0], n_classes), dtype=np.float64)
     out[np.arange(labels.shape[0]), labels - 1] = 1.0
     return out
-
-
-def check_lambda(lam) -> None:
-    """Raise unless ``lam`` is a ridge parameter: a finite real number >= 0."""
-    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 <= lam < math.inf:
-        raise InvalidParameterError(f"lambda must be a finite number >= 0, got {lam!r}")
 
 
 def _design(H, Y) -> tuple[NDArray, NDArray[np.float64]]:

@@ -8,21 +8,13 @@ from pathlib import Path
 
 import click
 
-from .classifiers import CLASSIFIER_KINDS
 from .data import load_manifest, resolve_dataset
 from .errors import HvnetError
-from .harness import (
-    REPORT_FORMATS,
-    ExperimentConfig,
-    GridSpec,
-    grid_search,
-    records_from_jsonl,
-    report,
-    run_suite,
-    scatter_export,
-)
 from .hdc import SeedSpec
-from .network import VERSION_KINDS, ExperimentVersion
+from .records import (
+    CLASSIFIER_KINDS, REPORT_FORMATS, VERSION_KINDS, ExperimentConfig, ExperimentVersion, GridSpec,
+    records_from_jsonl, report, scatter_export,
+)
 
 
 class _Hvnet(click.Group):
@@ -55,6 +47,7 @@ def main():
 @click.option("--out", type=click.Path(), default=None, help="Write the best triple as JSON.")
 def grid_cmd(dataset, manifest, seed, out, **settings):
     """Exhaustive (dim, lambda, kappa) search with the centralized RLS model."""
+    from .harness import grid_search  # here, so that the other commands never load scipy
     grid, spec = GridSpec(**settings), SeedSpec(seed)
     ds = resolve_dataset(dataset, load_manifest(manifest) if manifest else None)
     dim, lam, kappa = grid_search(ds, grid, spec)
@@ -95,6 +88,7 @@ def grid_cmd(dataset, manifest, seed, out, **settings):
               default="jsonl", show_default=True)
 def run_cmd(versions, compress, classifier, kfold, out, fmt, **settings):
     """Run an experiment suite and emit one result record per version and agent count."""
+    from .harness import run_suite  # here, so that the other commands never load scipy
     version_objs = [ExperimentVersion(v, classifier_kind=classifier) for v in versions]
     if compress:
         if "distributed" not in versions:

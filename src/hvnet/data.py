@@ -62,10 +62,10 @@ class SplitSpec:
     def __post_init__(self):
         if self.mode not in ("holdout", "kfold"):
             raise InvalidParameterError(f"unknown split mode {self.mode!r}")
-        if self.mode == "holdout" and not 0.0 < self.fraction < 1.0:
+        # Both settings are checked whatever the mode, since a config hashes both.
+        if not (isinstance(self.fraction, numbers.Real) and 0.0 < self.fraction < 1.0):
             raise InvalidParameterError(f"holdout fraction must be in (0, 1), got {self.fraction}")
-        if self.mode == "kfold":
-            check_count("k", self.k, lo=2)
+        check_count("k", self.k, lo=2)
 
 
 def load_csv(path, label_column=-1, header: bool = False, name: str | None = None) -> Dataset:

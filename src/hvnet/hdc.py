@@ -10,6 +10,8 @@ vectors on every run.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .errors import DimensionError, InvalidParameterError, SingularKeyError
 __all__ = [
     "SeedSpec",
     "check_count",
+    "check_lambda",
     "check_seed",
     "circ_convolve",
     "clip",
@@ -93,6 +96,12 @@ def check_count(name: str, value, lo: int = 1, bits: int | None = None) -> None:
 def check_seed(name: str, value) -> None:
     """Raise unless ``value`` is an integer in [0, 2**64), the range of a seed or an agent id."""
     check_count(name, value, lo=0, bits=64)
+
+
+def check_lambda(lam) -> None:
+    """Raise unless ``lam`` is a ridge parameter: a finite real number >= 0."""
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 <= lam < math.inf:
+        raise InvalidParameterError(f"lambda must be a finite number >= 0, got {lam!r}")
 
 
 def clip(v, kappa: int, *, overwrite: bool = False) -> np.ndarray:

@@ -28,7 +28,6 @@ import numpy as np
 # evaluate is not called here, but perfbench/tracer.py wraps this name in
 # this module, so it must stay importable from it.
 from .classifiers import (
-    CLASSIFIER_KINDS,
     ClassifierMatrix,
     evaluate,
     evaluate_many,
@@ -44,11 +43,11 @@ from .data import Dataset
 from .encoding import InputProjection, encode_batch, init_projection
 from .errors import InsufficientDataError, InvalidParameterError, ProtocolError
 from .hdc import SeedSpec, check_count, superpose
+from .records import ExperimentVersion
 
 __all__ = [
     "AgentNetwork",
     "DataPartition",
-    "ExperimentVersion",
     "ModelParams",
     "RunResult",
     "SharedPass",
@@ -58,8 +57,6 @@ __all__ = [
     "run_versions",
     "train_local",
 ]
-
-VERSION_KINDS = ("centralized", "local", "distributed")
 
 # Producers packed and unpacked per array call in a compressed exchange; it
 # bounds the (block, n_classes, dim) temporaries.
@@ -100,21 +97,6 @@ class AgentNetwork:
 @dataclass(frozen=True)
 class DataPartition:
     shards: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class ExperimentVersion:
-    kind: str  # centralized | local | distributed
-    compression: bool = False
-    classifier_kind: str = "rls"
-
-    def __post_init__(self):
-        if self.kind not in VERSION_KINDS:
-            raise InvalidParameterError(f"kind must be one of {VERSION_KINDS}")
-        if self.compression and self.kind != "distributed":
-            raise InvalidParameterError("compression applies to the distributed version only")
-        if self.classifier_kind not in CLASSIFIER_KINDS:
-            raise InvalidParameterError(f"classifier_kind must be one of {CLASSIFIER_KINDS}")
 
 
 @dataclass(frozen=True)

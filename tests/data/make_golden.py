@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from hvnet.harness import ExperimentConfig, records_to_jsonl, run_suite
-from hvnet.network import ExperimentVersion
+from hvnet.harness import run_suite
+from hvnet.records import ExperimentConfig, ExperimentVersion, records_to_jsonl
 
 HERE = Path(__file__).resolve().parent
 

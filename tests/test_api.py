@@ -36,26 +36,64 @@ def test_all_names_are_defined_and_the_package_root_holds_only_the_version():
     assert isinstance(hvnet.__version__, str)
 
 
+def _fresh_process(code, *args):
+    """The JSON that ``code`` prints when run with ``args`` in a new interpreter on this hvnet."""
+    src = str(Path(hvnet.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
 def test_the_light_modules_load_neither_scipy_nor_the_harness():
     # The README's promise: these modules need numpy alone.
     code = (
         "import json, sys\n"
-        "import hvnet.data, hvnet.hdc, hvnet.encoding, hvnet.errors\n"
+        "import hvnet.data, hvnet.hdc, hvnet.encoding, hvnet.errors, hvnet.records\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
-    src = str(Path(hvnet.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          timeout=120, check=True)
-    loaded = json.loads(done.stdout)
-    assert "hvnet.data" in loaded
+    loaded = _fresh_process(code)
+    assert "hvnet.data" in loaded and "hvnet.records" in loaded
     heavy = [
         name for name in loaded
         if name.startswith(("scipy", "click")) or name in ("hvnet.classifiers", "hvnet.harness")
     ]
     assert heavy == []
 
+
+def test_help_and_report_load_neither_scipy_nor_the_protocol_modules():
+    # The commands that run no suite: each help text, and a table of records.
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from hvnet.cli import main\n"
+        "codes, outputs = [], []\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        try:\n"
+        "            main(args)\n"
+        "        except SystemExit as exc:\n"
+        "            codes.append(exc.code)\n"
+        "    outputs.append(out.getvalue())\n"
+        "print(json.dumps([codes, outputs, sorted(sys.modules)]))\n"
+    )
+    records = REPO / "tests" / "data" / "golden_reference.jsonl"
+    commands = [["--help"], ["run", "--help"], ["grid", "--help"],
+                ["report", str(records), "--format", "table"]]
+    codes, outputs, loaded = _fresh_process(code, json.dumps(commands))
+    assert codes == [0, 0, 0, 0]
+    assert "Usage: " in outputs[0] and "--agents" in outputs[1] and "--kappa" in outputs[2]
+    assert outputs[3].startswith(" ") and "rls/distributed+compressed" in outputs[3]
+    assert "hvnet.cli" in loaded and "hvnet.records" in loaded
+    heavy = [
+        name for name in loaded
+        if name.startswith("scipy") or name in (
+            "hvnet.classifiers", "hvnet.encoding", "hvnet.compression", "hvnet.network",
+            "hvnet.harness",
+        )
+    ]
+    assert heavy == []
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -96,10 +134,11 @@ def _loads_outside_own_definition(tree):
 def _references(tree, own_module=None):
     """The (module, name) pairs that one parsed file refers to.
 
-    A reference is an import of the name from its module, or an attribute
+    A reference is an import of the name from its module, an attribute
     lookup on the module object itself (``hvnet.harness.run_version``, not
-    ``int.from_bytes``).  In ``own_module``, a bare name loaded outside its
-    own definition counts too.
+    ``int.from_bytes``), or a tuple that starts with the module and the name,
+    as the tracer lists what it wraps (``(hvnet.harness, "train_rls", ...)``).
+    In ``own_module``, a bare name loaded outside its own definition counts too.
     """
     modules = {}  # local name -> the module it is bound to
     found = set()
@@ -118,6 +157,11 @@ def _references(tree, own_module=None):
         if owner is not None:
             head, _, rest = owner.partition(".")
             found.add((".".join(filter(None, [modules.get(head, head), rest])), node.attr))
+        elif isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            owner, name = _dotted(node.elts[0]), node.elts[1]
+            if owner is not None and isinstance(name, ast.Constant) and isinstance(name.value, str):
+                head, _, rest = owner.partition(".")
+                found.add((".".join(filter(None, [modules.get(head, head), rest])), name.value))
     if own_module is not None:
         found.update((own_module, name) for name in _loads_outside_own_definition(tree))
     return found
@@ -141,13 +185,20 @@ PUBLIC = {
 
 
 @functools.lru_cache(maxsize=1)
-def _users():
-    """Every (module, name) pair that the library, the benchmark or the acceptance tests use."""
+def _outside_users():
+    """Every (module, name) pair that the benchmark or the acceptance tests look up."""
     users = set()
-    for path in LIBRARY:
-        users |= _references(ast.parse(path.read_text(encoding="utf-8")), f"hvnet.{path.stem}")
     for path in [*sorted((REPO / "perfbench").glob("*.py")), REPO / "tests" / "test_acceptance.py"]:
         users |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    return users
+
+
+@functools.lru_cache(maxsize=1)
+def _users():
+    """Every (module, name) pair that the library, the benchmark or the acceptance tests use."""
+    users = set(_outside_users())
+    for path in LIBRARY:
+        users |= _references(ast.parse(path.read_text(encoding="utf-8")), f"hvnet.{path.stem}")
     return users
 
 
@@ -167,8 +218,10 @@ def test_every_public_name_has_a_user(module):
     ("import hvnet.harness\nhvnet.harness.run_version", None, ("hvnet.harness", "run_version")),
     ("import hvnet.network as net\nnet.compress", None, ("hvnet.network", "compress")),
     ("def f():\n    return g\ndef g():\n    pass", "hvnet.m", ("hvnet.m", "g")),
+    ("import hvnet.harness\nT = ((hvnet.harness, 'train_rls', 'x'),)", None,
+     ("hvnet.harness", "train_rls")),
 ], ids=["absolute-import", "relative-import", "package-import", "dotted-lookup",
-        "aliased-lookup", "call-from-another-function"])
+        "aliased-lookup", "call-from-another-function", "tracer-tuple"])
 def test_a_reference_is_an_import_or_a_use_of_the_name(source, own_module, pair):
     assert pair in _references(ast.parse(source), own_module)
 
@@ -190,7 +243,7 @@ def _unloaded_imports(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound.update(alias.asname or alias.name for alias in node.names)
     return sorted(bound - _loads_outside_own_definition(tree))
 
@@ -199,7 +252,8 @@ def _unloaded_imports(tree):
     ("import os\nfrom hvnet.hdc import clip, superpose\nclip()", ["os", "superpose"]),
     ("import hvnet.network\nhvnet.network.run_version", []),
     ("from hypothesis import strategies as st\n@st.composite\ndef f(draw):\n    pass", []),
-], ids=["unused", "dotted-module", "alias-in-decorator"])
+    ("from __future__ import annotations", []),
+], ids=["unused", "dotted-module", "alias-in-decorator", "future-statement"])
 def test_an_import_is_unused_when_its_name_is_never_loaded(source, unloaded):
     assert _unloaded_imports(ast.parse(source)) == unloaded
 
@@ -211,3 +265,12 @@ def test_an_import_is_unused_when_its_name_is_never_loaded(source, unloaded):
 ], ids=lambda path: path.name)
 def test_test_files_load_every_name_they_import(path):
     assert _unloaded_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda path: path.name)
+def test_library_modules_load_every_name_they_import(path):
+    # An import that a module never loads is kept only for the benchmark or the
+    # acceptance tests, which look the name up in that module.
+    module = f"hvnet.{path.stem}"
+    unloaded = _unloaded_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert [name for name in unloaded if (module, name) not in _outside_users()] == []

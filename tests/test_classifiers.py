@@ -36,8 +36,8 @@ from hvnet.errors import (
     InvalidParameterError,
     SingularSystemError,
 )
-from hvnet.harness import DEFAULT_LAMBDA_GRID
 from hvnet.hdc import SeedSpec, clip
+from hvnet.records import DEFAULT_LAMBDA_GRID
 from oracle import predict, ridge
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import hvnet.cli
 import hvnet.network
 from hvnet.cli import main
-from hvnet.harness import ExperimentConfig, GridSpec, records_from_jsonl
+from hvnet.records import ExperimentConfig, GridSpec, records_from_jsonl
 
 SYNTH = "synth:classes=2,features=4,samples=160,sep=4.0,seed=3"
 

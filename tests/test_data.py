@@ -438,8 +438,8 @@ def test_split_file_rejects_malformed_index_lists(tmp_path, payload, message):
 
 
 def test_manifest_split_file_overrides_protocol(tmp_path):
-    from hvnet.harness import ExperimentConfig, run_suite
-    from hvnet.network import ExperimentVersion
+    from hvnet.harness import run_suite
+    from hvnet.records import ExperimentConfig, ExperimentVersion
 
     # Training rows map feature 0 -> class 1 and feature 1 -> class 2; the
     # predefined test rows invert that mapping, so accuracy is exactly zero

@@ -20,11 +20,10 @@ from hvnet.classifiers import ClassifierMatrix, evaluate, evaluate_many, finaliz
 from hvnet.compression import compress, decompress, generate_keys
 from hvnet.data import SplitSpec, split, synth_blobs
 from hvnet.errors import SuiteError
-from hvnet.harness import ExperimentConfig, run_suite, version_label
+from hvnet.harness import run_suite
 from hvnet.hdc import SeedSpec
 from hvnet.network import (
     AgentNetwork,
-    ExperimentVersion,
     ModelParams,
     SharedPass,
     exchange_and_aggregate,
@@ -32,6 +31,7 @@ from hvnet.network import (
     run_version,
     run_versions,
 )
+from hvnet.records import ExperimentConfig, ExperimentVersion
 from topology import ring, sorted_neighborhood
 
 # ------------------------------------------------------- grouped exchange
@@ -230,7 +230,7 @@ def test_shared_pass_matches_standalone_runs(blobs, eval_on_full_test, topology)
 @pytest.mark.parametrize("eval_on_full_test", [False, True])
 @pytest.mark.parametrize("topology", ["full", "ring"])
 @pytest.mark.parametrize(
-    "version", ALL_VERSIONS, ids=lambda v: f"{version_label(v)}-{v.classifier_kind}"
+    "version", ALL_VERSIONS, ids=lambda v: f"{v.label}-{v.classifier_kind}"
 )
 def test_run_version_scores_like_a_per_agent_loop(blobs, version, topology, eval_on_full_test):
     ds, train_idx, test_idx = blobs
@@ -485,6 +485,23 @@ def test_empty_fold_is_reported_as_suite_error():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(SuiteError, match="seed index 0 failed .* must be non-empty"):
+            run_suite(config)
+
+
+def test_a_kfold_failure_names_its_fold():
+    # Three samples in four folds leave fold 3 empty; a holdout names no fold.
+    config = ExperimentConfig(
+        dataset="synth:classes=3,features=2,samples=3,sep=2.0,seed=1",
+        versions=(ExperimentVersion("centralized"),),
+        dim=50,
+        n_seeds=1,
+        split_mode="kfold",
+        k_folds=4,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(SuiteError, match=r"^suite aborted: seed index 0 failed on fold 3 for "
+                                             r"version=centralized n_agents=1: train and test"):
             run_suite(config)
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from hvnet.harness import records_to_jsonl, run_suite
+from hvnet.harness import run_suite
+from hvnet.records import records_to_jsonl
 
 _spec = importlib.util.spec_from_file_location(
     "make_golden", Path(__file__).resolve().parent / "data" / "make_golden.py"

@@ -21,26 +21,25 @@ from hvnet.errors import (
     SuiteError,
     UndefinedCorrelationError,
 )
-from hvnet.harness import (
+from hvnet.harness import grid_search, run_suite
+from hvnet.hdc import SeedSpec
+from hvnet.records import (
     DEFAULT_DIM_GRID,
     DEFAULT_KAPPA_GRID,
     DEFAULT_LAMBDA_GRID,
     ExperimentConfig,
+    ExperimentVersion,
     GridSpec,
     ResultRecord,
     format_table,
-    grid_search,
     pearson,
     records_from_jsonl,
     records_to_csv,
     records_to_jsonl,
     relative_improvement,
     report,
-    run_suite,
     scatter_export,
 )
-from hvnet.hdc import SeedSpec
-from hvnet.network import ExperimentVersion
 
 
 def small_config(**overrides):
@@ -65,9 +64,9 @@ def small_config(**overrides):
 def fake_record(**overrides):
     base = dict(
         dataset="toy", version="local", classifier="rls", compressed=False,
-        n_agents=10, dim=100, lam=1.0, kappa=7, n_seeds=10, master_seed=0,
+        n_agents=10, dim=100, lam=1.0, kappa=7, n_seeds=2, master_seed=0,
         per_seed_mean=(0.7, 0.74), mean_accuracy=0.72, std_accuracy=0.02,
-        per_agent_mean=(0.71, 0.73), payload_values_per_producer=300,
+        per_agent_mean=(0.71, 0.73) * 5, payload_values_per_producer=300,
         payload_bytes_per_producer=2400, config_hash="abc",
     )
     base.update(overrides)
@@ -126,7 +125,15 @@ def test_config_rejects_invalid_values_before_the_range_test(overrides, message,
     ({"split_mode": "kfold", "k_folds": 1}, "k must be an integer >= 2, got 1"),
     ({"train_fraction": 1.5}, r"holdout fraction must be in \(0, 1\), got 1.5"),
     ({"train_fraction": float("nan")}, r"holdout fraction must be in \(0, 1\), got nan"),
-], ids=["mode", "k-float", "k-bool", "k-one", "fraction-above-one", "fraction-nan"])
+    # A setting that the split mode does not read is checked too.
+    ({"k_folds": "x"}, "k must be an integer >= 2, got 'x'"),
+    ({"k_folds": 1}, "k must be an integer >= 2, got 1"),
+    ({"k_folds": True}, "k must be an integer >= 2, got True"),
+    ({"split_mode": "kfold", "train_fraction": 7.0}, r"fraction must be in \(0, 1\), got 7.0"),
+    ({"split_mode": "kfold", "train_fraction": float("nan")}, r"in \(0, 1\), got nan"),
+], ids=["mode", "k-float", "k-bool", "k-one", "fraction-above-one", "fraction-nan",
+        "holdout-k-string", "holdout-k-one", "holdout-k-bool", "kfold-fraction-seven",
+        "kfold-fraction-nan"])
 def test_config_rejects_split_settings_before_reading_data(monkeypatch, overrides, message):
     def fail(*_):
         raise AssertionError("a manifest or dataset was read")
@@ -137,9 +144,9 @@ def test_config_rejects_split_settings_before_reading_data(monkeypatch, override
         run_suite(small_config(manifest="manifest.json", **overrides))
 
 
-def test_config_checks_only_the_settings_of_its_split_mode():
-    assert small_config(k_folds=1).split_spec.fraction == 0.5
-    spec = small_config(split_mode="kfold", k_folds=3, train_fraction=1.5).split_spec
+def test_config_split_spec_holds_both_settings_in_each_mode():
+    assert small_config(k_folds=3).split_spec.fraction == 0.5
+    spec = small_config(split_mode="kfold", k_folds=3, train_fraction=0.25).split_spec
     assert (spec.mode, spec.k, spec.seed) == ("kfold", 3, SeedSpec(5).child("split"))
 
 
@@ -862,8 +869,10 @@ def test_jsonl_line_with_old_timing_field_loads_and_renders_without_it(tmp_path)
      "line 2: record field 'per_seed_mean': expected a finite number, got -inf"),
     (json.dumps({**fake_record().to_dict(), "mean_accuracy": "nan"}).encode(),
      "line 2: record field 'mean_accuracy': expected a finite number, got 'nan'"),
+    (json.dumps({**fake_record().to_dict(), "mean_accuracy": 7.5, "n_agents": -3}).encode(),
+     r"line 2: record field 'mean_accuracy': 7.5 is outside \[0, 1\]"),
 ], ids=["truncated", "number", "missing-field", "not-utf-8", "nan", "minus-infinity",
-        "nan-string"])
+        "nan-string", "out-of-range"])
 def test_jsonl_reader_names_the_file_and_line_of_a_bad_record(tmp_path, bad_line, message):
     path = tmp_path / "records.jsonl"
     path.write_bytes(records_to_jsonl([fake_record()]).encode() + bad_line + b"\n")
@@ -894,6 +903,36 @@ def test_record_from_dict_names_a_missing_field():
 def test_record_from_dict_rejects_wrong_json_types(name, value):
     with pytest.raises(ParseError, match=f"'{name}'"):
         ResultRecord.from_dict({**fake_record().to_dict(), name: value})
+
+
+@pytest.mark.parametrize("name, value, reason", [
+    ("mean_accuracy", 7.5, r"7.5 is outside \[0, 1\]"),
+    ("mean_accuracy", -0.25, r"-0.25 is outside \[0, 1\]"),
+    ("per_seed_mean", [0.7, 1.5], r"\(0.7, 1.5\) is outside \[0, 1\]"),
+    ("per_agent_mean", [0.7] * 9 + [-0.1], r"-0.1\) is outside \[0, 1\]"),
+    ("std_accuracy", -0.01, r"-0.01 is outside \[0, inf\]"),
+    ("n_agents", -3, r"-3 is outside \[1, inf\]"),
+    ("n_agents", 0, r"0 is outside \[1, inf\]"),
+    ("dim", 0, r"0 is outside \[1, inf\]"),
+    ("kappa", 0, r"0 is outside \[1, inf\]"),
+    ("n_seeds", 0, r"0 is outside \[1, inf\]"),
+    ("lam", -1.0, r"-1.0 is outside \[0, inf\]"),
+    ("per_seed_mean", [0.7, 0.74, 0.72], "holds 3 values, but n_seeds is 2"),
+    ("per_agent_mean", [0.71, 0.73], "holds 2 values, but n_agents is 10"),
+], ids=["mean-above-one", "mean-below-zero", "per-seed-above-one", "per-agent-below-zero",
+        "std-negative", "agents-negative", "agents-zero", "dim-zero", "kappa-zero", "seeds-zero",
+        "lam-negative", "per-seed-length", "per-agent-length"])
+def test_record_from_dict_rejects_values_that_no_suite_writes(name, value, reason):
+    with pytest.raises(ParseError, match=rf"record field '{name}'.*{reason}"):
+        ResultRecord.from_dict({**fake_record().to_dict(), name: value})
+
+
+def test_record_from_dict_accepts_the_ends_of_each_range():
+    rec = fake_record(
+        n_agents=1, dim=1, kappa=1, n_seeds=1, lam=0.0, per_seed_mean=(1.0,),
+        mean_accuracy=1.0, std_accuracy=0.0, per_agent_mean=(0.0,),
+    )
+    assert ResultRecord.from_dict(rec.to_dict()) == rec
 
 
 @pytest.mark.parametrize("overrides, reason", [

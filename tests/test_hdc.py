@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hvnet.errors import DimensionError, InvalidParameterError, SingularKeyError
 from hvnet.data import synth_blobs
 from hvnet.encoding import init_projection
-from hvnet.harness import ExperimentConfig
 from hvnet.hdc import (
     SeedSpec,
     check_seed,
@@ -19,7 +18,8 @@ from hvnet.hdc import (
     random_gaussian_key,
     superpose,
 )
-from hvnet.network import AgentNetwork, ExperimentVersion, partition
+from hvnet.network import AgentNetwork, partition
+from hvnet.records import ExperimentConfig, ExperimentVersion
 
 
 def abs_cosine(x, y):

@@ -14,7 +14,6 @@ from hvnet.errors import (
 from hvnet.hdc import SeedSpec
 from hvnet.network import (
     AgentNetwork,
-    ExperimentVersion,
     ModelParams,
     SharedPass,
     exchange_and_aggregate,
@@ -22,6 +21,7 @@ from hvnet.network import (
     run_version,
     train_local,
 )
+from hvnet.records import ExperimentVersion
 from topology import sorted_neighborhood
 
 

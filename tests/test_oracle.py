@@ -20,11 +20,9 @@ import oracle
 from hvnet.compression import generate_keys
 from hvnet.data import Dataset, normalize, split
 from hvnet.encoding import init_projection
-from hvnet.harness import DEFAULT_LAMBDA_GRID, ExperimentConfig
 from hvnet.hdc import SeedSpec
-from hvnet.network import (
-    AgentNetwork, ExperimentVersion, ModelParams, SharedPass, partition, run_version,
-)
+from hvnet.network import AgentNetwork, ModelParams, SharedPass, partition, run_version
+from hvnet.records import DEFAULT_LAMBDA_GRID, ExperimentConfig, ExperimentVersion
 from topology import ring
 
 # Weights agree to this share of their largest magnitude, and accuracies are
