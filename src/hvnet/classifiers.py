@@ -34,8 +34,8 @@ __all__ = [
 
 # Most rows scored per matrix product (see _winners).
 PREDICT_BLOCK = 128
-# Most rows of H cast to float32 at once, and most Gram columns summed at
-# once, in an exact float32 ridge system (see _exact_system).
+# Most rows of H cast to float at once, and most Gram columns summed at
+# once, in a streamed primal ridge system (see _exact_system).
 GRAM_BLOCK = 256
 GRAM_PANEL = 256
 # Most reflector columns moved at once by _compact_reflectors.
@@ -92,21 +92,22 @@ def one_hot(labels, n_classes: int) -> NDArray[np.float64]:
     return out
 
 
-def _design(H, Y) -> tuple[NDArray, NDArray[np.float64]]:
-    """Activations and targets as matrices with matching row counts.
+def _design(H, Y) -> tuple[NDArray[np.integer], NDArray[np.float64]]:
+    """Integer activations, in their dtype, and integer-valued float64 targets with as many rows.
 
-    Integer activations keep their dtype, from which :func:`_normal_equations`
-    may form an exact float32 system; all other activations and the targets
-    become float64.
+    Every entry of a ridge system is then an exact integer sum, which
+    :func:`_normal_equations` may form in any order.
     """
     H = np.asarray(H)
     if not np.issubdtype(H.dtype, np.integer):
-        H = np.asarray(H, dtype=np.float64)
+        raise InvalidParameterError(f"activations must be integers, got dtype {H.dtype}")
     Y = np.asarray(Y, dtype=np.float64)
-    if H.ndim != 2 or Y.ndim != 2:
-        raise DimensionError("H and Y must be 2-D matrices")
+    if H.ndim != 2 or Y.ndim != 2 or 0 in H.shape + Y.shape:
+        raise DimensionError(f"H and Y must be non-empty 2-D matrices, got {H.shape} and {Y.shape}")
     if H.shape[0] != Y.shape[0]:
         raise DimensionError(f"row counts differ: H has {H.shape[0]}, Y has {Y.shape[0]}")
+    if not np.all(np.isfinite(Y) & (Y == np.rint(Y))):
+        raise InvalidParameterError("targets must be finite integers")
     return H, Y
 
 
@@ -115,7 +116,8 @@ def train_rls(H, Y, lam: float) -> ClassifierMatrix:
 
     Solves (H^T H + lam I)^-1 H^T Y, or the equivalent dual form
     H^T (H H^T + lam I)^-1 Y where :func:`_normal_equations` picks it (it is
-    much cheaper for small shards), by a Cholesky factorization.
+    much cheaper for small shards), by a Cholesky factorization.  H must
+    hold integer activations and Y integer-valued targets (see :func:`_design`).
     """
     H, Y = _design(H, Y)
     check_lambda(lam)
@@ -131,71 +133,59 @@ def _normal_equations(H, Y, lams) -> tuple[NDArray, NDArray, NDArray | None]:
     """(gram, rhs, dual_H), the float64 ridge system of H and Y for all of ``lams``.
 
     The one primal/dual rule: H H^T against Y when there are fewer rows than
-    columns and every lambda is positive, else H^T H against H^T Y.
-    ``dual_H`` is H in float64 for the dual system, which :func:`_from_dual`
-    maps back with, and None for the primal one.  The products are numpy's
-    ``H @ H.T``, ``H.T @ H`` and ``H.T @ Y`` bit for bit at every OpenBLAS
-    kernel.  When H has one row or one column they are vector products,
-    which numpy sums in another order than dsyrk and dgemm, so they are
-    numpy's own.  Otherwise they go to scipy's BLAS, which also solves: each
-    library's OpenBLAS has its own thread pool, and one that has just
-    finished spins on the cores the other needs.  There, syrk fills the Gram
-    matrix's lower triangle only (for float input, an upper dsyrk or
-    ``dgemm(1.0, H.T, Y)`` would not give numpy's bits).
-
-    A primal system whose partial sums are all integers below 2**24 (see
-    :func:`_exact_in_float32`) is summed in float32 by :func:`_exact_system`
-    instead, which holds neither a float32 copy of H nor a float32 Gram
-    matrix: every sum is exact in float32 in any blocking, so the bits are
-    float64's.  Any other system is formed from H in float64.
+    columns and every lambda is positive, else H^T H against H^T Y, of which
+    only the lower triangle is filled.  H and Y are integers (see
+    :func:`_design`), so every entry is an exact integer in any summation
+    order: the same bits at every BLAS kernel and thread count.  The dual
+    system is one dsyrk of H in float64, ``dual_H``, which :func:`_from_dual`
+    maps back with; :func:`_exact_system` streams the primal one.  Both use
+    scipy's BLAS, which also solves: each library's OpenBLAS has its own
+    thread pool, and one that has just finished spins on the cores the other needs.
     """
-    dual = H.shape[0] < H.shape[1] and min(lams) > 0
-    if not dual and _exact_in_float32(H, Y):
-        return (*_exact_system(H, Y), None)
-    H = np.asarray(H, dtype=np.float64)
-    if min(H.shape) == 1:
-        return (H @ H.T, Y, H) if dual else (H.T @ H, H.T @ Y, None)
-    gram = blas.dsyrk(1.0, H.T, trans=1 if dual else 0, lower=1)
-    if dual:
-        return gram, Y, H
-    return gram, blas.dgemm(1.0, Y.T, H.T, trans_b=1).T, None
+    if H.shape[0] < H.shape[1] and min(lams) > 0:
+        H = np.asarray(H, dtype=np.float64)
+        return blas.dsyrk(1.0, H.T, trans=1, lower=1), Y, H
+    return (*_exact_system(H, Y), None)
 
 
 def _exact_system(H, Y) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """(gram, rhs): H^T H's lower triangle and H^T Y in float64, summed in float32.
+    """(gram, rhs): H^T H's lower triangle and H^T Y in float64, streamed from integer H.
 
-    For a system that :func:`_exact_in_float32` admits.  The Gram matrix is
-    built one panel of GRAM_PANEL columns at a time (see :func:`_exact_panel`)
-    and each panel is widened into float64 as it is finished, so only one
-    float32 panel and one float32 block of rows exist at a time.  Every
-    partial sum is an exact integer, so any blocking gives the same bits.
-    The Gram matrix's upper triangle is never computed and stays zero:
-    dsytrd(lower=1) and the transposed Cholesky of :func:`train_rls` read
-    only the lower one.
+    The Gram matrix is built one panel of GRAM_PANEL columns at a time (see
+    :func:`_exact_panel`) and each panel is widened into the float64 Gram
+    matrix as it is finished, so only one panel and one block of rows exist
+    at a time, never a float copy of H.  The panels are float32 when
+    :func:`_exact_in_float32` admits the system, else float64.  Every
+    partial sum is an exact integer (below 2**53 in float64), so any
+    blocking gives the same bits.  The Gram matrix's upper triangle is never
+    computed and stays zero: dsytrd(lower=1) and the transposed Cholesky of
+    :func:`train_rls` read only the lower one.
     """
     rows, dim = H.shape
+    dtype = np.float32 if _exact_in_float32(H, Y) else np.float64
     gram = np.zeros((dim, dim), order="F")
     rhs = np.empty((dim, Y.shape[1]))
-    Y32 = np.ascontiguousarray(Y, dtype=np.float32)
-    buffer = np.empty(min(GRAM_BLOCK, rows) * dim, dtype=np.float32)
+    Y = np.ascontiguousarray(Y, dtype=dtype)
+    buffer = np.empty(min(GRAM_BLOCK, rows) * dim, dtype=dtype)
     for c0 in range(0, dim, GRAM_PANEL):
         c1 = min(c0 + GRAM_PANEL, dim)
-        gram[c0:c1, c0:c1], gram[c1:, c0:c1], rhs[c0:c1] = _exact_panel(H, Y32, c0, c1, buffer)
+        gram[c0:c1, c0:c1], gram[c1:, c0:c1], rhs[c0:c1] = _exact_panel(H, Y, c0, c1, buffer)
     return gram, rhs
 
 
-def _exact_panel(H, Y32, c0: int, c1: int, buffer):
-    """Columns c0:c1 of H^T H from row c0 down, and rows c0:c1 of H^T Y, in float32.
+def _exact_panel(H, Y, c0: int, c1: int, buffer):
+    """Columns c0:c1 of H^T H from row c0 down, and rows c0:c1 of H^T Y, in buffer's dtype.
 
-    Returned as the diagonal block (lower triangle only, by ssyrk), the
-    block below it and the rows of H^T Y (by sgemm).  Each is summed over
-    blocks of GRAM_BLOCK rows of H, cast into ``buffer``, with beta = 1.
+    Returned as the diagonal block (lower triangle only, by syrk), the block
+    below it and the rows of H^T Y (by gemm).  Each is summed over blocks of
+    GRAM_BLOCK rows of H, cast into ``buffer``, with beta = 1.
     """
     rows, dim = H.shape
     width, below = c1 - c0, dim - c1
-    diag = np.zeros((width, width), dtype=np.float32, order="F")
-    lower = np.zeros((below, width), dtype=np.float32, order="F")
-    cross = np.zeros((width, Y32.shape[1]), dtype=np.float32, order="F")
+    syrk, gemm = (blas.ssyrk, blas.sgemm) if buffer.itemsize == 4 else (blas.dsyrk, blas.dgemm)
+    diag = np.zeros((width, width), dtype=buffer.dtype, order="F")
+    lower = np.zeros((below, width), dtype=buffer.dtype, order="F")
+    cross = np.zeros((width, Y.shape[1]), dtype=buffer.dtype, order="F")
     for r0 in range(0, rows, GRAM_BLOCK):
         r1 = min(r0 + GRAM_BLOCK, rows)
         n = r1 - r0
@@ -203,29 +193,22 @@ def _exact_panel(H, Y32, c0: int, c1: int, buffer):
         np.copyto(head, H[r0:r1, c0:c1], casting="same_kind")
         # The .T of a C-ordered block is the Fortran view BLAS takes without
         # a copy, and overwrite_c adds into the panel in place.
-        diag = blas.ssyrk(1.0, head.T, beta=1.0, c=diag, lower=1, overwrite_c=1)
-        cross = blas.sgemm(1.0, head.T, Y32[r0:r1].T, trans_b=1, beta=1.0, c=cross,
-                           overwrite_c=1)
+        diag = syrk(1.0, head.T, beta=1.0, c=diag, lower=1, overwrite_c=1)
+        cross = gemm(1.0, head.T, Y[r0:r1].T, trans_b=1, beta=1.0, c=cross, overwrite_c=1)
         if below:
             tail = buffer[n * width:n * (width + below)].reshape(n, below)
             np.copyto(tail, H[r0:r1, c1:], casting="same_kind")
-            lower = blas.sgemm(1.0, tail.T, head.T, trans_b=1, beta=1.0, c=lower,
-                               overwrite_c=1)
+            lower = gemm(1.0, tail.T, head.T, trans_b=1, beta=1.0, c=lower, overwrite_c=1)
     return diag, lower, cross
 
 
 def _exact_in_float32(H, Y) -> bool:
-    """Whether every partial sum of H^T H and H^T Y is an integer below 2**24.
+    """Whether every partial sum of H^T H and H^T Y is below 2**24, so exact in float32.
 
-    Such sums are exact in float32 in any order.  It takes integer H and
-    integer-valued Y: with m = max|H|, no partial sum over the rows exceeds
+    With m = max|H|, no partial sum over the rows exceeds
     rows * m * max(m, max|Y|) (m is taken as at least 1 so that Y itself
     fits when H is all zero).
     """
-    if not np.issubdtype(H.dtype, np.integer) or H.size == 0 or Y.size == 0:
-        return False
-    if not np.all(Y == np.rint(Y)):  # also rejects NaN
-        return False
     m = max(-int(H.min()), int(H.max()))
     return H.shape[0] * max(m, 1) * max(m, float(np.abs(Y).max())) < 2**24
 
@@ -369,21 +352,23 @@ def finalize_centroids(class_sums) -> ClassifierMatrix:
 
 
 def train_centroids(H, labels, n_classes: int) -> ClassifierMatrix:
-    """One unit-norm centroid per class, from the hidden activations of its samples."""
+    """One unit-norm centroid per class, from the integer activations of its samples.
+
+    Class sums are exact in int64, so shard-wise aggregation reproduces them bit for bit.
+    """
     H = np.asarray(H)
+    if not np.issubdtype(H.dtype, np.integer):
+        raise InvalidParameterError(f"activations must be integers, got dtype {H.dtype}")
     if H.ndim != 2 or H.shape[0] < 1:
         raise InvalidParameterError("need at least one training sample")
     labels = _check_labels(labels, n_classes)
     if labels.shape[0] != H.shape[0]:
         raise DimensionError("labels and activation rows must match")
-    # Integer activations get exact integer sums, so shard-wise aggregation
-    # reproduces these sums bit for bit.
-    dtype = np.int64 if np.issubdtype(H.dtype, np.integer) else np.float64
-    sums = np.zeros((n_classes, H.shape[1]), dtype=dtype)
+    sums = np.zeros((n_classes, H.shape[1]), dtype=np.int64)
     for i in range(1, n_classes + 1):
         mask = labels == i
         if mask.any():
-            sums[i - 1] = H[mask].sum(axis=0, dtype=dtype)
+            sums[i - 1] = H[mask].sum(axis=0, dtype=np.int64)
     return finalize_centroids(sums)
 
 

@@ -153,12 +153,13 @@ def compress(w_out: ClassifierMatrix, keys: KeySet) -> CompressedClassifier:
     return CompressedClassifier(w=w, agent_id=keys.agent_id, n_classes=keys.n_classes)
 
 
-def decompress(c: CompressedClassifier, keys: KeySet, kind: str = "rls") -> ClassifierMatrix:
+def decompress(c: CompressedClassifier, keys: KeySet) -> ClassifierMatrix:
     """Approximately reconstruct each row by convolving with its key's exact inverse.
 
     With more than one class the reconstruction carries crosstalk noise
     from the other key-row pairs; it is exact only for n_classes == 1.
-    The payload must come from the agent whose keys are given.
+    The payload must come from the agent whose keys are given.  The result
+    is labelled "rls" whatever kind was packed: a payload holds only weights.
     """
     if c.agent_id != keys.agent_id:
         raise ProtocolError(
@@ -167,4 +168,4 @@ def decompress(c: CompressedClassifier, keys: KeySet, kind: str = "rls") -> Clas
     if c.n_classes != keys.n_classes or c.dim != keys.dim:
         raise DimensionError("compressed payload and key set disagree on shape")
     weights = unpack(c.w[None], keys.keys[None], (keys.agent_id,))[0]
-    return ClassifierMatrix(weights=weights, kind=kind)
+    return ClassifierMatrix(weights=weights, kind="rls")

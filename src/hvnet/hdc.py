@@ -105,17 +105,18 @@ def check_lambda(lam) -> None:
 
 
 def clip(v, kappa: int, *, overwrite: bool = False) -> np.ndarray:
-    """Saturate every component of a vector or a stack of vectors to [-kappa, kappa].
+    """Saturate every component of an integer vector or stack of vectors to [-kappa, kappa].
 
-    Integer input comes back in the narrowest signed type that holds +kappa:
-    int8 for kappa <= 127, int16 up to 32767, int32 up to 2**31 - 1, else
-    int64.  Float input keeps its dtype.  With ``overwrite``, an integer
-    array that already has that type is clipped in place and returned.
+    The result has the narrowest signed type that holds +kappa: int8 for
+    kappa <= 127, int16 up to 32767, int32 up to 2**31 - 1, else int64.
+    Float input is rejected: what is clipped is an activation, which is an
+    integer.  With ``overwrite``, an array that already has that type is
+    clipped in place and returned.
     """
     check_count("kappa", kappa)
     v = _as_rows(v)
     if not np.issubdtype(v.dtype, np.integer):
-        return np.clip(v, -kappa, kappa)
+        raise InvalidParameterError(f"clip takes integers, got dtype {v.dtype}")
     # -kappa - 1, not -kappa: int8 holds -128 but not +128.
     dtype = np.min_scalar_type(-min(kappa, _INT64_MAX) - 1)
     out = v if overwrite and v.dtype == dtype else np.empty(v.shape, dtype)

@@ -84,10 +84,9 @@ class AgentNetwork:
             raise InvalidParameterError("agent_ids must be distinct")
 
     @classmethod
-    def fully_connected(cls, n_agents: int, agent_ids=None) -> "AgentNetwork":
+    def fully_connected(cls, n_agents: int) -> "AgentNetwork":
         check_count("n_agents", n_agents)
-        ids = tuple(range(n_agents)) if agent_ids is None else tuple(agent_ids)
-        return cls(omega=np.ones((n_agents, n_agents), dtype=np.int64), agent_ids=ids)
+        return cls(np.ones((n_agents, n_agents), dtype=np.int64), tuple(range(n_agents)))
 
     @property
     def n_agents(self) -> int:

@@ -283,6 +283,15 @@ class ResultRecord:
             if len(values[name]) != values[count]:
                 raise ParseError(f"record field {name!r} holds {len(values[name])} values, "
                                  f"but {count} is {values[count]}")
+        # of_cell derives these, and JSON and CSV floats give them back exactly.
+        derived = dict(payload_bytes_per_producer=8 * record.payload_values_per_producer,
+                       mean_accuracy=float(np.mean(record.per_seed_mean)),
+                       std_accuracy=float(np.std(record.per_seed_mean)))
+        for name, want in derived.items():
+            if values[name] != want:
+                raise ParseError(f"record field {name!r}: {values[name]!r} is not {want!r}")
+        if len(h := record.config_hash) != 64 or not set(h) <= set("0123456789abcdef"):
+            raise ParseError(f"record field 'config_hash': {h!r} is not 64 lowercase hex digits")
         return record
 
     @property
@@ -322,6 +331,8 @@ _FIELD_RANGES = {
     **dict.fromkeys(("mean_accuracy", "per_seed_mean", "per_agent_mean"), (0, 1)),
     **dict.fromkeys(("std_accuracy", "lam"), (0, math.inf)),
     **dict.fromkeys(("n_agents", "dim", "kappa", "n_seeds"), (1, math.inf)),
+    "payload_values_per_producer": (0, math.inf),
+    "master_seed": (0, 2**64 - 1),  # the range of check_seed
 }
 
 

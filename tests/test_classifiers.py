@@ -69,18 +69,18 @@ def test_one_hot_rejects_out_of_range():
 
 
 def test_rls_identity_unregularized():
-    model = train_rls(np.eye(2), np.eye(2), 0.0)
+    model = train_rls(np.eye(2, dtype=np.int8), np.eye(2), 0.0)
     np.testing.assert_allclose(model.weights, np.eye(2), atol=1e-12)
 
 
 def test_rls_identity_with_unit_ridge():
-    model = train_rls(np.eye(2), np.eye(2), 1.0)
+    model = train_rls(np.eye(2, dtype=np.int8), np.eye(2), 1.0)
     np.testing.assert_allclose(model.weights, 0.5 * np.eye(2), atol=1e-12)
 
 
 def test_rls_matches_elimination_oracle():
     rng = SeedSpec(20).rng()
-    H = rng.standard_normal((50, 10))
+    H = rng.integers(-7, 8, size=(50, 10))
     Y = one_hot(rng.integers(1, 4, size=50), 3)
     model = train_rls(H, Y, 0.25)
     np.testing.assert_allclose(model.weights, ridge(H, Y, 0.25), atol=1e-6)
@@ -89,7 +89,7 @@ def test_rls_matches_elimination_oracle():
 def test_rls_dual_branch_matches_oracle():
     # Fewer samples than hidden units exercises the dual form.
     rng = SeedSpec(21).rng()
-    H = rng.standard_normal((8, 24))
+    H = rng.integers(-7, 8, size=(8, 24))
     Y = one_hot(rng.integers(1, 3, size=8), 2)
     model = train_rls(H, Y, 0.5)
     np.testing.assert_allclose(model.weights, ridge(H, Y, 0.5), atol=1e-6)
@@ -104,26 +104,20 @@ def inline_dual_rls(H, Y, lam):
     return (H.T @ S).T
 
 
-def activations_of(rng, rows, dim, activations, bound):
-    """int8 activations clipped at 15, standard-normal ones, or normal ones spread over 10**(+-3)."""
-    if activations == "int8":
-        H = clip(rng.integers(-bound, bound + 1, size=(rows, dim)), 15)
-        assert H.dtype == np.int8
-        return H
-    H = rng.standard_normal((rows, dim))
-    if activations == "wide":
-        H *= 10.0 ** rng.uniform(-3, 3, size=(rows, dim))
+def int8_activations(rng, rows, dim, bound):
+    """Activations drawn from [-bound, bound] and clipped at 15, in int8."""
+    H = clip(rng.integers(-bound, bound + 1, size=(rows, dim)), 15)
+    assert H.dtype == np.int8
     return H
 
 
 @pytest.mark.parametrize("lam", [2.0**-10, 0.5, 32.0])
-@pytest.mark.parametrize("activations", ["int8", "float", "wide"])
 @pytest.mark.parametrize("rows, dim", [(1, 40), (30, 200), (199, 200)])
-def test_rls_dual_equals_inline_cholesky_bit_for_bit(rows, dim, activations, lam):
-    # A one-row H makes the Gram matrix 1 x 1, a dot product that only
-    # numpy's own H @ H.T gives the bits of at every OpenBLAS kernel.
+def test_rls_dual_equals_inline_cholesky_bit_for_bit(rows, dim, lam):
+    # A one-row H makes the Gram matrix 1 x 1, a dot product: like every
+    # entry, an exact integer in any order.
     rng = SeedSpec(29).rng()
-    H = activations_of(rng, rows, dim, activations, 20)
+    H = int8_activations(rng, rows, dim, 20)
     Y = one_hot(rng.integers(1, 4, size=rows), 3)
     assert np.array_equal(train_rls(H, Y, lam).weights, inline_dual_rls(H, Y, lam))
 
@@ -137,20 +131,19 @@ def inline_primal_rls(H, Y, lam):
 
 
 @pytest.mark.parametrize("lam", [0.0, 2.0**-10, 32.0])
-@pytest.mark.parametrize("activations", ["int8", "float", "wide"])
 @pytest.mark.parametrize("rows, dim", [(300, 300), (600, 300), (1500, 750), (300, 1)])
-def test_rls_primal_equals_inline_cholesky_bit_for_bit(rows, dim, activations, lam):
-    # Float activations round in every product, so only numpy's own forms of
-    # H^T H and H^T Y give these bits; integer ones are exact in any form.
+def test_rls_primal_equals_inline_cholesky_bit_for_bit(rows, dim, lam):
+    # Integer activations make H^T H and H^T Y exact in any form, so the
+    # streamed system gives numpy's bits.
     rng = SeedSpec(30).rng()
-    H = activations_of(rng, rows, dim, activations, 20)
+    H = int8_activations(rng, rows, dim, 20)
     Y = one_hot(rng.integers(1, 4, size=rows), 3)
     assert np.array_equal(train_rls(H, Y, lam).weights, inline_primal_rls(H, Y, lam))
 
 
 def test_rls_dual_singular_names_its_lambda():
     # lambda is positive but below the rounding of H H^T, which has rank one.
-    H = np.array([[1e8, 0, 0], [1e8, 0, 0]])
+    H = np.array([[10**8, 0, 0], [10**8, 0, 0]])
     with pytest.raises(SingularSystemError, match=r"lambda=1e-300; use a larger lambda"):
         train_rls(H, one_hot([1, 2], 2), 1e-300)
 
@@ -196,7 +189,7 @@ def test_rls_from_gram_rejects_a_nan_gram():
 
 
 def test_rls_singular_without_ridge():
-    H = np.ones((3, 5))  # rank one
+    H = np.ones((3, 5), dtype=np.int8)  # rank one
     Y = one_hot([1, 2, 1], 2)
     with pytest.raises(SingularSystemError):
         train_rls(H, Y, 0.0)
@@ -204,17 +197,28 @@ def test_rls_singular_without_ridge():
 
 def test_rls_rejects_negative_lambda():
     with pytest.raises(InvalidParameterError):
-        train_rls(np.eye(2), np.eye(2), -0.1)
+        train_rls(np.eye(2, dtype=np.int8), np.eye(2), -0.1)
 
 
 def test_rls_row_count_mismatch():
     with pytest.raises(DimensionError):
-        train_rls(np.eye(3), np.eye(2), 1.0)
+        train_rls(np.eye(3, dtype=np.int8), np.eye(2), 1.0)
+
+
+@pytest.mark.parametrize("fit", [train_rls, lambda H, Y, lam: rls_sweep(H, Y, [lam])],
+                         ids=["cholesky", "tridiagonal"])
+@pytest.mark.parametrize("h_shape, y_shape, lam", [
+    ((0, 3), (0, 2), 0.0), ((0, 3), (0, 2), 1.0), ((4, 0), (4, 2), 1.0), ((4, 3), (4, 0), 1.0),
+], ids=["no-rows-primal", "no-rows-dual", "no-columns", "no-targets"])
+def test_ridge_fits_reject_empty_matrices(fit, h_shape, y_shape, lam):
+    # Unchecked, these reach BLAS, which rejects some with a message on stderr.
+    with pytest.raises(DimensionError, match="must be non-empty 2-D matrices"):
+        fit(np.zeros(h_shape, dtype=np.int8), np.zeros(y_shape), lam)
 
 
 def test_rls_is_loss_minimizer():
     rng = SeedSpec(23).rng()
-    H = rng.standard_normal((40, 12))
+    H = rng.integers(-7, 8, size=(40, 12))
     Y = one_hot(rng.integers(1, 4, size=40), 3)
     lam = 0.3
     model = train_rls(H, Y, lam)
@@ -226,7 +230,7 @@ def test_rls_is_loss_minimizer():
 
 def test_rls_shrinks_with_lambda():
     rng = SeedSpec(24).rng()
-    H = rng.standard_normal((60, 15))
+    H = rng.integers(-7, 8, size=(60, 15))
     Y = one_hot(rng.integers(1, 4, size=60), 3)
     norms = [
         float(np.linalg.norm(train_rls(H, Y, lam).weights))
@@ -236,9 +240,9 @@ def test_rls_shrinks_with_lambda():
 
 
 @pytest.mark.parametrize("fit", [
-    lambda lam: train_rls(np.eye(2), np.eye(2), lam),
+    lambda lam: train_rls(np.eye(2, dtype=np.int8), np.eye(2), lam),
     lambda lam: rls_from_gram(np.eye(2), np.eye(2), lam),
-    lambda lam: rls_sweep(np.eye(2), np.eye(2), [1.0, lam]),
+    lambda lam: rls_sweep(np.eye(2, dtype=np.int8), np.eye(2), [1.0, lam]),
 ], ids=["train_rls", "rls_from_gram", "rls_sweep"])
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -0.1, True, "1"])
 def test_ridge_fits_reject_invalid_lambda(fit, lam):
@@ -250,7 +254,7 @@ def test_ridge_fits_reject_invalid_lambda(fit, lam):
 
 def test_rls_sweep_rejects_empty_lambdas():
     with pytest.raises(InvalidParameterError, match="lambda"):
-        rls_sweep(np.eye(2), np.eye(2), [])
+        rls_sweep(np.eye(2, dtype=np.int8), np.eye(2), [])
 
 
 def assert_sweep_matches_train_rls(H, Y, lams):
@@ -297,7 +301,7 @@ def test_rls_sweep_on_a_one_by_one_gram(rows, dim):
 
 def test_rls_sweep_at_lambda_zero_matches_train_rls():
     rng = SeedSpec(27).rng()
-    H = rng.standard_normal((30, 6))
+    H = rng.integers(-7, 8, size=(30, 6))
     Y = one_hot(rng.integers(1, 3, size=30), 2)
     assert_sweep_matches_train_rls(H, Y, [0.0, 0.5])
 
@@ -306,7 +310,7 @@ def test_rls_sweep_at_lambda_zero_matches_train_rls():
 def test_rls_sweep_singular_without_ridge(rows, dim):
     # A zero lambda keeps the primal Gram matrix, here all zero.
     with pytest.raises(SingularSystemError, match="lambda"):
-        rls_sweep(np.zeros((rows, dim)), one_hot([1, 2, 1, 2], 2), [1.0, 0.0])
+        rls_sweep(np.zeros((rows, dim), dtype=np.int8), one_hot([1, 2, 1, 2], 2), [1.0, 0.0])
 
 
 def numpy_gram_sweep(H, Y, lams):
@@ -329,24 +333,18 @@ def numpy_gram_sweep(H, Y, lams):
     return [w.T for w in np.split(solutions, len(lams), axis=1)]
 
 
-# The one-row case draws from seed 29: seed 28's 1 x 40 row happens to sum
-# to the same bits in dsyrk's order and in numpy's.
-@pytest.mark.parametrize("rows, dim, activations, seed", [
-    pytest.param(1500, 750, "int8", 28, id="primal"),
-    pytest.param(500, 750, "int8", 28, id="dual"),
-    pytest.param(1500, 750, "float", 28, id="primal-float"),
-    pytest.param(500, 750, "float", 28, id="dual-float"),
-    pytest.param(600, 300, "int8", 28, id="primal-600x300"),
-    pytest.param(600, 300, "float", 28, id="primal-600x300-float"),
-    pytest.param(1, 40, "wide", 29, id="dual-one-row-wide"),
-    pytest.param(300, 1, "wide", 28, id="primal-one-column-wide"),
+@pytest.mark.parametrize("rows, dim", [
+    pytest.param(1500, 750, id="primal"),
+    pytest.param(500, 750, id="dual"),
+    pytest.param(600, 300, id="primal-600x300"),
+    pytest.param(1, 40, id="dual-one-row"),
+    pytest.param(300, 1, id="primal-one-column"),
 ])
-def test_rls_sweep_equals_numpy_gram_path_bit_for_bit(rows, dim, activations, seed):
-    # The Gram, cross and closing products are issued in the forms that give
-    # numpy's bits, so float activations match too; integer activations make
-    # every Gram and cross-product entry exact in any form.
-    rng = SeedSpec(seed).rng()
-    H = activations_of(rng, rows, dim, activations, 40)
+def test_rls_sweep_equals_numpy_gram_path_bit_for_bit(rows, dim):
+    # Integer activations make every Gram and cross-product entry exact in
+    # any form, and the closing product is issued in the form of numpy's.
+    rng = SeedSpec(28).rng()
+    H = int8_activations(rng, rows, dim, 40)
     Y = one_hot(rng.integers(1, 4, size=rows), 3)
     want = numpy_gram_sweep(H, Y, DEFAULT_LAMBDA_GRID)
     got = rls_sweep(H, Y, DEFAULT_LAMBDA_GRID)
@@ -393,13 +391,25 @@ def counting_blas(monkeypatch):
     return counter.calls
 
 
-def assert_fits_equal_float64_fits(H, Y, lams):
-    """train_rls and rls_sweep give the float64 activations' weights bit for bit."""
-    H64 = H.astype(np.float64)
+def assert_fits_equal_numpy_fits(H, Y, lams):
+    """train_rls and rls_sweep give the weights of numpy's float64 products of H bit for bit."""
     for lam in lams:
-        assert np.array_equal(train_rls(H, Y, lam).weights, train_rls(H64, Y, lam).weights)
-    got, want = rls_sweep(H, Y, lams), rls_sweep(H64, Y, lams)
-    assert all(np.array_equal(g.weights, w.weights) for g, w in zip(got, want, strict=True))
+        assert np.array_equal(train_rls(H, Y, lam).weights, inline_primal_rls(H, Y, lam))
+    got, want = rls_sweep(H, Y, lams), numpy_gram_sweep(H, Y, lams)
+    assert all(np.array_equal(g.weights, w) for g, w in zip(got, want, strict=True))
+
+
+def assert_streamed_system_equals_numpy(H, Y, lams, routines, counting_blas):
+    """The primal system is numpy's H64.T @ H64 (lower triangle) and H64.T @ Y, by ``routines``."""
+    gram, rhs, dual_H = _normal_equations(H, Y, lams)
+    H64 = H.astype(np.float64)
+    assert dual_H is None and gram.flags.f_contiguous
+    assert np.array_equal(np.tril(gram), np.tril(H64.T @ H64))
+    assert not np.triu(gram, 1).any()
+    assert np.array_equal(rhs, H64.T @ Y)
+    # Streamed over blocks of rows and columns, in the routines of one dtype.
+    assert set(counting_blas) == routines
+    return gram
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
@@ -410,14 +420,8 @@ def test_integer_primal_systems_equal_the_float64_ones_bit_for_bit(
     rng = SeedSpec(32).rng()
     H = clip(rng.integers(-40, 41, size=(rows, dim)), kappa).astype(dtype)
     Y = one_hot(rng.integers(1, 4, size=rows), 3)
-    gram, rhs, dual_H = _normal_equations(H, Y, [1.0])
-    H64 = H.astype(np.float64)
-    assert dual_H is None and gram.flags.f_contiguous
-    assert np.array_equal(np.tril(gram), np.tril(H64.T @ H64))
-    assert np.array_equal(rhs, H64.T @ Y)
-    # Float32 routines only, streamed over blocks of rows and columns.
-    assert set(counting_blas) == {"ssyrk", "sgemm"}
-    assert_fits_equal_float64_fits(H, Y, [0.0, 2.0**-10, 1.0, 32.0])
+    assert_streamed_system_equals_numpy(H, Y, [1.0], {"ssyrk", "sgemm"}, counting_blas)
+    assert_fits_equal_numpy_fits(H, Y, [0.0, 2.0**-10, 1.0, 32.0])
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
@@ -431,13 +435,22 @@ def test_streamed_float32_system_equals_the_float64_products_bit_for_bit(
     rng = SeedSpec(37).child("streamed", rows * 1000 + dim).rng()
     H = clip(rng.integers(-40, 41, size=(rows, dim)), 15).astype(dtype)
     Y = one_hot(rng.integers(1, 4, size=rows), 3)
-    gram, rhs, dual_H = _normal_equations(H, Y, [0.0])
-    H64 = H.astype(np.float64)
-    assert dual_H is None and gram.flags.f_contiguous
-    assert np.array_equal(np.tril(gram), np.tril(H64.T @ H64))
-    assert not np.triu(gram, 1).any()
-    assert np.array_equal(rhs, H64.T @ Y)
-    assert set(counting_blas) == {"ssyrk", "sgemm"}
+    assert_streamed_system_equals_numpy(H, Y, [0.0], {"ssyrk", "sgemm"}, counting_blas)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("dim", [1, GRAM_PANEL - 1, GRAM_PANEL, GRAM_PANEL + 1])
+@pytest.mark.parametrize("rows", [1, GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1])
+def test_streamed_float64_system_equals_the_float64_products_bit_for_bit(
+    rows, dim, dtype, counting_blas
+):
+    # Column 0 is all 2**15 - 1, so even one row sums past 2**24 and the
+    # panels are float64; every sum stays an exact integer below 2**53.
+    rng = SeedSpec(38).child("streamed", rows * 1000 + dim).rng()
+    H = rng.integers(-2**15 + 1, 2**15, size=(rows, dim)).astype(dtype)
+    H[:, 0] = 2**15 - 1
+    Y = one_hot(rng.integers(1, 4, size=rows), 3)
+    assert_streamed_system_equals_numpy(H, Y, [0.0], {"dsyrk", "dgemm"}, counting_blas)
 
 
 @pytest.mark.parametrize("rows, routines", [
@@ -452,42 +465,51 @@ def test_the_float32_bound_is_the_largest_partial_sum(rows, routines, counting_b
     H = rng.integers(-127, 128, size=(rows, 8)).astype(np.int8)
     H[:, 0] = 127
     Y = one_hot(rng.integers(1, 3, size=rows), 2)
-    gram, rhs, _ = _normal_equations(H, Y, [1.0])
-    H64 = H.astype(np.float64)
+    gram = assert_streamed_system_equals_numpy(H, Y, [1.0], routines, counting_blas)
     assert gram[0, 0] == rows * 127**2
-    assert np.array_equal(np.tril(gram), np.tril(H64.T @ H64))
-    assert np.array_equal(rhs, H64.T @ Y)
-    # The float32 sums stream over row blocks; the float64 products are one
-    # call each, and neither path calls the other's routines.
-    assert set(counting_blas) == routines
-    assert "dsyrk" not in routines or sum(counting_blas.values()) == 2
-    assert_fits_equal_float64_fits(H, Y, [2.0**-10, 1.0])
+    # Both dtypes stream the same calls: one syrk and one gemm per block of
+    # rows, as the 8 columns make one panel.
+    assert dict(counting_blas) == dict.fromkeys(routines, math.ceil(rows / GRAM_BLOCK))
+    assert_fits_equal_numpy_fits(H, Y, [2.0**-10, 1.0])
 
 
-@pytest.mark.parametrize("case", ["float-H", "fractional-Y", "nan-Y", "dual"])
-def test_other_systems_keep_the_float64_products(case, counting_blas):
+def test_the_dual_system_keeps_the_float64_products(counting_blas):
     rng = SeedSpec(34).rng()
-    H = rng.integers(-7, 8, size=(60, 20)).astype(np.int8)
-    Y = one_hot(rng.integers(1, 3, size=60), 2)
-    if case == "float-H":
-        H = H + 0.5
-    elif case == "fractional-Y":
-        Y = Y / 3
-    elif case == "nan-Y":
-        Y[5, 1] = np.nan
-    else:
-        H = H[:10]
-        Y = Y[:10]
+    H = rng.integers(-7, 8, size=(10, 20)).astype(np.int8)
+    Y = one_hot(rng.integers(1, 3, size=10), 2)
     gram, rhs, dual_H = _normal_equations(H, Y, [1.0])
     H64 = np.asarray(H, dtype=np.float64)
-    assert counting_blas["ssyrk"] == 0 and counting_blas["dsyrk"] == 1
-    if case == "dual":
-        assert dual_H.dtype == np.float64 and np.array_equal(dual_H, H64)
-        assert np.array_equal(np.tril(gram), np.tril(H64 @ H64.T))
+    assert dict(counting_blas) == {"dsyrk": 1}
+    assert dual_H.dtype == np.float64 and np.array_equal(dual_H, H64)
+    assert np.array_equal(np.tril(gram), np.tril(H64 @ H64.T))
+    assert rhs is Y
+
+
+# The ids name the solvers, not the functions, so that CI's determinism
+# matrix, which selects ridge bit tests by name, leaves these out.
+@pytest.mark.parametrize("fit", [
+    lambda H, Y: train_rls(H, Y, 1.0),
+    lambda H, Y: rls_sweep(H, Y, [1.0, 32.0]),
+], ids=["cholesky", "tridiagonal"])
+@pytest.mark.parametrize("case", ["fractional-H", "single-H", "fractional-Y", "nan-Y", "inf-Y"])
+@pytest.mark.parametrize("rows", [60, 10], ids=["primal", "dual"])
+def test_ridge_fits_reject_what_the_encoder_never_makes(fit, case, rows):
+    rng = SeedSpec(34).rng()
+    H = rng.integers(-7, 8, size=(rows, 20)).astype(np.int8)
+    Y = one_hot(rng.integers(1, 3, size=rows), 2)
+    message = "targets must be finite integers"
+    if case == "fractional-H":
+        H = H + 0.5
+    elif case == "single-H":
+        H = H.astype(np.float32)
+    elif case == "fractional-Y":
+        Y = Y / 3
     else:
-        assert dual_H is None
-        assert np.array_equal(np.tril(gram), np.tril(H64.T @ H64))
-        assert np.array_equal(rhs, H64.T @ Y, equal_nan=True)
+        Y[5, 1] = np.nan if case == "nan-Y" else np.inf
+    if case.endswith("H"):
+        message = f"activations must be integers, got dtype {H.dtype}"
+    with pytest.raises(InvalidParameterError, match=message):
+        fit(H, Y)
 
 
 def test_rls_sweep_holds_no_float64_copy_of_integer_activations():
@@ -504,6 +526,27 @@ def test_rls_sweep_holds_no_float64_copy_of_integer_activations():
     finally:
         tracemalloc.stop()
     assert peak < 8 * H.shape[1] ** 2 + 2 * 2**20
+
+
+@pytest.mark.parametrize("fit", [
+    lambda H, Y: train_rls(H, Y, 1.0),
+    lambda H, Y: rls_sweep(H, Y, DEFAULT_LAMBDA_GRID),
+], ids=["train_rls", "rls_sweep"])
+def test_fits_over_the_float32_bound_hold_no_float64_copy_of_activations(fit):
+    # At kappa = 127, 6000 rows sum past 2**24, so the panels are float64.
+    # Two float64 Gram matrices (4.3 MiB each: train_rls factors a copy) and
+    # 2 MiB stay far below the 34 MiB of a float64 copy of H.
+    rng = SeedSpec(39).rng()
+    H = clip(rng.integers(-200, 201, size=(6000, 750)), 127)
+    Y = one_hot(rng.integers(1, 4, size=6000), 3)
+    fit(H, Y)  # any first-call allocations
+    tracemalloc.start()
+    try:
+        fit(H, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * H.shape[1] ** 2 + 2 * 2**20
 
 
 # ---------------------------------------------------------------- centroids
@@ -551,6 +594,12 @@ def test_centroids_reject_labels_outside_the_classes(labels, n_classes, message)
         train_centroids(np.ones((3, 4), np.int8), labels, n_classes)
 
 
+def test_centroids_reject_activations_that_are_not_integers():
+    for H in (np.ones((3, 4)), np.ones((3, 4), np.float32)):
+        with pytest.raises(InvalidParameterError, match=f"must be integers, got dtype {H.dtype}"):
+            train_centroids(H, [1, 2, 1], 2)
+
+
 @pytest.mark.parametrize("sums", [np.ones(4), np.float64(2.0), np.ones((2, 3, 4))],
                          ids=["1-D", "0-D", "3-D"])
 def test_finalize_centroids_rejects_sums_that_are_not_a_matrix(sums):
@@ -580,9 +629,9 @@ def test_finalize_centroids_matches_training():
 def test_centroid_perfect_on_separated_clusters():
     # Tight clusters around distinct corners: training accuracy must be 1.
     rng = SeedSpec(26).rng()
-    centers = np.array([[10.0, 0, 0], [0, 10.0, 0], [0, 0, 10.0]])
+    centers = np.array([[10, 0, 0], [0, 10, 0], [0, 0, 10]])
     labels = np.repeat([1, 2, 3], 30)
-    H = centers[labels - 1] + 0.1 * rng.standard_normal((90, 3))
+    H = centers[labels - 1] + rng.integers(-1, 2, size=(90, 3))
     model = train_centroids(H, labels, 3)
     assert evaluate(model, H, labels) == 1.0
 
@@ -591,15 +640,15 @@ def test_centroid_perfect_on_separated_clusters():
 
 
 def test_predict_identity_weights():
-    model = train_rls(np.eye(2), np.eye(2), 0.0)
+    model = train_rls(np.eye(2, dtype=np.int8), np.eye(2), 0.0)
     np.testing.assert_array_equal(predict_batch(model, [[0.9, 0.1]]), [1])
 
 
 def test_predict_scale_invariance():
     rng = SeedSpec(27).rng()
-    model = train_rls(rng.standard_normal((20, 8)), one_hot(rng.integers(1, 4, 20), 3), 0.1)
+    model = train_rls(rng.integers(-7, 8, size=(20, 8)), one_hot(rng.integers(1, 4, 20), 3), 0.1)
     scaled = ClassifierMatrix(weights=7.5 * model.weights, kind="rls")
-    H = rng.standard_normal((10, 8))
+    H = rng.integers(-7, 8, size=(10, 8))
     want = predict_batch(model, H)
     np.testing.assert_array_equal(predict_batch(scaled, H), want)
     np.testing.assert_array_equal(predict_batch(model, 3.0 * H), want)
@@ -612,7 +661,7 @@ def test_predict_tie_goes_to_lowest_class():
 
 
 def test_predict_dimension_mismatch():
-    model = train_rls(np.eye(3), one_hot([1, 2, 1], 2), 0.5)
+    model = train_rls(np.eye(3, dtype=np.int8), one_hot([1, 2, 1], 2), 0.5)
     with pytest.raises(DimensionError):
         predict_batch(model, np.ones((1, 4)))
     with pytest.raises(DimensionError):
@@ -623,8 +672,8 @@ def test_predict_dimension_mismatch():
 
 
 def test_evaluate_perfect_and_single_sample():
-    model = train_rls(np.eye(3), np.eye(3), 0.0)
-    H = np.eye(3)
+    H = np.eye(3, dtype=np.int8)
+    model = train_rls(H, np.eye(3), 0.0)
     assert evaluate(model, H, [1, 2, 3]) == 1.0
     assert evaluate(model, H[:1], [1]) in (0.0, 1.0)
     assert evaluate(model, H[:1], [2]) == 0.0
@@ -632,22 +681,22 @@ def test_evaluate_perfect_and_single_sample():
 
 def test_evaluate_random_labels_near_chance():
     rng = SeedSpec(28).rng()
-    model = train_rls(rng.standard_normal((30, 16)), one_hot(rng.integers(1, 4, 30), 3), 1.0)
-    H = rng.standard_normal((3000, 16))
+    model = train_rls(rng.integers(-7, 8, size=(30, 16)), one_hot(rng.integers(1, 4, 30), 3), 1.0)
+    H = rng.integers(-7, 8, size=(3000, 16))
     labels = rng.integers(1, 4, size=3000)  # independent of H: chance level 1/3
     assert abs(evaluate(model, H, labels) - 1 / 3) < 0.05
 
 
 def test_evaluate_empty_rejected():
-    model = train_rls(np.eye(2), np.eye(2), 0.0)
+    model = train_rls(np.eye(2, dtype=np.int8), np.eye(2), 0.0)
     with pytest.raises(InvalidParameterError):
         evaluate(model, np.zeros((0, 2)), [])
 
 
 def test_predict_batch_agrees_with_the_oracle():
     rng = SeedSpec(29).rng()
-    model = train_rls(rng.standard_normal((25, 6)), one_hot(rng.integers(1, 3, 25), 2), 0.2)
-    H = rng.standard_normal((12, 6))
+    model = train_rls(rng.integers(-7, 8, size=(25, 6)), one_hot(rng.integers(1, 3, 25), 2), 0.2)
+    H = rng.integers(-7, 8, size=(12, 6))
     np.testing.assert_array_equal(predict_batch(model, H), predict(model.weights, H))
 
 
@@ -655,7 +704,7 @@ def test_predict_batch_across_row_blocks():
     # Integer activations spanning several scoring blocks, with all-zero rows
     # (a three-way tie, won by class 1) on both sides of each block boundary.
     rng = SeedSpec(30).rng()
-    model = train_rls(rng.standard_normal((40, 9)), one_hot(rng.integers(1, 4, 40), 3), 0.5)
+    model = train_rls(rng.integers(-7, 8, size=(40, 9)), one_hot(rng.integers(1, 4, 40), 3), 0.5)
     H = rng.integers(-7, 8, size=(2 * PREDICT_BLOCK + 7, 9))
     H[[0, PREDICT_BLOCK - 1, PREDICT_BLOCK, 2 * PREDICT_BLOCK, -1]] = 0
     got = predict_batch(model, H)

@@ -262,7 +262,7 @@ def reference_exchange(network, classifiers):
 
 
 @pytest.mark.parametrize("network, n_classes, dim", [
-    (AgentNetwork.fully_connected(5, agent_ids=IDS), 3, 64),
+    (AgentNetwork(np.ones((5, 5), dtype=np.int64), IDS), 3, 64),
     (AgentNetwork.fully_connected(EXCHANGE_BLOCK + 1), 10, 101),
     # Not a multiple of the block, with ids in no particular order.
     (ring([(37 * p) % 41 for p in range(2 * EXCHANGE_BLOCK + 3)]), 3, 150),
@@ -285,7 +285,7 @@ def test_exchange_names_the_agent_whose_key_is_singular(monkeypatch):
         return generate_keys(agent_id, n_classes, dim)
 
     monkeypatch.setattr(hvnet.network, "generate_keys", keys_with_one_singular)
-    network = AgentNetwork.fully_connected(5, agent_ids=IDS)
+    network = AgentNetwork(np.ones((5, 5), dtype=np.int64), IDS)
     classifiers = [matrix(unit_rows(3, 32, 50 + p)) for p in range(5)]
     with pytest.raises(SingularKeyError, match="agent 1000: key has a near-zero spectral"):
         exchange_and_aggregate(network, classifiers, compression=True)

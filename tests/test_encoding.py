@@ -297,7 +297,6 @@ def test_clip_returns_narrowest_type_holding_kappa(kappa, dtype):
 
 @pytest.mark.parametrize("dtype, kappa, in_place", [
     (np.int8, 3, True), (np.int16, 300, True), (np.int16, 3, False), (np.int8, 300, False),
-    (np.float64, 3, False),
 ])
 def test_clip_overwrites_only_input_of_its_output_type(dtype, kappa, in_place):
     v = np.array([[-5, 100, 2], [127, -128, 0]]).astype(dtype)
@@ -311,10 +310,14 @@ def test_clip_overwrites_only_input_of_its_output_type(dtype, kappa, in_place):
         np.testing.assert_array_equal(v, before)
 
 
-def test_clip_keeps_float_dtype():
-    out = clip(np.array([-2.5, 0.25, 2.5]), 1)
-    assert out.dtype == np.float64
-    np.testing.assert_array_equal(out, [-1.0, 0.25, 1.0])
+@pytest.mark.parametrize("overwrite", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+def test_clip_rejects_input_that_is_not_integer(dtype, overwrite):
+    v = np.array([-2.5, 0.25, 2.5]).astype(dtype)
+    before = v.copy()
+    with pytest.raises(InvalidParameterError, match=f"clip takes integers, got dtype {v.dtype}"):
+        clip(v, 1, overwrite=overwrite)
+    np.testing.assert_array_equal(v, before)
 
 
 def test_encode_batch_returns_int8_at_reference_kappa():

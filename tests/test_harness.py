@@ -65,9 +65,10 @@ def fake_record(**overrides):
     base = dict(
         dataset="toy", version="local", classifier="rls", compressed=False,
         n_agents=10, dim=100, lam=1.0, kappa=7, n_seeds=2, master_seed=0,
-        per_seed_mean=(0.7, 0.74), mean_accuracy=0.72, std_accuracy=0.02,
+        # mean_accuracy and std_accuracy are np.mean and np.std of per_seed_mean.
+        per_seed_mean=(0.7, 0.74), mean_accuracy=0.72, std_accuracy=0.020000000000000018,
         per_agent_mean=(0.71, 0.73) * 5, payload_values_per_producer=300,
-        payload_bytes_per_producer=2400, config_hash="abc",
+        payload_bytes_per_producer=2400, config_hash="0123456789abcdef" * 4,
     )
     base.update(overrides)
     return ResultRecord(**base)
@@ -919,9 +920,19 @@ def test_record_from_dict_rejects_wrong_json_types(name, value):
     ("lam", -1.0, r"-1.0 is outside \[0, inf\]"),
     ("per_seed_mean", [0.7, 0.74, 0.72], "holds 3 values, but n_seeds is 2"),
     ("per_agent_mean", [0.71, 0.73], "holds 2 values, but n_agents is 10"),
+    ("master_seed", 2**64, rf"{2**64} is outside \[0, {2**64 - 1}\]"),
+    ("master_seed", -1, rf"-1 is outside \[0, {2**64 - 1}\]"),
+    ("payload_values_per_producer", -1, r"-1 is outside \[0, inf\]"),
+    ("payload_bytes_per_producer", 2401, "2401 is not 2400"),
+    ("config_hash", "abc", "'abc' is not 64 lowercase hex digits"),
+    ("config_hash", "0123456789ABCDEF" * 4, "is not 64 lowercase hex digits"),
+    ("mean_accuracy", 0.7200000000000001, "0.7200000000000001 is not 0.72"),
+    ("std_accuracy", 0.02, "0.02 is not 0.020000000000000018"),
 ], ids=["mean-above-one", "mean-below-zero", "per-seed-above-one", "per-agent-below-zero",
         "std-negative", "agents-negative", "agents-zero", "dim-zero", "kappa-zero", "seeds-zero",
-        "lam-negative", "per-seed-length", "per-agent-length"])
+        "lam-negative", "per-seed-length", "per-agent-length", "seed-2**64", "seed-negative",
+        "payload-negative", "payload-bytes", "hash-short", "hash-uppercase", "mean-derived",
+        "std-derived"])
 def test_record_from_dict_rejects_values_that_no_suite_writes(name, value, reason):
     with pytest.raises(ParseError, match=rf"record field '{name}'.*{reason}"):
         ResultRecord.from_dict({**fake_record().to_dict(), name: value})

@@ -130,7 +130,7 @@ def test_clip_idempotent(values, kappa):
 @pytest.mark.parametrize("kappa", [0, -1, 0.5, True])
 def test_clip_rejects_bad_kappa(kappa):
     with pytest.raises(InvalidParameterError):
-        clip(np.array([1.0]), kappa)
+        clip(np.array([1]), kappa)
 
 
 # --------------------------------------------------------------- superpose

@@ -188,7 +188,7 @@ def test_exchange_order_independent(blobs):
     net = AgentNetwork.fully_connected(6)
     agg, _ = exchange_and_aggregate(net, models, False)
     perm = [3, 0, 5, 1, 4, 2]
-    net_p = AgentNetwork.fully_connected(6, agent_ids=tuple(perm))
+    net_p = AgentNetwork(np.ones((6, 6), dtype=np.int64), tuple(perm))
     agg_p, _ = exchange_and_aggregate(net_p, [models[p] for p in perm], False)
     # Agent at position i of the permuted run is original agent perm[i]; the
     # fully connected sum must be bitwise identical thanks to sorted-id order.
