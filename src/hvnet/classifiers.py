@@ -1,8 +1,9 @@
 """Output-layer training and winner-takes-all prediction.
 
 Two classifier kinds share one storage layout: an (n_classes, dim) weight
-matrix applied on the left of a hidden activation.  Class labels are
-1-based throughout.
+matrix applied on the left of a hidden activation.  Every fit and scorer
+takes integer activations and 1-based class labels, checked by
+``hdc.check_integers`` and ``hdc.check_labels``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy import linalg as sla
 from scipy.linalg import blas, lapack
 
 from .errors import DimensionError, EmptyClassWarning, InvalidParameterError, SingularSystemError
-from .hdc import check_count, check_lambda
+from .hdc import check_count, check_integers, check_labels, check_lambda
 from .records import CLASSIFIER_KINDS
 
 __all__ = [
@@ -73,20 +74,10 @@ class ClassifierMatrix:
         return self.weights.shape[1]
 
 
-def _check_labels(labels, n_classes: int) -> NDArray[np.int64]:
-    """``labels`` as int64, after checking they are 1-based labels of n_classes >= 2 classes."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or labels.size < 1:
-        raise InvalidParameterError("labels must be a non-empty 1-D sequence")
-    check_count("n_classes", n_classes, lo=2)
-    if labels.min() < 1 or labels.max() > n_classes:
-        raise InvalidParameterError("labels must lie in 1..n_classes")
-    return labels
-
-
 def one_hot(labels, n_classes: int) -> NDArray[np.float64]:
-    """Rows of indicator vectors for 1-based class labels."""
-    labels = _check_labels(labels, n_classes)
+    """Rows of indicator vectors for 1-based class labels of n_classes >= 2 classes."""
+    check_count("n_classes", n_classes, lo=2)
+    labels = check_labels(labels, n_classes)
     out = np.zeros((labels.shape[0], n_classes), dtype=np.float64)
     out[np.arange(labels.shape[0]), labels - 1] = 1.0
     return out
@@ -98,9 +89,7 @@ def _design(H, Y) -> tuple[NDArray[np.integer], NDArray[np.float64]]:
     Every entry of a ridge system is then an exact integer sum, which
     :func:`_normal_equations` may form in any order.
     """
-    H = np.asarray(H)
-    if not np.issubdtype(H.dtype, np.integer):
-        raise InvalidParameterError(f"activations must be integers, got dtype {H.dtype}")
+    H = check_integers("activations", H)
     Y = np.asarray(Y, dtype=np.float64)
     if H.ndim != 2 or Y.ndim != 2 or 0 in H.shape + Y.shape:
         raise DimensionError(f"H and Y must be non-empty 2-D matrices, got {H.shape} and {Y.shape}")
@@ -352,18 +341,15 @@ def finalize_centroids(class_sums) -> ClassifierMatrix:
 
 
 def train_centroids(H, labels, n_classes: int) -> ClassifierMatrix:
-    """One unit-norm centroid per class, from the integer activations of its samples.
+    """One unit-norm centroid per class (n_classes >= 2), from its samples' integer activations.
 
     Class sums are exact in int64, so shard-wise aggregation reproduces them bit for bit.
     """
-    H = np.asarray(H)
-    if not np.issubdtype(H.dtype, np.integer):
-        raise InvalidParameterError(f"activations must be integers, got dtype {H.dtype}")
+    H = check_integers("activations", H)
     if H.ndim != 2 or H.shape[0] < 1:
         raise InvalidParameterError("need at least one training sample")
-    labels = _check_labels(labels, n_classes)
-    if labels.shape[0] != H.shape[0]:
-        raise DimensionError("labels and activation rows must match")
+    check_count("n_classes", n_classes, lo=2)
+    labels = check_labels(labels, n_classes, H.shape[0])
     sums = np.zeros((n_classes, H.shape[1]), dtype=np.int64)
     for i in range(1, n_classes + 1):
         mask = labels == i
@@ -373,8 +359,8 @@ def train_centroids(H, labels, n_classes: int) -> ClassifierMatrix:
 
 
 def predict_batch(w: ClassifierMatrix, H) -> NDArray[np.int64]:
-    """Winner-takes-all class of every activation row; ties go to the lowest class index."""
-    H = np.asarray(H)
+    """Winner-takes-all class of every row of integer activations; ties go to the lowest class."""
+    H = check_integers("activations", H)
     if H.ndim != 2 or H.shape[1] != w.dim:
         raise DimensionError(f"activations shape {H.shape} does not match dim {w.dim}")
     return _winners([w], H)[0]
@@ -386,21 +372,19 @@ def evaluate(w: ClassifierMatrix, H, labels) -> float:
 
 
 def evaluate_many(models, H, labels) -> list[float]:
-    """``[evaluate(w, H, labels) for w in models]`` for models of one shape, in one pass."""
+    """``[evaluate(w, H, labels) for w in models]`` for models of one shape, checked once."""
     models = list(models)
     if not models:
         raise InvalidParameterError("need at least one model")
     shape = models[0].weights.shape
     if any(w.weights.shape != shape for w in models):
         raise DimensionError("models must share one weights shape")
-    labels = np.asarray(labels, dtype=np.int64)
-    H = np.asarray(H)
+    H = check_integers("activations", H)
     if H.ndim != 2 or H.shape[0] < 1:
         raise InvalidParameterError("test set must be non-empty")
-    if labels.shape[0] != H.shape[0]:
-        raise DimensionError("labels and activation rows must match")
     if H.shape[1] != shape[1]:
         raise DimensionError(f"activations shape {H.shape} does not match dim {shape[1]}")
+    labels = check_labels(labels, shape[0], H.shape[0])
     correct = np.count_nonzero(_winners(models, H) == labels, axis=1)
     return [float(c / H.shape[0]) for c in correct]
 

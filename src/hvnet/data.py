@@ -8,6 +8,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, replace
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import (
     ParseError,
     StratificationWarning,
 )
-from .hdc import SeedSpec, check_count
+from .hdc import SeedSpec, check_count, check_integers, check_labels
 
 __all__ = [
     "Dataset",
@@ -35,12 +36,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dataset:
-    """Tabular classification data with 1-based dense labels."""
+    """Tabular data of n_classes >= 2 classes, one label per sample that passes ``check_labels``."""
 
     samples: np.ndarray  # (n_samples, n_features) float64
     labels: np.ndarray  # (n_samples,) int64 in 1..n_classes
     n_classes: int
     name: str = "dataset"
+
+    def __post_init__(self):
+        check_count("n_classes", self.n_classes, lo=2)
+        check_labels(self.labels, self.n_classes, len(self.samples))
 
     @property
     def n_samples(self) -> int:
@@ -71,8 +76,9 @@ class SplitSpec:
 def load_csv(path, label_column=-1, header: bool = False, name: str | None = None) -> Dataset:
     """Load a numeric-feature CSV; the label column may be categorical.
 
-    Labels are densely re-indexed to 1..n_classes (numeric order when all
-    raw labels parse as numbers, lexicographic otherwise).  The file must be
+    Labels are densely re-indexed to 1..n_classes: by value in numeric order
+    when every raw label parses as a finite number (``1``, ``1.0`` and ``01``
+    are one class), else by string in lexicographic order.  The file must be
     UTF-8, and every data row as many cells long as the file's first row.
     """
     path = Path(path)
@@ -130,15 +136,18 @@ def load_csv(path, label_column=-1, header: bool = False, name: str | None = Non
         features.append(vals)
 
     try:
-        ordered = sorted(set(raw_labels), key=float)
-    except ValueError:
-        ordered = sorted(set(raw_labels))
+        # Decimal, not float: equal values are equal, and distinct ones stay distinct.
+        parsed = [Decimal(v) for v in raw_labels]
+        values = parsed if all(v.is_finite() for v in parsed) else raw_labels
+    except InvalidOperation:
+        values = raw_labels
+    ordered = sorted(set(values))
     if len(ordered) < 2:
         raise InvalidDatasetError(f"{path} contains a single class; need at least two")
     index = {v: i + 1 for i, v in enumerate(ordered)}
     return Dataset(
         samples=np.asarray(features, dtype=np.float64),
-        labels=np.asarray([index[v] for v in raw_labels], dtype=np.int64),
+        labels=np.asarray([index[v] for v in values], dtype=np.int64),
         n_classes=len(ordered),
         name=name or path.stem,
     )
@@ -149,11 +158,17 @@ def normalize(ds: Dataset, train_indices=None) -> Dataset:
 
     Rows outside the training range (possible for test data) are clamped.
     Constant features map to 0.5.  Idempotent: normalizing twice with the
-    same training rows changes nothing.  Non-finite samples are rejected.
+    same training rows changes nothing.  Non-finite samples are rejected, and
+    so are train indices other than a non-empty 1-D integer array of rows.
     """
     if not np.all(np.isfinite(ds.samples)):
         raise InvalidDatasetError(f"dataset {ds.name!r} holds a non-finite (NaN or inf) sample")
     rows = np.arange(ds.n_samples) if train_indices is None else np.asarray(train_indices)
+    what = f"train indices of dataset {ds.name!r}"
+    if (rows.ndim != 1 or rows.size < 1 or check_integers(what, rows).min() < 0
+            or rows.max() >= ds.n_samples):
+        raise InvalidParameterError(f"{what} must be a non-empty 1-D array in "
+                                    f"0..{ds.n_samples - 1}, got {np.array2string(rows)}")
     mins = ds.samples[rows].min(axis=0)
     maxs = ds.samples[rows].max(axis=0)
     span = maxs - mins

@@ -22,6 +22,8 @@ from .errors import DimensionError, InvalidParameterError, SingularKeyError
 __all__ = [
     "SeedSpec",
     "check_count",
+    "check_integers",
+    "check_labels",
     "check_lambda",
     "check_seed",
     "circ_convolve",
@@ -104,19 +106,34 @@ def check_lambda(lam) -> None:
         raise InvalidParameterError(f"lambda must be a finite number >= 0, got {lam!r}")
 
 
+def check_integers(name: str, values) -> np.ndarray:
+    """``values`` as an array, checked to have an integer dtype (bool is not one)."""
+    values = np.asarray(values)
+    if not np.issubdtype(values.dtype, np.integer):
+        raise InvalidParameterError(f"{name} must be integers, got dtype {values.dtype}")
+    return values
+
+
+def check_labels(labels, n_classes: int, rows: int | None = None) -> np.ndarray:
+    """``labels`` as an array, checked to be non-empty, 1-D, ``rows`` long and in 1..n_classes."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.size < 1 or rows not in (None, labels.shape[0]):
+        raise DimensionError(f"need {rows or 'some'} labels in a 1-D array, got {labels.shape}")
+    if check_integers("labels", labels).min() < 1 or labels.max() > n_classes:
+        raise InvalidParameterError("labels must lie in 1..n_classes")
+    return labels
+
+
 def clip(v, kappa: int, *, overwrite: bool = False) -> np.ndarray:
     """Saturate every component of an integer vector or stack of vectors to [-kappa, kappa].
 
     The result has the narrowest signed type that holds +kappa: int8 for
     kappa <= 127, int16 up to 32767, int32 up to 2**31 - 1, else int64.
-    Float input is rejected: what is clipped is an activation, which is an
-    integer.  With ``overwrite``, an array that already has that type is
-    clipped in place and returned.
+    Only integers are clipped (:func:`check_integers`), as activations are.
+    With ``overwrite``, an array that already has that type is clipped in place and returned.
     """
     check_count("kappa", kappa)
-    v = _as_rows(v)
-    if not np.issubdtype(v.dtype, np.integer):
-        raise InvalidParameterError(f"clip takes integers, got dtype {v.dtype}")
+    v = check_integers("clipped values", _as_rows(v))
     # -kappa - 1, not -kappa: int8 holds -128 but not +128.
     dtype = np.min_scalar_type(-min(kappa, _INT64_MAX) - 1)
     out = v if overwrite and v.dtype == dtype else np.empty(v.shape, dtype)

@@ -1,6 +1,7 @@
 """Output-layer training: least squares against the elimination oracle, centroids, prediction."""
 
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -63,6 +64,41 @@ def test_one_hot_rejects_out_of_range():
     for n_classes in (2.5, True, 1):
         with pytest.raises(InvalidParameterError, match="n_classes must be an integer >= 2"):
             one_hot([1, 2], n_classes)
+
+
+@pytest.mark.parametrize("labels, dtype", [
+    ([1, 1.5, 2], "float64"), ([True, False, True], "bool"), (["1", "2", "1"], "<U1"),
+], ids=["fraction", "bool", "string"])
+def test_fits_and_scorers_reject_labels_that_are_not_integers(labels, dtype):
+    # A cast to int64 would round 1.5 to 1 and read "1" and True as label 1.
+    H = np.eye(3, dtype=np.int8)
+    model = train_rls(H, np.eye(3)[:, :2], 0.5)
+    message = re.escape(f"labels must be integers, got dtype {dtype}")
+    for call in (lambda: one_hot(labels, 2), lambda: train_centroids(H, labels, 2),
+                 lambda: evaluate(model, H, labels), lambda: evaluate_many([model], H, labels)):
+        with pytest.raises(InvalidParameterError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("labels, error, message", [
+    ([[1], [2], [1], [2]], DimensionError, r"need 4 labels in a 1-D array, got \(4, 1\)"),
+    ([1, 2, 1], DimensionError, r"need 4 labels in a 1-D array, got \(3,\)"),
+    ([1, 2, 3, 1], InvalidParameterError, r"labels must lie in 1\.\.n_classes"),
+    ([0, 1, 2, 1], InvalidParameterError, r"labels must lie in 1\.\.n_classes"),
+], ids=["column", "short", "above", "zero"])
+def test_scorers_reject_labels_that_are_not_one_class_per_row(labels, error, message):
+    # Unchecked, a (4, 1) column broadcasts against the (1, 4) predictions
+    # into 16 comparisons, and a label outside the classes scores as a miss.
+    H = np.eye(4, dtype=np.int8)[:, :2]
+    model = train_rls(H, one_hot([1, 2, 1, 2], 2), 0.5)
+    for call in (lambda: evaluate(model, H, labels), lambda: evaluate_many([model], H, labels)):
+        with pytest.raises(error, match=message):
+            call()
+
+
+def test_scoring_a_one_class_model_stays_legal():
+    model = ClassifierMatrix(weights=np.ones((1, 2)), kind="rls")
+    assert evaluate(model, np.ones((3, 2), np.int8), [1, 1, 1]) == 1.0
 
 
 # ----------------------------------------------------------- least squares
@@ -600,6 +636,17 @@ def test_centroids_reject_activations_that_are_not_integers():
             train_centroids(H, [1, 2, 1], 2)
 
 
+@pytest.mark.parametrize("H, labels, error, message", [
+    (np.zeros((0, 4), np.int8), [1], InvalidParameterError, "need at least one training sample"),
+    (np.ones(4, np.int8), [1, 2, 1, 2], InvalidParameterError, "need at least one training sample"),
+    (np.ones((3, 4), np.int8), [1, 2], DimensionError, r"need 3 labels in a 1-D array"),
+    (np.ones((3, 4), np.int8), [[1, 2, 1]], DimensionError, r"got \(1, 3\)"),
+], ids=["no-rows", "1-D", "label-count", "2-D-labels"])
+def test_centroids_reject_activations_and_labels_that_do_not_match(H, labels, error, message):
+    with pytest.raises(error, match=message):
+        train_centroids(H, labels, 2)
+
+
 @pytest.mark.parametrize("sums", [np.ones(4), np.float64(2.0), np.ones((2, 3, 4))],
                          ids=["1-D", "0-D", "3-D"])
 def test_finalize_centroids_rejects_sums_that_are_not_a_matrix(sums):
@@ -641,7 +688,7 @@ def test_centroid_perfect_on_separated_clusters():
 
 def test_predict_identity_weights():
     model = train_rls(np.eye(2, dtype=np.int8), np.eye(2), 0.0)
-    np.testing.assert_array_equal(predict_batch(model, [[0.9, 0.1]]), [1])
+    np.testing.assert_array_equal(predict_batch(model, [[9, 1]]), [1])
 
 
 def test_predict_scale_invariance():
@@ -651,21 +698,21 @@ def test_predict_scale_invariance():
     H = rng.integers(-7, 8, size=(10, 8))
     want = predict_batch(model, H)
     np.testing.assert_array_equal(predict_batch(scaled, H), want)
-    np.testing.assert_array_equal(predict_batch(model, 3.0 * H), want)
+    np.testing.assert_array_equal(predict_batch(model, 3 * H), want)
 
 
 def test_predict_tie_goes_to_lowest_class():
     model = ClassifierMatrix(weights=np.array([[1.0, 0.0], [1.0, 0.0]]), kind="rls")
-    np.testing.assert_array_equal(predict_batch(model, [[1.0, 0.5]]), [1])
-    np.testing.assert_array_equal(predict(model.weights, [[1.0, 0.5]]), [1])
+    np.testing.assert_array_equal(predict_batch(model, [[2, 1]]), [1])
+    np.testing.assert_array_equal(predict(model.weights, [[2, 1]]), [1])
 
 
 def test_predict_dimension_mismatch():
     model = train_rls(np.eye(3, dtype=np.int8), one_hot([1, 2, 1], 2), 0.5)
     with pytest.raises(DimensionError):
-        predict_batch(model, np.ones((1, 4)))
+        predict_batch(model, np.ones((1, 4), np.int8))
     with pytest.raises(DimensionError):
-        predict_batch(model, np.ones(3))
+        predict_batch(model, np.ones(3, np.int8))
 
 
 # --------------------------------------------------------------- evaluation
@@ -689,8 +736,20 @@ def test_evaluate_random_labels_near_chance():
 
 def test_evaluate_empty_rejected():
     model = train_rls(np.eye(2, dtype=np.int8), np.eye(2), 0.0)
-    with pytest.raises(InvalidParameterError):
-        evaluate(model, np.zeros((0, 2)), [])
+    with pytest.raises(InvalidParameterError, match="test set must be non-empty"):
+        evaluate(model, np.zeros((0, 2), np.int8), [])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+def test_scorers_reject_activations_that_are_not_integers(dtype):
+    # The scorers take only the encoder's integers, as the fits do.
+    model = train_rls(np.eye(2, dtype=np.int8), np.eye(2), 0.5)
+    H = np.eye(2).astype(dtype)
+    message = re.escape(f"activations must be integers, got dtype {H.dtype}")
+    for call in (lambda: predict_batch(model, H), lambda: evaluate(model, H, [1, 2]),
+                 lambda: evaluate_many([model], H, [1, 2])):
+        with pytest.raises(InvalidParameterError, match=message):
+            call()
 
 
 def test_predict_batch_agrees_with_the_oracle():
@@ -750,6 +809,11 @@ def test_classifier_matrix_rejects_empty_weights():
             ClassifierMatrix(weights=weights, kind="rls")
 
 
+def test_classifier_matrix_rejects_an_unknown_kind():
+    with pytest.raises(InvalidParameterError, match="kind must be one of"):
+        ClassifierMatrix(weights=np.eye(2), kind="svm")
+
+
 @pytest.mark.parametrize("dim", [12, 400])  # primal and dual ridge solves
 def test_int8_activations_train_and_predict_like_int64(dim):
     # 320 rows of +127 in class 1: summed in int8 (or int16) they would wrap.
@@ -795,9 +859,9 @@ def test_evaluate_many_breaks_ties_like_evaluate():
 @pytest.mark.parametrize("models, H, labels, error", [
     ([], np.zeros((2, 2)), [1, 2], InvalidParameterError),
     ([np.eye(2), np.eye(3)[:2]], np.zeros((2, 2)), [1, 2], DimensionError),
-    ([np.eye(2)], np.zeros((2, 3)), [1, 2], DimensionError),
-    ([np.eye(2)], np.zeros((2, 2)), [1], DimensionError),
-    ([np.eye(2)], np.zeros((0, 2)), [], InvalidParameterError),
+    ([np.eye(2)], np.zeros((2, 3), np.int8), [1, 2], DimensionError),
+    ([np.eye(2)], np.zeros((2, 2), np.int8), [1], DimensionError),
+    ([np.eye(2)], np.zeros((0, 2), np.int8), [], InvalidParameterError),
 ], ids=["no-models", "two-shapes", "dim", "label-count", "empty-test-set"])
 def test_evaluate_many_rejects_mismatched_inputs(models, H, labels, error):
     with pytest.raises(error):

@@ -346,6 +346,13 @@ def test_report_of_an_empty_record_file_gives_back_its_bytes(runner, tmp_path):
     assert result.exit_code == 0
     assert result.stdout_bytes == b""
 
+@pytest.mark.parametrize("pair", ["local", "local:", ":centralized"])
+def test_report_rejects_a_scatter_pair_without_two_labels(runner, run_records, pair):
+    result = runner.invoke(main, ["report", str(run_records), "--scatter", pair])
+    assert result.exit_code == 1
+    assert "Error: --scatter expects VER_A:VER_B" in result.output
+
+
 def test_report_rejects_unknown_scatter_label(runner, tmp_path):
     out = tmp_path / "records.jsonl"
     ran = runner.invoke(main, [

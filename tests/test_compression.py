@@ -1,8 +1,11 @@
 """Key generation, pack/unpack round trips, crosstalk statistics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import hvnet.compression
 import hvnet.network
 from hvnet.classifiers import ClassifierMatrix
 from hvnet.compression import (
@@ -14,8 +17,14 @@ from hvnet.compression import (
     pack,
     unpack,
 )
-from hvnet.errors import DimensionError, InvalidParameterError, ProtocolError, SingularKeyError
-from hvnet.hdc import SeedSpec, circ_convolve, inverse, superpose
+from hvnet.errors import (
+    DimensionError,
+    InvalidParameterError,
+    KeyCorrelationWarning,
+    ProtocolError,
+    SingularKeyError,
+)
+from hvnet.hdc import SeedSpec, circ_convolve, inverse, random_gaussian_key, superpose
 from hvnet.network import EXCHANGE_BLOCK, AgentNetwork, exchange_and_aggregate
 from topology import ring, sorted_neighborhood
 
@@ -78,6 +87,18 @@ def test_keys_across_agents_decorrelated():
 def test_keys_within_agent_decorrelated():
     keys = generate_keys(3, 6, 1024)
     assert np.all(abs_cosines(keys.keys, keys.keys)[np.triu_indices(6, k=1)] < 0.2)
+
+
+def test_a_correlated_key_set_warns(monkeypatch):
+    # Seeded keys of 512 components stay far below the bound, so every class
+    # here is given one shared key (|cosine| 1); below 512 nothing is checked.
+    shared = random_gaussian_key(512, SeedSpec(0))
+    monkeypatch.setattr(hvnet.compression, "random_gaussian_key", lambda dim, seed: shared[:dim])
+    with pytest.warns(KeyCorrelationWarning, match=r"agent 3 has pairwise \|cosine\| 1\.000"):
+        generate_keys(3, 2, 512)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", KeyCorrelationWarning)
+        generate_keys(3, 2, 511)
 
 
 def test_single_key_round_trip():

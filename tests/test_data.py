@@ -3,6 +3,7 @@
 import json
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hvnet.data import (
 )
 from hvnet.encoding import encode_batch, init_projection
 from hvnet.errors import (
+    DimensionError,
     InvalidDatasetError,
     InvalidParameterError,
     ParseError,
@@ -52,6 +54,26 @@ def test_load_csv_numeric_labels_sort_numerically(tmp_path):
     path = write(tmp_path, "num.csv", "0.5,10\n0.6,2\n0.7,10\n")
     ds = load_csv(path, label_column=1)
     np.testing.assert_array_equal(ds.labels, [2, 1, 2])
+
+
+def test_load_csv_gives_numerically_equal_labels_one_class(tmp_path):
+    # Compared as strings, 1, 1.0, 2 and 02 would be four classes.
+    path = write(tmp_path, "equal.csv", "0.1,1\n0.2,1.0\n0.3,2\n0.4,02\n")
+    ds = load_csv(path)
+    assert ds.n_classes == 2
+    np.testing.assert_array_equal(ds.labels, [1, 1, 2, 2])
+
+
+@pytest.mark.parametrize("text, labels", [
+    ("0.1,10\n0.2,nan\n0.3,9\n", [1, 3, 2]),
+    ("0.1,inf\n0.2,1\n0.3,1.0\n", [3, 1, 2]),
+    ("0.1,12345678901234567891\n0.2,12345678901234567890\n", [2, 1]),
+], ids=["nan-is-a-string", "inf-is-a-string", "values-beyond-float-precision"])
+def test_load_csv_label_classes_follow_the_numeric_rule(tmp_path, text, labels):
+    # A non-finite label makes every label a string, in lexicographic order;
+    # finite ones are compared exactly, not as floats.
+    ds = load_csv(write(tmp_path, "labels.csv", text))
+    np.testing.assert_array_equal(ds.labels, labels)
 
 
 def test_load_csv_header_and_named_column(tmp_path):
@@ -125,6 +147,42 @@ def test_load_csv_single_class_rejected(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("text, kwargs, error, message", [
+    ("", {}, InvalidDatasetError, "is empty"),
+    ("\n\n", {}, InvalidDatasetError, "is empty"),
+    ("f1,target\n1,x\n2,y\n", {"label_column": "target"}, InvalidParameterError,
+     "named label column requires header=True"),
+    ("f1,target\n1,x\n2,y\n", {"label_column": "class", "header": True}, ParseError,
+     "no column named 'class' in"),
+    ("f1,target\n", {"header": True}, InvalidDatasetError, "has no data rows"),
+], ids=["empty", "blank-lines", "named-column-without-header", "unknown-column", "header-only"])
+def test_load_csv_rejects_a_file_without_the_rows_or_column_asked_for(
+        tmp_path, text, kwargs, error, message):
+    with pytest.raises(error, match=message):
+        load_csv(write(tmp_path, "short.csv", text), **kwargs)
+
+
+@pytest.mark.parametrize("labels, n_classes, error, message", [
+    ([1, 2, 3], 2, InvalidParameterError, r"labels must lie in 1\.\.n_classes"),
+    ([0, 1, 2], 2, InvalidParameterError, r"labels must lie in 1\.\.n_classes"),
+    ([1, 2], 2, DimensionError, r"need 3 labels in a 1-D array, got \(2,\)"),
+    ([[1], [2], [1]], 2, DimensionError, r"got \(3, 1\)"),
+    ([1.0, 2.0, 1.0], 2, InvalidParameterError, "labels must be integers, got dtype float64"),
+    ([1, 1, 1], 1, InvalidParameterError, "n_classes must be an integer >= 2, got 1"),
+], ids=["above", "zero", "short", "column", "float", "one-class"])
+def test_dataset_checks_its_labels_when_built(labels, n_classes, error, message):
+    with pytest.raises(error, match=message):
+        Dataset(samples=np.zeros((3, 2)), labels=np.asarray(labels), n_classes=n_classes)
+
+
+def test_a_dataset_declaring_too_few_classes_is_rejected_before_any_split():
+    # split groups rows by the classes 1..n_classes: declared with 2 classes,
+    # the third class's 100 rows would silently leave every train and test set.
+    ds = resolve_dataset("synth:classes=3,features=4,samples=300,sep=2.0,seed=1")
+    with pytest.raises(InvalidParameterError, match=r"labels must lie in 1\.\.n_classes"):
+        replace(ds, n_classes=2)
+
+
 # --------------------------------------------------------------- normalize
 
 
@@ -153,6 +211,22 @@ def test_normalize_rejects_non_finite_sample(bad):
     # Row 2 is outside the training rows, and is still rejected.
     with pytest.raises(InvalidDatasetError, match="non-finite"):
         normalize(ds, train_indices=[0, 1])
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([], r"must be a non-empty 1-D array in 0\.\.2, got \[\]"),
+    ([[0, 1]], r"must be a non-empty 1-D array in 0\.\.2, got \[\[0 1\]\]"),
+    ([99], r"must be a non-empty 1-D array in 0\.\.2, got \[99\]"),
+    ([0, -1], r"must be a non-empty 1-D array in 0\.\.2, got \[ 0 -1\]"),
+    ([0.0, 1.0], "must be integers, got dtype float64"),
+    ([True, False, True], "must be integers, got dtype bool"),
+], ids=["empty", "2-D", "above", "negative", "float", "mask"])
+def test_normalize_rejects_train_indices_that_are_not_row_indices(rows, message):
+    # Unchecked, numpy raises an untyped IndexError or ValueError for the first three.
+    ds = Dataset(samples=np.array([[2.0], [6.0], [8.0]]), labels=np.array([1, 2, 1]),
+                 n_classes=2, name="toy")
+    with pytest.raises(InvalidParameterError, match="train indices of dataset 'toy' " + message):
+        normalize(ds, train_indices=rows)
 
 
 def test_normalize_idempotent():
@@ -366,6 +440,14 @@ def test_manifest_rejects_an_entry_that_is_not_an_object_with_a_path(tmp_path, t
     with pytest.raises(InvalidParameterError, match="entry 'd' must be an object") as excinfo:
         load_manifest(path)
     assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("text", ["[]", '"toy.csv"', "5"], ids=["list", "string", "number"])
+def test_manifest_that_is_not_an_object_is_rejected(tmp_path, text):
+    path = write(tmp_path, "manifest.json", text)
+    message = re.escape(f"manifest {path} must be a JSON object")
+    with pytest.raises(InvalidParameterError, match=message):
+        load_manifest(path)
 
 
 @pytest.mark.parametrize("entry, shown", [

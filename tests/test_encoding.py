@@ -315,7 +315,8 @@ def test_clip_overwrites_only_input_of_its_output_type(dtype, kappa, in_place):
 def test_clip_rejects_input_that_is_not_integer(dtype, overwrite):
     v = np.array([-2.5, 0.25, 2.5]).astype(dtype)
     before = v.copy()
-    with pytest.raises(InvalidParameterError, match=f"clip takes integers, got dtype {v.dtype}"):
+    message = f"clipped values must be integers, got dtype {v.dtype}"
+    with pytest.raises(InvalidParameterError, match=message):
         clip(v, 1, overwrite=overwrite)
     np.testing.assert_array_equal(v, before)
 

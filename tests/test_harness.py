@@ -348,6 +348,19 @@ def test_relative_improvement_of_a_zero_local_accuracy_names_its_cell():
         relative_improvement(records)
 
 
+def test_relative_improvement_rejects_two_dataset_classifier_groups():
+    records = [fake_record(version=v, classifier=c)
+               for c in ("rls", "centroid") for v in ("local", "distributed")]
+    with pytest.raises(PairingError, match="records span multiple dataset/classifier groups"):
+        relative_improvement(records)
+
+
+@pytest.mark.parametrize("render", [records_to_csv, format_table], ids=["csv", "table"])
+def test_reports_of_no_records_are_rejected(render):
+    with pytest.raises(InvalidParameterError, match="no records to report"):
+        render([])
+
+
 def test_relative_improvement_missing_counterpart():
     with pytest.raises(PairingError):
         relative_improvement([fake_record(version="local")])

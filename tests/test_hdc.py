@@ -1,5 +1,7 @@
 """Hypervector algebra: frozen examples, algebraic laws, seeded statistics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from hvnet.data import synth_blobs
 from hvnet.encoding import init_projection
 from hvnet.hdc import (
     SeedSpec,
+    check_integers,
+    check_labels,
     check_seed,
     circ_convolve,
     clip,
@@ -99,6 +103,47 @@ def test_counts_must_be_integers(call):
         call(SeedSpec(0))
 
 
+# ------------------------------------------------------------ input checks
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.uint8, np.uint64])
+def test_check_integers_passes_an_integer_array_as_it_is(dtype):
+    values = np.arange(3, dtype=dtype)
+    assert check_integers("values", values) is values
+
+
+@pytest.mark.parametrize("values, dtype", [
+    (np.ones(2), "float64"), (np.ones(2, np.float16), "float16"), ([True, False], "bool"),
+    (["1", "2"], "<U1"), ([1, None], "object"), (np.ones(2, complex), "complex128"),
+], ids=["float64", "float16", "bool", "string", "object", "complex"])
+def test_check_integers_rejects_any_other_dtype_by_name(values, dtype):
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape(f"values must be integers, got dtype {dtype}")):
+        check_integers("values", values)
+
+
+def test_check_labels_passes_1_based_labels():
+    labels = check_labels([1, 3, 2, 3], 3, rows=4)
+    assert labels.tolist() == [1, 3, 2, 3]
+    np.testing.assert_array_equal(check_labels(np.array([1, 1], np.uint8), 1), [1, 1])
+
+
+@pytest.mark.parametrize("labels, rows, error, message", [
+    ([[1], [2]], None, DimensionError, r"need some labels in a 1-D array, got \(2, 1\)"),
+    ([], None, DimensionError, r"got \(0,\)"),
+    (1, None, DimensionError, r"got \(\)"),
+    ([1, 2], 3, DimensionError, r"need 3 labels in a 1-D array, got \(2,\)"),
+    ([1, 1.5], None, InvalidParameterError, "labels must be integers, got dtype float64"),
+    ([True, True], None, InvalidParameterError, "labels must be integers, got dtype bool"),
+    (["1", "2"], 2, InvalidParameterError, "labels must be integers, got dtype <U1"),
+    ([0, 1], None, InvalidParameterError, r"labels must lie in 1\.\.n_classes"),
+    ([1, 3], 2, InvalidParameterError, r"labels must lie in 1\.\.n_classes"),
+], ids=["column", "empty", "scalar", "row-count", "fraction", "bool", "string", "zero", "above"])
+def test_check_labels_rejects_what_is_not_one_class_per_row(labels, rows, error, message):
+    with pytest.raises(error, match=message):
+        check_labels(labels, 2, rows)
+
+
 # -------------------------------------------------------------------- clip
 
 
@@ -155,6 +200,17 @@ def test_superpose_no_int8_overflow():
     vs = [np.full(4, 1, dtype=np.int8) for _ in range(300)]
     out = superpose(vs)
     np.testing.assert_array_equal(out, np.full(4, 300))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: superpose([np.ones(3), np.ones(0)]),
+    lambda: clip(np.zeros((2, 0), np.int8), 1),
+    lambda: circ_convolve(np.ones(0), np.ones(0)),
+    lambda: inverse(np.float64(1.0)),
+], ids=["superpose", "clip", "circ_convolve", "inverse"])
+def test_empty_or_scalar_hypervectors_are_rejected(call):
+    with pytest.raises(DimensionError, match="must be a non-empty array, got shape"):
+        call()
 
 
 def test_superpose_errors():

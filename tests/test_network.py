@@ -85,6 +85,18 @@ def test_network_rejects_asymmetric():
         AgentNetwork(omega=omega, agent_ids=(0, 1))
 
 
+@pytest.mark.parametrize("omega, agent_ids, message", [
+    (np.ones((2, 3)), (0, 1), "omega must be square and match agent_ids"),
+    (np.ones((3, 3)), (0, 1), "omega must be square and match agent_ids"),
+    (np.array([[1, 2], [2, 1]]), (0, 1), "omega entries must be 0 or 1"),
+    (np.full((2, 2), 0.5), (0, 1), "omega entries must be 0 or 1"),
+    (np.ones((2, 2)), (4, 4), "agent_ids must be distinct"),
+], ids=["not-square", "ids-mismatch", "entry-2", "entry-half", "repeated-id"])
+def test_network_rejects_a_malformed_topology(omega, agent_ids, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        AgentNetwork(omega=omega, agent_ids=agent_ids)
+
+
 def test_neighborhood_always_contains_self():
     # Omega's diagonal is 0 and agent 2 is isolated; every aggregate still
     # holds the agent's own classifier.  Powers of two sum exactly.
@@ -297,6 +309,15 @@ def test_run_version_rejects_undersized_data(blobs):
             SharedPass(ds, train_idx[:3], test_idx, PARAMS, SeedSpec(22)),
             ExperimentVersion("local"), 5,
         )
+
+
+def test_run_version_rejects_a_network_of_another_size(blobs):
+    ds, train_idx, test_idx = blobs
+    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(23))
+    version = ExperimentVersion("distributed")
+    with pytest.raises(InvalidParameterError, match="network size must match n_agents") as exc:
+        run_version(shared, version, 4, network=AgentNetwork.fully_connected(3))
+    assert exc.value.failed_version == version
 
 
 def test_version_validation():
