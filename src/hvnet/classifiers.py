@@ -3,7 +3,7 @@
 Two classifier kinds share one storage layout: an (n_classes, dim) weight
 matrix applied on the left of a hidden activation.  Every fit and scorer
 takes integer activations and 1-based class labels, checked by
-``hdc.check_integers`` and ``hdc.check_labels``.
+``hdc.check_activations`` and ``hdc.check_labels``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from scipy import linalg as sla
 from scipy.linalg import blas, lapack
 
 from .errors import DimensionError, EmptyClassWarning, InvalidParameterError, SingularSystemError
-from .hdc import check_count, check_integers, check_labels, check_lambda
+from .hdc import check_activations, check_count, check_labels, check_lambda
 from .records import CLASSIFIER_KINDS
 
 __all__ = [
@@ -89,12 +89,11 @@ def _design(H, Y) -> tuple[NDArray[np.integer], NDArray[np.float64]]:
     Every entry of a ridge system is then an exact integer sum, which
     :func:`_normal_equations` may form in any order.
     """
-    H = check_integers("activations", H)
+    H = check_activations(H)
     Y = np.asarray(Y, dtype=np.float64)
-    if H.ndim != 2 or Y.ndim != 2 or 0 in H.shape + Y.shape:
-        raise DimensionError(f"H and Y must be non-empty 2-D matrices, got {H.shape} and {Y.shape}")
-    if H.shape[0] != Y.shape[0]:
-        raise DimensionError(f"row counts differ: H has {H.shape[0]}, Y has {Y.shape[0]}")
+    if Y.ndim != 2 or Y.shape[0] != H.shape[0] or Y.shape[1] < 1:
+        raise DimensionError(f"need targets in a 2-D array of {H.shape[0]} rows and one or more "
+                             f"columns, got shape {Y.shape}")
     if not np.all(np.isfinite(Y) & (Y == np.rint(Y))):
         raise InvalidParameterError("targets must be finite integers")
     return H, Y
@@ -220,8 +219,7 @@ def rls_from_gram(gram, cross, lam: float) -> ClassifierMatrix:
     gram = np.array(gram, dtype=np.float64, order="F")
     cross = np.asarray(cross, dtype=np.float64)
     check_lambda(lam)
-    if lam > 0:
-        gram[np.diag_indices_from(gram)] += lam
+    gram[np.diag_indices_from(gram)] += lam
     try:
         w = sla.cho_solve(sla.cho_factor(gram, overwrite_a=True), cross)
     except np.linalg.LinAlgError as exc:
@@ -345,9 +343,7 @@ def train_centroids(H, labels, n_classes: int) -> ClassifierMatrix:
 
     Class sums are exact in int64, so shard-wise aggregation reproduces them bit for bit.
     """
-    H = check_integers("activations", H)
-    if H.ndim != 2 or H.shape[0] < 1:
-        raise InvalidParameterError("need at least one training sample")
+    H = check_activations(H)
     check_count("n_classes", n_classes, lo=2)
     labels = check_labels(labels, n_classes, H.shape[0])
     sums = np.zeros((n_classes, H.shape[1]), dtype=np.int64)
@@ -360,10 +356,7 @@ def train_centroids(H, labels, n_classes: int) -> ClassifierMatrix:
 
 def predict_batch(w: ClassifierMatrix, H) -> NDArray[np.int64]:
     """Winner-takes-all class of every row of integer activations; ties go to the lowest class."""
-    H = check_integers("activations", H)
-    if H.ndim != 2 or H.shape[1] != w.dim:
-        raise DimensionError(f"activations shape {H.shape} does not match dim {w.dim}")
-    return _winners([w], H)[0]
+    return _winners([w], check_activations(H, w.dim))[0]
 
 
 def evaluate(w: ClassifierMatrix, H, labels) -> float:
@@ -379,11 +372,7 @@ def evaluate_many(models, H, labels) -> list[float]:
     shape = models[0].weights.shape
     if any(w.weights.shape != shape for w in models):
         raise DimensionError("models must share one weights shape")
-    H = check_integers("activations", H)
-    if H.ndim != 2 or H.shape[0] < 1:
-        raise InvalidParameterError("test set must be non-empty")
-    if H.shape[1] != shape[1]:
-        raise DimensionError(f"activations shape {H.shape} does not match dim {shape[1]}")
+    H = check_activations(H, shape[1])
     labels = check_labels(labels, shape[0], H.shape[0])
     correct = np.count_nonzero(_winners(models, H) == labels, axis=1)
     return [float(c / H.shape[0]) for c in correct]

@@ -119,6 +119,9 @@ def pack(weights, keys) -> NDArray[np.float64]:
     in row order.  Every classifier of a stack packs bit for bit as it does
     alone.
     """
+    if np.shape(weights) != np.shape(keys):
+        raise DimensionError(f"keys of shape {np.shape(keys)} cannot bind weights of shape "
+                             f"{np.shape(weights)}")
     return circ_convolve(keys, weights).sum(axis=-2)
 
 

@@ -21,6 +21,7 @@ from .errors import DimensionError, InvalidParameterError, SingularKeyError
 
 __all__ = [
     "SeedSpec",
+    "check_activations",
     "check_count",
     "check_integers",
     "check_labels",
@@ -107,21 +108,35 @@ def check_lambda(lam) -> None:
 
 
 def check_integers(name: str, values) -> np.ndarray:
-    """``values`` as an array, checked to have an integer dtype (bool is not one)."""
-    values = np.asarray(values)
-    if not np.issubdtype(values.dtype, np.integer):
-        raise InvalidParameterError(f"{name} must be integers, got dtype {values.dtype}")
-    return values
+    """``values`` as an array, checked to have an integer dtype (bool is not one, nor in a list)."""
+    array = np.asarray(values)
+    if not np.issubdtype(array.dtype, np.integer):
+        raise InvalidParameterError(f"{name} must be integers, got dtype {array.dtype}")
+    # numpy reads [1, True] as int64, so the elements of a list or tuple are looked at.
+    if isinstance(values, (list, tuple)) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
+    ):
+        raise InvalidParameterError(f"{name} must be integers, got a bool")
+    return array
+
+
+def check_activations(H, dim: int | None = None) -> np.ndarray:
+    """``H`` as an array, checked to be integers in 2-D, with rows, and ``dim`` columns if given."""
+    H = check_integers("activations", H)
+    if H.ndim != 2 or 0 in H.shape or dim not in (None, H.shape[1]):
+        raise DimensionError(f"need activations in a 2-D array of one or more rows and "
+                             f"{dim or 'one or more'} columns, got shape {H.shape}")
+    return H
 
 
 def check_labels(labels, n_classes: int, rows: int | None = None) -> np.ndarray:
     """``labels`` as an array, checked to be non-empty, 1-D, ``rows`` long and in 1..n_classes."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size < 1 or rows not in (None, labels.shape[0]):
-        raise DimensionError(f"need {rows or 'some'} labels in a 1-D array, got {labels.shape}")
-    if check_integers("labels", labels).min() < 1 or labels.max() > n_classes:
+    array = np.asarray(labels)
+    if array.ndim != 1 or array.size < 1 or rows not in (None, array.shape[0]):
+        raise DimensionError(f"need {rows or 'some'} labels in a 1-D array, got {array.shape}")
+    if check_integers("labels", labels).min() < 1 or array.max() > n_classes:
         raise InvalidParameterError("labels must lie in 1..n_classes")
-    return labels
+    return array
 
 
 def clip(v, kappa: int, *, overwrite: bool = False) -> np.ndarray:

@@ -118,6 +118,7 @@ class RunResult:
 
 def partition(n_samples: int, n_agents: int, seed: SeedSpec) -> DataPartition:
     """Uniform seeded shuffle split into n_agents near-equal disjoint shards."""
+    check_count("n_samples", n_samples)
     check_count("n_agents", n_agents)
     if n_samples < n_agents:
         raise InsufficientDataError(
@@ -135,9 +136,6 @@ def train_local(
     A shard may lack some class entirely: least squares proceeds with an
     all-zero one-hot column, centroids produce a zero row.
     """
-    X = np.asarray(X)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise InvalidParameterError("shard must be non-empty")
     return _fit(classifier_kind, encode_batch(X, proj, kappa), y, n_classes, lam)
 
 

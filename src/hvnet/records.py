@@ -235,11 +235,9 @@ class ResultRecord:
         return cls(
             **identity,
             per_seed_mean=tuple(per_seed),
-            mean_accuracy=float(np.mean(per_seed)),
-            std_accuracy=float(np.std(per_seed)),
             per_agent_mean=tuple(float(x) for x in per_agent_mean),
             payload_values_per_producer=payload,
-            payload_bytes_per_producer=8 * payload,
+            **_derived(per_seed, payload),
             config_hash=_config_hash({**identity, **hashed, "version": version.label}),
         )
 
@@ -283,11 +281,8 @@ class ResultRecord:
             if len(values[name]) != values[count]:
                 raise ParseError(f"record field {name!r} holds {len(values[name])} values, "
                                  f"but {count} is {values[count]}")
-        # of_cell derives these, and JSON and CSV floats give them back exactly.
-        derived = dict(payload_bytes_per_producer=8 * record.payload_values_per_producer,
-                       mean_accuracy=float(np.mean(record.per_seed_mean)),
-                       std_accuracy=float(np.std(record.per_seed_mean)))
-        for name, want in derived.items():
+        # JSON and CSV floats give the derived fields back exactly.
+        for name, want in _derived(record.per_seed_mean, record.payload_values_per_producer).items():
             if values[name] != want:
                 raise ParseError(f"record field {name!r}: {values[name]!r} is not {want!r}")
         if len(h := record.config_hash) != 64 or not set(h) <= set("0123456789abcdef"):
@@ -298,6 +293,13 @@ class ResultRecord:
     def label(self) -> str:
         """The :attr:`ExperimentVersion.label` of the version this record summarizes."""
         return ExperimentVersion(self.version, self.compressed).label
+
+
+def _derived(per_seed_mean, payload: int) -> dict:
+    """The fields a record derives from its per-seed means and its payload in values."""
+    return dict(mean_accuracy=float(np.mean(per_seed_mean)),
+                std_accuracy=float(np.std(per_seed_mean)),
+                payload_bytes_per_producer=8 * payload)
 
 
 def _decoder(convert, *accepted):

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -248,7 +249,9 @@ def test_rls_row_count_mismatch():
 ], ids=["no-rows-primal", "no-rows-dual", "no-columns", "no-targets"])
 def test_ridge_fits_reject_empty_matrices(fit, h_shape, y_shape, lam):
     # Unchecked, these reach BLAS, which rejects some with a message on stderr.
-    with pytest.raises(DimensionError, match="must be non-empty 2-D matrices"):
+    faulty, shape = ("activations", h_shape) if 0 in h_shape else ("targets", y_shape)
+    with pytest.raises(DimensionError, match=rf"need {faulty} in a 2-D array .*, got shape "
+                                             + re.escape(str(shape))):
         fit(np.zeros(h_shape, dtype=np.int8), np.zeros(y_shape), lam)
 
 
@@ -637,8 +640,8 @@ def test_centroids_reject_activations_that_are_not_integers():
 
 
 @pytest.mark.parametrize("H, labels, error, message", [
-    (np.zeros((0, 4), np.int8), [1], InvalidParameterError, "need at least one training sample"),
-    (np.ones(4, np.int8), [1, 2, 1, 2], InvalidParameterError, "need at least one training sample"),
+    (np.zeros((0, 4), np.int8), [1], DimensionError, r"got shape \(0, 4\)"),
+    (np.ones(4, np.int8), [1, 2, 1, 2], DimensionError, r"got shape \(4,\)"),
     (np.ones((3, 4), np.int8), [1, 2], DimensionError, r"need 3 labels in a 1-D array"),
     (np.ones((3, 4), np.int8), [[1, 2, 1]], DimensionError, r"got \(1, 3\)"),
 ], ids=["no-rows", "1-D", "label-count", "2-D-labels"])
@@ -736,7 +739,7 @@ def test_evaluate_random_labels_near_chance():
 
 def test_evaluate_empty_rejected():
     model = train_rls(np.eye(2, dtype=np.int8), np.eye(2), 0.0)
-    with pytest.raises(InvalidParameterError, match="test set must be non-empty"):
+    with pytest.raises(DimensionError, match=r"one or more rows .*, got shape \(0, 2\)"):
         evaluate(model, np.zeros((0, 2), np.int8), [])
 
 
@@ -861,8 +864,96 @@ def test_evaluate_many_breaks_ties_like_evaluate():
     ([np.eye(2), np.eye(3)[:2]], np.zeros((2, 2)), [1, 2], DimensionError),
     ([np.eye(2)], np.zeros((2, 3), np.int8), [1, 2], DimensionError),
     ([np.eye(2)], np.zeros((2, 2), np.int8), [1], DimensionError),
-    ([np.eye(2)], np.zeros((0, 2), np.int8), [], InvalidParameterError),
+    ([np.eye(2)], np.zeros((0, 2), np.int8), [], DimensionError),
 ], ids=["no-models", "two-shapes", "dim", "label-count", "empty-test-set"])
 def test_evaluate_many_rejects_mismatched_inputs(models, H, labels, error):
     with pytest.raises(error):
         evaluate_many([ClassifierMatrix(weights=w, kind="rls") for w in models], H, labels)
+
+
+# ---------------------------------------------------- the activation contract
+
+
+def _fits_and_scorers(labels, n_classes):
+    """(name, call) for every fit and scorer; a call takes len(labels) rows of activations.
+
+    The scorers' models are 4 wide.
+    """
+    Y = one_hot(labels, n_classes)
+    weights = SeedSpec(33).rng().standard_normal((2, n_classes, 4))
+    models = [ClassifierMatrix(weights=w, kind="rls") for w in weights]
+    return [
+        ("train_rls", lambda H: train_rls(H, Y, 0.5).weights),
+        ("rls_sweep", lambda H: [m.weights for m in rls_sweep(H, Y, [2.0**-10, 1.0, 32.0])]),
+        ("train_centroids", lambda H: train_centroids(H, labels, n_classes).class_sums),
+        ("predict_batch", lambda H: predict_batch(models[0], H)),
+        ("evaluate", lambda H: evaluate(models[0], H, labels)),
+        ("evaluate_many", lambda H: evaluate_many(models, H, labels)),
+    ]
+
+
+def test_a_bool_in_a_list_is_not_an_integer():
+    # numpy reads [1, True, 2] as int64, which read True as class 1.
+    H = np.ones((3, 2), np.int8)
+    model = train_rls(np.eye(2, dtype=np.int8), np.eye(2), 0.5)
+    for call in (
+        lambda: one_hot([1, True, 2], 2),
+        lambda: one_hot((1, np.True_, 2), 2),
+        lambda: train_centroids(H, [1, True, 2], 2),
+        lambda: evaluate(model, H[:, :2], [1, True, 2]),
+        lambda: evaluate_many([model], H, [1, False, 2]),
+        lambda: predict_batch(model, [[1, True]]),
+        lambda: train_rls([[1, 0], [0, True]], np.eye(2), 0.5),
+        lambda: train_centroids([np.array([1, 2]), np.array([True, False])], [1, 2], 2),
+    ):
+        with pytest.raises(InvalidParameterError, match="must be integers, got a bool"):
+            call()
+    # The same values without a bool pass.
+    np.testing.assert_array_equal(one_hot([1, 1, 2], 2), one_hot(np.array([1, 1, 2]), 2))
+    np.testing.assert_array_equal(predict_batch(model, [[1, 1]]), predict_batch(model, H[:1]))
+
+
+def _awkward(H, layout):
+    """The values of the int64 activations H in another dtype, container or memory layout."""
+    if layout in ("int8", "int16", "int32", "uint8"):
+        return H.astype(layout)
+    if layout == "list":
+        return H.tolist()
+    if layout == "fortran":
+        return np.asfortranarray(H)
+    if layout == "column-strided":
+        return np.repeat(H, 2, axis=1)[:, ::2]
+    if layout == "row-strided":
+        return np.repeat(H, 3, axis=0)[::3]
+    assert layout == "negative-stride"
+    return np.ascontiguousarray(H[::-1, ::-1])[::-1, ::-1]
+
+
+LAYOUTS = ("int8", "int16", "int32", "uint8", "list", "fortran", "column-strided", "row-strided",
+           "negative-stride")
+FITS = ("train_rls", "rls_sweep", "train_centroids")
+
+
+def _bits(value):
+    value = np.asarray(value)
+    return value.dtype.str, value.shape, value.tobytes()
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(rows=st.integers(1, 7), n_classes=st.integers(2, 3), layout=st.sampled_from(LAYOUTS),
+       seed=st.integers(0, 2**32 - 1))
+def test_fits_and_scorers_read_any_layout_of_activations_bit_for_bit(rows, n_classes, layout, seed):
+    # With 4 columns, rows < 4 takes the dual ridge system and rows >= 4 the primal one.
+    rng = np.random.default_rng(seed)
+    H = rng.integers(0 if layout == "uint8" else -7, 8, size=(rows, 4))
+    labels = rng.integers(1, n_classes + 1, size=rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyClassWarning)
+        for name, call in _fits_and_scorers(labels, n_classes):
+            assert _bits(call(_awkward(H, layout))) == _bits(call(H)), name
+            # 1-D, 0-d, 3-D, no rows, no columns and, for a scorer, the wrong width.
+            wrong = [H[0], H[0, 0], H[None], H[:0], H[:, :0]]
+            for bad in wrong if name in FITS else wrong + [np.hstack([H, H])]:
+                shape = re.escape(str(np.shape(bad)))
+                with pytest.raises(DimensionError, match=f"need activations .*, got shape {shape}"):
+                    call(bad)

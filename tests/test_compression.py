@@ -1,5 +1,6 @@
 """Key generation, pack/unpack round trips, crosstalk statistics."""
 
+import re
 import warnings
 
 import numpy as np
@@ -186,6 +187,16 @@ def test_compress_shape_mismatch():
             CompressedClassifier(w=np.zeros(16), agent_id=0, n_classes=2),
             generate_keys(0, 2, 32),
         )
+
+
+@pytest.mark.parametrize("weights, keys", [
+    (np.ones((2, 4)), np.ones((3, 4))), (np.ones((2, 4)), np.ones((2, 5))),
+    (np.ones((1, 2, 4)), np.ones((2, 4))),
+], ids=["classes", "dim", "stack"])
+def test_pack_rejects_keys_of_another_shape(weights, keys):
+    # Unchecked, numpy broadcast or failed with an untyped ValueError.
+    with pytest.raises(DimensionError, match=re.escape(f"keys of shape {keys.shape}")):
+        pack(weights, keys)
 
 
 def test_decompress_rejects_another_agents_keys():

@@ -86,6 +86,16 @@ def test_grid_defaults_match_published_ranges():
     assert GridSpec().size == 1920
 
 
+def test_config_defaults_to_the_papers_ten_seeds():
+    assert ExperimentConfig(dataset="synth", versions=(ExperimentVersion("local"),)).n_seeds == 10
+
+
+def test_config_dim_range_starts_at_the_grids_first_dim():
+    assert small_config(dim=50).dim == 50
+    with pytest.raises(InvalidParameterError, match=r"dim=49 is outside the search range \[50, "):
+        small_config(dim=49)
+
+
 def test_config_rejects_off_grid_hyperparameters():
     with pytest.raises(InvalidParameterError, match="allow_off_grid"):
         small_config(dim=20)
@@ -297,6 +307,11 @@ def test_pearson_matches_hand_formula():
     dy = ys - ys.mean()
     oracle = float((dx @ dy) / np.sqrt((dx @ dx) * (dy @ dy)))
     assert abs(pearson(xs, ys) - oracle) < 1e-12
+
+
+def test_pearson_of_two_values_is_their_sign():
+    assert pearson([0.1, 0.3], [2.0, 5.0]) == pytest.approx(1.0)
+    assert pearson([0.1, 0.3], [5.0, 2.0]) == pytest.approx(-1.0)
 
 
 def test_pearson_zero_variance_undefined():

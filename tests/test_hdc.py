@@ -95,9 +95,11 @@ def test_experiment_config_rejects_seed_outside_u64():
     lambda s: synth_blobs(5, 2, 3, 3.0, s),
     lambda s: partition(10, 2.5, s),
     lambda s: partition(10, True, s),
+    lambda s: partition(10.0, 2, s),
     lambda s: AgentNetwork.fully_connected(2.5),
 ], ids=["projection-dim", "projection-features", "bipolar", "gaussian-key",
-        "synth-classes", "synth-samples-below-classes", "partition-float", "partition-bool", "fully-connected"])
+        "synth-classes", "synth-samples-below-classes", "partition-float", "partition-bool",
+        "partition-float-samples", "fully-connected"])
 def test_counts_must_be_integers(call):
     with pytest.raises(InvalidParameterError, match="must be an integer >= "):
         call(SeedSpec(0))

@@ -7,6 +7,7 @@ from hvnet.classifiers import ClassifierMatrix, predict_batch, train_centroids
 from hvnet.data import SplitSpec, split, synth_blobs
 from hvnet.encoding import encode_batch, init_projection
 from hvnet.errors import (
+    DimensionError,
     InsufficientDataError,
     InvalidParameterError,
     ProtocolError,
@@ -19,6 +20,7 @@ from hvnet.network import (
     exchange_and_aggregate,
     partition,
     run_version,
+    run_versions,
     train_local,
 )
 from hvnet.records import ExperimentVersion
@@ -144,7 +146,7 @@ def test_train_local_missing_class_is_tolerated(blobs):
 def test_train_local_empty_shard_rejected(blobs):
     ds, _, _ = blobs
     proj = init_projection(ds.n_features, 16, SeedSpec(9))
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(DimensionError, match=r"got shape \(0, 16\)"):
         train_local(ds.samples[:0], ds.labels[:0], "rls", proj, 3, 1.0, ds.n_classes)
 
 
@@ -300,6 +302,13 @@ def test_run_version_deterministic(blobs):
     b = run_version(SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(21)), version, 5)
     np.testing.assert_array_equal(a.per_agent_accuracy, b.per_agent_accuracy)
     assert a.payload_values_per_producer == PARAMS.dim
+
+
+def test_centralized_version_runs_on_one_train_row(blobs):
+    ds, train_idx, test_idx = blobs
+    shared = SharedPass(ds, train_idx[:1], test_idx, PARAMS, SeedSpec(24))
+    (central,) = run_versions(shared, [ExperimentVersion("centralized")], 1)
+    assert central.per_agent_accuracy.shape == (1,) and 0.0 <= central.mean_accuracy <= 1.0
 
 
 def test_run_version_rejects_undersized_data(blobs):
