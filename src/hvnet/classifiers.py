@@ -3,7 +3,9 @@
 Two classifier kinds share one storage layout: an (n_classes, dim) weight
 matrix applied on the left of a hidden activation.  Every fit and scorer
 takes integer activations and 1-based class labels, checked by
-``hdc.check_activations`` and ``hdc.check_labels``.
+``hdc.check_activations`` and ``hdc.check_labels``.  :func:`fit_shards` and
+:func:`evaluate_shards` fit and score one model set per row set of one
+activation matrix, checking their inputs once; the one-set functions wrap them.
 """
 
 from __future__ import annotations
@@ -13,18 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import linalg as sla
+# sla is not called here, but perfbench/tracer.py wraps sla.cho_factor through
+# this module, so it must stay importable from it.
+from scipy import linalg as sla  # noqa: F401
 from scipy.linalg import blas, lapack
 
 from .errors import DimensionError, EmptyClassWarning, InvalidParameterError, SingularSystemError
-from .hdc import check_activations, check_count, check_labels, check_lambda
+from .hdc import (
+    check_activations, check_count, check_integers, check_labels, check_lambda, check_real,
+)
 from .records import CLASSIFIER_KINDS
 
 __all__ = [
     "ClassifierMatrix",
     "evaluate",
     "evaluate_many",
+    "evaluate_shards",
     "finalize_centroids",
+    "fit_shards",
     "one_hot",
     "predict_batch",
     "rls_from_gram",
@@ -41,6 +49,8 @@ GRAM_BLOCK = 256
 GRAM_PANEL = 256
 # Most reflector columns moved at once by _compact_reflectors.
 REFLECT_BLOCK = 32
+# Most shards whose centroids fit_shards sums and normalizes at once.
+CENTROID_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,7 @@ def _design(H, Y) -> tuple[NDArray[np.integer], NDArray[np.float64]]:
     :func:`_normal_equations` may form in any order.
     """
     H = check_activations(H)
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = check_real("targets", Y).astype(np.float64, copy=False)
     if Y.ndim != 2 or Y.shape[0] != H.shape[0] or Y.shape[1] < 1:
         raise DimensionError(f"need targets in a 2-D array of {H.shape[0]} rows and one or more "
                              f"columns, got shape {Y.shape}")
@@ -109,6 +119,11 @@ def train_rls(H, Y, lam: float) -> ClassifierMatrix:
     """
     H, Y = _design(H, Y)
     check_lambda(lam)
+    return _ridge(H, Y, lam)
+
+
+def _ridge(H, Y, lam: float) -> ClassifierMatrix:
+    """The ridge fit of checked H and Y: one system, one Cholesky solve."""
     gram, rhs, dual_H = _normal_equations(H, Y, [lam])
     # gram.T holds in its upper triangle the lower one that syrk filled.
     weights = rls_from_gram(gram.T, rhs, lam).weights
@@ -211,21 +226,26 @@ def rls_from_gram(gram, cross, lam: float) -> ClassifierMatrix:
 
     Only the upper triangle of ``gram`` is read.  Also solves the dual system
     of :func:`train_rls`, given H H^T and Y.  One Cholesky factorization per
-    call; to solve for many lambdas over one design matrix, :func:`rls_sweep`
-    reduces the Gram matrix once instead.
+    call, by LAPACK's dpotrf and dpotrs, the routines scipy's ``cho_factor``
+    and ``cho_solve`` call, on the same arguments; to solve for many lambdas
+    over one design matrix, :func:`rls_sweep` reduces the Gram matrix once instead.
     """
     # The one copy of the Gram matrix, in the Fortran order that LAPACK
     # factors in place.
-    gram = np.array(gram, dtype=np.float64, order="F")
-    cross = np.asarray(cross, dtype=np.float64)
+    gram = np.asarray_chkfinite(np.array(gram, dtype=np.float64, order="F"))
+    cross = np.asarray_chkfinite(np.asarray(cross, dtype=np.float64))
     check_lambda(lam)
-    gram[np.diag_indices_from(gram)] += lam
-    try:
-        w = sla.cho_solve(sla.cho_factor(gram, overwrite_a=True), cross)
-    except np.linalg.LinAlgError as exc:
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise DimensionError(f"need a square Gram matrix, got shape {gram.shape}")
+    gram.ravel(order="F")[::gram.shape[0] + 1] += lam  # the diagonal, through a view
+    factor, info = lapack.dpotrf(gram, lower=0, clean=0, overwrite_a=1)
+    if info > 0:
         raise SingularSystemError(
             f"normal equations are singular at lambda={lam}; use a larger lambda"
-        ) from exc
+        )
+    _check_info("dpotrf", info)
+    w, info = lapack.dpotrs(factor, cross, lower=0)
+    _check_info("dpotrs", info)
     return ClassifierMatrix(weights=w.T, kind="rls")
 
 
@@ -321,21 +341,31 @@ def _check_info(routine: str, info: int) -> None:
 
 def finalize_centroids(class_sums) -> ClassifierMatrix:
     """Normalize per-class activation sums to unit rows; empty classes stay zero."""
-    sums = np.asarray(class_sums)
+    sums = check_real("class sums", class_sums)
     if sums.ndim != 2:
         raise DimensionError(f"class sums must be a 2-D (n_classes, dim) array, got {sums.shape}")
+    return ClassifierMatrix(weights=_normalize(sums[None])[0], kind="centroid", class_sums=sums)
+
+
+def _normalize(sums) -> NDArray[np.float64]:
+    """Unit-norm rows of (n_sets, n_classes, dim) class sums, in float64; zero rows stay zero.
+
+    Warns ``EmptyClassWarning`` once per set that has a zero-norm class.
+    Each row's norm and quotient have the bits of that row normalized alone.
+    """
     weights = sums.astype(np.float64)
-    norms = np.linalg.norm(weights, axis=1)
-    zero = norms == 0.0
-    if np.any(zero):
+    # np.linalg.norm's formula for real input, without its copy of conj(weights).
+    norms = np.sqrt(np.add.reduce(weights * weights, axis=2))
+    nonzero = norms != 0.0
+    np.divide(weights, norms[..., None], out=weights, where=nonzero[..., None])
+    for zero in ~nonzero[~nonzero.all(axis=1)]:
         warnings.warn(
             f"classes {(np.flatnonzero(zero) + 1).tolist()} have a zero-norm sum; "
             "their rows are all-zero",
             EmptyClassWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    weights[~zero] /= norms[~zero, None]
-    return ClassifierMatrix(weights=weights, kind="centroid", class_sums=sums)
+    return weights
 
 
 def train_centroids(H, labels, n_classes: int) -> ClassifierMatrix:
@@ -343,20 +373,85 @@ def train_centroids(H, labels, n_classes: int) -> ClassifierMatrix:
 
     Class sums are exact in int64, so shard-wise aggregation reproduces them bit for bit.
     """
+    return fit_shards("centroid", H, labels, None, n_classes, 0.0)[0]
+
+
+def fit_shards(kind: str, H, labels, shards, n_classes: int, lam: float) -> list[ClassifierMatrix]:
+    """One classifier of ``kind`` per shard, fit on the rows ``H[shard]`` and their labels.
+
+    Each shard is a non-empty 1-D array of row indices into H; ``None`` is
+    one shard of every row.  H, the 1-based labels, lambda (read by "rls"
+    only) and the shards are checked once.  A shard's model equals
+    :func:`train_rls` on its ``one_hot`` targets, or :func:`train_centroids`
+    on its rows, bit for bit.  The centroids are fit CENTROID_BLOCK shards
+    at a time (see :func:`_centroids`).
+    """
+    if kind not in CLASSIFIER_KINDS:
+        raise InvalidParameterError(f"kind must be one of {CLASSIFIER_KINDS}")
     H = check_activations(H)
     check_count("n_classes", n_classes, lo=2)
     labels = check_labels(labels, n_classes, H.shape[0])
-    sums = np.zeros((n_classes, H.shape[1]), dtype=np.int64)
-    for i in range(1, n_classes + 1):
-        mask = labels == i
-        if mask.any():
-            sums[i - 1] = H[mask].sum(axis=0, dtype=np.int64)
-    return finalize_centroids(sums)
+    check_lambda(lam)
+    shards = _check_shards(shards, H.shape[0])
+    if kind == "rls":
+        Y = one_hot(labels, n_classes)
+        return [_ridge(H[rows], Y[rows], lam) for rows in shards]
+    return [model for b in range(0, len(shards), CENTROID_BLOCK)
+            for model in _centroids(H, labels, shards[b:b + CENTROID_BLOCK], n_classes)]
+
+
+def _centroids(H, labels, shards, n_classes: int) -> list[ClassifierMatrix]:
+    """The centroids of each of the checked ``shards``: exact int64 class sums, normalized.
+
+    One stable sort of the shards' rows by (shard, class) makes each class
+    sum one contiguous slice.  On suite-reference's shards this took about
+    0.6 of the time of one mask per class and shard, and ``np.add.reduceat``
+    over the slices was slower than either.  Blocks of CENTROID_BLOCK shards keep the
+    sums and weights small: fresh pages for every shard's at once cost more
+    to fault in than the blocks save, and raise the peak memory.
+    """
+    rows = np.concatenate(shards)
+    group = np.repeat(np.arange(len(shards)) * n_classes, [s.size for s in shards])
+    group += labels[rows] - 1
+    members = H[rows[np.argsort(group, kind="stable")]]
+    ends = np.cumsum(np.bincount(group, minlength=len(shards) * n_classes)).tolist()
+    sums = np.zeros((len(shards), n_classes, H.shape[1]), dtype=np.int64)
+    for g, (start, end) in enumerate(zip([0, *ends], ends)):
+        if end > start:
+            np.add.reduce(members[start:end], axis=0, dtype=np.int64,
+                          out=sums[g // n_classes, g % n_classes])
+    return [ClassifierMatrix(weights=w, kind="centroid", class_sums=c)
+            for w, c in zip(_normalize(sums), sums)]
+
+
+def _check_shards(shards, n_rows: int) -> list[np.ndarray]:
+    """``shards`` as a list of non-empty 1-D integer index arrays into n_rows rows.
+
+    ``None`` is one shard of every row.
+    """
+    if shards is None:
+        return [np.arange(n_rows)]
+    shards = [check_integers("shard indices", s) for s in shards]
+    if not shards:
+        raise InvalidParameterError("need at least one shard")
+    for s in shards:
+        if s.ndim != 1 or s.size < 1:
+            raise DimensionError(
+                f"need each shard as a non-empty 1-D index array, got shape {s.shape}"
+            )
+    every = np.concatenate(shards)
+    if every.min() < 0 or every.max() >= n_rows:
+        raise InvalidParameterError(f"shard indices must lie in 0..{n_rows - 1}")
+    return shards
 
 
 def predict_batch(w: ClassifierMatrix, H) -> NDArray[np.int64]:
     """Winner-takes-all class of every row of integer activations; ties go to the lowest class."""
-    return _winners([w], check_activations(H, w.dim))[0]
+    H = check_activations(H, w.dim)
+    out = np.empty(H.shape[0], dtype=np.int64)
+    for _, start, winners in _winners([[w]], H, [np.arange(H.shape[0])]):
+        out[start:start + winners.shape[1]] = winners[0]
+    return out + 1
 
 
 def evaluate(w: ClassifierMatrix, H, labels) -> float:
@@ -366,42 +461,78 @@ def evaluate(w: ClassifierMatrix, H, labels) -> float:
 
 def evaluate_many(models, H, labels) -> list[float]:
     """``[evaluate(w, H, labels) for w in models]`` for models of one shape, checked once."""
-    models = list(models)
-    if not models:
+    return evaluate_shards([list(models)], H, labels, None)[0]
+
+
+def evaluate_shards(models_per_shard, H, labels, shards) -> list[list[float]]:
+    """Each shard's accuracies: ``evaluate(w, H[shard], labels[shard])`` for each of its models.
+
+    ``models_per_shard[p]``, a list, holds the models scored on ``shards[p]``,
+    a non-empty 1-D array of row indices into H (``None`` is one shard of
+    every row); every model has one weights shape.  The models, H, the
+    labels and the shards are checked once.
+    """
+    models_per_shard = list(models_per_shard)
+    n_classes, dim = _check_models(models_per_shard)
+    H = check_activations(H, dim)
+    labels = check_labels(labels, n_classes, H.shape[0])
+    shards = _check_shards(shards, H.shape[0])
+    if len(shards) != len(models_per_shard):
+        raise DimensionError(f"need one shard per model set, got {len(shards)} shards "
+                             f"for {len(models_per_shard)} model sets")
+    correct = np.zeros((len(shards), max(map(len, models_per_shard))), dtype=np.int64)
+    for p, start, winners in _winners(models_per_shard, H, shards):
+        truth = labels[shards[p][start:start + winners.shape[1]]] - 1  # as _winners numbers classes
+        correct[p, :len(winners)] += (winners == truth).sum(axis=1)
+    return [[float(c / rows.size) for c in counts[:len(models)]]
+            for counts, rows, models in zip(correct, shards, models_per_shard)]
+
+
+def _check_models(models_per_shard) -> tuple[int, int]:
+    """The one (n_classes, dim) weights shape of every model, each set checked to be non-empty."""
+    if not models_per_shard or not all(models_per_shard):
         raise InvalidParameterError("need at least one model")
-    shape = models[0].weights.shape
-    if any(w.weights.shape != shape for w in models):
+    shape = models_per_shard[0][0].weights.shape
+    if any(w.weights.shape != shape for models in models_per_shard for w in models):
         raise DimensionError("models must share one weights shape")
-    H = check_activations(H, shape[1])
-    labels = check_labels(labels, shape[0], H.shape[0])
-    correct = np.count_nonzero(_winners(models, H) == labels, axis=1)
-    return [float(c / H.shape[0]) for c in correct]
+    return shape
 
 
-def _winners(models, H) -> NDArray[np.int64]:
-    """1-based winner-takes-all classes, (n_models, n_rows), of models of one shape.
+def _winners(models_per_shard, H, shards):
+    """Yields (p, start, winners): the 0-based winner-takes-all classes of shard p's models.
 
-    The one scoring loop.  Each block of rows is cast to float64 once and
-    scored against each model's weights in turn, one scipy dgemm per model,
+    ``winners`` is (n_models, n_rows) for the block of rows
+    ``shards[p][start:start + n_rows]``.  The one scoring loop.  Each block
+    of a shard's rows is gathered and cast to float64 once and scored
+    against each of its models' weights in turn, one scipy dgemm per model,
     the BLAS every ridge fit uses, so a grid step stays in one thread pool.
-    A product holds exactly one model: OpenBLAS rounds a score differently
+    The products are written into one (models, rows, n_classes) buffer.  A
+    product holds exactly one model: OpenBLAS rounds a score differently
     depending on how many weight rows share a product, so stacked models
     would make a prediction depend on the models scored beside it.  It
     also threads a product above 2**18 multiply-adds, and a threaded
     product can round differently, so a prediction could depend on the
     thread count.  A product therefore scores PREDICT_BLOCK rows (fewer for
-    a model wider than 2**18 / PREDICT_BLOCK weights).  argmax picks the
-    first maximum, i.e. the lowest class index on ties.
+    a model wider than 2**18 / PREDICT_BLOCK weights), counted from the
+    shard's first row.  argmax picks the first maximum, i.e. the lowest
+    class index on ties.
     """
-    n_classes, dim = models[0].weights.shape
-    rows = min(PREDICT_BLOCK, max(1, 2**18 // (n_classes * dim)))
-    weights = [np.ascontiguousarray(w.weights, dtype=np.float64) for w in models]
-    out = np.empty((len(models), H.shape[0]), dtype=np.int64)
-    for start in range(0, H.shape[0], rows):
-        block = np.asarray(H[start:start + rows], dtype=np.float64)
-        for m, w in enumerate(weights):
-            # w.T is the Fortran-ordered view dgemm takes without a copy, and
-            # (w @ block.T).T has one row of class scores per sample.
-            scores = blas.dgemm(1.0, w.T, block.T, trans_a=1).T
-            out[m, start:start + rows] = np.argmax(scores, axis=1)
-    return out + 1
+    n_classes, dim = models_per_shard[0][0].weights.shape
+    step = min(PREDICT_BLOCK, max(1, 2**18 // (n_classes * dim)))
+    rows_at_once = min(step, max(rows.size for rows in shards))
+    scores = np.empty((max(map(len, models_per_shard)), rows_at_once, n_classes))
+    cast = np.empty((rows_at_once, dim))
+    for p, (models, rows) in enumerate(zip(models_per_shard, shards)):
+        weights = [np.ascontiguousarray(w.weights, dtype=np.float64) for w in models]
+        for start in range(0, rows.size, step):
+            index = rows[start:start + step]
+            block = cast[:index.size]
+            block[...] = H[index]
+            out = scores[:len(weights), :index.size]
+            for m, w in enumerate(weights):
+                # w.T is the Fortran-ordered view dgemm takes without a copy,
+                # and out[m].T the one it writes w @ block.T into, so out[m]
+                # has one row of class scores per sample.  Assigning dgemm's
+                # result is then a no-op, and a copy should f2py ever copy c.
+                out[m] = blas.dgemm(1.0, w.T, block.T, trans_a=1, c=out[m].T, overwrite_c=1).T
+            yield p, start, np.argmax(out, axis=2)

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .errors import DimensionError, InvalidParameterError
-from .hdc import SeedSpec, check_count, clip, random_bipolar
+from .hdc import SeedSpec, check_count, check_real, clip, random_bipolar
 
 __all__ = [
     "InputProjection",
@@ -86,18 +86,19 @@ def encode_batch_sums(X, proj: InputProjection) -> NDArray[np.signedinteger]:
     are gathered ENCODE_BLOCK rows at a time, so no full-size temporary
     exists beside the sums; integer sums are exact in any blocking.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != proj.n_features:
-        raise DimensionError(
-            f"batch has shape {X.shape}, projection expects {proj.n_features} features"
-        )
-    counts = _prefix_lengths(X.ravel(), proj.dim).reshape(X.shape)
+    X = check_real("features", X)
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] != proj.n_features:
+        raise DimensionError(f"batch has shape {X.shape}, projection expects one or more rows "
+                             f"of {proj.n_features} features")
+    counts = _prefix_lengths(X.astype(np.float64, copy=False).ravel(), proj.dim).reshape(X.shape)
     codes = _thermometer_codes(proj.dim)
     # -n_features - 1, not -n_features: int8 holds -128 but not +128.
     acc = np.zeros((X.shape[0], proj.dim), dtype=np.min_scalar_type(-proj.n_features - 1))
     for j in range(proj.n_features):
-        # Bind only the code levels this feature uses, then gather their rows.
-        levels, rows = np.unique(counts[:, j], return_inverse=True)
+        # Bind only the code levels this feature uses (ascending), then gather
+        # their rows; rows[i] is the rank of row i's level among them.
+        used = np.bincount(counts[:, j], minlength=proj.dim + 1) > 0
+        levels, rows = np.flatnonzero(used), (np.cumsum(used) - 1)[counts[:, j]]
         table = codes[levels]  # (n_levels, dim) int8 copy
         table *= proj.columns[:, j]
         for start in range(0, X.shape[0], ENCODE_BLOCK):

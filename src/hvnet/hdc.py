@@ -26,6 +26,7 @@ __all__ = [
     "check_integers",
     "check_labels",
     "check_lambda",
+    "check_real",
     "check_seed",
     "circ_convolve",
     "clip",
@@ -110,13 +111,26 @@ def check_lambda(lam) -> None:
 def check_integers(name: str, values) -> np.ndarray:
     """``values`` as an array, checked to have an integer dtype (bool is not one, nor in a list)."""
     array = np.asarray(values)
-    if not np.issubdtype(array.dtype, np.integer):
+    if array.dtype.kind not in "iu":
         raise InvalidParameterError(f"{name} must be integers, got dtype {array.dtype}")
-    # numpy reads [1, True] as int64, so the elements of a list or tuple are looked at.
+    # numpy reads [1, True] and [1, np.array(True)] as int64, so the elements
+    # of a list or tuple are looked at: a bool, a numpy bool or a 0-d bool array.
     if isinstance(values, (list, tuple)) and any(
-        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
+        isinstance(v, bool) or getattr(v, "dtype", None) == np.bool_
+        for v in np.asarray(values, dtype=object).flat
     ):
         raise InvalidParameterError(f"{name} must be integers, got a bool")
+    return array
+
+
+def check_real(name: str, values) -> np.ndarray:
+    """``values`` as an array, checked to have a bool, integer or real floating dtype.
+
+    Strings, objects and complex numbers, which numpy would cast or fail on untyped, are rejected.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"{name} must be real numbers, got dtype {array.dtype}")
     return array
 
 

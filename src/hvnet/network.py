@@ -14,9 +14,9 @@ All model versions and agent counts of one (seed, fold) share the
 projection, the encodings and the agents' keys; a :class:`SharedPass`
 holds them and computes each once.  :func:`run_versions` holds what one
 agent count needs: it partitions the shards, fits each classifier kind's
-local models, realizes every version and scores them together, each
-agent's block of test rows cast once for all of them.  Its per-count work
-is freed when it returns.
+local models in one ``fit_shards`` call, realizes every version and scores
+them together in one ``evaluate_shards`` call, each agent's block of test
+rows cast once for all of them.  Its per-count work is freed when it returns.
 """
 
 from __future__ import annotations
@@ -25,17 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# evaluate is not called here, but perfbench/tracer.py wraps this name in
-# this module, so it must stay importable from it.
 from .classifiers import (
     ClassifierMatrix,
-    evaluate,
     evaluate_many,
+    evaluate_shards,
     finalize_centroids,
-    one_hot,
-    train_centroids,
-    train_rls,
+    fit_shards,
 )
+# perfbench/tracer.py wraps these names in this module, which calls none of
+# them, so they must stay importable from it.
+from .classifiers import evaluate, one_hot, train_centroids, train_rls
 # compress and decompress are not called here, but perfbench/tracer.py wraps
 # these names in this module, so they must stay importable from it.
 from .compression import compress, decompress, generate_keys, pack, unpack
@@ -136,14 +135,7 @@ def train_local(
     A shard may lack some class entirely: least squares proceeds with an
     all-zero one-hot column, centroids produce a zero row.
     """
-    return _fit(classifier_kind, encode_batch(X, proj, kappa), y, n_classes, lam)
-
-
-def _fit(classifier_kind: str, H, y, n_classes: int, lam: float) -> ClassifierMatrix:
-    """Train one classifier of the given kind on hidden activations and 1-based labels."""
-    if classifier_kind == "centroid":
-        return train_centroids(H, y, n_classes)
-    return train_rls(H, one_hot(y, n_classes), lam)
+    return fit_shards(classifier_kind, encode_batch(X, proj, kappa), y, None, n_classes, lam)[0]
 
 
 def exchange_and_aggregate(
@@ -249,11 +241,10 @@ class SharedPass:
             )
         return self._encoded
 
-    def fit(self, classifier_kind: str, rows) -> ClassifierMatrix:
-        """Train one classifier on the given train rows."""
-        H_train, y_train = self.encoded()[0], self.ds.labels[self.train_idx]
-        n_classes, lam = self.ds.n_classes, self.params.lam
-        return _fit(classifier_kind, H_train[rows], y_train[rows], n_classes, lam)
+    def fit(self, classifier_kind: str, shards) -> list[ClassifierMatrix]:
+        """One classifier per shard, a set of positions in the train rows."""
+        return fit_shards(classifier_kind, self.encoded()[0], self.ds.labels[self.train_idx],
+                          shards, self.ds.n_classes, self.params.lam)
 
 
 def run_versions(
@@ -272,13 +263,14 @@ def run_versions(
     distributed version has each agent's aggregate over ``network`` (fully
     connected by default).  The shards are drawn once, at the first version
     that is not centralized, and each classifier kind's local models are
-    fit once; both are dropped when the call returns.
+    fit once, by one ``fit_shards`` call; both are dropped when the call
+    returns.
 
     Local and distributed versions evaluate each agent on its own test
     shard unless ``eval_on_full_test`` is set; the centralized version
-    always uses the full test set.  On shards, one ``evaluate_many`` per
-    agent scores every version's model of that agent, so its block of rows
-    is gathered and cast once; on the full test set, one ``evaluate_many``
+    always uses the full test set.  On shards, one ``evaluate_shards`` call
+    scores every version's model of every agent, each agent's block of rows
+    gathered and cast once; on the full test set, one ``evaluate_many``
     scores each distinct model of all those versions once.  Each model sees
     the rows it would see alone, one model per product, so every accuracy
     equals the one-version run bit for bit.  An exception raised while
@@ -292,13 +284,13 @@ def run_versions(
         kind = version.classifier_kind
         try:
             if version.kind == "centralized":
-                models, payload = [shared.fit(kind, np.arange(n_train))], 0
+                models, payload = shared.fit(kind, [np.arange(n_train)]), 0
             else:
                 if shards is None:
                     shards = (partition(n_train, n_agents, seed.child("train_partition")).shards,
                               partition(n_test, n_agents, seed.child("test_partition")).shards)
                 if kind not in local:
-                    local[kind] = [shared.fit(kind, rows) for rows in shards[0]]
+                    local[kind] = shared.fit(kind, shards[0])
                 models, payload = local[kind], 0
             if version.kind == "distributed":
                 net = network if network is not None else AgentNetwork.fully_connected(n_agents)
@@ -312,6 +304,7 @@ def run_versions(
             raise
         realized.append((models, payload))
     on_full = [eval_on_full_test or v.kind == "centralized" for v in versions]
+    shards = None if shards is None else shards[1]  # the train shards are fit: drop them
 
     H_test, y_test = shared.encoded()[1], shared.ds.labels[shared.test_idx]
     distinct = {id(m): m for (models, _), full in zip(realized, on_full) if full for m in models}
@@ -319,9 +312,9 @@ def run_versions(
     scores = [[accs.get(id(m)) for m in models] for models, _ in realized]  # None: on a shard
     shard_versions = [i for i, full in enumerate(on_full) if not full]
     if shard_versions:
-        for p, rows in enumerate(shards[1]):
-            models = [realized[i][0][p] for i in shard_versions]
-            for i, acc in zip(shard_versions, evaluate_many(models, H_test[rows], y_test[rows])):
+        models = [[realized[i][0][p] for i in shard_versions] for p in range(n_agents)]
+        for p, per_version in enumerate(evaluate_shards(models, H_test, y_test, shards)):
+            for i, acc in zip(shard_versions, per_version):
                 scores[i][p] = acc
     return [
         RunResult(len(models), np.asarray(per_agent), payload)

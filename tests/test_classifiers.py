@@ -24,7 +24,9 @@ from hvnet.classifiers import (
     _solve_tridiagonal,
     evaluate,
     evaluate_many,
+    evaluate_shards,
     finalize_centroids,
+    fit_shards,
     one_hot,
     predict_batch,
     rls_from_gram,
@@ -905,6 +907,7 @@ def test_a_bool_in_a_list_is_not_an_integer():
         lambda: predict_batch(model, [[1, True]]),
         lambda: train_rls([[1, 0], [0, True]], np.eye(2), 0.5),
         lambda: train_centroids([np.array([1, 2]), np.array([True, False])], [1, 2], 2),
+        lambda: train_centroids([[1, 0], [np.array(True), 2]], [1, 2], 2),
     ):
         with pytest.raises(InvalidParameterError, match="must be integers, got a bool"):
             call()
@@ -957,3 +960,172 @@ def test_fits_and_scorers_read_any_layout_of_activations_bit_for_bit(rows, n_cla
                 shape = re.escape(str(np.shape(bad)))
                 with pytest.raises(DimensionError, match=f"need activations .*, got shape {shape}"):
                     call(bad)
+
+
+# ------------------------------------------------------- batches of shards
+
+SHARD_CASES = ("unequal", "missing-class", "primal", "lambda-0", "one-shard", "ten-classes-dim-500")
+
+
+def _shard_case(case):
+    """(H, labels, shards, n_classes, lam): one train set and shards of its rows, in any order."""
+    rng = np.random.default_rng(SHARD_CASES.index(case))
+    n_classes, dim, lam, sizes = {
+        # 1 to 55 rows of 40 columns: dual and primal ridge systems side by side.
+        "unequal": (3, 40, 0.5, [1, 2, 7, 30, 55]),
+        "missing-class": (4, 16, 1.0, [3, 9, 12, 25]),
+        "primal": (3, 12, 2.0, [20, 35, 12]),
+        # lambda = 0 takes the primal system, which needs more rows than columns.
+        "lambda-0": (2, 8, 0.0, [30, 41]),
+        "one-shard": (3, 24, 1.0, [50]),
+        # 2**18 // (10 * 500) = 52 rows per scoring block, fewer than PREDICT_BLOCK.
+        "ten-classes-dim-500": (10, 500, 1.0, [60, 130, 7, 105]),
+    }[case]
+    n_rows = sum(sizes) + 5  # some rows are in no shard
+    H = rng.integers(-7, 8, size=(n_rows, dim)).astype(np.int8)
+    labels = rng.integers(1, n_classes + 1, size=n_rows)
+    if case == "missing-class":
+        labels[labels == 4] = 3
+        labels[:12] = 1  # the first shards hold class 1 alone
+    order = np.concatenate([np.arange(12), 12 + rng.permutation(n_rows - 12)])
+    shards = np.split(order[:sum(sizes)], np.cumsum(sizes)[:-1])
+    return H, labels, shards, n_classes, lam
+
+
+def _messages(caught):
+    return [(w.category, str(w.message)) for w in caught]
+
+
+def _reference_fit(kind, H, labels, n_classes, lam):
+    """(weights, class sums, EmptyClassWarning message or None) of one shard, fit alone.
+
+    Written apart from the library, as one agent's fit was before the batch
+    functions: centroids from mask sums and np.linalg.norm, ridge weights
+    from an exact integer system solved by scipy's cho_factor and cho_solve.
+    """
+    if kind == "centroid":
+        sums = np.zeros((n_classes, H.shape[1]), dtype=np.int64)
+        for i in range(1, n_classes + 1):
+            sums[i - 1] = H[labels == i].sum(axis=0, dtype=np.int64)
+        weights = sums.astype(np.float64)
+        norms = np.linalg.norm(weights, axis=1)
+        zero = norms == 0.0
+        weights[~zero] /= norms[~zero, None]
+        message = (f"classes {(np.flatnonzero(zero) + 1).tolist()} have a zero-norm sum; "
+                   "their rows are all-zero") if zero.any() else None
+        return weights, sums, message
+    H64 = H.astype(np.int64)
+    Y = (labels[:, None] == np.arange(1, n_classes + 1)).astype(np.int64)
+    dual = H.shape[0] < H.shape[1] and lam > 0  # the library's primal/dual rule
+    gram, rhs = (H64 @ H64.T, Y) if dual else (H64.T @ H64, H64.T @ Y)
+    gram = np.array(gram, dtype=np.float64, order="F")
+    gram[np.diag_indices_from(gram)] += lam
+    w = sla.cho_solve(sla.cho_factor(gram, overwrite_a=True), rhs.astype(np.float64))
+    return (H.astype(np.float64).T @ w).T if dual else w.T, None, None
+
+
+def _reference_predictions(models, H):
+    """(n_models, n_rows) 1-based winners, scored as one agent's models were scored alone.
+
+    Each block of rows, counted from the first, is cast to float64 and
+    scored by one dgemm per model, a block being at most PREDICT_BLOCK rows
+    and 2**18 multiply-adds.
+    """
+    n_classes, dim = models[0].weights.shape
+    step = min(PREDICT_BLOCK, max(1, 2**18 // (n_classes * dim)))
+    out = np.empty((len(models), H.shape[0]), dtype=np.int64)
+    for start in range(0, H.shape[0], step):
+        block = np.asarray(H[start:start + step], dtype=np.float64)
+        for m, model in enumerate(models):
+            w = np.ascontiguousarray(model.weights, dtype=np.float64)
+            scores = blas.dgemm(1.0, w.T, block.T, trans_a=1).T
+            out[m, start:start + step] = np.argmax(scores, axis=1)
+    return out + 1
+
+
+@pytest.mark.parametrize("kind", ["rls", "centroid"])
+@pytest.mark.parametrize("case", SHARD_CASES)
+def test_fit_shards_equals_one_fit_per_shard_bit_for_bit(kind, case):
+    H, labels, shards, n_classes, lam = _shard_case(case)
+    want = [_reference_fit(kind, H[s], labels[s], n_classes, lam) for s in shards]
+    with warnings.catch_warnings(record=True) as batch_warned:
+        warnings.simplefilter("always")
+        got = fit_shards(kind, H, labels, shards, n_classes, lam)
+    with warnings.catch_warnings(record=True) as alone_warned:
+        warnings.simplefilter("always")
+        if kind == "rls":
+            alone = [train_rls(H[s], one_hot(labels[s], n_classes), lam) for s in shards]
+        else:
+            alone = [train_centroids(H[s], labels[s], n_classes) for s in shards]
+    assert len(got) == len(alone) == len(want)
+    for g, a, (weights, sums, _) in zip(got, alone, want):
+        assert g.kind == a.kind == kind
+        assert _bits(g.weights) == _bits(a.weights) == _bits(weights)
+        if kind == "centroid":
+            assert _bits(g.class_sums) == _bits(a.class_sums) == _bits(sums)
+    # One EmptyClassWarning per shard that lacks a class, worded as a one-shard fit words it.
+    messages = [(EmptyClassWarning, m) for _, _, m in want if m is not None]
+    assert _messages(batch_warned) == _messages(alone_warned) == messages
+    if kind == "centroid" and case == "missing-class":
+        assert messages
+
+
+@pytest.mark.parametrize("case", SHARD_CASES)
+def test_evaluate_shards_equals_evaluate_many_per_shard_bit_for_bit(case):
+    H, labels, shards, n_classes, lam = _shard_case(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyClassWarning)
+        fitted = [fit_shards(kind, H, labels, shards, n_classes, max(lam, 0.5))
+                  for kind in ("rls", "centroid")]
+    shared = ClassifierMatrix(weights=SeedSpec(40).rng().standard_normal((n_classes, H.shape[1])),
+                              kind="rls")
+    # One to three models per shard, one of them scored on every shard.
+    models = [[fitted[0][p], shared, fitted[1][p]][:1 + p % 3] for p in range(len(shards))]
+    want = []
+    for m, s in zip(models, shards):
+        predicted = _reference_predictions(m, H[s])
+        assert all(_bits(predict_batch(w, H[s])) == _bits(p) for w, p in zip(m, predicted))
+        want.append([float(c / s.size) for c in np.count_nonzero(predicted == labels[s], axis=1)])
+    assert evaluate_shards(models, H, labels, shards) == want
+    assert [evaluate_many(m, H[s], labels[s]) for m, s in zip(models, shards)] == want
+
+
+def test_shard_batches_reject_what_is_not_a_shard_set():
+    H, labels = np.ones((6, 4), np.int8), [1, 2, 1, 2, 1, 2]
+    model = ClassifierMatrix(weights=np.eye(2, 4), kind="rls")
+    for shards, error, message in [
+        ([], InvalidParameterError, "need at least one shard"),
+        ([np.array([], dtype=np.int64)], DimensionError, r"got shape \(0,\)"),
+        ([np.array([[0, 1]])], DimensionError, r"got shape \(1, 2\)"),
+        ([np.array([0.0, 1.0])], InvalidParameterError, "must be integers, got dtype float64"),
+        ([[0, True]], InvalidParameterError, "must be integers, got a bool"),
+        ([np.array([0, 6])], InvalidParameterError, r"must lie in 0\.\.5"),
+        ([np.array([1]), np.array([-1, 2])], InvalidParameterError, r"must lie in 0\.\.5"),
+    ]:
+        for call in (
+            lambda: fit_shards("rls", H, labels, shards, 2, 1.0),
+            lambda: fit_shards("centroid", H, labels, shards, 2, 1.0),
+            lambda: evaluate_shards([[model]] * max(1, len(shards)), H, labels, shards),
+        ):
+            with pytest.raises(error, match=message):
+                call()
+    with pytest.raises(InvalidParameterError, match="kind must be one of"):
+        fit_shards("svm", H, labels, [np.arange(6)], 2, 1.0)
+    with pytest.raises(InvalidParameterError, match="lambda"):
+        fit_shards("rls", H, labels, [np.arange(6)], 2, -1.0)
+    with pytest.raises(DimensionError, match="one shard per model set, got 2 shards for 1"):
+        evaluate_shards([[model]], H, labels, [np.arange(3), np.arange(3, 6)])
+    with pytest.raises(InvalidParameterError, match="need at least one model"):
+        evaluate_shards([[model], []], H, labels, [np.arange(3), np.arange(3, 6)])
+
+
+@pytest.mark.parametrize("values", [
+    np.array([["1", "0"]]), np.array([[1, None]], dtype=object), np.array([[1j, 0]]),
+], ids=["str", "object", "complex"])
+def test_targets_and_class_sums_must_be_real_numbers(values):
+    # numpy raised its own ValueError for strings and None, and cast complex to real.
+    message = f"must be real numbers, got dtype {re.escape(str(values.dtype))}"
+    with pytest.raises(InvalidParameterError, match=f"targets {message}"):
+        train_rls(np.ones((1, 2), np.int8), values, 1.0)
+    with pytest.raises(InvalidParameterError, match=f"class sums {message}"):
+        finalize_centroids(values)

@@ -129,6 +129,20 @@ def test_encode_dimension_mismatch():
         encode_batch(np.array([[0.1, 0.2]]), proj, kappa=2)
     with pytest.raises(DimensionError):
         encode_batch(np.array([0.1, 0.2, 0.3]), proj, kappa=2)
+    # An empty batch is named as the batch, not as the sums that clip would see.
+    with pytest.raises(DimensionError, match=r"batch has shape \(0, 3\), projection expects one"):
+        encode_batch(np.zeros((0, 3)), proj, kappa=2)
+
+
+@pytest.mark.parametrize("X", [
+    np.array([["0.1", "0.2"]]), np.array([[0.1, None]], dtype=object), np.array([[0.1j, 0.2]]),
+], ids=["str", "object", "complex"])
+def test_encode_rejects_features_that_are_not_real_numbers(X):
+    # numpy raised its own ValueError for strings and None, and cast complex to real.
+    proj = init_projection(2, 8, SeedSpec(14))
+    message = f"features must be real numbers, got dtype {X.dtype}"
+    with pytest.raises(InvalidParameterError, match=message):
+        encode_batch_sums(X, proj)
 
 
 def test_encode_batch_matches_the_oracle_per_sample():

@@ -7,6 +7,7 @@ together must equal scoring each version alone.
 """
 
 import gc
+import tracemalloc
 import warnings
 import weakref
 
@@ -16,9 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hvnet.network
-from hvnet.classifiers import ClassifierMatrix, evaluate, evaluate_many, finalize_centroids
+from hvnet.classifiers import (
+    ClassifierMatrix,
+    evaluate,
+    evaluate_many,
+    finalize_centroids,
+    one_hot,
+    train_centroids,
+    train_rls,
+)
 from hvnet.compression import compress, decompress, generate_keys
-from hvnet.data import SplitSpec, split, synth_blobs
+from hvnet.data import SplitSpec, resolve_dataset, split, synth_blobs
 from hvnet.errors import SuiteError
 from hvnet.harness import run_suite
 from hvnet.hdc import SeedSpec
@@ -245,9 +254,9 @@ def test_run_version_scores_like_a_per_agent_loop(blobs, version, topology, eval
         warnings.simplefilter("ignore")
         got = run_version(shared, version, n_agents, network, eval_on_full_test)
         if version.kind == "centralized":
-            models, payload = [shared.fit(kind, np.arange(train_idx.size))], 0
+            models, payload = shared.fit(kind, [np.arange(train_idx.size)]), 0
         else:
-            models, payload = [shared.fit(kind, rows) for rows in train_shards], 0
+            models, payload = shared.fit(kind, train_shards), 0
             if version.kind == "distributed":
                 models, payload = exchange_and_aggregate(network, models, version.compression)
     H_test, y_test = shared.encoded()[1], ds.labels[test_idx]
@@ -370,9 +379,10 @@ def counting_fits(monkeypatch):
     """Every classifier that ``SharedPass.fit`` returns, in call order."""
     fit, fitted = SharedPass.fit, []
 
-    def counting(shared, classifier_kind, rows):
-        fitted.append(fit(shared, classifier_kind, rows))
-        return fitted[-1]
+    def counting(shared, classifier_kind, shards):
+        models = fit(shared, classifier_kind, shards)
+        fitted.extend(models)
+        return models
 
     monkeypatch.setattr(SharedPass, "fit", counting)
     return fitted
@@ -407,6 +417,53 @@ def test_local_models_do_not_outlive_their_call(blobs, monkeypatch):
     assert [r() for r in refs] == [None] * len(refs)
     assert encoded() is shared.encoded()[0]
     assert shared.key_sets is key_sets and len(key_sets) == 4
+
+
+def _traced_peak(call):
+    """The peak of the memory traced by tracemalloc while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reference_suite_holds_no_more_memory_than_per_agent_fits(monkeypatch):
+    # The acceptance reference suite at one seed, as perfbench's suite-reference
+    # workload runs it, traced once as it runs and once with every agent's model
+    # fit and scored alone by the one-shard functions, in this process, so the
+    # comparison holds on any Python and numpy.  The slack is well under the
+    # 1.2 MB of N = 100 agents' centroid sums (3 x 500 int64 each) held at once.
+    config = ExperimentConfig(
+        dataset="synth:classes=3,features=10,samples=6000,sep=2.0,seed=11",
+        versions=(
+            ExperimentVersion("local", classifier_kind="rls"),
+            ExperimentVersion("distributed", classifier_kind="rls"),
+            ExperimentVersion("distributed", compression=True, classifier_kind="rls"),
+            ExperimentVersion("local", classifier_kind="centroid"),
+        ),
+        agent_counts=(10, 50, 100), dim=500, lam=1.0, kappa=7, n_seeds=1,
+        train_fraction=0.1, master_seed=42,
+    )
+    ds = resolve_dataset(config.dataset)
+
+    def fit_per_agent(kind, H, labels, shards, n_classes, lam):
+        if kind == "rls":
+            return [train_rls(H[s], one_hot(labels[s], n_classes), lam) for s in shards]
+        return [train_centroids(H[s], labels[s], n_classes) for s in shards]
+
+    def score_per_agent(models_per_shard, H, labels, shards):
+        return [evaluate_many(m, H[s], labels[s]) for m, s in zip(models_per_shard, shards)]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_suite(config, dataset=ds)  # any first-call allocations
+        batch = _traced_peak(lambda: run_suite(config, dataset=ds))
+        monkeypatch.setattr(hvnet.network, "fit_shards", fit_per_agent)
+        monkeypatch.setattr(hvnet.network, "evaluate_shards", score_per_agent)
+        per_agent = _traced_peak(lambda: run_suite(config, dataset=ds))
+    assert batch <= per_agent + 64 * 1024, (batch, per_agent)
 
 
 @pytest.mark.parametrize("eval_on_full_test", [False, True])
@@ -506,14 +563,15 @@ def test_a_kfold_failure_names_its_fold():
 
 
 def test_run_suite_trains_each_local_model_set_once(monkeypatch):
-    train = hvnet.network.train_rls
+    fit = hvnet.network.fit_shards
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return train(*args, **kwargs)
+        models = fit(*args, **kwargs)
+        calls.extend(m.kind for m in models)
+        return models
 
-    monkeypatch.setattr(hvnet.network, "train_rls", counting)
+    monkeypatch.setattr(hvnet.network, "fit_shards", counting)
     config = ExperimentConfig(
         dataset="synth:classes=3,features=5,samples=300,sep=3.0,seed=1",
         versions=(
@@ -526,4 +584,4 @@ def test_run_suite_trains_each_local_model_set_once(monkeypatch):
         n_seeds=2,
     )
     run_suite(config)
-    assert len(calls) == 2 * (3 + 2)  # per seed: one model per agent of each count
+    assert calls == ["rls"] * 2 * (3 + 2)  # per seed: one model per agent of each count

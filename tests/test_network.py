@@ -146,7 +146,7 @@ def test_train_local_missing_class_is_tolerated(blobs):
 def test_train_local_empty_shard_rejected(blobs):
     ds, _, _ = blobs
     proj = init_projection(ds.n_features, 16, SeedSpec(9))
-    with pytest.raises(DimensionError, match=r"got shape \(0, 16\)"):
+    with pytest.raises(DimensionError, match=rf"batch has shape \(0, {ds.n_features}\)"):
         train_local(ds.samples[:0], ds.labels[:0], "rls", proj, 3, 1.0, ds.n_classes)
 
 

@@ -90,11 +90,12 @@ def library_run(shared, version, network, full_test):
     """run_version's result and the models it scored, one per agent."""
     fitted, exchanged = [], []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hvnet.network, "_fit", recording(hvnet.network._fit, fitted))
+        mp.setattr(hvnet.network, "fit_shards", recording(hvnet.network.fit_shards, fitted))
         mp.setattr(hvnet.network, "exchange_and_aggregate",
                    recording(hvnet.network.exchange_and_aggregate, exchanged))
         result = run_version(shared, version, network.n_agents, network, full_test)
-    return result, exchanged[0][0] if exchanged else fitted
+    # run_version fits its one version's models in one call.
+    return result, exchanged[0][0] if exchanged else fitted[0]
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
