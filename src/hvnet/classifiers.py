@@ -29,7 +29,6 @@ from .records import CLASSIFIER_KINDS
 __all__ = [
     "ClassifierMatrix",
     "evaluate",
-    "evaluate_many",
     "evaluate_shards",
     "finalize_centroids",
     "fit_shards",
@@ -448,82 +447,67 @@ def _check_shards(shards, n_rows: int) -> list[np.ndarray]:
 def predict_batch(w: ClassifierMatrix, H) -> NDArray[np.int64]:
     """Winner-takes-all class of every row of integer activations; ties go to the lowest class."""
     H = check_activations(H, w.dim)
-    out = np.empty(H.shape[0], dtype=np.int64)
-    for _, start, winners in _winners([[w]], H, [np.arange(H.shape[0])]):
-        out[start:start + winners.shape[1]] = winners[0]
-    return out + 1
+    return _winners([[w]], H, [np.arange(H.shape[0])])[0][0].astype(np.int64) + 1
 
 
 def evaluate(w: ClassifierMatrix, H, labels) -> float:
     """Fraction of rows whose winner-takes-all prediction matches the label."""
-    return evaluate_many([w], H, labels)[0]
-
-
-def evaluate_many(models, H, labels) -> list[float]:
-    """``[evaluate(w, H, labels) for w in models]`` for models of one shape, checked once."""
-    return evaluate_shards([list(models)], H, labels, None)[0]
+    return evaluate_shards([[w]], H, labels, None)[0][0]
 
 
 def evaluate_shards(models_per_shard, H, labels, shards) -> list[list[float]]:
     """Each shard's accuracies: ``evaluate(w, H[shard], labels[shard])`` for each of its models.
 
-    ``models_per_shard[p]``, a list, holds the models scored on ``shards[p]``,
-    a non-empty 1-D array of row indices into H (``None`` is one shard of
+    ``models_per_shard[p]`` holds the models scored on ``shards[p]``, a
+    non-empty 1-D array of row indices into H (``None`` is one shard of
     every row); every model has one weights shape.  The models, H, the
-    labels and the shards are checked once.
+    labels and the shards are checked once.  The one accuracy function.
     """
-    models_per_shard = list(models_per_shard)
-    n_classes, dim = _check_models(models_per_shard)
+    models_per_shard = [list(models) for models in models_per_shard]
+    if not models_per_shard or not all(models_per_shard):
+        raise InvalidParameterError("need at least one model")
+    n_classes, dim = models_per_shard[0][0].weights.shape
+    if any(w.weights.shape != (n_classes, dim) for models in models_per_shard for w in models):
+        raise DimensionError("models must share one weights shape")
     H = check_activations(H, dim)
     labels = check_labels(labels, n_classes, H.shape[0])
     shards = _check_shards(shards, H.shape[0])
     if len(shards) != len(models_per_shard):
         raise DimensionError(f"need one shard per model set, got {len(shards)} shards "
                              f"for {len(models_per_shard)} model sets")
-    correct = np.zeros((len(shards), max(map(len, models_per_shard))), dtype=np.int64)
-    for p, start, winners in _winners(models_per_shard, H, shards):
-        truth = labels[shards[p][start:start + winners.shape[1]]] - 1  # as _winners numbers classes
-        correct[p, :len(winners)] += (winners == truth).sum(axis=1)
-    return [[float(c / rows.size) for c in counts[:len(models)]]
-            for counts, rows, models in zip(correct, shards, models_per_shard)]
+    return [((winners == labels[rows] - 1).sum(axis=1) / rows.size).tolist()  # classes from 0
+            for winners, rows in zip(_winners(models_per_shard, H, shards), shards)]
 
 
-def _check_models(models_per_shard) -> tuple[int, int]:
-    """The one (n_classes, dim) weights shape of every model, each set checked to be non-empty."""
-    if not models_per_shard or not all(models_per_shard):
-        raise InvalidParameterError("need at least one model")
-    shape = models_per_shard[0][0].weights.shape
-    if any(w.weights.shape != shape for models in models_per_shard for w in models):
-        raise DimensionError("models must share one weights shape")
-    return shape
+def _winners(models_per_shard, H, shards) -> list[NDArray[np.unsignedinteger]]:
+    """The 0-based winner-takes-all classes of each shard's models, one (models, rows) array each.
 
-
-def _winners(models_per_shard, H, shards):
-    """Yields (p, start, winners): the 0-based winner-takes-all classes of shard p's models.
-
-    ``winners`` is (n_models, n_rows) for the block of rows
-    ``shards[p][start:start + n_rows]``.  The one scoring loop.  Each block
-    of a shard's rows is gathered and cast to float64 once and scored
-    against each of its models' weights in turn, one scipy dgemm per model,
-    the BLAS every ridge fit uses, so a grid step stays in one thread pool.
-    The products are written into one (models, rows, n_classes) buffer.  A
+    Row j of shard p's array holds its j-th model's classes of the rows
+    ``shards[p]``, in the narrowest unsigned type that holds every class
+    (uint8 up to 256 classes), so that all shards' winners, held at once,
+    take one byte per model and row.  The one scoring loop.  Each block of
+    a shard's rows is gathered and cast to float64 once and scored against
+    each of its models' weights in turn, one scipy dgemm per model, the
+    BLAS every ridge fit uses, so a grid step stays in one thread pool.  The
+    products are written into one (models, rows, n_classes) buffer.  A
     product holds exactly one model: OpenBLAS rounds a score differently
     depending on how many weight rows share a product, so stacked models
-    would make a prediction depend on the models scored beside it.  It
-    also threads a product above 2**18 multiply-adds, and a threaded
-    product can round differently, so a prediction could depend on the
-    thread count.  A product therefore scores PREDICT_BLOCK rows (fewer for
-    a model wider than 2**18 / PREDICT_BLOCK weights), counted from the
-    shard's first row.  argmax picks the first maximum, i.e. the lowest
-    class index on ties.
+    would make a prediction depend on the models scored beside it.  It also
+    threads a product above 2**18 multiply-adds, and a threaded product can
+    round differently, so a prediction could depend on the thread count.  A
+    product therefore scores PREDICT_BLOCK rows (fewer for a model wider
+    than 2**18 / PREDICT_BLOCK weights), counted from the shard's first row.
+    argmax picks the first maximum, i.e. the lowest class index on ties.
     """
     n_classes, dim = models_per_shard[0][0].weights.shape
     step = min(PREDICT_BLOCK, max(1, 2**18 // (n_classes * dim)))
     rows_at_once = min(step, max(rows.size for rows in shards))
     scores = np.empty((max(map(len, models_per_shard)), rows_at_once, n_classes))
     cast = np.empty((rows_at_once, dim))
-    for p, (models, rows) in enumerate(zip(models_per_shard, shards)):
+    winners = []
+    for models, rows in zip(models_per_shard, shards):
         weights = [np.ascontiguousarray(w.weights, dtype=np.float64) for w in models]
+        winners.append(np.empty((len(weights), rows.size), dtype=np.min_scalar_type(n_classes - 1)))
         for start in range(0, rows.size, step):
             index = rows[start:start + step]
             block = cast[:index.size]
@@ -535,4 +519,5 @@ def _winners(models_per_shard, H, shards):
                 # has one row of class scores per sample.  Assigning dgemm's
                 # result is then a no-op, and a copy should f2py ever copy c.
                 out[m] = blas.dgemm(1.0, w.T, block.T, trans_a=1, c=out[m].T, overwrite_c=1).T
-            yield p, start, np.argmax(out, axis=2)
+            winners[-1][:, start:start + index.size] = np.argmax(out, axis=2)
+    return winners

@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
     StratificationWarning,
 )
-from .hdc import SeedSpec, check_count, check_integers, check_labels
+from .hdc import SeedSpec, check_count, check_flag, check_integers, check_labels
 
 __all__ = [
     "Dataset",
@@ -71,6 +71,7 @@ class SplitSpec:
         if not (isinstance(self.fraction, numbers.Real) and 0.0 < self.fraction < 1.0):
             raise InvalidParameterError(f"holdout fraction must be in (0, 1), got {self.fraction}")
         check_count("k", self.k, lo=2)
+        object.__setattr__(self, "stratified", check_flag("stratified", self.stratified))
 
 
 def load_csv(path, label_column=-1, header: bool = False, name: str | None = None) -> Dataset:

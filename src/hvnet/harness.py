@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classifiers import evaluate_many, one_hot, rls_sweep
+from .classifiers import evaluate_shards, one_hot, rls_sweep
 from .data import (
     Dataset, SplitSpec, load_manifest, load_split_file, normalize, resolve_dataset, split,
 )
@@ -35,8 +35,8 @@ def grid_search(ds: Dataset, grid: GridSpec, seed: SeedSpec) -> tuple[int, float
     validation accuracy, ties resolved toward smaller dim, then lambda, then kappa.
     The selected triple is meant to be reused for both classifier kinds
     and every version.  Each (dim, kappa) pair solves for every lambda at
-    once with :func:`rls_sweep` and scores them all with
-    :func:`evaluate_many`.
+    once with :func:`rls_sweep` and scores them all in one
+    :func:`evaluate_shards` call.
     """
     spec = SplitSpec(fraction=grid.train_fraction, seed=seed.child("grid_split"))
     train_idx, val_idx = split(ds, spec)
@@ -53,7 +53,8 @@ def grid_search(ds: Dataset, grid: GridSpec, seed: SeedSpec) -> tuple[int, float
         sums_val = encode_batch_sums(X_val, proj)
         for kappa in sorted(grid.kappa_values):
             models = rls_sweep(clip(sums_train, kappa), Y_train, lams)
-            for lam, acc in zip(lams, evaluate_many(models, clip(sums_val, kappa), y_val)):
+            accs = evaluate_shards([models], clip(sums_val, kappa), y_val, None)[0]
+            for lam, acc in zip(lams, accs):
                 triple = (int(dim), float(lam), int(kappa))
                 if acc > best_acc or (acc == best_acc and triple < best):
                     best_acc, best = acc, triple

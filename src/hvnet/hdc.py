@@ -23,6 +23,7 @@ __all__ = [
     "SeedSpec",
     "check_activations",
     "check_count",
+    "check_flag",
     "check_integers",
     "check_labels",
     "check_lambda",
@@ -77,8 +78,8 @@ class SeedSpec:
 
 
 def _as_rows(v, name: str = "vector") -> np.ndarray:
-    """A non-empty array whose last axis holds the hypervector components."""
-    arr = np.asarray(v)
+    """A non-empty array of real numbers (:func:`check_real`), components on its last axis."""
+    arr = check_real(name, v)
     if arr.ndim < 1 or arr.size < 1:
         raise DimensionError(f"{name} must be a non-empty array, got shape {arr.shape}")
     return arr
@@ -95,6 +96,13 @@ def check_count(name: str, value, lo: int = 1, bits: int | None = None) -> None:
     if not (is_int and value >= lo and (bits is None or value < 2**bits)):
         span = f">= {lo}" if bits is None else f"in [{lo}, 2**{bits})"
         raise InvalidParameterError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def check_flag(name: str, value) -> bool:
+    """``value`` as a Python bool, checked to be a Python or numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidParameterError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def check_seed(name: str, value) -> None:
@@ -162,7 +170,7 @@ def clip(v, kappa: int, *, overwrite: bool = False) -> np.ndarray:
     With ``overwrite``, an array that already has that type is clipped in place and returned.
     """
     check_count("kappa", kappa)
-    v = check_integers("clipped values", _as_rows(v))
+    v = _as_rows(check_integers("clipped values", v))
     # -kappa - 1, not -kappa: int8 holds -128 but not +128.
     dtype = np.min_scalar_type(-min(kappa, _INT64_MAX) - 1)
     out = v if overwrite and v.dtype == dtype else np.empty(v.shape, dtype)

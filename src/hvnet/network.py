@@ -27,7 +27,6 @@ import numpy as np
 
 from .classifiers import (
     ClassifierMatrix,
-    evaluate_many,
     evaluate_shards,
     finalize_centroids,
     fit_shards,
@@ -270,10 +269,10 @@ def run_versions(
     shard unless ``eval_on_full_test`` is set; the centralized version
     always uses the full test set.  On shards, one ``evaluate_shards`` call
     scores every version's model of every agent, each agent's block of rows
-    gathered and cast once; on the full test set, one ``evaluate_many``
-    scores each distinct model of all those versions once.  Each model sees
-    the rows it would see alone, one model per product, so every accuracy
-    equals the one-version run bit for bit.  An exception raised while
+    gathered and cast once; on the full test set, a second call scores each
+    distinct model of all those versions once.  Each model sees the rows it
+    would see alone, one model per product, so every accuracy equals the
+    one-version run bit for bit.  An exception raised while
     realizing a version carries it as ``failed_version``.
     """
     n_train, n_test, seed = shared.train_idx.size, shared.test_idx.size, shared.seed
@@ -308,7 +307,8 @@ def run_versions(
 
     H_test, y_test = shared.encoded()[1], shared.ds.labels[shared.test_idx]
     distinct = {id(m): m for (models, _), full in zip(realized, on_full) if full for m in models}
-    accs = dict(zip(distinct, evaluate_many(distinct.values(), H_test, y_test))) if distinct else {}
+    on_all = evaluate_shards([distinct.values()], H_test, y_test, None)[0] if distinct else []
+    accs = dict(zip(distinct, on_all))
     scores = [[accs.get(id(m)) for m in models] for models, _ in realized]  # None: on a shard
     shard_versions = [i for i, full in enumerate(on_full) if not full]
     if shard_versions:

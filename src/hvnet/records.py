@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import SplitSpec
 from .errors import InvalidParameterError, PairingError, ParseError, UndefinedCorrelationError
-from .hdc import SeedSpec, check_count, check_lambda, check_seed
+from .hdc import SeedSpec, check_count, check_flag, check_lambda, check_seed
 
 __all__ = [
     "CLASSIFIER_KINDS",
@@ -87,6 +87,7 @@ class ExperimentVersion:
     def __post_init__(self):
         if self.kind not in VERSION_KINDS:
             raise InvalidParameterError(f"kind must be one of {VERSION_KINDS}")
+        object.__setattr__(self, "compression", check_flag("compression", self.compression))
         if self.compression and self.kind != "distributed":
             raise InvalidParameterError("compression applies to the distributed version only")
         if self.classifier_kind not in CLASSIFIER_KINDS:
@@ -135,9 +136,10 @@ class ExperimentConfig:
     integer in [0, 2**64)) and, unless
     ``allow_off_grid`` is set, lie inside the default search ranges.
     ``versions`` and ``agent_counts`` are non-empty and repeat no entry.
-    The split settings must form a valid :attr:`split_spec`.  Every check
-    runs at construction, before any data is read.  Numbers are then stored
-    as Python's (lambda as a float), so that every record can be written.
+    The split settings must form a valid :attr:`split_spec`, and the flags
+    must be bools.  Every check runs at construction, before any data is
+    read.  Numbers and flags are then stored as Python's (lambda as a
+    float), so that every record can be written.
     """
 
     dataset: str
@@ -163,6 +165,8 @@ class ExperimentConfig:
         _check_entries("versions", self.versions)
         _check_entries("agent_counts", self.agent_counts, partial(check_count, "agent count"))
         self.split_spec  # checks split_mode, train_fraction and k_folds
+        for name in ("eval_on_full_test", "allow_off_grid"):
+            object.__setattr__(self, name, check_flag(name, getattr(self, name)))
         # The checks admit numpy scalars and any real lambda, which JSON cannot write.
         for name in ("dim", "kappa", "n_seeds", "master_seed", "k_folds", "train_fraction"):
             object.__setattr__(self, name, _python_number(getattr(self, name)))

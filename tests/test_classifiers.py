@@ -23,7 +23,6 @@ from hvnet.classifiers import (
     _reflect,
     _solve_tridiagonal,
     evaluate,
-    evaluate_many,
     evaluate_shards,
     finalize_centroids,
     fit_shards,
@@ -78,7 +77,8 @@ def test_fits_and_scorers_reject_labels_that_are_not_integers(labels, dtype):
     model = train_rls(H, np.eye(3)[:, :2], 0.5)
     message = re.escape(f"labels must be integers, got dtype {dtype}")
     for call in (lambda: one_hot(labels, 2), lambda: train_centroids(H, labels, 2),
-                 lambda: evaluate(model, H, labels), lambda: evaluate_many([model], H, labels)):
+                 lambda: evaluate(model, H, labels),
+                 lambda: evaluate_shards([[model]], H, labels, None)):
         with pytest.raises(InvalidParameterError, match=message):
             call()
 
@@ -94,7 +94,8 @@ def test_scorers_reject_labels_that_are_not_one_class_per_row(labels, error, mes
     # into 16 comparisons, and a label outside the classes scores as a miss.
     H = np.eye(4, dtype=np.int8)[:, :2]
     model = train_rls(H, one_hot([1, 2, 1, 2], 2), 0.5)
-    for call in (lambda: evaluate(model, H, labels), lambda: evaluate_many([model], H, labels)):
+    for call in (lambda: evaluate(model, H, labels),
+                 lambda: evaluate_shards([[model]], H, labels, None)):
         with pytest.raises(error, match=message):
             call()
 
@@ -752,7 +753,7 @@ def test_scorers_reject_activations_that_are_not_integers(dtype):
     H = np.eye(2).astype(dtype)
     message = re.escape(f"activations must be integers, got dtype {H.dtype}")
     for call in (lambda: predict_batch(model, H), lambda: evaluate(model, H, [1, 2]),
-                 lambda: evaluate_many([model], H, [1, 2])):
+                 lambda: evaluate_shards([[model]], H, [1, 2], None)):
         with pytest.raises(InvalidParameterError, match=message):
             call()
 
@@ -805,7 +806,8 @@ def test_every_scoring_wrapper_matches_the_reference(n_models, dim):
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
         assert evaluate(model, H, labels) == np.mean(want == labels)
-    assert evaluate_many(models, H, labels) == [np.mean(want == labels) for want in expected]
+    accuracies = [np.mean(want == labels) for want in expected]
+    assert evaluate_shards([models], H, labels, None) == [accuracies]
 
 
 def test_classifier_matrix_rejects_empty_weights():
@@ -841,7 +843,7 @@ def test_int8_activations_train_and_predict_like_int64(dim):
         assert np.array_equal(predict_batch(model, H8), predict_batch(model, H64))
 
 
-def test_evaluate_many_breaks_ties_like_evaluate():
+def test_evaluate_shards_breaks_ties_like_evaluate():
     # Zero and repeated weight rows tie exactly on every sample, and all-zero
     # activations tie under every model; the row count is not a multiple of
     # PREDICT_BLOCK.
@@ -856,7 +858,7 @@ def test_evaluate_many_breaks_ties_like_evaluate():
     H = rng.integers(-7, 8, size=(2 * PREDICT_BLOCK + 7, 9)).astype(np.int8)
     H[[0, PREDICT_BLOCK - 1, PREDICT_BLOCK, -1]] = 0
     labels = rng.integers(1, 4, size=H.shape[0])
-    got = evaluate_many(models, H, labels)
+    got = evaluate_shards([models], H, labels, None)[0]
     assert got == [evaluate(m, H, labels) for m in models]
     assert got[0] == np.mean(labels == 1)
 
@@ -868,9 +870,10 @@ def test_evaluate_many_breaks_ties_like_evaluate():
     ([np.eye(2)], np.zeros((2, 2), np.int8), [1], DimensionError),
     ([np.eye(2)], np.zeros((0, 2), np.int8), [], DimensionError),
 ], ids=["no-models", "two-shapes", "dim", "label-count", "empty-test-set"])
-def test_evaluate_many_rejects_mismatched_inputs(models, H, labels, error):
+def test_evaluate_shards_rejects_mismatched_inputs(models, H, labels, error):
+    models = [ClassifierMatrix(weights=w, kind="rls") for w in models]
     with pytest.raises(error):
-        evaluate_many([ClassifierMatrix(weights=w, kind="rls") for w in models], H, labels)
+        evaluate_shards([models], H, labels, None)
 
 
 # ---------------------------------------------------- the activation contract
@@ -890,7 +893,7 @@ def _fits_and_scorers(labels, n_classes):
         ("train_centroids", lambda H: train_centroids(H, labels, n_classes).class_sums),
         ("predict_batch", lambda H: predict_batch(models[0], H)),
         ("evaluate", lambda H: evaluate(models[0], H, labels)),
-        ("evaluate_many", lambda H: evaluate_many(models, H, labels)),
+        ("evaluate_shards", lambda H: evaluate_shards([models], H, labels, None)),
     ]
 
 
@@ -903,7 +906,7 @@ def test_a_bool_in_a_list_is_not_an_integer():
         lambda: one_hot((1, np.True_, 2), 2),
         lambda: train_centroids(H, [1, True, 2], 2),
         lambda: evaluate(model, H[:, :2], [1, True, 2]),
-        lambda: evaluate_many([model], H, [1, False, 2]),
+        lambda: evaluate_shards([[model]], H, [1, False, 2], None),
         lambda: predict_batch(model, [[1, True]]),
         lambda: train_rls([[1, 0], [0, True]], np.eye(2), 0.5),
         lambda: train_centroids([np.array([1, 2]), np.array([True, False])], [1, 2], 2),
@@ -1071,7 +1074,7 @@ def test_fit_shards_equals_one_fit_per_shard_bit_for_bit(kind, case):
 
 
 @pytest.mark.parametrize("case", SHARD_CASES)
-def test_evaluate_shards_equals_evaluate_many_per_shard_bit_for_bit(case):
+def test_evaluate_shards_equals_evaluate_per_shard_bit_for_bit(case):
     H, labels, shards, n_classes, lam = _shard_case(case)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyClassWarning)
@@ -1087,7 +1090,8 @@ def test_evaluate_shards_equals_evaluate_many_per_shard_bit_for_bit(case):
         assert all(_bits(predict_batch(w, H[s])) == _bits(p) for w, p in zip(m, predicted))
         want.append([float(c / s.size) for c in np.count_nonzero(predicted == labels[s], axis=1)])
     assert evaluate_shards(models, H, labels, shards) == want
-    assert [evaluate_many(m, H[s], labels[s]) for m, s in zip(models, shards)] == want
+    assert [evaluate_shards([m], H[s], labels[s], None)[0] for m, s in zip(models, shards)] == want
+    assert [[evaluate(w, H[s], labels[s]) for w in m] for m, s in zip(models, shards)] == want
 
 
 def test_shard_batches_reject_what_is_not_a_shard_set():

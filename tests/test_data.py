@@ -331,6 +331,10 @@ def test_split_spec_validation():
         SplitSpec(mode="kfold", k=2.0)
     with pytest.raises(InvalidParameterError):
         SplitSpec(mode="bootstrap")
+    for flag in ("no", 1):
+        with pytest.raises(InvalidParameterError, match=f"stratified must be a bool, got {flag!r}"):
+            SplitSpec(stratified=flag)
+    assert type(SplitSpec(stratified=np.False_).stratified) is bool
 
 
 # --------------------------------------------------------------- synth_blobs

@@ -20,7 +20,7 @@ import hvnet.network
 from hvnet.classifiers import (
     ClassifierMatrix,
     evaluate,
-    evaluate_many,
+    evaluate_shards,
     finalize_centroids,
     one_hot,
     train_centroids,
@@ -312,7 +312,7 @@ def test_each_scoring_product_holds_one_model(monkeypatch):
         return dgemm(alpha, a, b, **kwargs)
 
     monkeypatch.setattr(hvnet.classifiers.blas, "dgemm", recording)
-    got = evaluate_many(models, H, labels)
+    got = evaluate_shards([models], H, labels, None)[0]
     monkeypatch.undo()
     assert got == [evaluate(w, H, labels) for w in models]
     blocks = [min(128, n_rows - start) for start in range(0, n_rows, 128)]
@@ -361,17 +361,17 @@ def test_full_test_scores_a_shared_aggregate_once(blobs, monkeypatch, compressio
     shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(33))
     scored = []
 
-    def counting(models, *args):
-        models = list(models)
-        scored.append(len(models))
-        return evaluate_many(models, *args)
+    def counting(models_per_shard, H, labels, shards):
+        models_per_shard = [list(models) for models in models_per_shard]
+        scored.append([len(models) for models in models_per_shard])
+        return evaluate_shards(models_per_shard, H, labels, shards)
 
-    monkeypatch.setattr(hvnet.network, "evaluate_many", counting)
+    monkeypatch.setattr(hvnet.network, "evaluate_shards", counting)
     version = ExperimentVersion("distributed", compression=compression)
     for n_agents in (1, 4, 9):
         scored.clear()
         result = run_version(shared, version, n_agents, eval_on_full_test=True)
-        assert scored == [1]  # every agent holds the one aggregate
+        assert scored == [[1]]  # every agent holds the one aggregate
         assert len(set(result.per_agent_accuracy)) == 1
 
 
@@ -454,7 +454,8 @@ def test_reference_suite_holds_no_more_memory_than_per_agent_fits(monkeypatch):
         return [train_centroids(H[s], labels[s], n_classes) for s in shards]
 
     def score_per_agent(models_per_shard, H, labels, shards):
-        return [evaluate_many(m, H[s], labels[s]) for m, s in zip(models_per_shard, shards)]
+        return [evaluate_shards([m], H[s], labels[s], None)[0]
+                for m, s in zip(models_per_shard, shards)]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

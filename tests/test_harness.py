@@ -12,7 +12,7 @@ import pytest
 
 import hvnet.harness
 import hvnet.network
-from hvnet.classifiers import evaluate, evaluate_many
+from hvnet.classifiers import evaluate, evaluate_shards
 from hvnet.data import SplitSpec, resolve_dataset, split, synth_blobs
 from hvnet.errors import (
     InvalidParameterError,
@@ -105,6 +105,11 @@ def test_config_rejects_off_grid_hyperparameters():
         small_config(lam=100.0)
     cfg = small_config(dim=20, allow_off_grid=True)
     assert cfg.dim == 20
+    # Only a bool turns the range test off: "no" and 1 are true, but not flags.
+    for flag in ("no", 1):
+        message = f"allow_off_grid must be a bool, got {flag!r}"
+        with pytest.raises(InvalidParameterError, match=message):
+            small_config(dim=20, allow_off_grid=flag)
 
 
 @pytest.mark.parametrize("allow_off_grid", [False, True])
@@ -121,9 +126,11 @@ def test_config_rejects_off_grid_hyperparameters():
     ({"versions": ()}, "versions must hold at least one entry"),
     ({"versions": (ExperimentVersion("local"),) * 2}, "versions repeats ExperimentVersion"),
     ({"agent_counts": (4, 2, 4)}, "agent_counts repeats 4"),
+    ({"eval_on_full_test": "no"}, "eval_on_full_test must be a bool, got 'no'"),
+    ({"eval_on_full_test": 1}, "eval_on_full_test must be a bool, got 1"),
 ], ids=["lam-nan", "lam-negative", "kappa-zero", "kappa-float", "dim-zero", "dim-float",
         "no-seeds", "no-agent-counts", "agent-count-zero", "no-versions", "repeated-version",
-        "repeated-agent-count"])
+        "repeated-agent-count", "full-test-string", "full-test-int"])
 def test_config_rejects_invalid_values_before_the_range_test(overrides, message, allow_off_grid):
     with pytest.raises(InvalidParameterError, match=message):
         small_config(allow_off_grid=allow_off_grid, **overrides)
@@ -162,20 +169,26 @@ def test_config_split_spec_holds_both_settings_in_each_mode():
 
 
 def test_numpy_scalar_settings_write_the_records_of_python_numbers():
-    # Every number a record or its config_hash carries, as a numpy scalar.
+    # Every number and flag a record or its config_hash carries, as a numpy
+    # scalar; np.True_ once ran the whole suite and then failed to hash the config.
+    versions = small_config().versions
+    as_numpy_versions = (*versions, ExperimentVersion("distributed", np.True_))
+    versions += (ExperimentVersion("distributed", compression=True),)
     settings = dict(agent_counts=(4,), dim=60, lam=0.5, kappa=7, n_seeds=2, master_seed=5,
-                    k_folds=4, train_fraction=0.5)
+                    k_folds=4, train_fraction=0.5, eval_on_full_test=True, allow_off_grid=False)
     as_numpy = dict(
         settings, agent_counts=(np.int64(4),), dim=np.int64(60), lam=np.float32(0.5),
         kappa=np.int32(7), n_seeds=np.int16(2), master_seed=np.uint64(5),
         k_folds=np.int64(4), train_fraction=np.float32(0.5),
+        eval_on_full_test=np.True_, allow_off_grid=np.False_,
     )
-    config = small_config(**as_numpy)
-    want, got = run_suite(small_config(**settings)), run_suite(config)
+    config = small_config(**as_numpy, versions=as_numpy_versions)
+    want, got = run_suite(small_config(**settings, versions=versions)), run_suite(config)
     for render in (records_to_jsonl, records_to_csv, format_table):
         assert render(got) == render(want)
     assert all(type(getattr(config, name)) is type(value) for name, value in settings.items())
     assert type(config.agent_counts[0]) is int
+
 
 
 def test_grid_search_returns_python_numbers():
@@ -222,13 +235,14 @@ def test_grid_search_selects_pinned_triples(dataset, dims, triples):
 def test_grid_scoring_equals_per_model_evaluate(dataset, dims, triples, monkeypatch):
     scored = []
 
-    def checked(models, H, labels):
-        got = evaluate_many(models, H, labels)
-        assert got == [evaluate(m, H, labels) for m in models]
-        scored.append(len(models))
+    def checked(models_per_shard, H, labels, shards):
+        got = evaluate_shards(models_per_shard, H, labels, shards)
+        assert shards is None and len(models_per_shard) == 1
+        assert got == [[evaluate(m, H, labels) for m in models_per_shard[0]]]
+        scored.append(len(models_per_shard[0]))
         return got
 
-    monkeypatch.setattr(hvnet.harness, "evaluate_many", checked)
+    monkeypatch.setattr(hvnet.harness, "evaluate_shards", checked)
     ds = resolve_dataset(dataset)
     grid = GridSpec(dim_values=dims, kappa_values=(1, 3, 7))
     assert [grid_search(ds, grid, SeedSpec(s)) for s in range(4)] == triples

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hvnet.compression import pack, unpack
 from hvnet.errors import DimensionError, InvalidParameterError, SingularKeyError
 from hvnet.data import synth_blobs
 from hvnet.encoding import init_projection
@@ -213,6 +214,32 @@ def test_superpose_no_int8_overflow():
 def test_empty_or_scalar_hypervectors_are_rejected(call):
     with pytest.raises(DimensionError, match="must be a non-empty array, got shape"):
         call()
+
+
+@pytest.mark.parametrize("values", [
+    np.array(["1", "0"]), np.array([1, None], dtype=object), np.array([1j, 0]),
+], ids=["str", "object", "complex"])
+def test_the_float_algebra_takes_real_numbers_only(values):
+    # numpy parsed strings as numbers, turned None into NaN and dropped the
+    # imaginary part, or raised its own ValueError or TypeError.
+    message = f"must be real numbers, got dtype {re.escape(str(values.dtype))}"
+    # One producer's classifier of one class, and its key: (1, 1, 2) stacks.
+    ones, keys = np.ones(2), random_gaussian_key(2, SeedSpec(0))[None, None]
+    for call in (
+        lambda: circ_convolve(values, ones),
+        lambda: circ_convolve(ones, values),
+        lambda: inverse(values),
+        lambda: superpose([values, ones]),
+        lambda: superpose([ones, values]),
+        lambda: pack(values[None, None], keys),
+        lambda: pack(ones[None, None], values[None, None]),
+        lambda: unpack(values[None], keys, [0]),
+        lambda: unpack(ones[None], values[None, None], [0]),
+    ):
+        with pytest.raises(InvalidParameterError, match=message):
+            call()
+    # The same calls on real numbers pass.
+    assert unpack(pack(ones[None, None], keys), keys, [0]).shape == (1, 1, 2)
 
 
 def test_superpose_errors():

@@ -332,6 +332,12 @@ def test_run_version_rejects_a_network_of_another_size(blobs):
 def test_version_validation():
     with pytest.raises(InvalidParameterError):
         ExperimentVersion("local", compression=True)
+    # "no" and 1 are true but not flags: they ran, or wrote, a compressed version.
+    for flag in ("no", 1):
+        message = f"compression must be a bool, got {flag!r}"
+        with pytest.raises(InvalidParameterError, match=message):
+            ExperimentVersion("distributed", compression=flag)
+    assert type(ExperimentVersion("distributed", compression=np.True_).compression) is bool
     with pytest.raises(InvalidParameterError):
         ExperimentVersion("federated")
     with pytest.raises(InvalidParameterError):
