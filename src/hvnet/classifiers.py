@@ -22,7 +22,7 @@ from scipy.linalg import blas, lapack
 
 from .errors import DimensionError, EmptyClassWarning, InvalidParameterError, SingularSystemError
 from .hdc import (
-    check_activations, check_count, check_integers, check_labels, check_lambda, check_real,
+    check_activations, check_count, check_labels, check_lambda, check_real, check_rows,
 )
 from .records import CLASSIFIER_KINDS
 
@@ -71,8 +71,12 @@ class ClassifierMatrix:
             raise InvalidParameterError(f"kind must be one of {CLASSIFIER_KINDS}")
         if not isinstance(self.weights, np.ndarray):
             raise DimensionError(f"weights must be a numpy array, got {type(self.weights).__name__}")
-        if self.weights.ndim != 2 or min(self.weights.shape) < 1:
+        if check_real("weights", self.weights).ndim != 2 or min(self.weights.shape) < 1:
             raise DimensionError(f"weights must be 2-D, non-empty, got {self.weights.shape}")
+        if self.class_sums is not None and (
+                check_real("class sums", self.class_sums).shape != self.weights.shape):
+            raise DimensionError(f"class sums of shape {np.shape(self.class_sums)} do not match "
+                                 f"weights of shape {self.weights.shape}")
 
     @property
     def n_classes(self) -> int:
@@ -117,8 +121,7 @@ def train_rls(H, Y, lam: float) -> ClassifierMatrix:
     hold integer activations and Y integer-valued targets (see :func:`_design`).
     """
     H, Y = _design(H, Y)
-    check_lambda(lam)
-    return _ridge(H, Y, lam)
+    return _ridge(H, Y, check_lambda(lam))
 
 
 def _ridge(H, Y, lam: float) -> ClassifierMatrix:
@@ -231,11 +234,13 @@ def rls_from_gram(gram, cross, lam: float) -> ClassifierMatrix:
     """
     # The one copy of the Gram matrix, in the Fortran order that LAPACK
     # factors in place.
-    gram = np.asarray_chkfinite(np.array(gram, dtype=np.float64, order="F"))
-    cross = np.asarray_chkfinite(np.asarray(cross, dtype=np.float64))
-    check_lambda(lam)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise DimensionError(f"need a square Gram matrix, got shape {gram.shape}")
+    gram = np.asarray_chkfinite(np.array(check_real("Gram matrix", gram), np.float64, order="F"))
+    cross = np.asarray_chkfinite(np.asarray(check_real("cross term", cross), dtype=np.float64))
+    lam = check_lambda(lam)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.size < 1:
+        raise DimensionError(f"need a non-empty square Gram matrix, got shape {gram.shape}")
+    if cross.ndim != 2 or cross.shape[0] != gram.shape[0]:
+        raise DimensionError(f"need a 2-D cross term of {gram.shape[0]} rows, got {cross.shape}")
     gram.ravel(order="F")[::gram.shape[0] + 1] += lam  # the diagonal, through a view
     factor, info = lapack.dpotrf(gram, lower=0, clean=0, overwrite_a=1)
     if info > 0:
@@ -260,11 +265,9 @@ def rls_sweep(H, Y, lams) -> list[ClassifierMatrix]:
     The weights agree with ``train_rls`` to rounding, not bit for bit.
     """
     H, Y = _design(H, Y)
-    lams = list(lams)
+    lams = [check_lambda(lam) for lam in lams]
     if not lams:
         raise InvalidParameterError("need at least one lambda")
-    for lam in lams:
-        check_lambda(lam)
     gram, rhs, dual_H = _normal_equations(H, Y, lams)
     lwork, _ = lapack.dsytrd_lwork(gram.shape[0], lower=1)
     reduced, diag, off, tau, info = lapack.dsytrd(
@@ -390,8 +393,9 @@ def fit_shards(kind: str, H, labels, shards, n_classes: int, lam: float) -> list
     H = check_activations(H)
     check_count("n_classes", n_classes, lo=2)
     labels = check_labels(labels, n_classes, H.shape[0])
-    check_lambda(lam)
-    shards = _check_shards(shards, H.shape[0])
+    lam = check_lambda(lam)
+    shards = ([np.arange(H.shape[0])] if shards is None
+              else check_rows("shard indices", shards, H.shape[0]))
     if kind == "rls":
         Y = one_hot(labels, n_classes)
         return [_ridge(H[rows], Y[rows], lam) for rows in shards]
@@ -423,27 +427,6 @@ def _centroids(H, labels, shards, n_classes: int) -> list[ClassifierMatrix]:
             for w, c in zip(_normalize(sums), sums)]
 
 
-def _check_shards(shards, n_rows: int) -> list[np.ndarray]:
-    """``shards`` as a list of non-empty 1-D integer index arrays into n_rows rows.
-
-    ``None`` is one shard of every row.
-    """
-    if shards is None:
-        return [np.arange(n_rows)]
-    shards = [check_integers("shard indices", s) for s in shards]
-    if not shards:
-        raise InvalidParameterError("need at least one shard")
-    for s in shards:
-        if s.ndim != 1 or s.size < 1:
-            raise DimensionError(
-                f"need each shard as a non-empty 1-D index array, got shape {s.shape}"
-            )
-    every = np.concatenate(shards)
-    if every.min() < 0 or every.max() >= n_rows:
-        raise InvalidParameterError(f"shard indices must lie in 0..{n_rows - 1}")
-    return shards
-
-
 def predict_batch(w: ClassifierMatrix, H) -> NDArray[np.int64]:
     """Winner-takes-all class of every row of integer activations; ties go to the lowest class."""
     H = check_activations(H, w.dim)
@@ -471,7 +454,8 @@ def evaluate_shards(models_per_shard, H, labels, shards) -> list[list[float]]:
         raise DimensionError("models must share one weights shape")
     H = check_activations(H, dim)
     labels = check_labels(labels, n_classes, H.shape[0])
-    shards = _check_shards(shards, H.shape[0])
+    shards = ([np.arange(H.shape[0])] if shards is None
+              else check_rows("shard indices", shards, H.shape[0]))
     if len(shards) != len(models_per_shard):
         raise DimensionError(f"need one shard per model set, got {len(shards)} shards "
                              f"for {len(models_per_shard)} model sets")

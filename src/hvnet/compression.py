@@ -26,6 +26,7 @@ from .errors import (
 from .hdc import (
     SeedSpec,
     check_count,
+    check_real,
     check_seed,
     circ_convolve,
     inverse,
@@ -119,9 +120,10 @@ def pack(weights, keys) -> NDArray[np.float64]:
     in row order.  Every classifier of a stack packs bit for bit as it does
     alone.
     """
-    if np.shape(weights) != np.shape(keys):
-        raise DimensionError(f"keys of shape {np.shape(keys)} cannot bind weights of shape "
-                             f"{np.shape(weights)}")
+    weights, keys = check_real("weights", weights), check_real("keys", keys)
+    if weights.shape != keys.shape or weights.ndim < 2:
+        raise DimensionError(f"keys of shape {keys.shape} cannot bind weights of shape "
+                             f"{weights.shape}; both need a class axis and a component axis")
     return circ_convolve(keys, weights).sum(axis=-2)
 
 
@@ -133,6 +135,11 @@ def unpack(packed, keys, agent_ids) -> NDArray[np.float64]:
     ``agent_ids`` names the producer of each hypervector, so that a key
     without an exact inverse is reported with its agent.
     """
+    packed, keys = check_real("packed", packed), check_real("keys", keys)
+    if packed.ndim != 2 or keys.ndim != 3 or not len(packed) == len(keys) == len(agent_ids):
+        raise DimensionError(f"need (n, dim) hypervectors, (n, n_classes, dim) keys and n agent "
+                             f"ids, got shapes {packed.shape} and {keys.shape} and "
+                             f"{len(agent_ids)} ids")
     try:
         inverses = inverse(keys)
     except SingularKeyError:
@@ -142,7 +149,7 @@ def unpack(packed, keys, agent_ids) -> NDArray[np.float64]:
             except SingularKeyError as exc:
                 raise SingularKeyError(f"agent {agent_id}: {exc}") from None
         raise
-    return circ_convolve(np.asarray(packed)[:, None, :], inverses)
+    return circ_convolve(packed[:, None, :], inverses)
 
 
 def compress(w_out: ClassifierMatrix, keys: KeySet) -> CompressedClassifier:

@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DimensionError,
     InvalidDatasetError,
     InvalidParameterError,
     ParseError,
     StratificationWarning,
 )
-from .hdc import SeedSpec, check_count, check_flag, check_integers, check_labels
+from .hdc import SeedSpec, check_count, check_flag, check_labels, check_real, check_rows
 
 __all__ = [
     "Dataset",
@@ -36,7 +37,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dataset:
-    """Tabular data of n_classes >= 2 classes, one label per sample that passes ``check_labels``."""
+    """Tabular data of n_classes >= 2 classes, one label per sample that passes ``check_labels``.
+
+    The samples are a 2-D array of real numbers (``check_real``) with one or more
+    columns; both are held as the arrays their checks return.
+    """
 
     samples: np.ndarray  # (n_samples, n_features) float64
     labels: np.ndarray  # (n_samples,) int64 in 1..n_classes
@@ -45,7 +50,13 @@ class Dataset:
 
     def __post_init__(self):
         check_count("n_classes", self.n_classes, lo=2)
-        check_labels(self.labels, self.n_classes, len(self.samples))
+        samples = check_real("samples", self.samples)
+        if samples.ndim != 2 or samples.shape[1] < 1:
+            raise DimensionError(f"samples must be a 2-D array of one or more columns, "
+                                 f"got shape {samples.shape}")
+        labels = check_labels(self.labels, self.n_classes, samples.shape[0])
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_samples(self) -> int:
@@ -159,17 +170,13 @@ def normalize(ds: Dataset, train_indices=None) -> Dataset:
 
     Rows outside the training range (possible for test data) are clamped.
     Constant features map to 0.5.  Idempotent: normalizing twice with the
-    same training rows changes nothing.  Non-finite samples are rejected, and
-    so are train indices other than a non-empty 1-D integer array of rows.
+    same training rows changes nothing.  Non-finite samples are rejected; the
+    train indices are checked by ``check_rows``.
     """
     if not np.all(np.isfinite(ds.samples)):
         raise InvalidDatasetError(f"dataset {ds.name!r} holds a non-finite (NaN or inf) sample")
-    rows = np.arange(ds.n_samples) if train_indices is None else np.asarray(train_indices)
-    what = f"train indices of dataset {ds.name!r}"
-    if (rows.ndim != 1 or rows.size < 1 or check_integers(what, rows).min() < 0
-            or rows.max() >= ds.n_samples):
-        raise InvalidParameterError(f"{what} must be a non-empty 1-D array in "
-                                    f"0..{ds.n_samples - 1}, got {np.array2string(rows)}")
+    rows = slice(None) if train_indices is None else check_rows(
+        f"train indices of dataset {ds.name!r}", [train_indices], ds.n_samples)[0]
     mins = ds.samples[rows].min(axis=0)
     maxs = ds.samples[rows].max(axis=0)
     span = maxs - mins
@@ -297,26 +304,20 @@ def _load_json(path, what: str):
 def load_split_file(path, n_samples: int):
     """Read predefined train/test indices from JSON: {"train": [...], "test": [...]}.
 
-    Each list must be a non-empty flat list of distinct integer indices in
-    ``0..n_samples-1``, and no index may be in both lists.
+    Each must be a list of distinct row indices that passes ``check_rows``,
+    and no index may be in both lists.
     """
     payload = _load_json(path, "split file")
-    lists = []
-    for name in ("train", "test"):
-        values = payload.get(name) if isinstance(payload, dict) else None
-        # type() rather than isinstance(): a bool is not an index.
-        if not isinstance(values, list) or not values or any(type(v) is not int for v in values):
-            raise InvalidParameterError(
-                f"split file {path} must hold a non-empty flat list of integer {name!r} indices"
-            )
-        if not all(0 <= v < n_samples for v in values):
-            raise InvalidParameterError(f"split file {path} indexes outside 0..{n_samples - 1}")
-        if len(set(values)) != len(values):
+    lists = [payload.get(name) if isinstance(payload, dict) else None for name in ("train", "test")]
+    if not all(isinstance(values, list) for values in lists):
+        raise InvalidParameterError(f"split file {path} must hold a 'train' and a 'test' list")
+    train, test = check_rows(f"'train' and 'test' indices of split file {path}", lists, n_samples)
+    for name, rows in (("train", train), ("test", test)):
+        if np.unique(rows).size != rows.size:
             raise InvalidParameterError(f"split file {path} repeats an index in {name!r}")
-        lists.append(values)
-    if set(lists[0]).intersection(lists[1]):
+    if np.intersect1d(train, test).size:
         raise InvalidParameterError(f"split file {path} has overlapping train/test indices")
-    return tuple(np.asarray(values, dtype=np.int64) for values in lists)
+    return train, test
 
 
 _SYNTH_KEYS = {"classes": 3, "features": 10, "samples": 3000, "sep": 3.0, "seed": 0}

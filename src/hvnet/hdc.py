@@ -9,6 +9,7 @@ vectors on every run.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import numbers
@@ -28,6 +29,7 @@ __all__ = [
     "check_labels",
     "check_lambda",
     "check_real",
+    "check_rows",
     "check_seed",
     "circ_convolve",
     "clip",
@@ -110,15 +112,26 @@ def check_seed(name: str, value) -> None:
     check_count(name, value, lo=0, bits=64)
 
 
-def check_lambda(lam) -> None:
-    """Raise unless ``lam`` is a ridge parameter: a finite real number >= 0."""
-    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 <= lam < math.inf:
-        raise InvalidParameterError(f"lambda must be a finite number >= 0, got {lam!r}")
+def check_lambda(lam) -> float:
+    """``lam`` as a float, checked to be a ridge parameter: a finite real number >= 0."""
+    if isinstance(lam, numbers.Real) and not isinstance(lam, bool) and 0 <= lam < math.inf:
+        with contextlib.suppress(OverflowError):  # float() of an int beyond the float range
+            if (value := float(lam)) < math.inf:
+                return value
+    raise InvalidParameterError(f"lambda must be a finite number >= 0, got {lam!r}")
+
+
+def _array(name: str, values) -> np.ndarray:
+    """``values`` as an array; ragged lists, which numpy rejects untyped, are a shape fault."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        raise DimensionError(f"{name} must be a regular array, got ragged lists") from None
 
 
 def check_integers(name: str, values) -> np.ndarray:
     """``values`` as an array, checked to have an integer dtype (bool is not one, nor in a list)."""
-    array = np.asarray(values)
+    array = _array(name, values)
     if array.dtype.kind not in "iu":
         raise InvalidParameterError(f"{name} must be integers, got dtype {array.dtype}")
     # numpy reads [1, True] and [1, np.array(True)] as int64, so the elements
@@ -136,7 +149,7 @@ def check_real(name: str, values) -> np.ndarray:
 
     Strings, objects and complex numbers, which numpy would cast or fail on untyped, are rejected.
     """
-    array = np.asarray(values)
+    array = _array(name, values)
     if array.dtype.kind not in "biuf":
         raise InvalidParameterError(f"{name} must be real numbers, got dtype {array.dtype}")
     return array
@@ -153,12 +166,29 @@ def check_activations(H, dim: int | None = None) -> np.ndarray:
 
 def check_labels(labels, n_classes: int, rows: int | None = None) -> np.ndarray:
     """``labels`` as an array, checked to be non-empty, 1-D, ``rows`` long and in 1..n_classes."""
-    array = np.asarray(labels)
+    array = _array("labels", labels)
     if array.ndim != 1 or array.size < 1 or rows not in (None, array.shape[0]):
         raise DimensionError(f"need {rows or 'some'} labels in a 1-D array, got {array.shape}")
     if check_integers("labels", labels).min() < 1 or array.max() > n_classes:
         raise InvalidParameterError("labels must lie in 1..n_classes")
     return array
+
+
+def check_rows(name: str, row_sets, n_rows: int) -> list[np.ndarray]:
+    """Each set as a non-empty 1-D integer array of row indices in 0..n_rows-1: the one index check.
+
+    Shape and count faults raise ``DimensionError``, dtype and range faults (a bool is no index,
+    also in a list) ``InvalidParameterError``; the range is checked once, over all the sets.
+    """
+    row_sets = list(row_sets)
+    shapes = [_array(name, rows).shape for rows in row_sets]
+    if not shapes or any(len(shape) != 1 or shape[0] < 1 for shape in shapes):
+        raise DimensionError(f"{name} must be non-empty 1-D arrays, got shapes {shapes}")
+    row_sets = [check_integers(name, rows) for rows in row_sets]
+    every = np.concatenate(row_sets)
+    if every.min() < 0 or every.max() >= n_rows:
+        raise InvalidParameterError(f"{name} must lie in 0..{n_rows - 1}")
+    return row_sets
 
 
 def clip(v, kappa: int, *, overwrite: bool = False) -> np.ndarray:

@@ -40,7 +40,7 @@ from .compression import compress, decompress, generate_keys, pack, unpack
 from .data import Dataset
 from .encoding import InputProjection, encode_batch, init_projection
 from .errors import InsufficientDataError, InvalidParameterError, ProtocolError
-from .hdc import SeedSpec, check_count, superpose
+from .hdc import SeedSpec, check_count, check_rows, check_seed, superpose
 from .records import ExperimentVersion
 
 __all__ = [
@@ -64,7 +64,8 @@ EXCHANGE_BLOCK = 16
 @dataclass(frozen=True)
 class AgentNetwork:
     """Undirected connectivity between agents; the diagonal is irrelevant because
-    every agent always aggregates its own classifier."""
+    every agent always aggregates its own classifier.  Each agent id is a seed
+    (``check_seed``), from which its compression keys are drawn."""
 
     omega: np.ndarray  # (n, n) with entries in {0, 1}, symmetric
     agent_ids: tuple[int, ...]
@@ -78,6 +79,8 @@ class AgentNetwork:
             raise InvalidParameterError("omega must be symmetric")
         if not np.all((om == 0) | (om == 1)):
             raise InvalidParameterError("omega entries must be 0 or 1")
+        for agent_id in self.agent_ids:
+            check_seed("agent id", agent_id)
         if len(set(self.agent_ids)) != n:
             raise InvalidParameterError("agent_ids must be distinct")
 
@@ -222,8 +225,8 @@ class SharedPass:
 
     def __init__(self, ds: Dataset, train_idx, test_idx, params: ModelParams, seed: SeedSpec):
         self.ds = ds
-        self.train_idx = np.asarray(train_idx)
-        self.test_idx = np.asarray(test_idx)
+        self.train_idx = train_idx  # checked by run_versions
+        self.test_idx = test_idx
         self.params = params
         self.seed = seed
         self.key_sets: dict[tuple[int, int, int], np.ndarray] = {}
@@ -275,9 +278,9 @@ def run_versions(
     one-version run bit for bit.  An exception raised while
     realizing a version carries it as ``failed_version``.
     """
-    n_train, n_test, seed = shared.train_idx.size, shared.test_idx.size, shared.seed
-    if n_train < 1 or n_test < 1:
-        raise InvalidParameterError("train and test index sets must be non-empty")
+    n_train, n_test = map(len, check_rows("train and test indices",
+                                          [shared.train_idx, shared.test_idx], shared.ds.n_samples))
+    seed = shared.seed
     shards, local, realized = None, {}, []  # shards: (train shards, test shards)
     for version in versions:
         kind = version.classifier_kind

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -228,6 +229,37 @@ def test_rls_from_gram_rejects_a_nan_gram():
         rls_from_gram(gram, np.eye(3), 1.0)
 
 
+@pytest.mark.parametrize("gram, cross, error, message", [
+    (np.ones((2, 3)), np.ones((2, 1)), DimensionError,
+     r"need a non-empty square Gram matrix, got shape \(2, 3\)"),
+    (np.ones(3), np.ones((3, 1)), DimensionError, r"square Gram matrix, got shape \(3,\)"),
+    (np.zeros((0, 0)), np.zeros((0, 1)), DimensionError, r"square Gram matrix, got shape \(0, 0"),
+    (np.eye(3), np.ones((4, 2)), DimensionError, r"need a 2-D cross term of 3 rows, got \(4, 2"),
+    (np.eye(3), np.ones(3), DimensionError, r"need a 2-D cross term of 3 rows, got \(3,\)"),
+    (np.array([["1"]]), np.ones((1, 1)), InvalidParameterError, "Gram matrix must be real"),
+    (np.eye(1), np.array([["1"]]), InvalidParameterError, "cross term must be real"),
+], ids=["non-square", "1-D", "empty", "cross-rows", "cross-1-D", "str-gram", "str-cross"])
+def test_rls_from_gram_rejects_what_is_not_a_ridge_system(gram, cross, error, message):
+    # LAPACK (through f2py) or numpy raised its own ValueError for each.
+    with pytest.raises(error, match=message):
+        rls_from_gram(gram, cross, 1.0)
+
+
+def test_a_fractional_lambda_fits_as_its_float_bit_for_bit():
+    # check_lambda admitted a Fraction, which numpy then failed to add to a float array.
+    rng = SeedSpec(26).rng()
+    H, labels = rng.integers(-7, 8, size=(20, 6)), rng.integers(1, 3, size=20)
+    Y = one_hot(labels, 2)
+    gram, cross = (H.T @ H).astype(np.float64), (H.T @ Y).astype(np.float64)
+    for lam, half in [(Fraction(1, 2), 0.5), (np.float32(0.25), 0.25)]:
+        assert _bits(train_rls(H, Y, lam).weights) == _bits(train_rls(H, Y, half).weights)
+        assert (_bits(fit_shards("rls", H, labels, None, 2, lam)[0].weights)
+                == _bits(fit_shards("rls", H, labels, None, 2, half)[0].weights))
+        assert _bits(rls_from_gram(gram, cross, lam).weights) == _bits(
+            rls_from_gram(gram, cross, half).weights)
+        assert _bits(rls_sweep(H, Y, [lam])[0].weights) == _bits(rls_sweep(H, Y, [half])[0].weights)
+
+
 def test_rls_singular_without_ridge():
     H = np.ones((3, 5), dtype=np.int8)  # rank one
     Y = one_hot([1, 2, 1], 2)
@@ -286,7 +318,8 @@ def test_rls_shrinks_with_lambda():
     lambda lam: rls_from_gram(np.eye(2), np.eye(2), lam),
     lambda lam: rls_sweep(np.eye(2, dtype=np.int8), np.eye(2), [1.0, lam]),
 ], ids=["train_rls", "rls_from_gram", "rls_sweep"])
-@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -0.1, True, "1"])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -0.1, True, "1",
+                                 pytest.param(10**400, id="beyond-float")])
 def test_ridge_fits_reject_invalid_lambda(fit, lam):
     # NaN fails both lam < 0 and lam > 0, so without the check it would be
     # solved as lambda = 0.
@@ -821,6 +854,29 @@ def test_classifier_matrix_rejects_an_unknown_kind():
         ClassifierMatrix(weights=np.eye(2), kind="svm")
 
 
+@pytest.mark.parametrize("weights", [
+    np.array([[None] * 6] * 2), np.eye(2, 6) * 1j, np.array([["1"] * 6] * 2),
+], ids=["object", "complex", "str"])
+def test_classifier_matrix_holds_real_weights_only(weights):
+    # Unchecked, evaluate scored object weights as NaN (0.5 here), dropped
+    # the imaginary part of complex ones and raised numpy's ValueError on strings.
+    with pytest.raises(InvalidParameterError, match="weights must be real numbers, got dtype"):
+        evaluate(ClassifierMatrix(weights=weights, kind="rls"), np.eye(2, 6, dtype=np.int8), [1, 2])
+
+
+def test_classifier_matrix_holds_class_sums_of_its_weights_shape():
+    sums = np.arange(16).reshape(2, 8)
+    model = ClassifierMatrix(weights=np.ones((2, 8)), kind="centroid", class_sums=sums)
+    assert model.class_sums is sums
+    # Unchecked, (3, 8) sums beside (2, 8) weights were exchanged as a 3-class aggregate.
+    with pytest.raises(DimensionError, match=r"class sums of shape \(3, 8\) do not match "
+                                             r"weights of shape \(2, 8\)"):
+        ClassifierMatrix(weights=np.ones((2, 8)), kind="centroid", class_sums=np.ones((3, 8)))
+    with pytest.raises(InvalidParameterError, match="class sums must be real numbers"):
+        ClassifierMatrix(weights=np.ones((2, 8)), kind="centroid",
+                         class_sums=np.ones((2, 8)) * 1j)
+
+
 @pytest.mark.parametrize("dim", [12, 400])  # primal and dual ridge solves
 def test_int8_activations_train_and_predict_like_int64(dim):
     # 320 rows of +127 in class 1: summed in int8 (or int16) they would wrap.
@@ -1095,16 +1151,13 @@ def test_evaluate_shards_equals_evaluate_per_shard_bit_for_bit(case):
 
 
 def test_shard_batches_reject_what_is_not_a_shard_set():
+    # hdc.check_rows owns the shard rules (see test_hdc); each batch call routes its shards there.
     H, labels = np.ones((6, 4), np.int8), [1, 2, 1, 2, 1, 2]
     model = ClassifierMatrix(weights=np.eye(2, 4), kind="rls")
     for shards, error, message in [
-        ([], InvalidParameterError, "need at least one shard"),
-        ([np.array([], dtype=np.int64)], DimensionError, r"got shape \(0,\)"),
-        ([np.array([[0, 1]])], DimensionError, r"got shape \(1, 2\)"),
-        ([np.array([0.0, 1.0])], InvalidParameterError, "must be integers, got dtype float64"),
-        ([[0, True]], InvalidParameterError, "must be integers, got a bool"),
-        ([np.array([0, 6])], InvalidParameterError, r"must lie in 0\.\.5"),
-        ([np.array([1]), np.array([-1, 2])], InvalidParameterError, r"must lie in 0\.\.5"),
+        ([], DimensionError, r"shard indices must be non-empty 1-D arrays, got shapes \[\]"),
+        ([np.array([1]), np.array([-1, 2])], InvalidParameterError,
+         r"shard indices must lie in 0\.\.5"),
     ]:
         for call in (
             lambda: fit_shards("rls", H, labels, shards, 2, 1.0),

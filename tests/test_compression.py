@@ -191,12 +191,26 @@ def test_compress_shape_mismatch():
 
 @pytest.mark.parametrize("weights, keys", [
     (np.ones((2, 4)), np.ones((3, 4))), (np.ones((2, 4)), np.ones((2, 5))),
-    (np.ones((1, 2, 4)), np.ones((2, 4))),
-], ids=["classes", "dim", "stack"])
+    (np.ones((1, 2, 4)), np.ones((2, 4))), (np.ones(4), np.ones(4)),
+], ids=["classes", "dim", "stack", "no-class-axis"])
 def test_pack_rejects_keys_of_another_shape(weights, keys):
-    # Unchecked, numpy broadcast or failed with an untyped ValueError.
+    # Unchecked, numpy broadcast or failed with an untyped ValueError or AxisError.
     with pytest.raises(DimensionError, match=re.escape(f"keys of shape {keys.shape}")):
         pack(weights, keys)
+
+
+@pytest.mark.parametrize("packed, keys, agent_ids", [
+    (np.ones((2, 4)), np.ones((3, 2, 4)), (0, 1)),
+    (np.ones(4), np.ones((1, 2, 4)), (0,)),
+    (np.ones((1, 4)), np.ones((1, 2, 4)), (0, 1)),
+    (np.ones((1, 4)), np.ones((2, 4)), (0,)),
+], ids=["key-sets", "1-D", "agent-ids", "no-stack-axis"])
+def test_unpack_rejects_stacks_of_another_length(packed, keys, agent_ids):
+    # Unchecked, numpy broadcast or raised ValueError or IndexError, and zip
+    # dropped the agent ids beyond the hypervectors.
+    with pytest.raises(DimensionError, match=r"need \(n, dim\) hypervectors, \(n, n_classes, "
+                                             r"dim\) keys and n agent ids, got shapes"):
+        unpack(packed, keys, agent_ids)
 
 
 def test_decompress_rejects_another_agents_keys():

@@ -175,6 +175,31 @@ def test_dataset_checks_its_labels_when_built(labels, n_classes, error, message)
         Dataset(samples=np.zeros((3, 2)), labels=np.asarray(labels), n_classes=n_classes)
 
 
+@pytest.mark.parametrize("samples, error, message", [
+    (np.ones(3), DimensionError, r"samples must be a 2-D array of one or more columns, got shape "
+                                 r"\(3,\)"),
+    (np.ones((3, 0)), DimensionError, r"one or more columns, got shape \(3, 0\)"),
+    (np.ones((2, 2)), DimensionError, r"need 2 labels in a 1-D array, got \(3,\)"),
+    ([[1.0], [2.0, 3.0], [4.0]], DimensionError, "samples must be a regular array"),
+    (np.array([["a"], ["b"], ["c"]]), InvalidParameterError,
+     "samples must be real numbers, got dtype <U1"),
+], ids=["1-D", "no-features", "short", "ragged", "str"])
+def test_dataset_checks_its_samples_when_built(samples, error, message):
+    # 1-D samples built a Dataset whose n_features raised IndexError, and
+    # string samples raised a TypeError inside normalize.
+    with pytest.raises(error, match=message):
+        Dataset(samples=samples, labels=np.array([1, 2, 1]), n_classes=2)
+
+
+def test_a_dataset_holds_list_samples_and_labels_as_arrays():
+    # List samples raised AttributeError on their first use as an array.
+    ds = Dataset(samples=[[2.0], [6.0], [4.0]], labels=[1, 2, 1], n_classes=2)
+    assert isinstance(ds.samples, np.ndarray) and isinstance(ds.labels, np.ndarray)
+    assert ds.n_features == 1
+    np.testing.assert_array_equal(normalize(ds).samples[:, 0], [0.0, 1.0, 0.5])
+    assert [idx.tolist() for idx in split(ds, SplitSpec(stratified=False))] == [[0, 1], [2]]
+
+
 def test_a_dataset_declaring_too_few_classes_is_rejected_before_any_split():
     # split groups rows by the classes 1..n_classes: declared with 2 classes,
     # the third class's 100 rows would silently leave every train and test set.
@@ -213,19 +238,20 @@ def test_normalize_rejects_non_finite_sample(bad):
         normalize(ds, train_indices=[0, 1])
 
 
-@pytest.mark.parametrize("rows, message", [
-    ([], r"must be a non-empty 1-D array in 0\.\.2, got \[\]"),
-    ([[0, 1]], r"must be a non-empty 1-D array in 0\.\.2, got \[\[0 1\]\]"),
-    ([99], r"must be a non-empty 1-D array in 0\.\.2, got \[99\]"),
-    ([0, -1], r"must be a non-empty 1-D array in 0\.\.2, got \[ 0 -1\]"),
-    ([0.0, 1.0], "must be integers, got dtype float64"),
-    ([True, False, True], "must be integers, got dtype bool"),
+@pytest.mark.parametrize("rows, error, message", [
+    ([], DimensionError, r"must be non-empty 1-D arrays, got shapes \[\(0,\)\]"),
+    ([[0, 1]], DimensionError, r"must be non-empty 1-D arrays, got shapes \[\(1, 2\)\]"),
+    ([99], InvalidParameterError, r"must lie in 0\.\.2"),
+    ([0, -1], InvalidParameterError, r"must lie in 0\.\.2"),
+    ([0.0, 1.0], InvalidParameterError, "must be integers, got dtype float64"),
+    ([True, False, True], InvalidParameterError, "must be integers, got dtype bool"),
 ], ids=["empty", "2-D", "above", "negative", "float", "mask"])
-def test_normalize_rejects_train_indices_that_are_not_row_indices(rows, message):
-    # Unchecked, numpy raises an untyped IndexError or ValueError for the first three.
+def test_normalize_rejects_train_indices_that_are_not_row_indices(rows, error, message):
+    # Unchecked, numpy raises an untyped IndexError or ValueError for the first
+    # three.  hdc.check_rows checks them: a fault of shape is a DimensionError.
     ds = Dataset(samples=np.array([[2.0], [6.0], [8.0]]), labels=np.array([1, 2, 1]),
                  n_classes=2, name="toy")
-    with pytest.raises(InvalidParameterError, match="train indices of dataset 'toy' " + message):
+    with pytest.raises(error, match="train indices of dataset 'toy' " + message):
         normalize(ds, train_indices=rows)
 
 
@@ -506,19 +532,23 @@ def test_split_file_round_trip(tmp_path):
         load_split_file(tmp_path / "overlap.json", 5)
 
 
-@pytest.mark.parametrize("payload, message", [
-    ({"train": [], "test": [1, 2]}, "non-empty flat list of integer 'train'"),
-    ({"train": [0, 1], "test": []}, "non-empty flat list of integer 'test'"),
-    ({"train": [0, 1]}, "non-empty flat list of integer 'test'"),
-    ({"train": [[0, 1], [2, 3]], "test": [4]}, "non-empty flat list of integer 'train'"),
-    ({"train": [0, 1.5], "test": [2]}, "non-empty flat list of integer 'train'"),
-    ({"train": [0, True], "test": [2]}, "non-empty flat list of integer 'train'"),
-    ({"train": [0, 2, 0], "test": [1]}, "repeats an index in 'train'"),
-    ({"train": [0, 1], "test": [3, 3]}, "repeats an index in 'test'"),
-])
-def test_split_file_rejects_malformed_index_lists(tmp_path, payload, message):
+@pytest.mark.parametrize("payload, error, message", [
+    ({"train": [], "test": [1, 2]}, DimensionError, r"got shapes \[\(0,\), \(2,\)\]"),
+    ({"train": [0, 1], "test": []}, DimensionError, r"got shapes \[\(2,\), \(0,\)\]"),
+    ({"train": [0, 1]}, InvalidParameterError, "must hold a 'train' and a 'test' list"),
+    ({"train": 3, "test": [4]}, InvalidParameterError, "must hold a 'train' and a 'test' list"),
+    ({"train": [[0, 1], [2, 3]], "test": [4]}, DimensionError, r"got shapes \[\(2, 2\), \(1,\)\]"),
+    ({"train": [[0, 1], [2]], "test": [4]}, DimensionError, "must be a regular array"),
+    ({"train": [0, 1.5], "test": [2]}, InvalidParameterError, "must be integers, got dtype float"),
+    ({"train": [0, True], "test": [2]}, InvalidParameterError, "must be integers, got a bool"),
+    ({"train": [0, 2, 0], "test": [1]}, InvalidParameterError, "repeats an index in 'train'"),
+    ({"train": [0, 1], "test": [3, 3]}, InvalidParameterError, "repeats an index in 'test'"),
+], ids=["empty-train", "empty-test", "no-test", "not-a-list", "2-D", "ragged", "fraction", "bool",
+        "repeat-train", "repeat-test"])
+def test_split_file_rejects_malformed_index_lists(tmp_path, payload, error, message):
+    # The index rules are hdc.check_rows's, which names both lists and the file.
     path = write(tmp_path, "splits.json", json.dumps(payload))
-    with pytest.raises(InvalidParameterError, match=message) as excinfo:
+    with pytest.raises(error, match=message) as excinfo:
         load_split_file(path, 5)
     assert str(path) in str(excinfo.value)
 

@@ -28,7 +28,7 @@ from hvnet.classifiers import (
 )
 from hvnet.compression import compress, decompress, generate_keys
 from hvnet.data import SplitSpec, resolve_dataset, split, synth_blobs
-from hvnet.errors import SuiteError
+from hvnet.errors import DimensionError, SuiteError
 from hvnet.harness import run_suite
 from hvnet.hdc import SeedSpec
 from hvnet.network import (
@@ -542,8 +542,12 @@ def test_empty_fold_is_reported_as_suite_error():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with pytest.raises(SuiteError, match="seed index 0 failed .* must be non-empty"):
+        with pytest.raises(SuiteError, match=r"seed index 0 failed .* train and test indices "
+                                             r"must be non-empty 1-D arrays, got shapes "
+                                             r"\[\(3,\), \(0,\)\]") as excinfo:
             run_suite(config)
+    # hdc.check_rows reports an empty set as a fault of shape.
+    assert type(excinfo.value.__cause__) is DimensionError
 
 
 def test_a_kfold_failure_names_its_fold():
@@ -559,7 +563,8 @@ def test_a_kfold_failure_names_its_fold():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(SuiteError, match=r"^suite aborted: seed index 0 failed on fold 3 for "
-                                             r"version=centralized n_agents=1: train and test"):
+                                             r"version=centralized n_agents=1: train and test "
+                                             r"indices must be non-empty"):
             run_suite(config)
 
 

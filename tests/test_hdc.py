@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hvnet.classifiers import one_hot, train_centroids
 from hvnet.compression import pack, unpack
 from hvnet.errors import DimensionError, InvalidParameterError, SingularKeyError
-from hvnet.data import synth_blobs
-from hvnet.encoding import init_projection
+from hvnet.data import normalize, synth_blobs
+from hvnet.encoding import encode_batch, init_projection
 from hvnet.hdc import (
     SeedSpec,
     check_integers,
     check_labels,
+    check_rows,
     check_seed,
     circ_convolve,
     clip,
@@ -145,6 +147,49 @@ def test_check_labels_passes_1_based_labels():
 def test_check_labels_rejects_what_is_not_one_class_per_row(labels, rows, error, message):
     with pytest.raises(error, match=message):
         check_labels(labels, 2, rows)
+
+
+def test_check_rows_passes_each_set_as_an_integer_array():
+    shard = np.array([2, 0], np.int32)
+    sets = check_rows("rows", (s for s in [shard, [1, 1]]), 3)
+    assert sets[0] is shard and sets[1].dtype.kind == "i" and sets[1].tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("row_sets, error, message", [
+    ([], DimensionError, r"rows must be non-empty 1-D arrays, got shapes \[\]"),
+    ([[0], []], DimensionError, r"rows must be non-empty 1-D arrays, got shapes \[\(1,\), \(0,"),
+    ([np.array([[0, 1]])], DimensionError, r"non-empty 1-D arrays, got shapes \[\(1, 2\)\]"),
+    ([[[0, 1], [2]]], DimensionError, "rows must be a regular array, got ragged lists"),
+    ([np.array([0.0, 1.0])], InvalidParameterError, "rows must be integers, got dtype float64"),
+    ([[0], [0, True]], InvalidParameterError, "rows must be integers, got a bool"),
+    ([np.array([True, False])], InvalidParameterError, "rows must be integers, got dtype bool"),
+    ([np.array([1]), np.array([-1, 2])], InvalidParameterError, r"rows must lie in 0\.\.2"),
+    ([np.array([0, 3])], InvalidParameterError, r"rows must lie in 0\.\.2"),
+], ids=["no-sets", "empty", "2-D", "ragged", "float", "bool-in-list", "bool-mask", "negative",
+        "above"])
+def test_check_rows_rejects_what_is_not_a_set_of_row_indices(row_sets, error, message):
+    # Shape and count faults are DimensionErrors, dtype and range faults InvalidParameterErrors.
+    with pytest.raises(error, match=message):
+        check_rows("rows", row_sets, 3)
+
+
+_RAGGED = [[0, 1], [2]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: one_hot([1, [2]], 2),
+    lambda: clip(_RAGGED, 1),
+    lambda: circ_convolve(_RAGGED, np.ones(2)),
+    lambda: superpose([_RAGGED]),
+    lambda: encode_batch(_RAGGED, init_projection(2, 8, SeedSpec(0)), 1),
+    lambda: train_centroids(_RAGGED, [1, 2], 2),
+    lambda: normalize(synth_blobs(2, 2, 4, 1.0, SeedSpec(0)), _RAGGED),
+], ids=["one_hot", "clip", "circ_convolve", "superpose", "encode_batch", "train_centroids",
+        "normalize"])
+def test_ragged_lists_are_shape_faults(call):
+    # numpy raised its own ValueError for each; the one conversion in hdc makes it typed.
+    with pytest.raises(DimensionError, match="must be a regular array, got ragged lists"):
+        call()
 
 
 # -------------------------------------------------------------------- clip

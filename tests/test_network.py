@@ -93,7 +93,10 @@ def test_network_rejects_asymmetric():
     (np.array([[1, 2], [2, 1]]), (0, 1), "omega entries must be 0 or 1"),
     (np.full((2, 2), 0.5), (0, 1), "omega entries must be 0 or 1"),
     (np.ones((2, 2)), (4, 4), "agent_ids must be distinct"),
-], ids=["not-square", "ids-mismatch", "entry-2", "entry-half", "repeated-id"])
+    (np.ones((2, 2)), (0, -1), r"agent id must be an integer in \[0, 2\*\*64\), got -1"),
+    (np.ones((2, 2)), (0, "a"), r"agent id must be an integer in \[0, 2\*\*64\), got 'a'"),
+], ids=["not-square", "ids-mismatch", "entry-2", "entry-half", "repeated-id", "negative-id",
+        "string-id"])
 def test_network_rejects_a_malformed_topology(omega, agent_ids, message):
     with pytest.raises(InvalidParameterError, match=message):
         AgentNetwork(omega=omega, agent_ids=agent_ids)
@@ -318,6 +321,25 @@ def test_run_version_rejects_undersized_data(blobs):
             SharedPass(ds, train_idx[:3], test_idx, PARAMS, SeedSpec(22)),
             ExperimentVersion("local"), 5,
         )
+
+
+@pytest.mark.parametrize("make_rows, error, message", [
+    (lambda rows, n: rows.astype(np.float64), InvalidParameterError,
+     "must be integers, got dtype float64"),
+    (lambda rows, n: np.isin(np.arange(n), rows), InvalidParameterError,
+     "must be integers, got dtype bool"),
+    (lambda rows, n: [rows[:2].tolist(), [int(rows[2])]], DimensionError,
+     "must be a regular array, got ragged lists"),
+], ids=["float", "mask", "ragged"])
+def test_run_version_rejects_a_pass_whose_indices_are_not_row_indices(
+        blobs, make_rows, error, message):
+    # Unchecked, float indices ended in numpy's IndexError, a bool mask of
+    # every row in "shard indices must lie in 0..199", and ragged lists in
+    # numpy's ValueError when the pass was built.
+    ds, train_idx, test_idx = blobs
+    shared = SharedPass(ds, make_rows(train_idx, ds.n_samples), test_idx, PARAMS, SeedSpec(25))
+    with pytest.raises(error, match="train and test indices " + message):
+        run_version(shared, ExperimentVersion("local"), 2)
 
 
 def test_run_version_rejects_a_network_of_another_size(blobs):
