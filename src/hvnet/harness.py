@@ -16,7 +16,7 @@ from .data import (
 from .encoding import encode_batch_sums, init_projection
 from .errors import InsufficientDataError, SuiteError
 from .hdc import SeedSpec, clip
-from .network import ModelParams, SharedPass, run_versions
+from .network import AgentNetwork, ModelParams, SharedPass, run_versions
 from .records import ExperimentConfig, GridSpec, ResultRecord
 # perfbench/tracer.py wraps these names in this module, which calls none of them.
 from .classifiers import evaluate, rls_from_gram, train_rls
@@ -67,9 +67,9 @@ def _run_pass(config: ExperimentConfig, piece, seed_index: int, fold: int | None
     ``piece`` is the fold's normalized dataset and its train and test indices;
     ``fold`` is None for a single split, whose pass draws from the bare seed.
     The cells share one :class:`SharedPass`, visited by agent count: one
-    :func:`run_versions` call realizes and scores the cells of each count, in
-    cell order.  A pure function of its arguments, so passes may run in any
-    order.
+    :func:`run_versions` call over a fully connected network of that many
+    agents realizes and scores the cells of each count, in cell order.  A
+    pure function of its arguments, so passes may run in any order.
     """
     seed = SeedSpec(config.master_seed).child("seed", seed_index)
     seed = seed if fold is None else seed.child("fold", fold)
@@ -81,9 +81,8 @@ def _run_pass(config: ExperimentConfig, piece, seed_index: int, fold: int | None
         group = [c for c in range(len(cells)) if cells[c][1] == n_agents]
         versions = [cells[c][0] for c in group]
         try:
-            group_results = run_versions(
-                shared, versions, n_agents, eval_on_full_test=config.eval_on_full_test
-            )
+            network = AgentNetwork.fully_connected(n_agents)
+            group_results = run_versions(shared, versions, network, config.eval_on_full_test)
         except Exception as exc:
             # A failure before any version is realized is the first version's.
             version = getattr(exc, "failed_version", versions[0])

@@ -13,10 +13,10 @@ it is not a BLAS product, which would round differently.
 All model versions and agent counts of one (seed, fold) share the
 projection, the encodings and the agents' keys; a :class:`SharedPass`
 holds them and computes each once.  :func:`run_versions` holds what one
-agent count needs: it partitions the shards, fits each classifier kind's
-local models in one ``fit_shards`` call, realizes every version and scores
-them together in one ``evaluate_shards`` call, each agent's block of test
-rows cast once for all of them.  Its per-count work is freed when it returns.
+network needs: it partitions the shards, fits each classifier kind's local
+models in one ``fit_shards`` call, realizes every version and scores them
+together in one ``evaluate_shards`` call, each block of test rows cast once
+for all of them.  Its per-network work is freed when it returns.
 """
 
 from __future__ import annotations
@@ -252,85 +252,76 @@ class SharedPass:
 def run_versions(
     shared: SharedPass,
     versions: list[ExperimentVersion],
-    n_agents: int,
-    network: AgentNetwork | None = None,
+    network: AgentNetwork,
     eval_on_full_test: bool = False,
 ) -> list[RunResult]:
-    """Run one seeded realization of each version at one agent count, in order.
+    """Run one seeded realization of each version over ``network``, in order.
 
     The dataset, index sets, parameters and seed come from ``shared``, and
     all randomness (projection, shard partitions) derives from its seed.
     The centralized version has one model, fit on every train row; the
     local version has each agent's own, fit on its train shard; the
-    distributed version has each agent's aggregate over ``network`` (fully
-    connected by default).  The shards are drawn once, at the first version
-    that is not centralized, and each classifier kind's local models are
-    fit once, by one ``fit_shards`` call; both are dropped when the call
-    returns.
+    distributed version has each agent's aggregate over ``network``.  Both
+    shard partitions are drawn once, and each classifier kind's local
+    models are fit once, by one ``fit_shards`` call; both are dropped when
+    the call returns.
 
     Local and distributed versions evaluate each agent on its own test
     shard unless ``eval_on_full_test`` is set; the centralized version
-    always uses the full test set.  On shards, one ``evaluate_shards`` call
-    scores every version's model of every agent, each agent's block of rows
-    gathered and cast once; on the full test set, a second call scores each
-    distinct model of all those versions once.  Each model sees the rows it
-    would see alone, one model per product, so every accuracy equals the
-    one-version run bit for bit.  An exception raised while
+    always uses the full test set.  One ``evaluate_shards`` call scores
+    them all: its row sets are the full test set and each agent's test
+    shard, each gathered and cast once per block, and each distinct model
+    is scored once on each row set that reads it.  Each model sees the
+    rows it would see alone, one model per product, so every accuracy
+    equals the one-version run bit for bit.  An exception raised while
     realizing a version carries it as ``failed_version``.
     """
     n_train, n_test = map(len, check_rows("train and test indices",
                                           [shared.train_idx, shared.test_idx], shared.ds.n_samples))
     seed = shared.seed
-    shards, local, realized = None, {}, []  # shards: (train shards, test shards)
+    train_shards = partition(n_train, network.n_agents, seed.child("train_partition")).shards
+    test_shards = partition(n_test, network.n_agents, seed.child("test_partition")).shards
+    local, realized = {}, []
     for version in versions:
         kind = version.classifier_kind
         try:
             if version.kind == "centralized":
                 models, payload = shared.fit(kind, [np.arange(n_train)]), 0
             else:
-                if shards is None:
-                    shards = (partition(n_train, n_agents, seed.child("train_partition")).shards,
-                              partition(n_test, n_agents, seed.child("test_partition")).shards)
                 if kind not in local:
-                    local[kind] = shared.fit(kind, shards[0])
+                    local[kind] = shared.fit(kind, train_shards)
                 models, payload = local[kind], 0
             if version.kind == "distributed":
-                net = network if network is not None else AgentNetwork.fully_connected(n_agents)
-                if net.n_agents != n_agents:
-                    raise InvalidParameterError("network size must match n_agents")
                 models, payload = exchange_and_aggregate(
-                    net, models, version.compression, shared.key_sets
+                    network, models, version.compression, shared.key_sets
                 )
         except Exception as exc:
             exc.failed_version = version
             raise
-        realized.append((models, payload))
-    on_full = [eval_on_full_test or v.kind == "centralized" for v in versions]
-    shards = None if shards is None else shards[1]  # the train shards are fit: drop them
+        full = eval_on_full_test or version.kind == "centralized"
+        # Row set 0 is the full test set, row set p + 1 agent p's test shard.
+        realized.append(([(0 if full else p + 1, m) for p, m in enumerate(models)], payload))
 
-    H_test, y_test = shared.encoded()[1], shared.ds.labels[shared.test_idx]
-    distinct = {id(m): m for (models, _), full in zip(realized, on_full) if full for m in models}
-    on_all = evaluate_shards([distinct.values()], H_test, y_test, None)[0] if distinct else []
-    accs = dict(zip(distinct, on_all))
-    scores = [[accs.get(id(m)) for m in models] for models, _ in realized]  # None: on a shard
-    shard_versions = [i for i, full in enumerate(on_full) if not full]
-    if shard_versions:
-        models = [[realized[i][0][p] for i in shard_versions] for p in range(n_agents)]
-        for p, per_version in enumerate(evaluate_shards(models, H_test, y_test, shards)):
-            for i, acc in zip(shard_versions, per_version):
-                scores[i][p] = acc
+    rows = [np.arange(n_test), *test_shards]
+    on_set = [{} for _ in rows]  # per row set: id(model) -> model, each model once
+    for reads, _ in realized:
+        for r, model in reads:
+            on_set[r][id(model)] = model
+    used = [r for r, models in enumerate(on_set) if models]  # none if there are no versions
+    scores = used and evaluate_shards([on_set[r].values() for r in used], shared.encoded()[1],
+                                      shared.ds.labels[shared.test_idx], [rows[r] for r in used])
+    acc = {(r, key): a for r, accs in zip(used, scores) for key, a in zip(on_set[r], accs)}
     return [
-        RunResult(len(models), np.asarray(per_agent), payload)
-        for (models, payload), per_agent in zip(realized, scores)
+        RunResult(len(reads), np.asarray([acc[r, id(m)] for r, m in reads]), payload)
+        for reads, payload in realized
     ]
 
 
 def run_version(
     shared: SharedPass,
     version: ExperimentVersion,
-    n_agents: int,
-    network: AgentNetwork | None = None,
+    network: AgentNetwork,
     eval_on_full_test: bool = False,
 ) -> RunResult:
     """Run one seeded realization of a model version: :func:`run_versions` of one."""
-    return run_versions(shared, [version], n_agents, network, eval_on_full_test)[0]
+    return run_versions(shared, [version], network, eval_on_full_test)[0]

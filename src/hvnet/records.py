@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, fields
 from functools import partial, reduce
@@ -63,7 +64,12 @@ _GRID_RANGES = {
 
 
 def _check_entries(name: str, values, check=None) -> None:
-    """Raise unless ``values`` holds an entry, repeats none, and each passes ``check``."""
+    """Raise unless ``values`` is a tuple or a list that holds an entry, repeats
+    none, and whose every entry passes ``check``."""
+    if not isinstance(values, (tuple, list)):
+        raise InvalidParameterError(
+            f"{name} must be a tuple or a list, got {type(values).__name__}"
+        )
     if not values:
         raise InvalidParameterError(f"{name} must hold at least one entry")
     for i, value in enumerate(values):
@@ -102,13 +108,18 @@ class ExperimentVersion:
 _VERSION_LABELS = VERSION_KINDS + (ExperimentVersion("distributed", True).label,)
 
 
+def _check_version(value) -> None:
+    if not isinstance(value, ExperimentVersion):
+        raise InvalidParameterError(f"versions must hold ExperimentVersion entries, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """The (dim, lambda, kappa) axes of a grid search and its holdout's train share.
 
-    Checked at construction, before any data is read: each axis holds a value
-    and repeats none, dims and kappas are integers >= 1, lambdas finite
-    numbers >= 0, and the share lies in (0, 1).
+    Checked at construction, before any data is read: each axis is a tuple or
+    a list that holds a value and repeats none, dims and kappas are integers
+    >= 1, lambdas finite numbers >= 0, and the share lies in (0, 1).
     """
 
     dim_values: tuple[int, ...] = DEFAULT_DIM_GRID
@@ -135,11 +146,13 @@ class ExperimentConfig:
     dim, n_seeds and every agent count integers >= 1; master_seed an
     integer in [0, 2**64)) and, unless
     ``allow_off_grid`` is set, lie inside the default search ranges.
-    ``versions`` and ``agent_counts`` are non-empty and repeat no entry.
-    The split settings must form a valid :attr:`split_spec`, and the flags
-    must be bools.  Every check runs at construction, before any data is
-    read.  Numbers and flags are then stored as Python's (lambda as a
-    float), so that every record can be written.
+    ``versions`` (each an :class:`ExperimentVersion`) and ``agent_counts``
+    are non-empty tuples or lists and repeat no entry; ``dataset`` is a str
+    and ``manifest`` None, a str or a path.  The split settings must form a
+    valid :attr:`split_spec`, and the flags must be bools.  Every check runs
+    at construction, before any data is read.  Numbers and flags are then
+    stored as Python's (lambda as a float), so that every record can be
+    written.
     """
 
     dataset: str
@@ -162,7 +175,12 @@ class ExperimentConfig:
         check_seed("master_seed", self.master_seed)
         for name in ("kappa", "dim", "n_seeds"):
             check_count(name, getattr(self, name))
-        _check_entries("versions", self.versions)
+        if not isinstance(self.dataset, str):
+            raise InvalidParameterError(f"dataset must be a str, got {self.dataset!r}")
+        if not isinstance(self.manifest, (type(None), str, os.PathLike)):
+            raise InvalidParameterError(f"manifest must be None, a str or a path, "
+                                        f"got {self.manifest!r}")
+        _check_entries("versions", self.versions, _check_version)
         _check_entries("agent_counts", self.agent_counts, partial(check_count, "agent count"))
         self.split_spec  # checks split_mode, train_fraction and k_folds
         for name in ("eval_on_full_test", "allow_off_grid"):

@@ -226,9 +226,10 @@ def test_shared_pass_matches_standalone_runs(blobs, eval_on_full_test, topology)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for n_agents in (1, 4, 9):
-            network = ring(range(n_agents)) if topology == "ring" else None
+            network = (ring(range(n_agents)) if topology == "ring"
+                       else AgentNetwork.fully_connected(n_agents))
             for version in ALL_VERSIONS:
-                args = (version, n_agents, network, eval_on_full_test)
+                args = (version, network, eval_on_full_test)
                 reused = run_version(shared, *args)
                 alone = run_version(SharedPass(ds, train_idx, test_idx, PARAMS, seed), *args)
                 assert np.array_equal(reused.per_agent_accuracy, alone.per_agent_accuracy)
@@ -252,7 +253,7 @@ def test_run_version_scores_like_a_per_agent_loop(blobs, version, topology, eval
     test_shards = partition(test_idx.size, n_agents, seed.child("test_partition")).shards
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = run_version(shared, version, n_agents, network, eval_on_full_test)
+        got = run_version(shared, version, network, eval_on_full_test)
         if version.kind == "centralized":
             models, payload = shared.fit(kind, [np.arange(train_idx.size)]), 0
         else:
@@ -276,15 +277,16 @@ def test_run_version_scores_like_a_per_agent_loop(blobs, version, topology, eval
 def test_run_versions_equals_one_run_per_version(blobs, n_agents, topology, eval_on_full_test):
     # dim 80 puts L * dim below 1024, where the former kernel stacked models.
     ds, train_idx, test_idx = blobs
-    network = ring(range(n_agents)) if topology == "ring" else None
+    network = (ring(range(n_agents)) if topology == "ring"
+               else AgentNetwork.fully_connected(n_agents))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(35))
-        got = run_versions(shared, ALL_VERSIONS, n_agents, network, eval_on_full_test)
+        got = run_versions(shared, ALL_VERSIONS, network, eval_on_full_test)
         want = [
             run_version(
                 SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(35)),
-                version, n_agents, network, eval_on_full_test,
+                version, network, eval_on_full_test,
             )
             for version in ALL_VERSIONS
         ]
@@ -334,7 +336,7 @@ def test_a_pass_generates_each_agents_keys_once(blobs, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for n_agents in (4, 9):
-            run_versions(shared, versions, n_agents)
+            run_versions(shared, versions, AgentNetwork.fully_connected(n_agents))
     assert sorted(calls) == list(range(9))
     assert sorted(shared.key_sets) == [(p, ds.n_classes, PARAMS.dim) for p in range(9)]
 
@@ -355,10 +357,8 @@ def test_exchange_with_filled_key_sets_equals_a_fresh_one():
     assert_same_classifiers(filled, fresh)
 
 
-@pytest.mark.parametrize("compression", [False, True])
-def test_full_test_scores_a_shared_aggregate_once(blobs, monkeypatch, compression):
-    ds, train_idx, test_idx = blobs
-    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(33))
+def counting_scores(monkeypatch):
+    """The model count of each row set, one list per ``evaluate_shards`` call of the pass."""
     scored = []
 
     def counting(models_per_shard, H, labels, shards):
@@ -367,12 +367,35 @@ def test_full_test_scores_a_shared_aggregate_once(blobs, monkeypatch, compressio
         return evaluate_shards(models_per_shard, H, labels, shards)
 
     monkeypatch.setattr(hvnet.network, "evaluate_shards", counting)
+    return scored
+
+
+@pytest.mark.parametrize("compression", [False, True])
+def test_full_test_scores_a_shared_aggregate_once(blobs, monkeypatch, compression):
+    ds, train_idx, test_idx = blobs
+    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(33))
+    scored = counting_scores(monkeypatch)
     version = ExperimentVersion("distributed", compression=compression)
     for n_agents in (1, 4, 9):
         scored.clear()
-        result = run_version(shared, version, n_agents, eval_on_full_test=True)
+        result = run_version(shared, version, AgentNetwork.fully_connected(n_agents), True)
         assert scored == [[1]]  # every agent holds the one aggregate
         assert len(set(result.per_agent_accuracy)) == 1
+
+
+@pytest.mark.parametrize("eval_on_full_test, sizes", [(False, [2, 6, 6, 6, 6]), (True, [14])])
+def test_run_versions_scores_every_version_in_one_call(
+        blobs, monkeypatch, eval_on_full_test, sizes):
+    # Row set 0 is the full test set, read by the two centralized models (and,
+    # with eval_on_full_test, by every agent's 2 local and 4 shared distributed
+    # models, each distinct model once); row set p + 1 holds agent p's 6 models.
+    ds, train_idx, test_idx = blobs
+    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(40))
+    scored = counting_scores(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_versions(shared, ALL_VERSIONS, AgentNetwork.fully_connected(4), eval_on_full_test)
+    assert scored == [sizes]
 
 
 def counting_fits(monkeypatch):
@@ -397,7 +420,7 @@ def test_shared_pass_fits_each_local_model_set_once(blobs, monkeypatch):
     versions = [v for v in ALL_VERSIONS if v.kind != "centralized"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        run_versions(shared, versions, 4)
+        run_versions(shared, versions, AgentNetwork.fully_connected(4))
     assert sorted(m.kind for m in fitted) == ["centroid"] * 4 + ["rls"] * 4
     assert shared.encoded() is shared.encoded()
 
@@ -408,7 +431,7 @@ def test_local_models_do_not_outlive_their_call(blobs, monkeypatch):
     shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(39))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        results = run_versions(shared, ALL_VERSIONS, 4)
+        results = run_versions(shared, ALL_VERSIONS, AgentNetwork.fully_connected(4))
     refs = [weakref.ref(m) for m in fitted]
     encoded, key_sets = weakref.ref(shared.encoded()[0]), shared.key_sets
     assert len(refs) == 2 * (1 + 4) and key_sets
@@ -478,9 +501,10 @@ def test_isolated_distributed_agents_score_like_local_ones(blobs, classifier, ev
     def run(kind, network):
         shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(34))
         version = ExperimentVersion(kind, classifier_kind=classifier)
-        return run_version(shared, version, len(ids), network, eval_on_full_test)
+        return run_version(shared, version, network, eval_on_full_test)
 
-    local, dist = run("local", None), run("distributed", isolated)
+    local = run("local", AgentNetwork.fully_connected(len(ids)))
+    dist = run("distributed", isolated)
     assert dist.per_agent_accuracy.tobytes() == local.per_agent_accuracy.tobytes()
 
 

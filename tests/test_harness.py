@@ -6,6 +6,7 @@ import json
 import pickle
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,12 +129,27 @@ def test_config_rejects_off_grid_hyperparameters():
     ({"agent_counts": (4, 2, 4)}, "agent_counts repeats 4"),
     ({"eval_on_full_test": "no"}, "eval_on_full_test must be a bool, got 'no'"),
     ({"eval_on_full_test": 1}, "eval_on_full_test must be a bool, got 1"),
+    # These built a config whose suite then failed with an AttributeError or
+    # TypeError, or with numpy's ambiguous-truth ValueError (an array).
+    ({"versions": ("local",)}, "versions must hold ExperimentVersion entries, got 'local'"),
+    ({"versions": {ExperimentVersion("local")}}, "versions must be a tuple or a list, got set"),
+    ({"agent_counts": np.array([2, 4])}, "agent_counts must be a tuple or a list, got ndarray"),
+    ({"dataset": 5}, "dataset must be a str, got 5"),
+    ({"manifest": 5}, "manifest must be None, a str or a path, got 5"),
 ], ids=["lam-nan", "lam-negative", "kappa-zero", "kappa-float", "dim-zero", "dim-float",
         "no-seeds", "no-agent-counts", "agent-count-zero", "no-versions", "repeated-version",
-        "repeated-agent-count", "full-test-string", "full-test-int"])
+        "repeated-agent-count", "full-test-string", "full-test-int", "version-string",
+        "version-set", "agent-count-array", "dataset-int", "manifest-int"])
 def test_config_rejects_invalid_values_before_the_range_test(overrides, message, allow_off_grid):
     with pytest.raises(InvalidParameterError, match=message):
         small_config(allow_off_grid=allow_off_grid, **overrides)
+
+
+def test_settings_accept_a_path_manifest_and_lists():
+    config = small_config(manifest=Path("manifest.json"), versions=[ExperimentVersion("local")],
+                          agent_counts=[2, 4])
+    assert config.manifest == Path("manifest.json") and config.cells[-1][1] == 4
+    assert GridSpec(dim_values=[50, 100]).dim_values == [50, 100]
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -281,8 +297,11 @@ def test_grid_search_rejects_invalid_lambda_or_empty_axis(axes, message):
     ({"train_fraction": 0.0}, r"holdout fraction must be in \(0, 1\), got 0.0"),
     ({"train_fraction": 1.0}, r"holdout fraction must be in \(0, 1\), got 1.0"),
     ({"train_fraction": float("nan")}, r"holdout fraction must be in \(0, 1\), got nan"),
+    ({"dim_values": {50, 100}}, "dim_values must be a tuple or a list, got set"),
+    ({"lambda_values": np.array([0.5, 4.0])}, "lambda_values must be a tuple or a list, got nd"),
 ], ids=["repeated-dim", "repeated-lambda", "repeated-kappa", "dim-zero", "dim-float",
-        "kappa-float", "fraction-zero", "fraction-one", "fraction-nan"])
+        "kappa-float", "fraction-zero", "fraction-one", "fraction-nan", "dim-set",
+        "lambda-array"])
 def test_grid_spec_rejects_invalid_settings_at_construction(settings, message):
     with pytest.raises(InvalidParameterError, match=message):
         GridSpec(**{"dim_values": (50, 100), "lambda_values": (0.5, 4.0), "kappa_values": (3,),
@@ -463,14 +482,16 @@ def test_run_suite_rejects_unknown_split_mode():
 
 @pytest.mark.parametrize("split_mode, n_folds", [("holdout", 1), ("kfold", 3)])
 def test_run_suite_runs_each_realization_once(monkeypatch, split_mode, n_folds):
-    # One run_versions call per (agent count, seed, fold), and one exchange
-    # per (distributed cell, seed, fold).
+    # One run_versions call per (agent count, seed, fold), over a fully
+    # connected network of that count, and one exchange per (distributed
+    # cell, seed, fold).
     run_versions, exchange = hvnet.harness.run_versions, hvnet.network.exchange_and_aggregate
     passes, exchanged = [], []
 
-    def counting_passes(shared, versions, n_agents, **kwargs):
-        passes.append((shared.seed, n_agents))
-        return run_versions(shared, versions, n_agents, **kwargs)
+    def counting_passes(shared, versions, network, eval_on_full_test):
+        passes.append((shared.seed, network.n_agents))
+        assert np.array_equal(network.omega, np.ones((network.n_agents,) * 2))
+        return run_versions(shared, versions, network, eval_on_full_test)
 
     def counting_exchange(network, classifiers, compression, key_sets=None):
         exchanged.append((network.n_agents, compression))

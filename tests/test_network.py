@@ -1,5 +1,7 @@
 """Partitioning, local training, one-shot exchange, and version runs."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hvnet.errors import (
     InsufficientDataError,
     InvalidParameterError,
     ProtocolError,
+    SingularSystemError,
 )
 from hvnet.hdc import SeedSpec
 from hvnet.network import (
@@ -281,8 +284,9 @@ def test_raw_centroid_exchange_requires_class_sums():
 def test_centralized_equals_local_single_agent(blobs):
     ds, train_idx, test_idx = blobs
     shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(19))
-    central = run_version(shared, ExperimentVersion("centralized"), 1)
-    local = run_version(shared, ExperimentVersion("local"), 1, eval_on_full_test=True)
+    one_agent = AgentNetwork.fully_connected(1)
+    central = run_version(shared, ExperimentVersion("centralized"), one_agent)
+    local = run_version(shared, ExperimentVersion("local"), one_agent, eval_on_full_test=True)
     assert central.mean_accuracy == local.mean_accuracy
     assert central.payload_values_per_producer == 0
 
@@ -290,10 +294,11 @@ def test_centralized_equals_local_single_agent(blobs):
 def test_distributed_centroid_predicts_like_centralized(blobs):
     ds, train_idx, test_idx = blobs
     shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(20))
-    central = run_version(shared, ExperimentVersion("centralized", classifier_kind="centroid"), 1)
+    central = run_version(shared, ExperimentVersion("centralized", classifier_kind="centroid"),
+                          AgentNetwork.fully_connected(1))
     dist = run_version(
-        shared, ExperimentVersion("distributed", classifier_kind="centroid"), 10,
-        eval_on_full_test=True,
+        shared, ExperimentVersion("distributed", classifier_kind="centroid"),
+        AgentNetwork.fully_connected(10), eval_on_full_test=True,
     )
     np.testing.assert_allclose(dist.per_agent_accuracy, central.mean_accuracy, atol=0)
 
@@ -301,8 +306,9 @@ def test_distributed_centroid_predicts_like_centralized(blobs):
 def test_run_version_deterministic(blobs):
     ds, train_idx, test_idx = blobs
     version = ExperimentVersion("distributed", compression=True)
-    a = run_version(SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(21)), version, 5)
-    b = run_version(SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(21)), version, 5)
+    network = AgentNetwork.fully_connected(5)
+    a = run_version(SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(21)), version, network)
+    b = run_version(SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(21)), version, network)
     np.testing.assert_array_equal(a.per_agent_accuracy, b.per_agent_accuracy)
     assert a.payload_values_per_producer == PARAMS.dim
 
@@ -310,8 +316,15 @@ def test_run_version_deterministic(blobs):
 def test_centralized_version_runs_on_one_train_row(blobs):
     ds, train_idx, test_idx = blobs
     shared = SharedPass(ds, train_idx[:1], test_idx, PARAMS, SeedSpec(24))
-    (central,) = run_versions(shared, [ExperimentVersion("centralized")], 1)
+    (central,) = run_versions(shared, [ExperimentVersion("centralized")],
+                              AgentNetwork.fully_connected(1))
     assert central.per_agent_accuracy.shape == (1,) and 0.0 <= central.mean_accuracy <= 1.0
+
+
+def test_run_versions_of_no_versions_is_empty(blobs):
+    ds, train_idx, test_idx = blobs
+    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(26))
+    assert run_versions(shared, [], AgentNetwork.fully_connected(2)) == []
 
 
 def test_run_version_rejects_undersized_data(blobs):
@@ -319,7 +332,7 @@ def test_run_version_rejects_undersized_data(blobs):
     with pytest.raises(InsufficientDataError):
         run_version(
             SharedPass(ds, train_idx[:3], test_idx, PARAMS, SeedSpec(22)),
-            ExperimentVersion("local"), 5,
+            ExperimentVersion("local"), AgentNetwork.fully_connected(5),
         )
 
 
@@ -339,16 +352,22 @@ def test_run_version_rejects_a_pass_whose_indices_are_not_row_indices(
     ds, train_idx, test_idx = blobs
     shared = SharedPass(ds, make_rows(train_idx, ds.n_samples), test_idx, PARAMS, SeedSpec(25))
     with pytest.raises(error, match="train and test indices " + message):
-        run_version(shared, ExperimentVersion("local"), 2)
+        run_version(shared, ExperimentVersion("local"), AgentNetwork.fully_connected(2))
 
 
-def test_run_version_rejects_a_network_of_another_size(blobs):
+def test_run_versions_failure_carries_the_failing_version(blobs):
+    # At lambda = 0 the ridge fits on shards of one or two rows are singular;
+    # the centroid version is realized first and succeeds.
     ds, train_idx, test_idx = blobs
-    shared = SharedPass(ds, train_idx, test_idx, PARAMS, SeedSpec(23))
-    version = ExperimentVersion("distributed")
-    with pytest.raises(InvalidParameterError, match="network size must match n_agents") as exc:
-        run_version(shared, version, 4, network=AgentNetwork.fully_connected(3))
-    assert exc.value.failed_version == version
+    params = ModelParams(dim=PARAMS.dim, kappa=PARAMS.kappa, lam=0.0)
+    shared = SharedPass(ds, train_idx[:3], test_idx, params, SeedSpec(23))
+    versions = [ExperimentVersion("local", classifier_kind="centroid"),
+                ExperimentVersion("distributed")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(SingularSystemError, match="singular at lambda=0.0") as exc:
+            run_versions(shared, versions, AgentNetwork.fully_connected(2))
+    assert exc.value.failed_version == versions[1]
 
 
 def test_version_validation():

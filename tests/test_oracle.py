@@ -93,7 +93,7 @@ def library_run(shared, version, network, full_test):
         mp.setattr(hvnet.network, "fit_shards", recording(hvnet.network.fit_shards, fitted))
         mp.setattr(hvnet.network, "exchange_and_aggregate",
                    recording(hvnet.network.exchange_and_aggregate, exchanged))
-        result = run_version(shared, version, network.n_agents, network, full_test)
+        result = run_version(shared, version, network, full_test)
     # run_version fits its one version's models in one call.
     return result, exchanged[0][0] if exchanged else fitted[0]
 
